@@ -10,8 +10,9 @@ from .geometry import (classify_module, corner_points, face_parallel_modules, lp
                        witness_for_pair)
 from .lattice import (IntLattice, ShiftCoset, UnimodularMatrix, hnf,
                       orthogonal_complement_lattice, saturation, unimodular_completion)
-from .polyring import (Poly, RationalFunction, divide_exact, eval_poly, format_poly, gcd_poly,
-                       normalize_primitive, parse_poly, parse_rational, shift_poly)
+from .polyring import (InvariantError, Poly, RationalFunction, divide_exact, eval_poly,
+                       format_poly, gcd_poly, normalize_primitive, parse_poly, parse_rational,
+                       shift_poly)
 from .spread import (INFINITY, NEG_INFINITY, disp_k, invariance_lattice, shift_equiv,
                      spread_box_oracle, spread_pair)
 from .transform import (NormalizedFrame, act_on_rational, build_normalizing_frame,

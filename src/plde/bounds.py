@@ -27,7 +27,7 @@ from .geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL,
                        WeakCertificate, WitnessCertificate, all_useful_pairs, classify_module,
                        corner_points, face_parallel_modules)
 from .lattice import IntLattice, parse_module, saturation
-from .polyring import Poly, divide_exact, format_poly, parse_poly
+from .polyring import InvariantError, Poly, divide_exact, format_poly, parse_poly
 from .spread import INFINITY, NEG_INFINITY, disp_k, invariance_lattice
 from .transform import frame_for, map_point, pull_back
 
@@ -52,7 +52,6 @@ class BoundOptions:
     refine: bool = True            # gcd over all useful pairs and both orientations
     drop_aperiodic: bool = True    # remove aperiodic factors from periodic-module parts
     box_radius: int = 8
-    strip_observer: object = None  # test hook: called with every strip rewriting
 
 
 @dataclass(frozen=True)
@@ -166,7 +165,7 @@ class _Frac:
                 if m:
                     factors.append((prim, m))
                     tags.append(tag)
-            den = FactoredPoly(den.vars, 1, factors, tags)
+            den = FactoredPoly._from_canonical(den.vars, den.unit, factors, tags)
         self.num = num
         self.den = den
 
@@ -222,7 +221,8 @@ def dispersion_bound(eq_norm: PLDE, t: int, drop_aperiodic: bool = True,
             if b_part.is_constant():
                 continue
             best = max(best, disp_k(a_part, b_part, 1, box_radius))
-    assert best != INFINITY, "periodic parts cannot disperse along the witness axis"
+    if best == INFINITY:
+        raise InvariantError("periodic parts cannot disperse along the witness axis")
     return best
 
 
@@ -270,7 +270,8 @@ def strip_rewrite(eq_norm: PLDE, p, s) -> StripResult:
             b = b.add(_Frac(coeff.num * eq_norm.rhs.shift(d), coeff.den.mul(ap_d)))
     rminus = tuple(sorted([p] + substituted))
     live = {i: fr for i, fr in terms.items() if not fr.is_zero()}
-    assert all(i[0] - p[0] > s for i in live), "a reachable term survived inside the strip"
+    if any(i[0] - p[0] <= s for i in live):
+        raise InvariantError("a reachable term survived inside the strip")
     D = FactoredPoly.one(eq_norm.variables)
     for fr in live.values():
         D = D.lcm(fr.den)
@@ -278,7 +279,8 @@ def strip_rewrite(eq_norm: PLDE, p, s) -> StripResult:
     pool = FactoredPoly.one(eq_norm.variables)
     for i in rminus:
         pool = pool.mul(a_p.shift(tuple(a - b_ for a, b_ in zip(i, p))).drop_unit())
-    assert D.divides(pool), "common denominator escaped the substitution cascade"
+    if not D.divides(pool):
+        raise InvariantError("common denominator escaped the substitution cascade")
     out_terms = {i: fr.num * D.div_exact(fr.den).expand() for i, fr in live.items()}
     out_b = b.num * D.div_exact(b.den).expand()
     return StripResult(rminus, tuple(sorted(live)), D, out_terms, out_b)
@@ -303,14 +305,13 @@ def _bound_for_cert(eq: PLDE, W: IntLattice, cert: WitnessCertificate,
     u = _primitive_entries(cert.u)
     frame, eqn = frame_for(eq, W, u)
     p_img = map_point(frame, cert.p)
-    assert p_img[0] == 0 and all(s[0] >= 1 for s in eqn.support if s != p_img)
+    if p_img[0] != 0 or any(s[0] < 1 for s in eqn.support if s != p_img):
+        raise InvariantError("the frame does not put the certificate point alone on its base plane")
     s_val = dispersion_bound(eqn, frame.t, options.drop_aperiodic, options.box_radius)
     if s_val == NEG_INFINITY:
         # no periodic factor of W can occur at the corner coefficient at all
         return FactoredPoly.one(eq.variables), s_val
     strip = strip_rewrite(eqn, p_img, s_val)
-    if options.strip_observer is not None:
-        options.strip_observer(eqn, p_img, s_val, strip)
     W_norm = _norm_module(len(eq.variables), frame.t)
     if options.coarse:
         a_prime = eqn.terms[p_img].w_part(W_norm, options.drop_aperiodic)
@@ -330,6 +331,12 @@ def bound_for_module(eq: PLDE, W: IntLattice, cert: WitnessCertificate | None = 
     Needs a useful-pair certificate; with ``refine`` the results of every
     useful pair (both orientations included) are intersected by gcd.
     """
+    return _module_bound(eq, W, cert, options)[0]
+
+
+def _module_bound(eq: PLDE, W: IntLattice, cert: WitnessCertificate | None,
+                  options: BoundOptions):
+    """bound_for_module, plus the dispersion s of ``cert`` itself (None without one)."""
     W = saturation(W)
     support = eq.support
     if cert is None or options.refine:
@@ -343,11 +350,13 @@ def bound_for_module(eq: PLDE, W: IntLattice, cert: WitnessCertificate | None = 
     else:
         cert.check(support, W)
         certs = [cert]
-    result = None
+    result = s_cert = None
     for c in certs:
-        d_c, _ = _bound_for_cert(eq, W, c, options)
+        d_c, s_c = _bound_for_cert(eq, W, c, options)
+        if c == cert:
+            s_cert = s_c
         result = d_c if result is None else result.gcd(d_c)
-    return result
+    return result, s_cert
 
 
 def lcm_combine(bounds) -> FactoredPoly:
@@ -363,7 +372,7 @@ def lcm_combine(bounds) -> FactoredPoly:
 
 def aperiodic_bound(eq: PLDE, options: BoundOptions = BoundOptions()) -> FactoredPoly:
     """Bound on the aperiodic denominator part: per corner, gcd across corners."""
-    opts = replace(options, drop_aperiodic=False, refine=False, strip_observer=None)
+    opts = replace(options, drop_aperiodic=False, refine=False)
     support = eq.support
     zero = IntLattice.zero(len(eq.variables))
     if len(support) == 1:
@@ -431,7 +440,7 @@ def combined_bound(eq: PLDE, options: BoundOptions = BoundOptions()) -> BoundRep
             if Wu not in per_module:
                 cls = classify_module(support, Wu)
                 if cls.kind == CLASS_USEFUL:
-                    d_W, s_val = _first_bound(eq, Wu, cls.certificate, options)
+                    d_W, s_val = _module_bound(eq, Wu, cls.certificate, options)
                     per_module[Wu] = ModuleEntry(cls.kind, cls.certificate, s_val, d_W)
                     d = d.lcm(d_W)
                 else:
@@ -460,9 +469,3 @@ def combined_bound(eq: PLDE, options: BoundOptions = BoundOptions()) -> BoundRep
         warnings=tuple(warnings),
     )
 
-
-def _first_bound(eq, W, cert, options):
-    """Refined bound plus the dispersion value of the certificate's own frame."""
-    _, s_val = _bound_for_cert(eq, W, cert, options)
-    d_W = bound_for_module(eq, W, cert, options)
-    return d_W, s_val

@@ -86,6 +86,9 @@ class PLDE:
 
     @classmethod
     def from_json(cls, data) -> "PLDE":
+        if not isinstance(data, dict):
+            raise EquationFormatError("equation must be a JSON object, not %s"
+                                      % type(data).__name__)
         try:
             variables = tuple(data["variables"])
             raw_terms = data["terms"]
@@ -94,10 +97,11 @@ class PLDE:
             raise EquationFormatError("missing field: %s" % exc) from exc
         if not raw_terms:
             raise EquationFormatError("equation has no terms")
+        if not isinstance(raw_terms, (list, tuple)):
+            raise EquationFormatError("terms must be a list")
         terms = {}
-        for entry in raw_terms:
-            shift = tuple(int(x) for x in entry["shift"])
-            coeff = entry["coefficient"]
+        for index, entry in enumerate(raw_terms):
+            shift, coeff = _term_fields(entry, index)
             if isinstance(coeff, str):
                 fp = auto_factor(parse_poly(coeff, variables))
             else:
@@ -108,6 +112,24 @@ class PLDE:
                 raise EquationFormatError("duplicate shift %r" % (shift,))
             terms[shift] = fp
         return cls(variables, terms, parse_poly(rhs_text, variables))
+
+
+def _term_fields(entry, index: int):
+    """The shift tuple and raw coefficient of term number index, checked for shape."""
+    if not isinstance(entry, dict):
+        raise EquationFormatError("term %d must be a JSON object" % index)
+    for key in ("shift", "coefficient"):
+        if key not in entry:
+            raise EquationFormatError("term %d has no %r" % (index, key))
+    shift = entry["shift"]
+    if not isinstance(shift, (list, tuple)) or not all(
+            isinstance(x, int) and not isinstance(x, bool) for x in shift):
+        raise EquationFormatError("term %d: shift must be a list of integers, not %r"
+                                  % (index, shift))
+    coeff = entry["coefficient"]
+    if not isinstance(coeff, (str, dict)):
+        raise EquationFormatError("term %d: coefficient must be a string or an object" % index)
+    return tuple(shift), coeff
 
 
 def load_equation(path) -> PLDE:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .polyring import Poly, divide_exact, format_poly, normalize_primitive, parse_poly
+from .polyring import Poly, format_poly, normalize_primitive, parse_poly
 
 VERIFIED_LINEAR = "verified_linear"
 DECLARED_IRREDUCIBLE = "declared_irreducible"
@@ -44,12 +44,12 @@ class FactoredPoly:
         unit = Fraction(unit)
         if unit == 0:
             raise ValueError("unit must be nonzero")
-        merged: dict[Poly, int] = {}
-        tag_of: dict[Poly, str] = {}
         factors = list(factors)
         tags = list(tags) if tags is not None else [None] * len(factors)
         if len(tags) != len(factors):
             raise ValueError("one tag per factor expected")
+        prims = []
+        prim_tags = []
         for (p, mult), tag in zip(factors, tags):
             mult = int(mult)
             if mult < 1:
@@ -60,13 +60,39 @@ class FactoredPoly:
                 raise ValueError("zero factor")
             u, prim = normalize_primitive(p)
             unit *= u ** mult
-            if prim.is_constant():
-                continue
-            merged[prim] = merged.get(prim, 0) + mult
-            t = _auto_tag(prim, tag)
-            if prim not in tag_of or _TAG_RANK[t] > _TAG_RANK[tag_of[prim]]:
-                tag_of[prim] = t
-        order = sorted(merged, key=lambda p: p.sort_key())
+            if not prim.is_constant():
+                prims.append((prim, mult))
+                prim_tags.append(_auto_tag(prim, tag))
+        self._merge(unit, prims, prim_tags)
+
+    @classmethod
+    def _from_canonical(cls, vars, unit, factors, tags) -> "FactoredPoly":
+        """Trusted constructor: every prim already canonical, nonconstant and tagged.
+
+        Canonical means integer-primitive with positive leading coefficient,
+        as normalize_primitive returns it; multiplicities are positive ints.
+        """
+        fp = object.__new__(cls)
+        fp.vars = vars
+        fp._merge(unit, factors, tags)
+        return fp
+
+    def _merge(self, unit, factors, tags):
+        """Store the factors with repeated prims merged, sorted by sort_key.
+
+        Multiplicities of a repeated prim add up and its highest-ranked tag wins.
+        """
+        merged: dict[Poly, int] = {}
+        tag_of: dict[Poly, str] = {}
+        for (prim, mult), tag in zip(factors, tags):
+            if prim in merged:
+                merged[prim] += mult
+                if _TAG_RANK[tag] > _TAG_RANK[tag_of[prim]]:
+                    tag_of[prim] = tag
+            else:
+                merged[prim] = mult
+                tag_of[prim] = tag
+        order = sorted(merged, key=Poly.sort_key)
         self.unit = unit
         self.factors = tuple((p, merged[p]) for p in order)
         self.tags = tuple(tag_of[p] for p in order)
@@ -143,16 +169,16 @@ class FactoredPoly:
     def mul(self, other: "FactoredPoly") -> "FactoredPoly":
         if self.vars != other.vars:
             raise ValueError("mismatched variable lists")
-        factors = list(self.factors) + list(other.factors)
-        tags = list(self.tags) + list(other.tags)
-        return FactoredPoly(self.vars, self.unit * other.unit, factors, tags)
+        return FactoredPoly._from_canonical(self.vars, self.unit * other.unit,
+                                            self.factors + other.factors, self.tags + other.tags)
 
     def pow(self, n: int) -> "FactoredPoly":
         n = int(n)
         if n < 0:
             raise ValueError("negative power of a factored polynomial")
         factors = [(p, m * n) for p, m in self.factors] if n else []
-        return FactoredPoly(self.vars, self.unit ** n, factors, list(self.tags) if n else [])
+        return FactoredPoly._from_canonical(self.vars, self.unit ** n, factors,
+                                            self.tags if n else ())
 
     def gcd(self, other: "FactoredPoly") -> "FactoredPoly":
         if self.vars != other.vars:
@@ -164,7 +190,7 @@ class FactoredPoly:
             if p in mine:
                 factors.append((p, min(m, mine[p])))
                 tags.append(self._tag_for(p))
-        return FactoredPoly(self.vars, 1, factors, tags)
+        return FactoredPoly._from_canonical(self.vars, Fraction(1), factors, tags)
 
     def lcm(self, other: "FactoredPoly") -> "FactoredPoly":
         if self.vars != other.vars:
@@ -175,7 +201,7 @@ class FactoredPoly:
         factors = list(mult.items())
         tags = [max(self._tag_for(p), other._tag_for(p), key=lambda t: _TAG_RANK[t])
                 for p, _ in factors]
-        return FactoredPoly(self.vars, 1, factors, tags)
+        return FactoredPoly._from_canonical(self.vars, Fraction(1), factors, tags)
 
     def divides(self, other: "FactoredPoly") -> bool:
         """Multiset containment of factors (units ignored)."""
@@ -184,19 +210,24 @@ class FactoredPoly:
 
     def div_exact(self, other: "FactoredPoly") -> "FactoredPoly":
         """Quotient by a factored divisor (multiset subtraction)."""
-        if not other.divides(self):
-            raise ValueError("not a factored divisor")
         mult = dict(self.factors)
         for p, m in other.factors:
-            mult[p] -= m
+            left = mult.get(p, 0) - m
+            if left < 0:
+                raise ValueError("not a factored divisor")
+            mult[p] = left
         factors = [(p, m) for p, m in mult.items() if m]
         tags = [self._tag_for(p) for p, _ in factors]
-        return FactoredPoly(self.vars, self.unit / other.unit, factors, tags)
+        return FactoredPoly._from_canonical(self.vars, self.unit / other.unit, factors, tags)
 
     def shift(self, s) -> "FactoredPoly":
-        """Shift every factor; canonical form is preserved factor by factor."""
+        """Shift every factor.
+
+        An integer shift keeps a prim canonical (its top-degree form and its
+        integer content are unchanged) but may change the factor order.
+        """
         factors = [(p.shift(s), m) for p, m in self.factors]
-        return FactoredPoly(self.vars, self.unit, factors, list(self.tags))
+        return FactoredPoly._from_canonical(self.vars, self.unit, factors, self.tags)
 
     def subst(self, matrix) -> "FactoredPoly":
         """Apply the variable substitution n -> matrix . n to every factor."""
@@ -212,7 +243,9 @@ class FactoredPoly:
         return FactoredPoly(self.vars, self.unit, factors, list(self.tags))
 
     def drop_unit(self) -> "FactoredPoly":
-        return FactoredPoly(self.vars, 1, list(self.factors), list(self.tags))
+        if self.unit == 1:
+            return self
+        return FactoredPoly._from_canonical(self.vars, Fraction(1), self.factors, self.tags)
 
     # ------------------------------------------------------------------
     # spread filters
@@ -239,7 +272,7 @@ class FactoredPoly:
                 continue
             kept.append((p, m))
             tags.append(tag)
-        return FactoredPoly(self.vars, 1, kept, tags)
+        return FactoredPoly._from_canonical(self.vars, Fraction(1), kept, tags)
 
     # ------------------------------------------------------------------
     # serialization
@@ -285,8 +318,3 @@ def shift_fp(fp: FactoredPoly, s) -> FactoredPoly:
 
 def w_part(fp: FactoredPoly, W, drop_aperiodic: bool = False) -> FactoredPoly:
     return fp.w_part(W, drop_aperiodic)
-
-
-def divides_poly(fp: FactoredPoly, p: Poly) -> bool:
-    """Does the expanded form of fp divide p exactly?"""
-    return divide_exact(p, fp.expand()) is not None

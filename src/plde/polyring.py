@@ -22,6 +22,10 @@ class ParseError(ValueError):
         self.position = position
 
 
+class InvariantError(RuntimeError):
+    """An internal invariant failed; raised instead of `assert` so that `python -O` keeps it."""
+
+
 def _grlex(expvec):
     return (sum(expvec), expvec)
 
@@ -34,10 +38,11 @@ class Poly:
     term map.  Instances are treated as immutable and are hashable.
     """
 
-    __slots__ = ("vars", "terms")
+    __slots__ = ("vars", "terms", "_hash")
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
+        self._hash = None
         clean = {}
         if terms:
             r = len(self.vars)
@@ -51,6 +56,15 @@ class Poly:
                 if c:
                     clean[e] = c
         self.terms = clean
+
+    @classmethod
+    def _make(cls, vars: tuple, terms: dict) -> "Poly":
+        """Trusted constructor: tuple exponents, Fraction coefficients, none of them zero."""
+        p = object.__new__(cls)
+        p.vars = vars
+        p.terms = terms
+        p._hash = None
+        return p
 
     # ------------------------------------------------------------------
     # constructors
@@ -128,8 +142,16 @@ class Poly:
         self._check_same_ring(other)
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return Poly(self.vars, terms)
+            v = terms.get(e)
+            if v is None:
+                terms[e] = c
+                continue
+            v += c
+            if v:
+                terms[e] = v
+            else:
+                del terms[e]
+        return Poly._make(self.vars, terms)
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -137,12 +159,14 @@ class Poly:
         return self + (-other)
 
     def __neg__(self):
-        return Poly(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.vars, {e: -c for e, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
-            return Poly(self.vars, {e: c * f for e, c in self.terms.items()})
+            if not f:
+                return Poly._make(self.vars, {})
+            return Poly._make(self.vars, {e: c * f for e, c in self.terms.items()})
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_ring(other)
@@ -150,8 +174,9 @@ class Poly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return Poly(self.vars, terms)
+                v = terms.get(e)
+                terms[e] = c1 * c2 if v is None else v + c1 * c2
+        return Poly._make(self.vars, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -172,7 +197,10 @@ class Poly:
         return isinstance(other, Poly) and self.vars == other.vars and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.vars, frozenset(self.terms.items())))
+        h = self._hash
+        if h is None:
+            h = self._hash = hash((self.vars, frozenset(self.terms.items())))
+        return h
 
     # ------------------------------------------------------------------
     # shift, evaluation, substitution
@@ -193,8 +221,9 @@ class Poly:
                     if d != fi:
                         w *= comb(d, fi) * si ** (d - fi)
                 if w:
-                    terms[f] = terms.get(f, Fraction(0)) + w
-        return Poly(self.vars, terms)
+                    v = terms.get(f)
+                    terms[f] = w if v is None else v + w
+        return Poly._make(self.vars, {e: c for e, c in terms.items() if c})
 
     def eval_at(self, point) -> Fraction:
         point = [Fraction(x) for x in point]
@@ -297,7 +326,7 @@ def divide_exact(p: Poly, q: Poly):
                 rem[e] = v
             else:
                 rem.pop(e, None)
-    return Poly(p.vars, quotient)
+    return Poly._make(p.vars, quotient)
 
 
 def normalize_primitive(p: Poly):
@@ -312,8 +341,7 @@ def normalize_primitive(p: Poly):
         num_gcd = _int_gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
     sign = 1 if p.leading_coefficient() > 0 else -1
     unit = Fraction(sign * num_gcd, den_lcm)
-    prim = p * (1 / unit)
-    return unit, prim
+    return unit, p if unit == 1 else p * (1 / unit)
 
 
 def _content_and_primitive(p: Poly, x: int):
@@ -333,7 +361,8 @@ def _content_and_primitive(p: Poly, x: int):
             cont = Poly.one(p.vars)
             break
     pp = divide_exact(p, cont)
-    assert pp is not None
+    if pp is None:
+        raise InvariantError("the content of a polynomial does not divide it")
     return cont, pp
 
 
@@ -410,14 +439,6 @@ def _gcd_recursive(p: Poly, q: Poly) -> Poly:
     if not g.is_constant():
         g = _content_and_primitive(g, x)[1]
     return cont * g
-
-
-def lcm_poly(p: Poly, q: Poly) -> Poly:
-    if p.is_zero() or q.is_zero():
-        return Poly.zero(p.vars)
-    g = gcd_poly(p, q)
-    quo = divide_exact(p, g)
-    return normalize_primitive(quo * q)[1]
 
 
 # ----------------------------------------------------------------------
@@ -531,6 +552,8 @@ def parse_poly(text: str, vars) -> Poly:
     >>> str(parse_poly("(n+1)*(n-1)", ("n", "k")))
     'n^2-1'
     """
+    if not isinstance(text, str):
+        raise ParseError("expected polynomial text, not %r" % (text,), 0)
     parser = _Parser(text, vars)
     result = parser.parse_expr()
     tok = parser.peek()

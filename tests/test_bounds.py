@@ -1,7 +1,12 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import plde.bounds
 from plde.bounds import (BoundOptions, BoundReport, DegenerateFaceError, StripPreconditionError,
                          aperiodic_bound, bound_for_module, combined_bound, dispersion_bound,
                          lcm_combine, partial_multiple, strip_rewrite)
@@ -9,7 +14,7 @@ from plde.equation import PLDE
 from plde.factored import FactoredPoly
 from plde.geometry import all_useful_pairs
 from plde.lattice import IntLattice, saturation
-from plde.polyring import Poly, RationalFunction, divide_exact, parse_poly
+from plde.polyring import InvariantError, Poly, RationalFunction, divide_exact, parse_poly
 from plde.spread import NEG_INFINITY, invariance_lattice
 from plde.transform import act_on_rational, frame_for, map_point
 from plde.verify import check_solution, check_strip_identity, random_instance
@@ -116,6 +121,37 @@ def test_strip_requires_unique_base_point():
         strip_rewrite(eq, (0, 0), 1)
 
 
+_OPTIMIZED_STRIP = """
+import sys
+from plde import FactoredPoly, InvariantError, IntLattice, load_equation, strip_rewrite
+from plde.transform import frame_for, map_point
+
+if not sys.flags.optimize:
+    sys.exit("not running under python -O")
+frame, eqn = frame_for(load_equation(sys.argv[1]), IntLattice(2, [(1, -1)]), (1, 1))
+FactoredPoly.divides = lambda self, other: False
+try:
+    strip_rewrite(eqn, map_point(frame, (0, 0)), 2)
+except InvariantError as exc:
+    print("InvariantError:", exc)
+"""
+
+
+def test_strip_invariant_check_survives_optimize(sys1, eqdir, monkeypatch):
+    frame, eqn = frame_for(sys1, L((1, -1)), (1, 1))
+    p = map_point(frame, (0, 0))
+    with monkeypatch.context() as m:
+        m.setattr(FactoredPoly, "divides", lambda self, other: False)
+        with pytest.raises(InvariantError, match="escaped the substitution cascade"):
+            strip_rewrite(eqn, p, 2)
+    src = str(Path(plde.bounds.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_STRIP, str(eqdir / "sys1.json")],
+                         env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("InvariantError: common denominator escaped")
+
+
 # ----------------------------------------------------------------------
 # per-module bounds
 
@@ -176,6 +212,22 @@ def test_combined_ex1(ex1):
     assert rep.per_module[L((1, -1))].kind == "O\\U"
     # the two declared quadratic factors are trusted, and the report says so
     assert sum("trusted as irreducible" in w for w in rep.warnings) == 2
+
+
+def test_combined_strips_each_input_once(sys1, sys2, monkeypatch):
+    calls = []
+    original = plde.bounds.strip_rewrite
+
+    def counting(eq_norm, p, s):
+        key = tuple((q, eq_norm.terms[q]) for q in eq_norm.support)
+        calls.append((key, eq_norm.rhs, tuple(p), s))
+        return original(eq_norm, p, s)
+
+    monkeypatch.setattr(plde.bounds, "strip_rewrite", counting)
+    for eq in (sys1, sys2):
+        calls.clear()
+        combined_bound(eq)
+        assert calls and len(calls) == len(set(calls))
 
 
 def test_combined_is_deterministic(sys1):

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from plde.bounds import BoundReport
 from plde.cli import main
 from plde.equation import PLDE
@@ -120,3 +122,27 @@ def test_equation_json_round_trip(eqdir):
         assert again.support == eq.support
         assert all(again.terms[s] == eq.terms[s] for s in eq.support)
         assert again.rhs == eq.rhs
+
+
+_TERM = {"shift": [0, 0], "coefficient": "n+1"}
+
+
+@pytest.mark.parametrize("data, message", [
+    ([_TERM], "JSON object"),
+    ({"variables": ["n", "k"], "terms": [_TERM, 7]}, "term 1 must be a JSON object"),
+    ({"variables": ["n", "k"], "terms": [_TERM, {"coefficient": "k+1"}]}, "term 1 has no 'shift'"),
+    ({"variables": ["n", "k"], "terms": [{"shift": [1, 0]}]}, "term 0 has no 'coefficient'"),
+    ({"variables": ["n", "k"], "terms": [_TERM, {"shift": [1.5, 0], "coefficient": "k+1"}]},
+     "term 1: shift must be a list of integers"),
+    ({"variables": ["n", "k"], "terms": [_TERM, {"shift": ["1", 0], "coefficient": "k+1"}]},
+     "term 1: shift must be a list of integers"),
+    ({"variables": ["n", "k"], "terms": [{"shift": [0, 0], "coefficient": {"factors": [[1, 1]]}}]},
+     "expected polynomial text"),
+    ({"variables": ["n", "k"], "terms": [_TERM], "rhs": 5}, "expected polynomial text"),
+])
+def test_malformed_equation_exits_1(capsys, tmp_path, data, message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "bound", str(path))
+    assert code == 1
+    assert message in err and "Traceback" not in err

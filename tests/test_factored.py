@@ -143,3 +143,39 @@ def test_w_part_is_a_sub_multiset():
         fp = _random_fp(rng)
         part = w_part(fp, W, rng.choice([True, False]))
         assert part.divides(fp)
+
+
+def _random_tagged_fp(rng, factors=None):
+    if factors is None:
+        factors = [(random_factor(rng), rng.randint(1, 2)) for _ in range(rng.randint(0, 3))]
+    tags = [rng.choice([None, DECLARED_IRREDUCIBLE, UNVERIFIED]) for _ in factors]
+    return FactoredPoly(VARS2, rng.choice([1, -1, 2, "1/2"]), factors, tags)
+
+
+def test_trusted_results_match_the_validating_constructor():
+    rng = random.Random(304)
+    W = IntLattice(2, [(1, -1)])
+    for _ in range(N_CASES):
+        a = _random_tagged_fp(rng)
+        b = _random_tagged_fp(rng)
+        c = _random_tagged_fp(rng, list(a.factors))   # same prims, other tags
+        s = (rng.randint(-3, 3), rng.randint(-3, 3))
+        k = rng.randint(0, 2)
+        g = a.gcd(b)
+        # results next to what the validating constructor makes of the same inputs
+        pairs = [
+            (a.mul(b), FactoredPoly(VARS2, a.unit * b.unit, a.factors + b.factors,
+                                    a.tags + b.tags)),
+            (a.mul(c), FactoredPoly(VARS2, a.unit * c.unit, a.factors + c.factors,
+                                    a.tags + c.tags)),
+            (a.pow(k), FactoredPoly(VARS2, a.unit ** k, [(p, m * k) for p, m in a.factors],
+                                    a.tags) if k else FactoredPoly.one(VARS2)),
+            (a.shift(s), FactoredPoly(VARS2, a.unit, [(p.shift(s), m) for p, m in a.factors],
+                                      a.tags)),
+            (a.drop_unit(), FactoredPoly(VARS2, 1, a.factors, a.tags)),
+        ]
+        for fp in (g, a.lcm(b), a.mul(b).div_exact(b), a.div_exact(g),
+                   a.w_part(W, rng.random() < 0.5)):
+            pairs.append((fp, FactoredPoly(fp.vars, fp.unit, fp.factors, fp.tags)))
+        for got, want in pairs:
+            assert (got.unit, got.factors, got.tags) == (want.unit, want.factors, want.tags)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -226,3 +227,24 @@ def test_rational_arithmetic():
     s = a - b
     assert s == parse_rational("1/((n+1)*(n+2))", VARS2)
     assert (a - a).is_zero()
+
+
+def test_cancellation_leaves_no_zero_coefficient():
+    diff = P("n+1") * P("n-1") - P("n^2-1")
+    assert diff == Poly.zero(VARS2) and diff.terms == {}
+    assert hash(diff) == hash(Poly.zero(VARS2))
+    assert (P("n+k") + P("-n-k")).is_zero() and (P("n") * 0).is_zero()
+
+
+def test_arithmetic_results_match_the_validating_constructor():
+    rng = random.Random(105)
+    for _ in range(N_CASES):
+        p = random_poly(rng, integer=False)
+        q = random_poly(rng, integer=False, nonzero=True)
+        s = (rng.randint(-3, 3), rng.randint(-3, 3))
+        results = [p + q, p - q, p - p, -p, p * q, p * Fraction(rng.randint(-3, 3), 2),
+                   p.shift(s), divide_exact(p * q, q)]
+        for r in results:
+            again = Poly(r.vars, dict(r.terms))
+            assert r == again and hash(r) == hash(again)
+            assert all(type(c) is Fraction and c for c in r.terms.values())
