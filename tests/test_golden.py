@@ -1,0 +1,98 @@
+"""Golden reports: combined_bound must reproduce every stored report byte for byte.
+
+The stored text of each report is ``json.dumps(report.to_json(),
+sort_keys=True)``, so witness covectors, pair choices, dispersions and
+factor order are all pinned.  The inputs are the bundled equations and
+seeded ``random_instance`` equations, whose JSON is stored alongside so
+that the cases do not depend on the generator.
+
+To rewrite the files after an intended change of the reports:
+
+    PYTHONPATH=src python tests/test_golden.py
+"""
+
+import itertools
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+GOLDEN = ROOT / "tests" / "golden"
+BUNDLED = ("ex1", "ex2", "nrm", "skew", "sys1", "sys2")
+
+
+def _profiles():
+    from plde.verify import InstanceProfile
+
+    r2 = InstanceProfile(
+        variables=("n", "k"),
+        support_points=tuple(itertools.product(range(3), repeat=2)),
+        min_terms=3, max_terms=5,
+        denominator_pool=("k+n+1", "2*k+3*n+1", "4*k-2*n+1", "n+1", "n-k+2", "n^2+n+1",
+                          "n*k+1"),
+        coefficient_pool=("1", "-1", "2", "n", "k+1", "n+k+2"))
+    r3 = InstanceProfile(
+        variables=("n", "k", "m"),
+        support_points=tuple(itertools.product(range(2), repeat=3)),
+        min_terms=3, max_terms=6,
+        denominator_pool=("n+k+m+1", "2*n+k+1", "k+m+1", "n-m+2", "n^2+m+1", "n*k+m+1"),
+        numerator_pool=("1", "n", "k+m", "m^2+1"),
+        coefficient_pool=("1", "-1", "2", "n", "k+1", "m+n+2"))
+    return {"r2": r2, "r3": r3}
+
+
+# (profile, seed) of the generated cases
+GENERATED = tuple(("r2", seed) for seed in range(1, 11)) + tuple(("r3", seed) for seed in range(1, 11))
+
+
+def _case_names():
+    return list(BUNDLED) + ["%s-%d" % case for case in GENERATED]
+
+
+def _equation(name):
+    from plde.equation import PLDE, load_equation
+
+    if name in BUNDLED:
+        return load_equation(ROOT / "equations" / ("%s.json" % name))
+    generated = json.loads((GOLDEN / "equations.json").read_text())
+    return PLDE.from_json(generated[name])
+
+
+def _report_text(eq):
+    from plde.bounds import combined_bound
+
+    return json.dumps(combined_bound(eq).to_json(), sort_keys=True) + "\n"
+
+
+def test_golden_reports_are_byte_identical():
+    for name in _case_names():
+        expected = (GOLDEN / ("%s.json" % name)).read_text()
+        assert _report_text(_equation(name)) == expected, name
+
+
+def test_golden_set_has_non_axis_witnesses():
+    # the stored covectors must exercise the LP point rule, not only unit vectors
+    witnesses = set()
+    for name in _case_names():
+        report = json.loads((GOLDEN / ("%s.json" % name)).read_text())
+        witnesses.update(tuple(m["witness"]) for m in report["modules"] if "witness" in m)
+    non_axis = [u for u in witnesses if sum(1 for x in u if x) > 1]
+    assert len(non_axis) >= 3
+
+
+def write_golden():
+    from plde.verify import random_instance
+
+    GOLDEN.mkdir(exist_ok=True)
+    profiles = _profiles()
+    generated = {}
+    for profile, seed in GENERATED:
+        eq, _, _ = random_instance(seed, profiles[profile])
+        generated["%s-%d" % (profile, seed)] = eq.to_json()
+    (GOLDEN / "equations.json").write_text(json.dumps(generated, indent=1, sort_keys=True) + "\n")
+    for name in _case_names():
+        (GOLDEN / ("%s.json" % name)).write_text(_report_text(_equation(name)))
+
+
+if __name__ == "__main__":
+    sys.exit(write_golden())
