@@ -23,9 +23,8 @@ import itertools
 from dataclasses import dataclass, replace
 from .equation import PLDE
 from .factored import FactoredPoly
-from .geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL,
-                       WeakCertificate, WitnessCertificate, all_useful_pairs, classify_module,
-                       corner_points, face_parallel_modules)
+from .geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry,
+                       WeakCertificate, WitnessCertificate, face_parallel_modules)
 from .lattice import IntLattice, parse_module, saturation
 from .polyring import InvariantError, Poly, divide_exact, format_poly, parse_poly
 from .spread import INFINITY, NEG_INFINITY, disp_k, invariance_lattice
@@ -331,16 +330,16 @@ def bound_for_module(eq: PLDE, W: IntLattice, cert: WitnessCertificate | None = 
     Needs a useful-pair certificate; with ``refine`` the results of every
     useful pair (both orientations included) are intersected by gcd.
     """
-    return _module_bound(eq, W, cert, options)[0]
+    return _module_bound(eq, SupportGeometry(eq.support), W, cert, options)[0]
 
 
-def _module_bound(eq: PLDE, W: IntLattice, cert: WitnessCertificate | None,
-                  options: BoundOptions):
+def _module_bound(eq: PLDE, geometry: SupportGeometry, W: IntLattice,
+                  cert: WitnessCertificate | None, options: BoundOptions):
     """bound_for_module, plus the dispersion s of ``cert`` itself (None without one)."""
     W = saturation(W)
     support = eq.support
     if cert is None or options.refine:
-        certs = all_useful_pairs(support, W)
+        certs = geometry.useful_pairs(W)
         if cert is not None and cert not in certs:
             certs.insert(0, cert)
         if not certs:
@@ -372,6 +371,10 @@ def lcm_combine(bounds) -> FactoredPoly:
 
 def aperiodic_bound(eq: PLDE, options: BoundOptions = BoundOptions()) -> FactoredPoly:
     """Bound on the aperiodic denominator part: per corner, gcd across corners."""
+    return _aperiodic_bound(eq, SupportGeometry(eq.support), options)
+
+
+def _aperiodic_bound(eq: PLDE, geometry: SupportGeometry, options: BoundOptions):
     opts = replace(options, drop_aperiodic=False, refine=False)
     support = eq.support
     zero = IntLattice.zero(len(eq.variables))
@@ -379,16 +382,14 @@ def aperiodic_bound(eq: PLDE, options: BoundOptions = BoundOptions()) -> Factore
         p = support[0]
         down = tuple(-x for x in p)
         return eq.terms[p].shift(down).w_part(zero, False).drop_unit()
-    corners = sorted(corner_points(support))
+    corners = geometry.corners
     result = None
     for p in corners:
         cert = None
         for p2 in corners:
             if p2 == p:
                 continue
-            from .geometry import witness_for_pair
-
-            cert = witness_for_pair(support, p, p2, zero)
+            cert = geometry.witness(p, p2, zero)
             if cert is not None:
                 break
         if cert is None:
@@ -427,20 +428,20 @@ def combined_bound(eq: PLDE, options: BoundOptions = BoundOptions()) -> BoundRep
                                 % (format_poly(prim), tuple(s), tag))
     per_module = {}
     zero = IntLattice.zero(r)
-    ap = aperiodic_bound(eq, options)
+    geometry = SupportGeometry(support)
+    ap = _aperiodic_bound(eq, geometry, options)
     per_module[zero] = ModuleEntry(CLASS_USEFUL, None, None, ap)
     d = ap.drop_unit()
     residual = []
-    corners = sorted(corner_points(support))
-    for q in corners:
+    for q in geometry.corners:
         for prim, _mult in eq.terms[q].factors:
             Wu = invariance_lattice(prim)
             if Wu.is_zero():
                 continue  # aperiodic factors are covered by the preprocessing pass
             if Wu not in per_module:
-                cls = classify_module(support, Wu)
+                cls = geometry.classify(Wu)
                 if cls.kind == CLASS_USEFUL:
-                    d_W, s_val = _module_bound(eq, Wu, cls.certificate, options)
+                    d_W, s_val = _module_bound(eq, geometry, Wu, cls.certificate, options)
                     per_module[Wu] = ModuleEntry(cls.kind, cls.certificate, s_val, d_W)
                     d = d.lcm(d_W)
                 else:
@@ -454,7 +455,7 @@ def combined_bound(eq: PLDE, options: BoundOptions = BoundOptions()) -> BoundRep
     uncovered = []
     for Wf in face_parallel_modules(support):
         if Wf not in per_module:
-            cls = classify_module(support, Wf)
+            cls = geometry.classify(Wf)
             per_module[Wf] = ModuleEntry(cls.kind, cls.certificate)
         if per_module[Wf].kind != CLASS_USEFUL:
             uncovered.append(Wf)

@@ -28,7 +28,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .factored import FactoredPoly
-from .polyring import Poly, format_poly, normalize_primitive, parse_poly
+from .polyring import (InvariantError, ParseError, Poly, divide_exact, format_poly,
+                       normalize_primitive, parse_poly)
 
 
 class EquationFormatError(ValueError):
@@ -90,7 +91,7 @@ class PLDE:
             raise EquationFormatError("equation must be a JSON object, not %s"
                                       % type(data).__name__)
         try:
-            variables = tuple(data["variables"])
+            variables = _variable_names(data["variables"])
             raw_terms = data["terms"]
             rhs_text = data.get("rhs", "0")
         except (KeyError, TypeError) as exc:
@@ -112,6 +113,23 @@ class PLDE:
                 raise EquationFormatError("duplicate shift %r" % (shift,))
             terms[shift] = fp
         return cls(variables, terms, parse_poly(rhs_text, variables))
+
+
+def _variable_names(raw):
+    """The variables of an equation file: a non-empty list of distinct names."""
+    if not isinstance(raw, (list, tuple)) or not raw or not all(isinstance(v, str) for v in raw):
+        raise EquationFormatError("variables must be a non-empty list of names, not %r" % (raw,))
+    variables = tuple(raw)
+    if len(set(variables)) != len(variables):
+        raise EquationFormatError("variable names must be distinct")
+    for v in variables:
+        try:
+            named = parse_poly(v, variables) == Poly.variable(variables, v)
+        except ParseError:
+            named = False
+        if not named:
+            raise EquationFormatError("variable %r is not a name polynomial text can use" % v)
+    return variables
 
 
 def _term_fields(entry, index: int):
@@ -181,10 +199,9 @@ def _univariate_linear_split(p: Poly, var_index: int):
         if root is None:
             return None
         lin = x * root.denominator - Poly.const(vars, root.numerator)
-        from .polyring import divide_exact
-
         quo = divide_exact(current, lin)
-        assert quo is not None
+        if quo is None:
+            raise InvariantError("a rational root does not split off a linear factor")
         factors.append(lin)
         current = quo
     if not current.is_constant():

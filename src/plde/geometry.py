@@ -1,8 +1,10 @@
 """Support-set geometry over Z^r.
 
 Corner points, separating covectors and the pair certificates consumed by
-the bounding pipeline are all decided by exact rational linear programming
-(Fourier-Motzkin elimination); nothing here is approximate.
+the bounding pipeline are all decided by exact linear programming: a
+simplex method on integer tableaux (`lp_feasible`); nothing here is
+approximate.  `SupportGeometry` computes the corners of a support, and the
+covector setup of each module, once for all the searches of one caller.
 
 A module W is *useful* for a support S when some ordered pair of corner
 points (p, p') admits an integer covector u orthogonal to W such that p is
@@ -34,65 +36,189 @@ def lp_feasible(constraints, nvars: int):
     """One rational solution of a system of linear constraints, or None.
 
     Each constraint is (coefficients, relation, rhs) with relation ">=" or
-    "==", meaning coefficients . v REL rhs.  Solved by Fourier-Motzkin
-    elimination over exact rationals.
+    "==", meaning coefficients . v REL rhs.  The solution returned depends
+    only on the solution set P, not on how its rows are written: for
+    j = 0, ..., nvars - 1 in turn, with v_0, ..., v_{j-1} already fixed,
+    let [lo, hi] be the range of v_j over that slice of P; then v_j is
+    (lo + hi) / 2 when both ends are finite, max(lo, 0) when only lo is,
+    min(hi, 0) when only hi is, and 0 when neither is.
+
+    Each range but the last is found by two runs of an exact simplex
+    (`_Tableau`); the last is read off the one-variable rows that remain.
     """
-    ineqs = []
+    rows = []
     for coeffs, rel, rhs in constraints:
-        row = [Fraction(c) for c in coeffs]
+        row = list(coeffs)
         if len(row) != nvars:
             raise ValueError("constraint arity %d, expected %d" % (len(row), nvars))
-        b = Fraction(rhs)
-        if rel == ">=":
-            ineqs.append((row, b))
-        elif rel == "==":
-            ineqs.append((row, b))
-            ineqs.append(([-c for c in row], -b))
-        else:
+        if rel not in (">=", "=="):
             raise ValueError("unsupported relation %r" % rel)
-    stack = []
-    current = ineqs
-    for j in reversed(range(nvars)):
-        stack.append((j, current))
-        pos = [c for c in current if c[0][j] > 0]
-        neg = [c for c in current if c[0][j] < 0]
-        zero = [c for c in current if c[0][j] == 0]
-        new = list(zero)
-        for (ap, bp) in pos:
-            for (an, bn) in neg:
-                # eliminate v_j between ap.v >= bp and an.v >= bn
-                lam = -an[j]
-                mu = ap[j]
-                row = [lam * a + mu * b for a, b in zip(ap, an)]
-                new.append((row, lam * bp + mu * bn))
-        current = new
-    for row, b in current:
-        if b > 0:
-            return None
-    values = [Fraction(0)] * nvars
-    for j, cons in reversed(stack):
-        lo = None
-        hi = None
-        for row, b in cons:
-            rest = b - sum(row[i] * values[i] for i in range(j))
-            cj = row[j]
-            if cj > 0:
-                bound = rest / cj
-                if lo is None or bound > lo:
-                    lo = bound
-            elif cj < 0:
-                bound = rest / cj
-                if hi is None or bound < hi:
-                    hi = bound
-        if lo is None and hi is None:
-            values[j] = Fraction(0)
-        elif lo is None:
-            values[j] = min(hi, Fraction(0))
-        elif hi is None:
-            values[j] = max(lo, Fraction(0))
+        a, b = _integer_row(row, rhs)
+        if not any(a):
+            if b > 0 or (rel == "==" and b < 0):
+                return None
+            continue
+        rows.append((a, b))
+        if rel == "==":
+            rows.append(([-x for x in a], -b))
+    values = []
+    for j in range(nvars):
+        # the slice: v_0..v_{j-1} = nums / scale substituted, rows scaled by scale
+        scale = _int_lcm(*(v.denominator for v in values))
+        nums = [v.numerator * (scale // v.denominator) for v in values]
+        sliced = []
+        for a, b in rows:
+            rest = b * scale - sum(x * v for x, v in zip(a, nums))
+            if any(a[j:]):
+                sliced.append(([x * scale for x in a[j:]], rest))
+            elif rest > 0:
+                return None
+        if j + 1 < nvars:
+            ends = _Tableau(sliced, nvars - j).range_of_first()
+            if ends is None:
+                return None
+            lo, hi = ends
         else:
-            values[j] = (lo + hi) / 2
+            lo = max((Fraction(b, a[0]) for a, b in sliced if a[0] > 0), default=None)
+            hi = min((Fraction(b, a[0]) for a, b in sliced if a[0] < 0), default=None)
+            if lo is not None and hi is not None and lo > hi:
+                return None
+        if lo is not None and hi is not None:
+            values.append((lo + hi) / 2)
+        elif lo is not None:
+            values.append(max(lo, Fraction(0)))
+        elif hi is not None:
+            values.append(min(hi, Fraction(0)))
+        else:
+            values.append(Fraction(0))
     return values
+
+
+def _integer_row(row, rhs):
+    """The constraint row . v >= rhs scaled to integer coefficients."""
+    if isinstance(rhs, int) and all(isinstance(c, int) for c in row):
+        return row, rhs
+    row = [Fraction(c) for c in row]
+    rhs = Fraction(rhs)
+    scale = _int_lcm(rhs.denominator, *(c.denominator for c in row))
+    return [int(c * scale) for c in row], int(rhs * scale)
+
+
+class _Tableau:
+    """Simplex dictionary over the integers for the rows a . w >= b, w free.
+
+    Row i reads x_basis[i] = (T[i][0] + sum_c T[i][c] x_nonbasic[c-1]) / D.
+    Variable ids: 0 is the phase-I variable and 1, 2, ... the row slacks,
+    all constrained to be >= 0; -1, -2, ... are the free variables w_0,
+    w_1, ...
+    Pivots are fraction-free (Bareiss 1968), so every entry stays an
+    integer minor of the starting rows, and the entering and leaving
+    variables follow Bland's rule (Bland 1977), so no basis repeats.
+    """
+
+    def __init__(self, rows, nvars: int):
+        self.D = 1
+        self.T = [[-b] + list(a) for a, b in rows]
+        self.basis = list(range(1, len(rows) + 1))
+        self.nonbasic = [-(j + 1) for j in range(nvars)]
+        # free variables enter the basis for good; one that no row
+        # involves stays nonbasic and unconstrained
+        for c in range(1, nvars + 1):
+            r = next((i for i, x in enumerate(self.basis) if x > 0 and self.T[i][c]), None)
+            if r is not None:
+                self._pivot(r, c)
+
+    def _pivot(self, r, c):
+        T, D = self.T, self.D
+        prow = T[r]
+        p = prow[c]
+        for i, row in enumerate(T):
+            if i != r:
+                f = row[c]
+                new = [(x * p - f * y) // D for x, y in zip(row, prow)]
+                new[c] = f
+                T[i] = new
+        new = [-y for y in prow]
+        new[c] = D
+        T[r] = new
+        self.basis[r], self.nonbasic[c - 1] = self.nonbasic[c - 1], self.basis[r]
+        if p < 0:
+            self.T = [[-x for x in row] for row in T]
+            p = -p
+        self.D = p
+
+    def _minimize(self, var, sign):
+        """Minimum of sign * x_var (basic) over the feasible dictionary; None if unbounded.
+
+        Stops early, at 0, if the phase-I variable (var 0) leaves the basis.
+        """
+        while var in self.basis:
+            T, basis = self.T, self.basis
+            obj = T[basis.index(var)]
+            enter = None
+            for c, x in enumerate(self.nonbasic, 1):
+                coef = sign * obj[c]
+                if coef and x < 0:
+                    return None  # a free direction moves the objective both ways
+                if coef < 0 and (enter is None or x < self.nonbasic[enter - 1]):
+                    enter = c
+            if enter is None:
+                return Fraction(sign * obj[0], self.D)
+            leave = None
+            for i, x in enumerate(basis):
+                a = T[i][enter]
+                if x >= 0 and a < 0:
+                    if leave is None:
+                        leave, num, den = i, T[i][0], -a
+                        continue
+                    lhs, rhs = T[i][0] * den, num * -a
+                    if lhs < rhs or (lhs == rhs and x < basis[leave]):
+                        leave, num, den = i, T[i][0], -a
+            if leave is None:
+                return None
+            self._pivot(leave, enter)
+        return Fraction(0)
+
+    def _phase_one(self) -> bool:
+        """Reach a feasible dictionary; False if the rows have no solution.
+
+        The phase-I variable x0 is added to every slack row (Chvatal's
+        auxiliary problem), enters where the slack is most negative, which
+        makes every slack nonnegative, and is then minimized.
+        """
+        slacks = [i for i, x in enumerate(self.basis) if x > 0]
+        r = min(slacks, key=lambda i: (self.T[i][0], self.basis[i]), default=None)
+        if r is None or self.T[r][0] >= 0:
+            return True
+        for row, x in zip(self.T, self.basis):
+            row.append(self.D if x > 0 else 0)
+        self.nonbasic.append(0)
+        self._pivot(r, len(self.nonbasic))
+        if self._minimize(0, 1) > 0:
+            return False
+        if 0 in self.basis:
+            # degenerate: x0 = 0 is basic; swap it for any nonbasic slack
+            r = self.basis.index(0)
+            c = next((c for c, x in enumerate(self.nonbasic, 1) if x > 0 and self.T[r][c]), None)
+            if c is None:
+                del self.T[r], self.basis[r]
+            else:
+                self._pivot(r, c)
+        c = self.nonbasic.index(0) + 1
+        for row in self.T:
+            del row[c]
+        del self.nonbasic[c - 1]
+        return True
+
+    def range_of_first(self):
+        """(min, max) of w_0 over the rows, None for an infinite end; None if no w fits."""
+        if not self._phase_one():
+            return None
+        if -1 not in self.basis:
+            return None, None  # no row involves w_0
+        lo = self._minimize(-1, 1)
+        neg_hi = self._minimize(-1, -1)
+        return lo, None if neg_hi is None else -neg_hi
 
 
 def _primitive_int_vector(frac_vec):
@@ -188,17 +314,159 @@ class ModuleClass:
     certificate: object = None
 
 
-def _w_classes(points, W: IntLattice):
-    """Partition of the support points into congruence classes modulo W."""
-    classes = []
-    for s in points:
-        for cls in classes:
-            if W.contains([a - b for a, b in zip(s, cls[0])]):
-                cls.append(s)
-                break
-        else:
-            classes.append([s])
-    return classes
+class _ModuleSetup:
+    """What every certificate search for one module W on one support shares.
+
+    The covector u ranges over the span of ``basis``, a basis of the
+    integer covectors orthogonal to W (rank ``t``); ``cls_of`` maps each
+    support point to its congruence class modulo W; ``pairs`` holds the
+    verdict of every ordered corner pair decided so far.
+    """
+
+    def __init__(self, points, W: IntLattice):
+        comp = orthogonal_complement_lattice(saturation(W))
+        self.W = W
+        self.t = comp.rank
+        self.basis = [list(row) for row in comp.basis]
+        self.cls_of = {}
+        classes = []
+        for s in points:
+            cls = next((c for c in classes if W.contains([a - b for a, b in zip(s, c[0])])), None)
+            if cls is None:
+                cls = []
+                classes.append(cls)
+            cls.append(s)
+            self.cls_of[s] = cls
+        self.pairs = {}
+
+    def coeffs(self, vec):
+        """Coefficients in z of vec . u, for the covector u = sum_k z_k basis[k]."""
+        return tuple(sum(v * b[i] for i, v in enumerate(vec)) for b in self.basis)
+
+    def covector(self, z):
+        """The primitive integer covector with basis coordinates proportional to z."""
+        z = _primitive_int_vector(z)
+        return tuple(sum(zi * b[j] for zi, b in zip(z, self.basis))
+                     for j in range(len(self.basis[0])))
+
+
+class SupportGeometry:
+    """Corners and module certificates of one support, each computed once.
+
+    The corners, and for every module W its covector basis, its rank and
+    its congruence classes, are built on first use and kept by this object
+    only; a caller that bounds one equation makes one and drops it.  Every
+    pair certificate for a module is decided at most once.
+    """
+
+    def __init__(self, points):
+        self.points = sorted(tuple(int(x) for x in s) for s in points)
+        self._corners = None
+        self._modules = {}
+
+    @property
+    def corners(self):
+        """The corner points, sorted."""
+        if self._corners is None:
+            self._corners = sorted(corner_points(self.points))
+        return self._corners
+
+    def _setup(self, W: IntLattice) -> _ModuleSetup:
+        setup = self._modules.get(W)
+        if setup is None:
+            setup = self._modules[W] = _ModuleSetup(self.points, W)
+        return setup
+
+    def witness(self, p, p_prime, W: IntLattice):
+        """Certificate for the ordered corner pair (p, p'), or None; see witness_for_pair."""
+        p = tuple(int(x) for x in p)
+        p_prime = tuple(int(x) for x in p_prime)
+        setup = self._setup(W)
+        if p not in setup.cls_of or p_prime not in setup.cls_of:
+            raise ValueError("pair points must belong to the support")
+        return self._pair(setup, p, p_prime)
+
+    def _pair(self, setup: _ModuleSetup, p, p_prime):
+        key = (p, p_prime)
+        if key not in setup.pairs:
+            setup.pairs[key] = self._solve_pair(setup, p, p_prime)
+        return setup.pairs[key]
+
+    def _solve_pair(self, setup: _ModuleSetup, p, p_prime):
+        if setup.t == 0 or len(setup.cls_of[p_prime]) > 1:
+            return None  # a congruent mate would always share the maximal face
+        cons = []
+        for s in self.points:
+            if s != p:
+                cons.append((setup.coeffs([a - b for a, b in zip(s, p)]), ">=", 1))
+            if s != p_prime:
+                # classes of size >= 2 stay strictly below the top value
+                rhs = 1 if len(setup.cls_of[s]) > 1 else 0
+                cons.append((setup.coeffs([a - b for a, b in zip(p_prime, s)]), ">=", rhs))
+        z = lp_feasible(cons, setup.t)
+        if z is None:
+            return None
+        u = setup.covector(z)
+        values = {s: sum(a * b for a, b in zip(s, u)) for s in self.points}
+        vmin = min(values.values())
+        vmax = max(values.values())
+        cert = WitnessCertificate(
+            p, p_prime, u,
+            frozenset(s for s, v in values.items() if v == vmin),
+            frozenset(s for s, v in values.items() if v == vmax),
+        )
+        cert.check(self.points, setup.W)
+        return cert
+
+    def _weak(self, setup: _ModuleSetup, p):
+        if setup.t == 0 or len(setup.cls_of[p]) > 1:
+            return None
+        base_cons = [(setup.coeffs([a - b for a, b in zip(s, p)]), ">=",
+                      1 if len(setup.cls_of[s]) > 1 else 0)
+                     for s in self.points if s != p]
+        # exclude u = 0 by forcing some complement coordinate away from zero
+        for i in range(setup.t):
+            for sign in (1, -1):
+                unit = tuple(sign if j == i else 0 for j in range(setup.t))
+                z = lp_feasible(base_cons + [(unit, ">=", 1)], setup.t)
+                if z is None:
+                    continue
+                u = setup.covector(z)
+                values = {s: sum(a * b for a, b in zip(s, u)) for s in self.points}
+                vmin = min(values.values())
+                if values[p] != vmin:
+                    continue
+                min_face = frozenset(s for s, v in values.items() if v == vmin)
+                if all(not setup.W.contains([x - y for x, y in zip(a, b)])
+                       for a, b in itertools.combinations(sorted(min_face), 2)):
+                    return WeakCertificate(p, u, min_face)
+        return None
+
+    def classify(self, W: IntLattice) -> ModuleClass:
+        """Classify W as useful, opposite-only, or uncovered; see classify_module."""
+        setup = self._setup(W)
+        if len(self.points) == 1:
+            if setup.t == 0:
+                return ModuleClass(CLASS_UNCOVERED)
+            p = self.points[0]
+            cert = WitnessCertificate(p, p, tuple(setup.basis[0]), frozenset([p]),
+                                      frozenset([p]))
+            return ModuleClass(CLASS_USEFUL, cert)
+        for p, p2 in itertools.permutations(self.corners, 2):
+            cert = self._pair(setup, p, p2)
+            if cert is not None:
+                return ModuleClass(CLASS_USEFUL, cert)
+        for p in self.corners:
+            weak = self._weak(setup, p)
+            if weak is not None:
+                return ModuleClass(CLASS_OPPOSITE_ONLY, weak)
+        return ModuleClass(CLASS_UNCOVERED)
+
+    def useful_pairs(self, W: IntLattice):
+        """Every ordered corner pair admitting a witness certificate for W."""
+        setup = self._setup(W)
+        certs = (self._pair(setup, p, p2) for p, p2 in itertools.permutations(self.corners, 2))
+        return [cert for cert in certs if cert is not None]
 
 
 def witness_for_pair(points, p, p_prime, W: IntLattice):
@@ -208,125 +476,17 @@ def witness_for_pair(points, p, p_prime, W: IntLattice):
     size >= 2 strictly below the top value is exactly max-face injectivity,
     and the strict constraints at p make the minimal face a singleton.
     """
-    pts = sorted(tuple(int(x) for x in s) for s in points)
-    p = tuple(int(x) for x in p)
-    p_prime = tuple(int(x) for x in p_prime)
-    if p not in pts or p_prime not in pts:
-        raise ValueError("pair points must belong to the support")
-    comp = orthogonal_complement_lattice(saturation(W))
-    t = comp.rank
-    if t == 0:
-        return None
-    classes = _w_classes(pts, W)
-    cls_of = {s: tuple(cls) for cls in classes for s in cls}
-    if len(cls_of[p_prime]) > 1:
-        return None  # the congruent mate would always share the maximal face
-    basis = [list(row) for row in comp.basis]
-
-    def covector_coeffs(vec):
-        return tuple(sum(v * b[i] for i, v in enumerate(vec)) for b in basis)
-
-    cons = []
-    for s in pts:
-        if s != p:
-            cons.append((covector_coeffs([a - b for a, b in zip(s, p)]), ">=", 1))
-        cons.append((covector_coeffs([a - b for a, b in zip(p_prime, s)]), ">=", 0))
-        if len(cls_of[s]) > 1 and s not in cls_of[p_prime]:
-            cons.append((covector_coeffs([a - b for a, b in zip(p_prime, s)]), ">=", 1))
-    z = lp_feasible(cons, t)
-    if z is None:
-        return None
-    z = _primitive_int_vector(z)
-    u = tuple(sum(z[i] * basis[i][j] for i in range(t)) for j in range(len(p)))
-    values = {s: sum(a * b for a, b in zip(s, u)) for s in pts}
-    vmin = min(values.values())
-    vmax = max(values.values())
-    cert = WitnessCertificate(
-        p, p_prime, u,
-        frozenset(s for s, v in values.items() if v == vmin),
-        frozenset(s for s, v in values.items() if v == vmax),
-    )
-    cert.check(pts, W)
-    return cert
-
-
-def _weak_certificate(points, p, W: IntLattice):
-    pts = sorted(tuple(int(x) for x in s) for s in points)
-    p = tuple(int(x) for x in p)
-    comp = orthogonal_complement_lattice(saturation(W))
-    t = comp.rank
-    if t == 0:
-        return None
-    classes = _w_classes(pts, W)
-    cls_of = {s: tuple(cls) for cls in classes for s in cls}
-    if len(cls_of[p]) > 1:
-        return None
-    basis = [list(row) for row in comp.basis]
-
-    def covector_coeffs(vec):
-        return tuple(sum(v * b[i] for i, v in enumerate(vec)) for b in basis)
-
-    base_cons = []
-    for s in pts:
-        if s == p:
-            continue
-        rhs = 1 if len(cls_of[s]) > 1 else 0
-        base_cons.append((covector_coeffs([a - b for a, b in zip(s, p)]), ">=", rhs))
-    # exclude u = 0 by forcing some complement coordinate away from zero
-    for i in range(t):
-        for sign in (1, -1):
-            unit = [Fraction(0)] * t
-            unit[i] = Fraction(sign)
-            z = lp_feasible(base_cons + [(tuple(unit), ">=", 1)], t)
-            if z is None:
-                continue
-            z = _primitive_int_vector(z)
-            u = tuple(sum(z[j] * basis[j][c] for j in range(t)) for c in range(len(p)))
-            values = {s: sum(a * b for a, b in zip(s, u)) for s in pts}
-            vmin = min(values.values())
-            if values[p] != vmin:
-                continue
-            min_face = frozenset(s for s, v in values.items() if v == vmin)
-            ok = all(not W.contains([x - y for x, y in zip(a, b)])
-                     for a, b in itertools.combinations(sorted(min_face), 2))
-            if ok:
-                return WeakCertificate(p, u, min_face)
-    return None
+    return SupportGeometry(points).witness(p, p_prime, W)
 
 
 def classify_module(points, W: IntLattice) -> ModuleClass:
     """Classify W as useful, opposite-only, or uncovered for the support."""
-    pts = sorted(tuple(int(x) for x in s) for s in points)
-    corners = sorted(corner_points(pts))
-    if len(pts) == 1:
-        comp = orthogonal_complement_lattice(saturation(W))
-        if comp.rank == 0:
-            return ModuleClass(CLASS_UNCOVERED)
-        p = pts[0]
-        u = comp.basis[0]
-        cert = WitnessCertificate(p, p, tuple(u), frozenset([p]), frozenset([p]))
-        return ModuleClass(CLASS_USEFUL, cert)
-    for p, p2 in itertools.permutations(corners, 2):
-        cert = witness_for_pair(pts, p, p2, W)
-        if cert is not None:
-            return ModuleClass(CLASS_USEFUL, cert)
-    for p in corners:
-        weak = _weak_certificate(pts, p, W)
-        if weak is not None:
-            return ModuleClass(CLASS_OPPOSITE_ONLY, weak)
-    return ModuleClass(CLASS_UNCOVERED)
+    return SupportGeometry(points).classify(W)
 
 
 def all_useful_pairs(points, W: IntLattice):
     """Every ordered corner pair admitting a witness certificate for W."""
-    pts = sorted(tuple(int(x) for x in s) for s in points)
-    corners = sorted(corner_points(pts))
-    certs = []
-    for p, p2 in itertools.permutations(corners, 2):
-        cert = witness_for_pair(pts, p, p2, W)
-        if cert is not None:
-            certs.append(cert)
-    return certs
+    return SupportGeometry(points).useful_pairs(W)
 
 
 # ----------------------------------------------------------------------

@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .polyring import InvariantError
+
 
 def _row_echelon(mat, width):
     """Integer row echelon over the first `width` columns, in place.
@@ -280,7 +282,8 @@ class UnimodularMatrix:
             inv_rows = []
             for i in range(n):
                 row = work[i][n:]
-                assert all(x.denominator == 1 for x in row)
+                if any(x.denominator != 1 for x in row):
+                    raise InvariantError("the inverse of a unimodular matrix is not integral")
                 inv_rows.append([x.numerator for x in row])
             self._inv = UnimodularMatrix(inv_rows)
             self._inv._inv = self
@@ -356,7 +359,8 @@ def unimodular_completion(rows) -> UnimodularMatrix:
             if q:
                 combine(j, i, q)
     M = UnimodularMatrix(mrows)
-    assert all(tuple(rows[i]) == M.rows[i] for i in range(t))
+    if any(tuple(rows[i]) != M.rows[i] for i in range(t)):
+        raise InvariantError("the completion does not start with the given rows")
     return M
 
 

@@ -23,7 +23,7 @@ from math import lcm as _int_lcm
 
 from .factored import FactoredPoly
 from .lattice import IntLattice, ShiftCoset, complement_within, integer_kernel, solve_integer
-from .polyring import Poly, gcd_poly, normalize_primitive
+from .polyring import InvariantError, Poly, gcd_poly, normalize_primitive
 
 NEG_INFINITY = float("-inf")
 INFINITY = float("inf")
@@ -55,8 +55,8 @@ def invariance_lattice(p: Poly) -> IntLattice:
         rows.append([partials[i].terms.get(e, Fraction(0)) for i in range(r)])
     mat, _ = _scaled_int_rows(rows, [Fraction(0)] * len(rows))
     K = integer_kernel(mat, r)
-    for g in K.basis:
-        assert p.shift(g) == p
+    if any(p.shift(g) != p for g in K.basis):
+        raise InvariantError("a kernel vector of the partials does not fix the polynomial")
     return K
 
 

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 from .bounds import BoundReport
 from .equation import PLDE
 from .factored import FactoredPoly
-from .geometry import CLASS_OPPOSITE_ONLY, CLASS_USEFUL, classify_module
-from .polyring import Poly, RationalFunction, divide_exact, parse_poly
+from .geometry import CLASS_OPPOSITE_ONLY, CLASS_USEFUL, SupportGeometry
+from .polyring import InvariantError, Poly, RationalFunction, divide_exact, parse_poly
 from .spread import invariance_lattice, shift_equiv
 
 
@@ -61,11 +61,11 @@ def check_bound_covers(eq: PLDE, y: RationalFunction, den_factors: FactoredPoly,
     expanded = den_factors.expand()
     if divide_exact(y.den, expanded) is None or divide_exact(expanded, y.den) is None:
         raise ValueError("denominator factorization does not match the solution")
-    support = eq.support
+    geometry = SupportGeometry(eq.support)
     verdicts = {}
     for prim, mult in den_factors.factors:
         W = invariance_lattice(prim)
-        cls = classify_module(support, W)
+        cls = geometry.classify(W)
         if cls.kind == CLASS_USEFUL:
             case = 1
             ok = report.d.multiplicity(prim) >= mult
@@ -140,8 +140,8 @@ def random_instance(seed, profile: InstanceProfile = InstanceProfile()):
         rhs = rhs + c * p.shift(s)
     eq = PLDE(tuple(vars), terms, rhs)
     y = RationalFunction(p, q.expand())
-    result = check_solution(eq, y)
-    assert result.ok, "generated instance must certify its own solution"
+    if not check_solution(eq, y).ok:
+        raise InvariantError("generated instance does not certify its own solution")
     return eq, y, q
 
 
@@ -161,5 +161,6 @@ def homogeneous_instance(seed, profile: InstanceProfile = InstanceProfile()):
         terms[tuple(pts[2 * i + 1])] = FactoredPoly(vars, -c).mul(q.shift(pts[2 * i + 1]))
     eq = PLDE(tuple(vars), terms, Poly.zero(vars))
     y = RationalFunction(Poly.one(vars), q.expand())
-    assert check_solution(eq, y).ok
+    if not check_solution(eq, y).ok:
+        raise InvariantError("generated instance does not certify its own solution")
     return eq, y, q

@@ -67,3 +67,51 @@ def random_rational(rng, vars=VARS2):
     num = random_poly(rng, vars, max_degree=2, max_terms=3, nonzero=True)
     den = random_factor(rng, vars)
     return RationalFunction(num, den)
+
+
+def fourier_motzkin(constraints, nvars):
+    """Reference LP for the differential test of ``lp_feasible``.
+
+    Fourier-Motzkin elimination of v_{n-1}, ..., v_0, then back-substitution
+    that sets each v_j to the midpoint of its range given v_0..v_{j-1}, or
+    to the finite end nearest 0 clipped at 0, or to 0 when the range is
+    the whole line.  Same input format and result as ``lp_feasible``.
+    """
+    ineqs = []
+    for coeffs, rel, rhs in constraints:
+        row = [Fraction(c) for c in coeffs]
+        b = Fraction(rhs)
+        ineqs.append((row, b))
+        if rel == "==":
+            ineqs.append(([-c for c in row], -b))
+    stack = []
+    current = ineqs
+    for j in reversed(range(nvars)):
+        stack.append((j, current))
+        pos = [c for c in current if c[0][j] > 0]
+        neg = [c for c in current if c[0][j] < 0]
+        new = [c for c in current if c[0][j] == 0]
+        for ap, bp in pos:
+            for an, bn in neg:
+                lam, mu = -an[j], ap[j]
+                new.append(([lam * a + mu * b for a, b in zip(ap, an)], lam * bp + mu * bn))
+        current = new
+    if any(b > 0 for _, b in current):
+        return None
+    values = [Fraction(0)] * nvars
+    for j, cons in reversed(stack):
+        lo = hi = None
+        for row, b in cons:
+            if row[j]:
+                bound = (b - sum(row[i] * values[i] for i in range(j))) / row[j]
+                if row[j] > 0:
+                    lo = bound if lo is None else max(lo, bound)
+                else:
+                    hi = bound if hi is None else min(hi, bound)
+        if lo is not None and hi is not None:
+            values[j] = (lo + hi) / 2
+        elif lo is not None:
+            values[j] = max(lo, Fraction(0))
+        elif hi is not None:
+            values[j] = min(hi, Fraction(0))
+    return values

@@ -1,3 +1,4 @@
+import ast
 import os
 import random
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import plde.bounds
+import plde.geometry
 from plde.bounds import (BoundOptions, BoundReport, DegenerateFaceError, StripPreconditionError,
                          aperiodic_bound, bound_for_module, combined_bound, dispersion_bound,
                          lcm_combine, partial_multiple, strip_rewrite)
@@ -152,6 +154,17 @@ def test_strip_invariant_check_survives_optimize(sys1, eqdir, monkeypatch):
     assert out.stdout.startswith("InvariantError: common denominator escaped")
 
 
+def test_library_has_no_assert_statements():
+    # python -O strips assert, so every library check must raise instead
+    package = Path(plde.bounds.__file__).resolve().parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += ["%s:%d" % (path.name, node.lineno)
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert not found
+
+
 # ----------------------------------------------------------------------
 # per-module bounds
 
@@ -228,6 +241,30 @@ def test_combined_strips_each_input_once(sys1, sys2, monkeypatch):
         calls.clear()
         combined_bound(eq)
         assert calls and len(calls) == len(set(calls))
+
+
+def test_combined_computes_corners_and_pairs_once(sys1, sys2, ex2, monkeypatch):
+    corner_calls = []
+    pair_calls = []
+    corner_points = plde.geometry.corner_points
+    solve_pair = plde.geometry.SupportGeometry._solve_pair
+
+    def counting_corners(points):
+        corner_calls.append(tuple(points))
+        return corner_points(points)
+
+    def counting_pairs(self, setup, p, p_prime):
+        pair_calls.append((setup.W, p, p_prime))
+        return solve_pair(self, setup, p, p_prime)
+
+    monkeypatch.setattr(plde.geometry, "corner_points", counting_corners)
+    monkeypatch.setattr(plde.geometry.SupportGeometry, "_solve_pair", counting_pairs)
+    for eq in (sys1, sys2, ex2):
+        corner_calls.clear()
+        pair_calls.clear()
+        combined_bound(eq)
+        assert len(corner_calls) == 1
+        assert pair_calls and len(pair_calls) == len(set(pair_calls))
 
 
 def test_combined_is_deterministic(sys1):

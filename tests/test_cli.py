@@ -139,6 +139,9 @@ _TERM = {"shift": [0, 0], "coefficient": "n+1"}
     ({"variables": ["n", "k"], "terms": [{"shift": [0, 0], "coefficient": {"factors": [[1, 1]]}}]},
      "expected polynomial text"),
     ({"variables": ["n", "k"], "terms": [_TERM], "rhs": 5}, "expected polynomial text"),
+    ({"variables": "nk", "terms": [_TERM]}, "variables must be a non-empty list of names"),
+    ({"variables": [1, 2], "terms": [_TERM]}, "variables must be a non-empty list of names"),
+    ({"variables": [], "terms": [_TERM]}, "variables must be a non-empty list of names"),
 ])
 def test_malformed_equation_exits_1(capsys, tmp_path, data, message):
     path = tmp_path / "bad.json"

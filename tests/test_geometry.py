@@ -5,6 +5,7 @@ from plde.geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL,
                            all_useful_pairs, classify_module, corner_points,
                            face_parallel_modules, lp_feasible, witness_for_pair)
 from plde.lattice import IntLattice
+from support import fourier_motzkin
 
 N_CASES = 200
 
@@ -93,6 +94,41 @@ def test_lp_solutions_satisfy_all_constraints():
         for row, rel, rhs in cons:
             val = sum(a * b for a, b in zip(row, sol))
             assert val == rhs if rel == "==" else val >= rhs
+
+
+def _random_system(rng, nvars, mode):
+    """At most 6 rows; ``mode`` biases towards boxed, contradictory or unbounded sets."""
+    cons = []
+    free = rng.randrange(nvars) if mode == "unbounded" else None
+    for _ in range(rng.randint(1, 6 if mode != "boxed" else 4)):
+        row = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(nvars)]
+        if free is not None:
+            row[free] = Fraction(0)
+        rhs = Fraction(rng.randint(-3, 3), rng.choice((1, 3)))
+        cons.append((tuple(row), "==" if rng.random() < 0.2 else ">=", rhs))
+    if mode == "boxed":
+        for i in rng.sample(range(nvars), rng.randint(1, nvars)):
+            unit = tuple(Fraction(int(j == i)) for j in range(nvars))
+            cons.append((unit, ">=", -2))
+            if len(cons) < 6:
+                cons.append((tuple(-x for x in unit), ">=", -2))
+    elif mode == "contradiction":
+        row, _, rhs = cons[0]
+        cons.append((tuple(-x for x in row), ">=", -rhs + 1))
+    return cons[:6]
+
+
+def test_lp_point_matches_fourier_motzkin():
+    rng = random.Random(505)
+    outcomes = {"infeasible": 0, "feasible": 0}
+    for case in range(480):
+        nvars = 1 + case % 4
+        mode = ("random", "boxed", "contradiction", "unbounded")[case // 4 % 4]
+        cons = _random_system(rng, nvars, mode)
+        expected = fourier_motzkin(cons, nvars)
+        assert lp_feasible(cons, nvars) == expected, cons
+        outcomes["infeasible" if expected is None else "feasible"] += 1
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 # ----------------------------------------------------------------------
