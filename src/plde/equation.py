@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .factored import FactoredPoly
-from .polyring import (InvariantError, ParseError, Poly, divide_exact, format_poly,
+from .polyring import (InvariantError, Poly, divide_exact, format_poly, is_name,
                        normalize_primitive, parse_poly)
 
 
@@ -123,11 +123,7 @@ def _variable_names(raw):
     if len(set(variables)) != len(variables):
         raise EquationFormatError("variable names must be distinct")
     for v in variables:
-        try:
-            named = parse_poly(v, variables) == Poly.variable(variables, v)
-        except ParseError:
-            named = False
-        if not named:
+        if not is_name(v):
             raise EquationFormatError("variable %r is not a name polynomial text can use" % v)
     return variables
 

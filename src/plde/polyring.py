@@ -451,6 +451,14 @@ def _gcd_recursive(p: Poly, q: Poly) -> Poly:
 #   atom   := UINT | VAR | '(' expr ')'
 
 
+def is_name(text: str) -> bool:
+    """True when text is one variable name as polynomial text spells it."""
+    try:
+        return _tokenize(text)[0] == ("name", text, 0)
+    except ParseError:
+        return False
+
+
 def _tokenize(text: str):
     tokens = []
     i = 0
