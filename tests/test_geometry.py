@@ -97,21 +97,23 @@ def test_lp_solutions_satisfy_all_constraints():
 
 
 def _random_system(rng, nvars, mode):
-    """At most 6 rows; ``mode`` biases towards boxed, contradictory or unbounded sets."""
+    """At most 6 inequalities, an equality counting as two; ``mode`` biases
+    towards boxed, contradictory or unbounded solution sets."""
     cons = []
     free = rng.randrange(nvars) if mode == "unbounded" else None
-    for _ in range(rng.randint(1, 6 if mode != "boxed" else 4)):
+    budget = rng.randint(1, {"boxed": 4, "contradiction": 5}.get(mode, 6))
+    while budget > 0:
         row = [Fraction(rng.randint(-3, 3), rng.choice((1, 1, 2))) for _ in range(nvars)]
         if free is not None:
             row[free] = Fraction(0)
         rhs = Fraction(rng.randint(-3, 3), rng.choice((1, 3)))
-        cons.append((tuple(row), "==" if rng.random() < 0.2 else ">=", rhs))
+        rel = "==" if budget >= 2 and rng.random() < 0.25 else ">="
+        budget -= 2 if rel == "==" else 1
+        cons.append((tuple(row), rel, rhs))
     if mode == "boxed":
         for i in rng.sample(range(nvars), rng.randint(1, nvars)):
             unit = tuple(Fraction(int(j == i)) for j in range(nvars))
-            cons.append((unit, ">=", -2))
-            if len(cons) < 6:
-                cons.append((tuple(-x for x in unit), ">=", -2))
+            cons += [(unit, ">=", -2), (tuple(-x for x in unit), ">=", -2)]
     elif mode == "contradiction":
         row, _, rhs = cons[0]
         cons.append((tuple(-x for x in row), ">=", -rhs + 1))
