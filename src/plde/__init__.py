@@ -8,13 +8,12 @@ from .equation import PLDE, load_equation
 from .factored import FactoredPoly
 from .geometry import (classify_module, corner_points, face_parallel_modules, lp_feasible,
                        witness_for_pair)
-from .lattice import (IntLattice, ShiftCoset, UnimodularMatrix, hnf,
-                      orthogonal_complement_lattice, saturation, unimodular_completion)
-from .polyring import (InvariantError, Poly, RationalFunction, divide_exact, eval_poly,
-                       format_poly, gcd_poly, normalize_primitive, parse_poly, parse_rational,
-                       shift_poly)
+from .lattice import (IntLattice, ShiftCoset, UnimodularMatrix, orthogonal_complement_lattice,
+                      saturation, unimodular_completion)
+from .polyring import (InvariantError, Poly, RationalFunction, divide_exact, format_poly,
+                       gcd_poly, normalize_primitive, parse_poly, parse_rational)
 from .spread import (INFINITY, NEG_INFINITY, disp_k, invariance_lattice, shift_equiv,
-                     spread_box_oracle, spread_pair)
+                     spread_box_oracle)
 from .transform import (NormalizedFrame, act_on_rational, build_normalizing_frame,
                         normalize_first_shift, transform_equation)
 from .verify import InstanceProfile, check_bound_covers, check_solution, random_instance

@@ -24,8 +24,8 @@ from dataclasses import dataclass, replace
 from .equation import PLDE
 from .factored import FactoredPoly
 from .geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry,
-                       WeakCertificate, WitnessCertificate, face_parallel_modules)
-from .lattice import IntLattice, parse_module, saturation
+                       WeakCertificate, WitnessCertificate)
+from .lattice import IntLattice, parse_module, primitive_vector, saturation
 from .polyring import InvariantError, Poly, divide_exact, format_poly, parse_poly
 from .spread import INFINITY, NEG_INFINITY, disp_k, invariance_lattice
 from .transform import frame_for, map_point, pull_back
@@ -50,7 +50,6 @@ class BoundOptions:
                                    # reduced common denominator
     refine: bool = True            # gcd over all useful pairs and both orientations
     drop_aperiodic: bool = True    # remove aperiodic factors from periodic-module parts
-    box_radius: int = 8
 
 
 @dataclass(frozen=True)
@@ -187,8 +186,7 @@ def _norm_module(eq_vars_count: int, t: int) -> IntLattice:
     return IntLattice(eq_vars_count, rows)
 
 
-def dispersion_bound(eq_norm: PLDE, t: int, drop_aperiodic: bool = True,
-                     box_radius: int = 8):
+def dispersion_bound(eq_norm: PLDE, t: int, drop_aperiodic: bool = True):
     """Maximal first-coordinate dispersion between base- and top-face W-parts.
 
     The equation must be in the normalized frame (minimal first coordinate
@@ -219,7 +217,7 @@ def dispersion_bound(eq_norm: PLDE, t: int, drop_aperiodic: bool = True,
             b_part = eq_norm.terms[sb].w_part(W_norm, drop_aperiodic).shift(down)
             if b_part.is_constant():
                 continue
-            best = max(best, disp_k(a_part, b_part, 1, box_radius))
+            best = max(best, disp_k(a_part, b_part, 1))
     if best == INFINITY:
         raise InvariantError("periodic parts cannot disperse along the witness axis")
     return best
@@ -288,25 +286,13 @@ def strip_rewrite(eq_norm: PLDE, p, s) -> StripResult:
 # ----------------------------------------------------------------------
 
 
-def _primitive_entries(u):
-    from math import gcd
-
-    g = 0
-    for x in u:
-        g = gcd(g, abs(int(x)))
-    if g in (0, 1):
-        return tuple(int(x) for x in u)
-    return tuple(int(x) // g for x in u)
-
-
 def _bound_for_cert(eq: PLDE, W: IntLattice, cert: WitnessCertificate,
                     options: BoundOptions):
-    u = _primitive_entries(cert.u)
-    frame, eqn = frame_for(eq, W, u)
+    frame, eqn = frame_for(eq, W, primitive_vector(cert.u))
     p_img = map_point(frame, cert.p)
     if p_img[0] != 0 or any(s[0] < 1 for s in eqn.support if s != p_img):
         raise InvariantError("the frame does not put the certificate point alone on its base plane")
-    s_val = dispersion_bound(eqn, frame.t, options.drop_aperiodic, options.box_radius)
+    s_val = dispersion_bound(eqn, frame.t, options.drop_aperiodic)
     if s_val == NEG_INFINITY:
         # no periodic factor of W can occur at the corner coefficient at all
         return FactoredPoly.one(eq.variables), s_val
@@ -453,7 +439,7 @@ def combined_bound(eq: PLDE, options: BoundOptions = BoundOptions()) -> BoundRep
                 warnings.append("factor %s has an uncovered spread %s"
                                 % (format_poly(prim), Wu))
     uncovered = []
-    for Wf in face_parallel_modules(support):
+    for Wf in geometry.face_parallel_modules():
         if Wf not in per_module:
             cls = geometry.classify(Wf)
             per_module[Wf] = ModuleEntry(cls.kind, cls.certificate)

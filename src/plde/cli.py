@@ -58,7 +58,6 @@ def cmd_bound(args) -> int:
         coarse=args.coarse,
         refine=not args.no_refine,
         drop_aperiodic=not args.keep_aperiodic_in_wpart,
-        box_radius=args.box,
     )
     report = combined_bound(eq, options)
     if args.json:
@@ -87,7 +86,7 @@ def cmd_spread(args) -> int:
         q = parse_poly(args.pair, vars)
         coset = shift_equiv(p, q)
         if coset.is_empty:
-            print("empty" + ("" if coset.certain else " (box-limited)"))
+            print("empty")
         else:
             print("coset: %s" % coset)
         if args.box is not None:
@@ -157,8 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument("--no-refine", action="store_true",
                    help="use a single useful pair per module")
     b.add_argument("--keep-aperiodic-in-wpart", action="store_true")
-    b.add_argument("--box", type=int, default=8, metavar="R",
-                   help="fallback search radius for degenerate shift equivalences")
     b.set_defaults(func=cmd_bound)
 
     s = sub.add_parser("spread", help="spread lattice of a polynomial")

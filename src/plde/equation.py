@@ -102,13 +102,7 @@ class PLDE:
             raise EquationFormatError("terms must be a list")
         terms = {}
         for index, entry in enumerate(raw_terms):
-            shift, coeff = _term_fields(entry, index)
-            if isinstance(coeff, str):
-                fp = auto_factor(parse_poly(coeff, variables))
-            else:
-                fp = FactoredPoly.from_json(coeff, variables)
-            if fp.unit == 0 or (fp.is_constant() and fp.unit == 0):
-                raise EquationFormatError("zero coefficient at %r" % (shift,))
+            shift, fp = _term(entry, index, variables)
             if shift in terms:
                 raise EquationFormatError("duplicate shift %r" % (shift,))
             terms[shift] = fp
@@ -128,29 +122,47 @@ def _variable_names(raw):
     return variables
 
 
-def _term_fields(entry, index: int):
-    """The shift tuple and raw coefficient of term number index, checked for shape."""
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _term(entry, index: int, variables):
+    """The shift tuple and coefficient of term number index, checked for shape."""
     if not isinstance(entry, dict):
         raise EquationFormatError("term %d must be a JSON object" % index)
     for key in ("shift", "coefficient"):
         if key not in entry:
             raise EquationFormatError("term %d has no %r" % (index, key))
     shift = entry["shift"]
-    if not isinstance(shift, (list, tuple)) or not all(
-            isinstance(x, int) and not isinstance(x, bool) for x in shift):
+    if not isinstance(shift, (list, tuple)) or not all(_is_int(x) for x in shift):
         raise EquationFormatError("term %d: shift must be a list of integers, not %r"
                                   % (index, shift))
     coeff = entry["coefficient"]
-    if not isinstance(coeff, (str, dict)):
+    if isinstance(coeff, str):
+        return tuple(shift), auto_factor(parse_poly(coeff, variables))
+    if not isinstance(coeff, dict):
         raise EquationFormatError("term %d: coefficient must be a string or an object" % index)
-    return tuple(shift), coeff
+    unit = coeff.get("unit", "1")
+    try:
+        nonzero = (_is_int(unit) or isinstance(unit, str)) and Fraction(unit) != 0
+    except (ValueError, ZeroDivisionError):
+        nonzero = False
+    if not nonzero:
+        raise EquationFormatError("term %d: unit must be a nonzero rational, not %r"
+                                  % (index, unit))
+    factors = coeff.get("factors", [])
+    if not isinstance(factors, list) or not all(
+            isinstance(f, list) and len(f) == 2 and _is_int(f[1]) and f[1] >= 1 for f in factors):
+        raise EquationFormatError("term %d: factors must be a list of [text, multiplicity >= 1] "
+                                  "pairs, not %r" % (index, factors))
+    return tuple(shift), FactoredPoly.from_json(coeff, variables)
 
 
 def load_equation(path) -> PLDE:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise EquationFormatError("not valid JSON: %s" % exc) from exc
     return PLDE.from_json(data)
 

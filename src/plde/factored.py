@@ -231,14 +231,7 @@ class FactoredPoly:
 
     def subst(self, matrix) -> "FactoredPoly":
         """Apply the variable substitution n -> matrix . n to every factor."""
-        gens = [Poly.variable(self.vars, v) for v in self.vars]
-        images = []
-        for row in matrix.rows:
-            img = Poly.zero(self.vars)
-            for c, g in zip(row, gens):
-                if c:
-                    img = img + g * c
-            images.append(img)
+        images = Poly.linear_forms(self.vars, matrix.rows)
         factors = [(p.compose(images, self.vars), m) for p, m in self.factors]
         return FactoredPoly(self.vars, self.unit, factors, list(self.tags))
 
@@ -291,30 +284,3 @@ class FactoredPoly:
             factors.append((parse_poly(text, vars), int(mult)))
         return cls(vars, unit, factors, [DECLARED_IRREDUCIBLE] * len(factors))
 
-
-# ----------------------------------------------------------------------
-# functional aliases
-
-
-def expand(fp: FactoredPoly) -> Poly:
-    return fp.expand()
-
-
-def fp_mul(a: FactoredPoly, b: FactoredPoly) -> FactoredPoly:
-    return a.mul(b)
-
-
-def fp_gcd(a: FactoredPoly, b: FactoredPoly) -> FactoredPoly:
-    return a.gcd(b)
-
-
-def fp_lcm(a: FactoredPoly, b: FactoredPoly) -> FactoredPoly:
-    return a.lcm(b)
-
-
-def shift_fp(fp: FactoredPoly, s) -> FactoredPoly:
-    return fp.shift(s)
-
-
-def w_part(fp: FactoredPoly, W, drop_aperiodic: bool = False) -> FactoredPoly:
-    return fp.w_part(W, drop_aperiodic)

@@ -19,9 +19,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import lcm as _int_lcm
 
-from .lattice import IntLattice, orthogonal_complement_lattice, saturation
+from .lattice import (IntLattice, clear_denominators, orthogonal_complement_lattice,
+                      primitive_vector, saturation)
 
 CLASS_USEFUL = "U"
 CLASS_OPPOSITE_ONLY = "O\\U"
@@ -48,12 +49,13 @@ def lp_feasible(constraints, nvars: int):
     """
     rows = []
     for coeffs, rel, rhs in constraints:
-        row = list(coeffs)
-        if len(row) != nvars:
-            raise ValueError("constraint arity %d, expected %d" % (len(row), nvars))
+        a = [*coeffs, rhs]
+        if len(a) != nvars + 1:
+            raise ValueError("constraint arity %d, expected %d" % (len(a) - 1, nvars))
         if rel not in (">=", "=="):
             raise ValueError("unsupported relation %r" % rel)
-        a, b = _integer_row(row, rhs)
+        a = clear_denominators(a)
+        b = a.pop()
         if not any(a):
             if b > 0 or (rel == "==" and b < 0):
                 return None
@@ -92,16 +94,6 @@ def lp_feasible(constraints, nvars: int):
         else:
             values.append(Fraction(0))
     return values
-
-
-def _integer_row(row, rhs):
-    """The constraint row . v >= rhs scaled to integer coefficients."""
-    if isinstance(rhs, int) and all(isinstance(c, int) for c in row):
-        return row, rhs
-    row = [Fraction(c) for c in row]
-    rhs = Fraction(rhs)
-    scale = _int_lcm(rhs.denominator, *(c.denominator for c in row))
-    return [int(c * scale) for c in row], int(rhs * scale)
 
 
 class _Tableau:
@@ -221,17 +213,6 @@ class _Tableau:
         return lo, None if neg_hi is None else -neg_hi
 
 
-def _primitive_int_vector(frac_vec):
-    mult = _int_lcm(*(f.denominator for f in frac_vec)) if frac_vec else 1
-    ints = [int(f * mult) for f in frac_vec]
-    g = 0
-    for x in ints:
-        g = _int_gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
-
-
 # ----------------------------------------------------------------------
 # corner points
 
@@ -345,7 +326,7 @@ class _ModuleSetup:
 
     def covector(self, z):
         """The primitive integer covector with basis coordinates proportional to z."""
-        z = _primitive_int_vector(z)
+        z = primitive_vector(z)
         return tuple(sum(zi * b[j] for zi, b in zip(z, self.basis))
                      for j in range(len(self.basis[0])))
 
@@ -360,7 +341,9 @@ class SupportGeometry:
     """
 
     def __init__(self, points):
-        self.points = sorted(tuple(int(x) for x in s) for s in points)
+        self.points = sorted({tuple(int(x) for x in s) for s in points})
+        if not self.points:
+            raise ValueError("empty support")
         self._corners = None
         self._modules = {}
 
@@ -462,6 +445,37 @@ class SupportGeometry:
                 return ModuleClass(CLASS_OPPOSITE_ONLY, weak)
         return ModuleClass(CLASS_UNCOVERED)
 
+    def face_parallel_modules(self):
+        """Rank-1 modules along hull edges, plus rank-2 facet modules for r = 3.
+
+        These are the only candidate spreads that leave no trace in any corner
+        coefficient.  For r > 3 only the edge modules are enumerated.  A hull
+        edge joins two corners, so only corner pairs are tested.
+        """
+        pts = self.points
+        r = len(pts[0])
+        if r == 1 or len(pts) == 1:
+            return []
+        modules = {IntLattice(r, [primitive_vector([y - x for x, y in zip(a, b)])])
+                   for a, b in itertools.combinations(self.corners, 2) if self._is_edge(a, b)}
+        if r == 3:
+            modules.update(_facet_modules_3d(pts))
+        diffs = [[x - y for x, y in zip(s, pts[0])] for s in pts[1:]]
+        affine = saturation(IntLattice(r, diffs))
+        if 0 < affine.rank < r:
+            modules.add(affine)  # degenerate support: the whole affine direction space
+        return sorted(modules, key=lambda L: L.key())
+
+    def _is_edge(self, a, b):
+        """Is the line through the corners a and b an exposed face of the hull?"""
+        d = [y - x for x, y in zip(a, b)]
+        cons = [(d, "==", 0)]
+        for s in self.points:
+            e = [x - y for x, y in zip(s, a)]
+            if any(e[i] * d[j] != e[j] * d[i] for i in range(len(d)) for j in range(i)):
+                cons.append((e, ">=", 1))  # off the line: strictly on one side
+        return len(cons) == 1 or lp_feasible(cons, len(d)) is not None
+
     def useful_pairs(self, W: IntLattice):
         """Every ordered corner pair admitting a witness certificate for W."""
         setup = self._setup(W)
@@ -493,53 +507,9 @@ def all_useful_pairs(points, W: IntLattice):
 # face-parallel candidate modules
 
 
-def _primitive_direction(a, b):
-    d = [x - y for x, y in zip(b, a)]
-    g = 0
-    for x in d:
-        g = _int_gcd(g, abs(x))
-    return tuple(x // g for x in d)
-
-
-def _is_edge(pts, a, b):
-    """Is the segment [a, b] (an affine-line face) exposed on the hull?"""
-    r = len(a)
-    d = _primitive_direction(a, b)
-    online = [s for s in pts
-              if all((s[i] - a[i]) * d[j] == (s[j] - a[j]) * d[i]
-                     for i in range(r) for j in range(i + 1, r))]
-    outside = [s for s in pts if s not in online]
-    if not outside:
-        return True  # fully collinear support: the segment is the hull
-    cons = [(tuple(x - y for x, y in zip(b, a)), "==", 0)]
-    for s in outside:
-        cons.append((tuple(x - y for x, y in zip(s, a)), ">=", 1))
-    return lp_feasible(cons, r) is not None
-
-
 def face_parallel_modules(points):
-    """Rank-1 modules along hull edges, plus rank-2 facet modules for r = 3.
-
-    These are the only candidate spreads that leave no trace in any corner
-    coefficient.  For r > 3 only the edge modules are enumerated.
-    """
-    pts = sorted(set(tuple(int(x) for x in p) for p in points))
-    if not pts:
-        raise ValueError("empty support")
-    r = len(pts[0])
-    modules = set()
-    if r == 1 or len(pts) == 1:
-        return []
-    for a, b in itertools.combinations(pts, 2):
-        if _is_edge(pts, a, b):
-            modules.add(IntLattice(r, [_primitive_direction(a, b)]))
-    if r == 3:
-        modules.update(_facet_modules_3d(pts))
-    diffs = [[x - y for x, y in zip(s, pts[0])] for s in pts[1:]]
-    affine = saturation(IntLattice(r, diffs))
-    if 0 < affine.rank < r:
-        modules.add(affine)  # degenerate support: the whole affine direction space
-    return sorted(modules, key=lambda L: L.key())
+    """Edge modules, plus facet modules for r = 3; see SupportGeometry.face_parallel_modules."""
+    return SupportGeometry(points).face_parallel_modules()
 
 
 def _facet_modules_3d(pts):

@@ -9,8 +9,29 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd as _int_gcd, lcm as _int_lcm
 
 from .polyring import InvariantError
+
+
+def clear_denominators(row):
+    """The rational vector row times the lcm of its denominators, as ints.
+
+    A row that holds only ints is returned as it is, not copied.
+    """
+    if all(isinstance(c, int) for c in row):
+        return row
+    scale = _int_lcm(*(c.denominator for c in row))
+    return [int(c * scale) for c in row]
+
+
+def primitive_vector(v) -> tuple:
+    """The integer vector with coprime entries that is a positive multiple of v."""
+    ints = clear_denominators(v)
+    g = _int_gcd(*ints)
+    if not g:
+        raise ValueError("the zero vector has no primitive multiple")
+    return tuple(x // g for x in ints)
 
 
 def _row_echelon(mat, width):
@@ -124,10 +145,6 @@ class IntLattice:
         if not self.basis:
             return "0"
         return ";".join(",".join(str(x) for x in row) for row in self.basis)
-
-
-def hnf(rows, dim: int) -> IntLattice:
-    return IntLattice(dim, rows)
 
 
 def is_sublattice(inner: IntLattice, outer: IntLattice) -> bool:
@@ -366,23 +383,18 @@ def unimodular_completion(rows) -> UnimodularMatrix:
 
 @dataclass(frozen=True)
 class ShiftCoset:
-    """Coset base + L of an integer lattice, or the empty set.
-
-    ``certain`` is False only when an exhaustive-search fallback could not
-    decide emptiness beyond its search box.
-    """
+    """Coset base + L of an integer lattice, or the empty set."""
 
     base: tuple | None
     lattice: IntLattice
-    certain: bool = True
 
     @classmethod
     def of(cls, base, lattice: IntLattice) -> "ShiftCoset":
         return cls(lattice.reduce(base), lattice)
 
     @classmethod
-    def empty(cls, dim: int, certain: bool = True) -> "ShiftCoset":
-        return cls(None, IntLattice.zero(dim), certain)
+    def empty(cls, dim: int) -> "ShiftCoset":
+        return cls(None, IntLattice.zero(dim))
 
     @property
     def is_empty(self) -> bool:
@@ -400,10 +412,6 @@ class ShiftCoset:
         if self.lattice.is_zero():
             return "(%s)" % base
         return "(%s)+(%s)" % (base, self.lattice)
-
-
-def coset_normalize(base, L: IntLattice) -> ShiftCoset:
-    return ShiftCoset.of(base, L)
 
 
 def complement_within(K: IntLattice, G: IntLattice) -> IntLattice:

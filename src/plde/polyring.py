@@ -89,6 +89,12 @@ class Poly:
         e[i] = 1
         return cls(vars, {tuple(e): Fraction(1)})
 
+    @classmethod
+    def linear_forms(cls, vars, rows) -> list:
+        """The images sum_j row[j] * vars[j] of the substitution n -> rows . n."""
+        units = [tuple(int(i == j) for i in range(len(vars))) for j in range(len(vars))]
+        return [cls(vars, {e: c for e, c in zip(units, row) if c}) for row in rows]
+
     # ------------------------------------------------------------------
     # structure queries
 
@@ -282,18 +288,6 @@ class Poly:
 
     def __repr__(self):
         return "Poly(%r)" % format_poly(self)
-
-
-# ----------------------------------------------------------------------
-# functional aliases
-
-
-def shift_poly(p: Poly, s) -> Poly:
-    return p.shift(s)
-
-
-def eval_poly(p: Poly, point) -> Fraction:
-    return p.eval_at(point)
 
 
 def divide_exact(p: Poly, q: Poly):
@@ -563,7 +557,10 @@ def parse_poly(text: str, vars) -> Poly:
     if not isinstance(text, str):
         raise ParseError("expected polynomial text, not %r" % (text,), 0)
     parser = _Parser(text, vars)
-    result = parser.parse_expr()
+    try:
+        result = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.peek()[2]) from None
     tok = parser.peek()
     if tok[0] != "end":
         raise ParseError("unexpected trailing input %r" % tok[1], tok[2])

@@ -9,9 +9,11 @@ derivative makes it constant).  That kernel is automatically saturated.
 The pairwise problem N^s q = c p is solved in stages: leading forms pin
 down the constant c, the next homogeneous layer is linear in s and yields
 a candidate coset over Z, and invariance of q reduces the remainder to a
-finite-dimensional residual.  The residual is closed by iterated linear
-extraction; only if nonlinear freedom survives does a bounded box search
-run, and results from that path are flagged as not certain.
+residual over directions that meet no invariance vector.  The residual is
+closed exactly by iterated linear extraction: each round decides the
+question or removes a direction (`_solve_residual` says why), so there is
+no search and no uncertain answer.  `spread_box_oracle` is a brute force
+kept for cross-checks only.
 """
 
 from __future__ import annotations
@@ -19,27 +21,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm as _int_lcm
 
 from .factored import FactoredPoly
-from .lattice import IntLattice, ShiftCoset, complement_within, integer_kernel, solve_integer
+from .lattice import (IntLattice, ShiftCoset, clear_denominators, complement_within,
+                      integer_kernel, solve_integer)
 from .polyring import InvariantError, Poly, gcd_poly, normalize_primitive
 
 NEG_INFINITY = float("-inf")
 INFINITY = float("inf")
-
-_RESIDUAL_BOX_RADIUS = 8
-
-
-def _scaled_int_rows(rows_frac, rhs_frac):
-    """Clear denominators row by row; returns integer matrix and rhs."""
-    mat = []
-    rhs = []
-    for row, b in zip(rows_frac, rhs_frac):
-        mult = _int_lcm(b.denominator, *(c.denominator for c in row)) if row else b.denominator
-        mat.append([int(c * mult) for c in row])
-        rhs.append(int(b * mult))
-    return mat, rhs
 
 
 @lru_cache(maxsize=None)
@@ -50,21 +39,20 @@ def invariance_lattice(p: Poly) -> IntLattice:
     r = len(p.vars)
     partials = [p.partial(i) for i in range(r)]
     monomials = sorted(set().union(*(q.terms.keys() for q in partials)))
-    rows = []
-    for e in monomials:
-        rows.append([partials[i].terms.get(e, Fraction(0)) for i in range(r)])
-    mat, _ = _scaled_int_rows(rows, [Fraction(0)] * len(rows))
+    mat = [clear_denominators([partials[i].terms.get(e, 0) for i in range(r)])
+           for e in monomials]
     K = integer_kernel(mat, r)
     if any(p.shift(g) != p for g in K.basis):
         raise InvariantError("a kernel vector of the partials does not fix the polynomial")
     return K
 
 
-def shift_equiv(p: Poly, q: Poly, box_radius: int = _RESIDUAL_BOX_RADIUS) -> ShiftCoset:
+def shift_equiv(p: Poly, q: Poly) -> ShiftCoset:
     """All s with q(n+s) = c * p(n) for some nonzero constant c.
 
-    Empty, or a coset of the invariance lattice of q.  ``box_radius`` only
-    matters on the exhaustive-search fallback for degenerate residuals.
+    Empty, or a coset of the invariance lattice of q.  For irreducible p
+    and q this is Spread(p, q) = {s : gcd(p, N^s q) != 1}, since a
+    nontrivial gcd forces N^s q and p to be associates.
     """
     if p.is_constant() or q.is_constant():
         raise ValueError("shift equivalence needs non-constant inputs")
@@ -88,10 +76,9 @@ def shift_equiv(p: Poly, q: Poly, box_radius: int = _RESIDUAL_BOX_RADIUS) -> Shi
     rhs_poly = target.homogeneous_component(d - 1) - q.homogeneous_component(d - 1)
     monomials = sorted(set(rhs_poly.terms)
                        | set().union(*(pp.terms.keys() for pp in partials)))
-    rows = [[partials[i].terms.get(e, Fraction(0)) for i in range(r)] for e in monomials]
-    rhs = [rhs_poly.terms.get(e, Fraction(0)) for e in monomials]
-    mat, vec = _scaled_int_rows(rows, rhs)
-    sol = solve_integer(mat, vec, r)
+    rows = [clear_denominators([pp.terms.get(e, 0) for pp in partials]
+                               + [rhs_poly.terms.get(e, 0)]) for e in monomials]
+    sol = solve_integer([row[:-1] for row in rows], [row[-1] for row in rows], r)
     if sol is None:
         return ShiftCoset.empty(r)
     s0, K = sol
@@ -103,11 +90,8 @@ def shift_equiv(p: Poly, q: Poly, box_radius: int = _RESIDUAL_BOX_RADIUS) -> Shi
         if q.shift(s0) == target:
             return ShiftCoset.of(s0, G)
         return ShiftCoset.empty(r)
-    found, certain = _solve_residual(q, target, list(s0), [list(v) for v in Kprime.basis],
-                                     radius=box_radius)
-    if found is None:
-        return ShiftCoset.empty(r, certain=certain)
-    return ShiftCoset.of(found, G)
+    found = _solve_residual(q, target, list(s0), [list(v) for v in Kprime.basis])
+    return ShiftCoset.empty(r) if found is None else ShiftCoset.of(found, G)
 
 
 def _residual_system(q: Poly, target: Poly, s0, directions):
@@ -136,66 +120,49 @@ def _residual_system(q: Poly, target: Poly, s0, directions):
     return [Poly(tonly, terms) for terms in eqs.values()]
 
 
-def _solve_residual(q, target, s0, directions, radius=_RESIDUAL_BOX_RADIUS):
-    """Search t with q(n + s0 + directions^T t) = target.
+def _solve_residual(q, target, s0, directions):
+    """The s in s0 + span_Z(directions) with q(n + s) = target, or None.
 
-    Linear equations among the residual system are necessary conditions and
-    are consumed iteratively; a bounded box scan is the last resort and
-    yields an uncertain negative.
+    Why this is exact: no v(t) = sum t_i directions[i] with t != 0 lies in
+    span_Q(G), G the invariance lattice of q (the directions complement
+    the saturated G), so (v(t) . grad) q is not zero.  Let D1 be the
+    largest n-degree among the (directions[i] . grad) q(n + s0).  In the
+    Taylor expansion of q(n + s0 + v(t)) the term of order j >= 2 in v
+    has n-degree at most D1 - j + 1, and the order-0 term does not involve
+    t, so the coefficients of the n-monomials of degree D1 in
+    q(n + s0 + v(t)) - target are affine in t with a nonzero linear part.
+    Each round solves every equation of degree at most one in t over Z,
+    those among them: it finds no solution, or a single candidate that one
+    identity test decides, or fewer directions spanning a sublattice, for
+    which the same holds.  The rounds therefore end after at most len(directions) steps,
+    and every exit that does not decide raises InvariantError.
     """
     while True:
         m = len(directions)
-        eqs = [e for e in _residual_system(q, target, s0, directions) if not e.is_zero()]
-        if not eqs:
-            raise AssertionError("residual directions collapse onto the invariance lattice")
-        linear = [e for e in eqs if e.total_degree() <= 1]
+        linear = [e for e in _residual_system(q, target, s0, directions)
+                  if not e.is_zero() and e.total_degree() <= 1]
         if not linear:
-            break
-        rows = []
-        rhs = []
-        for e in linear:
-            row = []
-            for i in range(m):
-                mono = tuple(1 if j == i else 0 for j in range(m))
-                row.append(e.terms.get(mono, Fraction(0)))
-            rows.append(row)
-            rhs.append(-e.terms.get((0,) * m, Fraction(0)))
-        mat, vec = _scaled_int_rows(rows, rhs)
-        sol = solve_integer(mat, vec, m)
+            raise InvariantError("the residual system has no affine equation in the directions")
+        units = [tuple(int(j == i) for j in range(m)) for i in range(m)]
+        rows = [clear_denominators([e.terms.get(u, 0) for u in units]
+                                   + [-e.terms.get((0,) * m, 0)]) for e in linear]
+        sol = solve_integer([row[:-1] for row in rows], [row[-1] for row in rows], m)
         if sol is None:
-            return None, True
+            return None
         tau, ker = sol
+        if ker.rank == m:
+            raise InvariantError("the affine residual equations do not involve the directions")
         cand = [a + sum(tau[i] * directions[i][j] for i in range(m)) for j, a in enumerate(s0)]
         if ker.rank == 0:
-            if q.shift(cand) == target:
-                return tuple(cand), True
-            return None, True
-        if ker.rank == m and not any(tau):
-            break  # the linear part carried no information
+            return tuple(cand) if q.shift(cand) == target else None
         s0 = cand
         directions = [
             [sum(row[i] * directions[i][j] for i in range(m)) for j in range(len(s0))]
             for row in ker.basis
         ]
-    # nonlinear freedom left: bounded scan, flagged as possibly incomplete
-    m = len(directions)
-    for t in itertools.product(range(-radius, radius + 1), repeat=m):
-        cand = [a + sum(t[i] * directions[i][j] for i in range(m)) for j, a in enumerate(s0)]
-        if q.shift(cand) == target:
-            return tuple(cand), True
-    return None, False
 
 
-def spread_pair(p: Poly, q: Poly, box_radius: int = _RESIDUAL_BOX_RADIUS) -> ShiftCoset:
-    """Spread(p, q) = {s : gcd(p, N^s q) != 1} for irreducible inputs.
-
-    For irreducibles a nontrivial gcd forces N^s q and p to be associates,
-    so this coincides with shift equivalence.
-    """
-    return shift_equiv(p, q, box_radius)
-
-
-def disp_k(a: FactoredPoly, b: FactoredPoly, k: int, box_radius: int = _RESIDUAL_BOX_RADIUS):
+def disp_k(a: FactoredPoly, b: FactoredPoly, k: int):
     """Dispersion along axis k (1-based) over all factor pairs of a and b.
 
     Returns NEG_INFINITY when every pair spread is empty, INFINITY when a
@@ -208,7 +175,7 @@ def disp_k(a: FactoredPoly, b: FactoredPoly, k: int, box_radius: int = _RESIDUAL
     best = NEG_INFINITY
     for u, _ in a.factors:
         for v, _ in b.factors:
-            coset = spread_pair(u, v, box_radius)
+            coset = shift_equiv(u, v)
             if coset.is_empty:
                 continue
             if any(row[idx] for row in coset.lattice.basis):

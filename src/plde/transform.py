@@ -19,29 +19,14 @@ from dataclasses import dataclass, replace
 from .equation import PLDE
 from .factored import FactoredPoly
 from .lattice import (IntLattice, UnimodularMatrix, orthogonal_complement_lattice,
-                      solve_integer, unimodular_completion)
-from .polyring import Poly, RationalFunction
-
-
-def _subst_poly(p: Poly, A: UnimodularMatrix) -> Poly:
-    gens = [Poly.variable(p.vars, v) for v in p.vars]
-    images = []
-    for row in A.rows:
-        img = Poly.zero(p.vars)
-        for c, g in zip(row, gens):
-            if c:
-                img = img + g * c
-        images.append(img)
-    return p.compose(images, p.vars)
-
-
-def act_on_poly(A: UnimodularMatrix, p: Poly) -> Poly:
-    return _subst_poly(p, A)
+                      primitive_vector, solve_integer, unimodular_completion)
+from .polyring import InvariantError, Poly, RationalFunction
 
 
 def act_on_rational(A: UnimodularMatrix, y: RationalFunction) -> RationalFunction:
     """(A.y)(n) = y(A n); multiplicative and additive in y."""
-    return RationalFunction(_subst_poly(y.num, A), _subst_poly(y.den, A))
+    images = Poly.linear_forms(y.num.vars, A.rows)
+    return RationalFunction(y.num.compose(images), y.den.compose(images))
 
 
 def transform_equation(eq: PLDE, M: UnimodularMatrix) -> PLDE:
@@ -50,7 +35,7 @@ def transform_equation(eq: PLDE, M: UnimodularMatrix) -> PLDE:
     terms = {}
     for s, fp in eq.terms.items():
         terms[M.apply(s)] = fp.subst(A)
-    return PLDE(eq.variables, terms, _subst_poly(eq.rhs, A))
+    return PLDE(eq.variables, terms, eq.rhs.compose(Poly.linear_forms(eq.variables, A.rows)))
 
 
 @dataclass(frozen=True)
@@ -59,7 +44,6 @@ class NormalizedFrame:
 
     M: UnimodularMatrix
     t: int                      # codimension of W
-    k: int = 0                  # maximal first coordinate after shift normalization
     shift_offset: tuple = ()
 
 
@@ -80,12 +64,7 @@ def build_normalizing_frame(support, W: IntLattice, u) -> NormalizedFrame:
     if sol is None:
         raise ValueError("witness covector is not orthogonal to the module")
     coords = sol[0]
-    from math import gcd
-
-    g = 0
-    for c in coords:
-        g = gcd(g, abs(c))
-    if g != 1:
+    if primitive_vector(coords) != coords:
         raise ValueError("witness covector is imprimitive in the complement lattice")
     if t == 1:
         top_rows = [list(u)]
@@ -97,7 +76,7 @@ def build_normalizing_frame(support, W: IntLattice, u) -> NormalizedFrame:
     norm = IntLattice(r, [[1 if j == i else 0 for j in range(r)] for i in range(t, r)])
     for w_row in W.basis:
         if not norm.contains(M.apply(w_row)):
-            raise AssertionError("frame does not normalize the module")
+            raise InvariantError("the frame does not map the module onto the last axes")
     return NormalizedFrame(M=M, t=t, shift_offset=(0,) * r)
 
 
@@ -119,8 +98,8 @@ def frame_for(eq: PLDE, W: IntLattice, u):
     """Full normalization: frame, transformed equation, and point images."""
     frame = build_normalizing_frame(eq.support, W, u)
     moved = transform_equation(eq, frame.M)
-    moved, k, offset = normalize_first_shift(moved)
-    frame = replace(frame, k=k, shift_offset=offset)
+    moved, _, offset = normalize_first_shift(moved)
+    frame = replace(frame, shift_offset=offset)
     return frame, moved
 
 

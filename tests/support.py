@@ -1,9 +1,11 @@
 """Shared random generators for the property suites (fixed seeds throughout)."""
 
+import itertools
 import random
 from fractions import Fraction
 
-from plde.lattice import UnimodularMatrix
+from plde.geometry import _facet_modules_3d, lp_feasible
+from plde.lattice import IntLattice, UnimodularMatrix, primitive_vector, saturation
 from plde.polyring import Poly, RationalFunction, parse_poly
 
 VARS2 = ("n", "k")
@@ -115,3 +117,30 @@ def fourier_motzkin(constraints, nvars):
         elif hi is not None:
             values[j] = min(hi, Fraction(0))
     return values
+
+
+def face_parallel_modules_all_pairs(points):
+    """Reference for ``face_parallel_modules`` that tests every pair of points for an edge.
+
+    The library tests only pairs of corners; the facet and affine parts are
+    the same in both.
+    """
+    pts = sorted(set(tuple(p) for p in points))
+    r = len(pts[0])
+    if r == 1 or len(pts) == 1:
+        return []
+    modules = set()
+    for a, b in itertools.combinations(pts, 2):
+        d = primitive_vector([y - x for x, y in zip(a, b)])
+        online = [s for s in pts if all((s[i] - a[i]) * d[j] == (s[j] - a[j]) * d[i]
+                                        for i in range(r) for j in range(i + 1, r))]
+        cons = [(d, "==", 0)] + [(tuple(x - y for x, y in zip(s, a)), ">=", 1)
+                                 for s in pts if s not in online]
+        if len(cons) == 1 or lp_feasible(cons, r) is not None:
+            modules.add(IntLattice(r, [d]))
+    if r == 3:
+        modules.update(_facet_modules_3d(pts))
+    affine = saturation(IntLattice(r, [[x - y for x, y in zip(s, pts[0])] for s in pts[1:]]))
+    if 0 < affine.rank < r:
+        modules.add(affine)
+    return sorted(modules, key=lambda L: L.key())

@@ -154,14 +154,21 @@ def test_strip_invariant_check_survives_optimize(sys1, eqdir, monkeypatch):
     assert out.stdout.startswith("InvariantError: common denominator escaped")
 
 
+def _raises_assertion_error(node):
+    exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+    return isinstance(exc, ast.Name) and exc.id == "AssertionError"
+
+
 def test_library_has_no_assert_statements():
-    # python -O strips assert, so every library check must raise instead
+    # python -O strips assert, so every library check must raise instead, and
+    # with a typed error (InvariantError), not a hand-made AssertionError
     package = Path(plde.bounds.__file__).resolve().parent
     found = []
     for path in sorted(package.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
-        found += ["%s:%d" % (path.name, node.lineno)
-                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+        found += ["%s:%d" % (path.name, node.lineno) for node in ast.walk(tree)
+                  if isinstance(node, ast.Assert)
+                  or isinstance(node, ast.Raise) and _raises_assertion_error(node)]
     assert not found
 
 

@@ -1,4 +1,6 @@
+import copy
 import json
+import random
 
 import pytest
 
@@ -142,6 +144,19 @@ _TERM = {"shift": [0, 0], "coefficient": "n+1"}
     ({"variables": "nk", "terms": [_TERM]}, "variables must be a non-empty list of names"),
     ({"variables": [1, 2], "terms": [_TERM]}, "variables must be a non-empty list of names"),
     ({"variables": [], "terms": [_TERM]}, "variables must be a non-empty list of names"),
+    ({"variables": ["n", "k"], "terms": [{"shift": [0, 0], "coefficient": {"factors": [1]}}]},
+     "term 0: factors must be a list of [text, multiplicity >= 1] pairs"),
+    ({"variables": ["n", "k"], "terms": [_TERM, {"shift": [1, 0],
+                                                 "coefficient": {"factors": [["n", 1.5]]}}]},
+     "term 1: factors must be a list of [text, multiplicity >= 1] pairs"),
+    ({"variables": ["n", "k"], "terms": [{"shift": [0, 0], "coefficient": {"unit": [1]}}]},
+     "term 0: unit must be a nonzero rational"),
+    ({"variables": ["n", "k"], "terms": [{"shift": [0, 0], "coefficient": {"unit": "1/0"}}]},
+     "term 0: unit must be a nonzero rational"),
+    ({"variables": ["n", "k"], "terms": [{"shift": [0, 0], "coefficient": {"unit": "0"}}]},
+     "term 0: unit must be a nonzero rational"),
+    ({"variables": ["n", "k"], "terms": [_TERM], "rhs": "(" * 3000 + "n" + ")" * 3000},
+     "nested too deeply"),
 ])
 def test_malformed_equation_exits_1(capsys, tmp_path, data, message):
     path = tmp_path / "bad.json"
@@ -149,3 +164,54 @@ def test_malformed_equation_exits_1(capsys, tmp_path, data, message):
     code, _, err = run(capsys, "bound", str(path))
     assert code == 1
     assert message in err and "Traceback" not in err
+
+
+_MUTANTS = [None, True, 0, -1, 2, 1.5, "", "0", "1/0", "x", "n^", "((n)", "n+k+1",
+            [], [1], [[]], ["n", 1], {}, {"unit": "1"}]
+
+
+def _mutate(rng, data):
+    """One random edit at a random node of a JSON document.
+
+    The node is replaced by an odd value, deleted, wrapped in a list, or
+    replaced by a copy of another node of the same document.
+    """
+    slots = []
+    stack = [data]
+    while stack:
+        node = stack.pop()
+        keys = range(len(node)) if isinstance(node, list) else list(node)
+        for key in keys:
+            slots.append((node, key))
+            if isinstance(node[key], (list, dict)):
+                stack.append(node[key])
+    node, key = rng.choice(slots)
+    other, other_key = rng.choice(slots)
+    op = rng.randrange(4)
+    if op == 0:
+        node[key] = copy.deepcopy(rng.choice(_MUTANTS))
+    elif op == 1:
+        del node[key]
+    elif op == 2:
+        node[key] = [node[key]]
+    else:
+        node[key] = copy.deepcopy(other[other_key])
+
+
+def test_mutated_equation_files_never_escape(capsys, tmp_path, eqdir):
+    # every run of plde bound on a damaged file ends with an exit code, never an exception
+    rng = random.Random(601)
+    files = sorted(eqdir.glob("*.json"))
+    codes = []
+    for i in range(200):
+        data = json.loads(rng.choice(files).read_text())
+        _mutate(rng, data)
+        path = tmp_path / ("m%d.json" % i)
+        path.write_text(json.dumps(data))
+        try:
+            codes.append(main(["bound", str(path)]))
+        except Exception as exc:  # noqa: BLE001 - the failure names the mutant
+            pytest.fail("plde bound raised %r on %s" % (exc, json.dumps(data)))
+        capsys.readouterr()
+    assert set(codes) <= {0, 1, 2}
+    assert codes.count(1) >= 50 and codes.count(0) >= 20

@@ -2,8 +2,7 @@ import random
 
 import pytest
 
-from plde.factored import (DECLARED_IRREDUCIBLE, FactoredPoly, UNVERIFIED, VERIFIED_LINEAR,
-                           expand, fp_gcd, fp_lcm, fp_mul, shift_fp, w_part)
+from plde.factored import DECLARED_IRREDUCIBLE, FactoredPoly, UNVERIFIED, VERIFIED_LINEAR
 from plde.lattice import IntLattice
 from plde.polyring import Poly, divide_exact, parse_poly
 from support import VARS2, random_factor
@@ -53,37 +52,37 @@ def test_tags():
 def test_lcm_examples():
     d = F("n+k+1", "3*n+2*k+1")
     one = FactoredPoly.one(VARS2)
-    assert fp_lcm(d, one) == d.drop_unit()
+    assert d.lcm(one) == d.drop_unit()
     a = F("n+k+1", "3*n+2*k+1")
     b = F("n^2+n+1", "3*n+2*k+1")
-    assert fp_lcm(a, b) == F("n+k+1", "n^2+n+1", "3*n+2*k+1")
+    assert a.lcm(b) == F("n+k+1", "n^2+n+1", "3*n+2*k+1")
 
 
 def test_gcd_idempotent():
     a = FactoredPoly(("m",), 1, [(parse_poly("m+1", ("m",)), 1),
                                  (parse_poly("m+2", ("m",)), 2),
                                  (parse_poly("m+3", ("m",)), 3)])
-    assert fp_gcd(a, a) == a.drop_unit()
+    assert a.gcd(a) == a.drop_unit()
 
 
 def test_shift_examples():
-    assert shift_fp(F("n^2+n+1"), (0, -1)) == F("n^2+n+1")
-    assert shift_fp(F("2*k+3*n+3"), (0, -1)) == F("2*k+3*n+1")
+    assert F("n^2+n+1").shift((0, -1)) == F("n^2+n+1")
+    assert F("2*k+3*n+3").shift((0, -1)) == F("2*k+3*n+1")
     fp = F("k+n+1", "2*k+3*n+1", unit=-1)
-    assert shift_fp(fp, (0, 0)) == fp
+    assert fp.shift((0, 0)) == fp
 
 
 def test_w_part_examples():
     W1 = IntLattice(2, [(1, -1)])
     fp = F("k+n+1", "2*k+3*n+1", unit=-1)
-    assert w_part(fp, W1, True) == F("k+n+1")
+    assert fp.w_part(W1, True) == F("k+n+1")
     W01 = IntLattice(2, [(0, 1)])
     fp2 = F("n^2+n+1", "2*k+3*n+3")
-    assert w_part(fp2, W01, True) == F("n^2+n+1")
+    assert fp2.w_part(W01, True) == F("n^2+n+1")
     aper = F("n*k+1")
-    assert w_part(aper, W1, True).is_one()
+    assert aper.w_part(W1, True).is_one()
     # aperiodic factors are inside every module unless dropped
-    assert w_part(aper, W1, False) == F("n*k+1")
+    assert aper.w_part(W1, False) == F("n*k+1")
 
 
 def test_div_exact_and_divides():
@@ -119,13 +118,13 @@ def test_expand_is_multiplicative():
     for _ in range(N_CASES):
         a = _random_fp(rng)
         b = _random_fp(rng)
-        assert expand(fp_mul(a, b)) == expand(a) * expand(b)
-        l = fp_lcm(a, b)
-        assert divide_exact(expand(l), expand(a.drop_unit())) is not None
-        assert divide_exact(expand(l), expand(b.drop_unit())) is not None
-        g = fp_gcd(a, b)
-        assert divide_exact(expand(a.drop_unit()), expand(g)) is not None
-        assert divide_exact(expand(b.drop_unit()), expand(g)) is not None
+        assert a.mul(b).expand() == a.expand() * b.expand()
+        l = a.lcm(b)
+        assert divide_exact(l.expand(), a.drop_unit().expand()) is not None
+        assert divide_exact(l.expand(), b.drop_unit().expand()) is not None
+        g = a.gcd(b)
+        assert divide_exact(a.drop_unit().expand(), g.expand()) is not None
+        assert divide_exact(b.drop_unit().expand(), g.expand()) is not None
 
 
 def test_shift_commutes_with_expand():
@@ -133,7 +132,7 @@ def test_shift_commutes_with_expand():
     for _ in range(N_CASES):
         fp = _random_fp(rng)
         s = (rng.randint(-3, 3), rng.randint(-3, 3))
-        assert shift_fp(fp, s).expand() == fp.expand().shift(s)
+        assert fp.shift(s).expand() == fp.expand().shift(s)
 
 
 def test_w_part_is_a_sub_multiset():
@@ -141,7 +140,7 @@ def test_w_part_is_a_sub_multiset():
     W = IntLattice(2, [(1, -1)])
     for _ in range(N_CASES):
         fp = _random_fp(rng)
-        part = w_part(fp, W, rng.choice([True, False]))
+        part = fp.w_part(W, rng.choice([True, False]))
         assert part.divides(fp)
 
 

@@ -1,11 +1,13 @@
+import itertools
 import random
 from fractions import Fraction
 
+from plde import geometry
 from plde.geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL,
                            all_useful_pairs, classify_module, corner_points,
                            face_parallel_modules, lp_feasible, witness_for_pair)
 from plde.lattice import IntLattice
-from support import fourier_motzkin
+from support import face_parallel_modules_all_pairs, fourier_motzkin
 
 N_CASES = 200
 
@@ -239,6 +241,28 @@ def test_face_modules_3d():
     facet = IntLattice(3, [(1, 0, 0), (0, 1, 0)])
     assert facet in mods
     assert any(m.rank == 1 for m in mods)
+
+
+def test_face_modules_match_the_all_pairs_search(monkeypatch):
+    # a hull edge joins two corners, so the library's corner-pair search
+    # finds every edge module the all-pairs reference finds, with fewer LPs
+    lps = []
+    solve = geometry.lp_feasible
+    monkeypatch.setattr(geometry, "lp_feasible", lambda *args: lps.append(args) or solve(*args))
+    rng = random.Random(506)
+    compared = with_inner_points = 0
+    for r, side, most in ((2, 3, 8), (3, 2, 8), (4, 1, 7)):
+        grid = list(itertools.product(range(side + 1), repeat=r))
+        for _ in range(70):
+            pts = rng.sample(grid, rng.randint(2, most))
+            corners = len(corner_points(pts))
+            del lps[:]
+            mods = face_parallel_modules(pts)
+            assert len(lps) <= len(pts) + corners * (corners - 1) // 2
+            assert mods == face_parallel_modules_all_pairs(pts)
+            compared += 1
+            with_inner_points += corners < len(pts)
+    assert compared == 210 and with_inner_points >= 40
 
 
 def test_all_useful_pairs_contains_both_orientations():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from plde.lattice import (IntLattice, ShiftCoset, UnimodularMatrix, complement_within,
-                          coset_normalize, det_int, hnf, integer_kernel, is_sublattice,
+                          det_int, integer_kernel, is_sublattice,
                           orthogonal_complement_lattice, parse_module, saturation,
                           solve_integer, unimodular_completion)
 
@@ -19,12 +19,12 @@ def L(*rows, dim=2):
 
 
 def test_hnf_reduction():
-    assert hnf([(2, 0), (0, 2), (1, 1)], 2).basis == ((1, 1), (0, 2))
+    assert IntLattice(2, [(2, 0), (0, 2), (1, 1)]).basis == ((1, 1), (0, 2))
 
 
 def test_hnf_empty_and_single():
-    assert hnf([], 2).rank == 0
-    assert hnf([(1, -1)], 2).basis == ((1, -1),)
+    assert IntLattice(2, []).rank == 0
+    assert IntLattice(2, [(1, -1)]).basis == ((1, -1),)
 
 
 def test_hnf_idempotent_and_order_free():
@@ -128,9 +128,9 @@ def test_completion_random():
 
 
 def test_coset_normalize_examples():
-    c = coset_normalize((3, -3), L((1, -1)))
+    c = ShiftCoset.of((3, -3), L((1, -1)))
     assert c.base == (0, 0)
-    c = coset_normalize((2, 5), IntLattice.zero(2))
+    c = ShiftCoset.of((2, 5), IntLattice.zero(2))
     assert c.base == (2, 5)
     assert ShiftCoset.empty(2).is_empty
 

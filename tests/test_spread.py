@@ -3,12 +3,13 @@ import random
 
 import pytest
 
+from plde import spread
 from plde.factored import FactoredPoly
 from plde.lattice import IntLattice, is_sublattice
 from plde.polyring import Poly, parse_poly
 from plde.spread import (INFINITY, NEG_INFINITY, disp_k, invariance_lattice, shift_equiv,
-                         spread_box_oracle, spread_pair)
-from support import VARS2, random_factor, random_shift
+                         spread_box_oracle)
+from support import VARS2, random_factor, random_poly, random_shift
 
 N_CASES = 200
 
@@ -75,7 +76,7 @@ def test_pair_empty_cases():
 
 def test_pair_with_itself():
     p = P("k+n+1")
-    c = spread_pair(p, p)
+    c = shift_equiv(p, p)
     assert c.contains((0, 0)) and c.lattice == invariance_lattice(p)
 
 
@@ -148,8 +149,7 @@ def test_spread_matches_box_oracle():
     for _ in range(N_CASES):
         p = random_factor(rng)
         q = random_factor(rng)
-        coset = spread_pair(p, q)
-        assert coset.certain
+        coset = shift_equiv(p, q)
         assert _box_of_coset(coset, radius) == spread_box_oracle(p, q, radius)
 
 
@@ -201,3 +201,70 @@ def test_unique_leading_projection():
                 assert g[0] == 0
             assert len(firsts) == 1
         done += 1
+
+
+# ----------------------------------------------------------------------
+# degenerate top forms: the residual solver
+
+
+def _count_residual_calls(monkeypatch):
+    calls = []
+    solve = spread._solve_residual
+    monkeypatch.setattr(spread, "_solve_residual", lambda *args: calls.append(args) or solve(*args))
+    return calls
+
+
+def _linear_form(rng, vars):
+    coeffs = [0] * len(vars)
+    while not any(coeffs):
+        coeffs = [rng.randint(-2, 2) for _ in vars]
+    return coeffs
+
+
+def test_degenerate_top_forms_match_box_oracle(monkeypatch):
+    # q = f(L) + a*M for independent linear forms L, M is linear in M, hence
+    # irreducible, so the oracle's gcd test is shift equivalence; the top
+    # form c*L^d fixes only L(s) and leaves a direction for the residual
+    calls = _count_residual_calls(monkeypatch)
+    rng = random.Random(405)
+    for _ in range(40):
+        l, m = _linear_form(rng, VARS2), _linear_form(rng, VARS2)
+        while l[0] * m[1] == l[1] * m[0]:
+            m = _linear_form(rng, VARS2)
+        L_, M_ = Poly.linear_forms(VARS2, [l, m])
+        d = rng.randint(2, 3)
+        coeffs = [rng.randint(-3, 3) for _ in range(d)] + [rng.choice([-2, -1, 1, 2, 3])]
+        q = sum((L_ ** i * c for i, c in enumerate(coeffs)), M_ * rng.choice([-2, -1, 1, 2]))
+        if rng.random() < 0.5:
+            p = q.shift(random_shift(rng, radius=2)) * rng.choice([1, -1, 2])
+        else:
+            p = q + L_ ** rng.randrange(d - 1) * rng.choice([-1, 1])
+        coset = shift_equiv(p, q)
+        assert _box_of_coset(coset, 2) == spread_box_oracle(p, q, 2)
+    assert len(calls) == 40
+
+
+def test_degenerate_top_forms_in_three_variables(monkeypatch):
+    # c*L^d plus random lower terms: the residual solver must decide every
+    # case (it raises InvariantError otherwise), keep every unperturbed
+    # shift, and return only true shift equivalences
+    calls = _count_residual_calls(monkeypatch)
+    rng = random.Random(406)
+    vars3 = ("n", "k", "m")
+    for _ in range(160):
+        L_, = Poly.linear_forms(vars3, [_linear_form(rng, vars3)])
+        d = rng.randint(2, 3)
+        q = L_ ** d * rng.choice([-2, -1, 1, 2, 3]) + random_poly(rng, vars3, max_degree=d - 1,
+                                                                  max_terms=4)
+        s = random_shift(rng, r=3)
+        p = q.shift(s) * rng.choice([1, -1, 2])
+        perturbed = rng.random() < 0.5
+        if perturbed:
+            p = p + random_poly(rng, vars3, max_degree=d - 2, max_terms=2)
+        coset = shift_equiv(p, q)
+        if not perturbed:
+            assert coset.contains(s)
+        if not coset.is_empty:
+            image = q.shift(coset.base)
+            assert image * (p.leading_coefficient() / image.leading_coefficient()) == p
+    assert len(calls) >= 100
