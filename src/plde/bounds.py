@@ -26,7 +26,8 @@ from .factored import FactoredPoly
 from .geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry,
                        WeakCertificate, WitnessCertificate)
 from .lattice import IntLattice, parse_module, primitive_vector, saturation
-from .polyring import InvariantError, Poly, divide_exact, format_poly, parse_poly
+from .polyring import (MODULUS, InvariantError, Poly, divide_exact, format_poly, mod_image,
+                       mod_zero, parse_poly)
 from .spread import INFINITY, NEG_INFINITY, disp_k, invariance_lattice
 from .transform import frame_for, map_point, pull_back
 
@@ -139,11 +140,29 @@ class BoundReport:
 
 
 class _Frac:
-    """Numerator polynomial over a factored denominator with unit 1, reduced."""
+    """Numerator polynomial over a factored denominator with unit 1, reduced.
+
+    The reduction trial-divides the numerator by each prim of the
+    denominator, once per unit of multiplicity, and skips a division only
+    when a test modulo the prime P = 2^61 - 1 (`polyring.MODULUS`) proves
+    it would fail.  The test is exact: every prim is primitive in Z[x], so
+    if prim divides num in Q[x], Gauss's lemma puts the quotient's
+    coefficient denominators among the divisors of num's.  When P divides
+    none of num's denominators, reduction modulo P is then a ring map, and
+    num(z) = 0 (mod P) at every zero z of prim modulo P.  A nonzero num(z)
+    at one such zero (`polyring.mod_zero`) therefore proves that prim does
+    not divide num.  The full division runs whenever the test cannot
+    decide: prim has no variable of degree 1 (n^2+n+1, say), P divides a
+    denominator of num, or num(z) = 0.  Every division that succeeds still
+    runs, so the result is the same as without the test.
+
+    ``zeros`` maps prims to their `mod_zero`; one strip rewriting shares it
+    among all its fractions, so each prim is solved once per rewriting.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Poly, den: FactoredPoly):
+    def __init__(self, num: Poly, den: FactoredPoly, zeros: dict):
         if den.unit != 1:
             num = num * (1 / den.unit)
             den = den.drop_unit()
@@ -152,13 +171,25 @@ class _Frac:
         else:
             factors = []
             tags = []
+            images = {}  # variable -> mod_image of the current num
             for (prim, mult), tag in zip(den.factors, den.tags):
+                if prim not in zeros:
+                    zeros[prim] = mod_zero(prim)
+                zero = zeros[prim]
                 m = mult
                 while m:
+                    if zero is not None:
+                        i, z = zero
+                        if i not in images:
+                            images[i] = mod_image(num, i)
+                        image = images[i]
+                        if image is not None and _horner(image, z):
+                            break
                     q = divide_exact(num, prim)
                     if q is None:
                         break
                     num = q
+                    images.clear()
                     m -= 1
                 if m:
                     factors.append((prim, m))
@@ -170,11 +201,19 @@ class _Frac:
     def is_zero(self) -> bool:
         return self.num.is_zero()
 
-    def add(self, other: "_Frac") -> "_Frac":
+    def add(self, other: "_Frac", zeros: dict) -> "_Frac":
         common = self.den.lcm(other.den)
         a = self.num * common.div_exact(self.den).expand()
         b = other.num * common.div_exact(other.den).expand()
-        return _Frac(a + b, common)
+        return _Frac(a + b, common, zeros)
+
+
+def _horner(image, z) -> int:
+    """The univariate image (coefficients lowest first) at z, modulo MODULUS."""
+    v = 0
+    for c in reversed(image):
+        v = (v * z + c) % MODULUS
+    return v
 
 
 # ----------------------------------------------------------------------
@@ -240,11 +279,12 @@ def strip_rewrite(eq_norm: PLDE, p, s) -> StripResult:
             raise StripPreconditionError(
                 "support point %r does not sit above the base plane of %r" % (q, p))
     a_p = eq_norm.terms[p]
+    zeros = {}
     terms = {}
     for q, a_q in eq_norm.terms.items():
         if q != p:
-            terms[q] = _Frac(-a_q.expand(), a_p)
-    b = _Frac(eq_norm.rhs, a_p)
+            terms[q] = _Frac(-a_q.expand(), a_p, zeros)
+    b = _Frac(eq_norm.rhs, a_p, zeros)
     substituted = []
     while True:
         ready = [i for i in terms if 1 <= i[0] - p[0] <= s]
@@ -261,10 +301,10 @@ def strip_rewrite(eq_norm: PLDE, p, s) -> StripResult:
             if q == p:
                 continue
             target = tuple(a + b_ for a, b_ in zip(q, d))
-            addend = _Frac(-(coeff.num * a_q.shift(d).expand()), coeff.den.mul(ap_d))
-            terms[target] = terms[target].add(addend) if target in terms else addend
+            addend = _Frac(-(coeff.num * a_q.shift(d).expand()), coeff.den.mul(ap_d), zeros)
+            terms[target] = terms[target].add(addend, zeros) if target in terms else addend
         if not eq_norm.rhs.is_zero():
-            b = b.add(_Frac(coeff.num * eq_norm.rhs.shift(d), coeff.den.mul(ap_d)))
+            b = b.add(_Frac(coeff.num * eq_norm.rhs.shift(d), coeff.den.mul(ap_d), zeros), zeros)
     rminus = tuple(sorted([p] + substituted))
     live = {i: fr for i, fr in terms.items() if not fr.is_zero()}
     if any(i[0] - p[0] <= s for i in live):

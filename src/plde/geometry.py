@@ -47,22 +47,9 @@ def lp_feasible(constraints, nvars: int):
     Each range but the last is found by two runs of an exact simplex
     (`_Tableau`); the last is read off the one-variable rows that remain.
     """
-    rows = []
-    for coeffs, rel, rhs in constraints:
-        a = [*coeffs, rhs]
-        if len(a) != nvars + 1:
-            raise ValueError("constraint arity %d, expected %d" % (len(a) - 1, nvars))
-        if rel not in (">=", "=="):
-            raise ValueError("unsupported relation %r" % rel)
-        a = clear_denominators(a)
-        b = a.pop()
-        if not any(a):
-            if b > 0 or (rel == "==" and b < 0):
-                return None
-            continue
-        rows.append((a, b))
-        if rel == "==":
-            rows.append(([-x for x in a], -b))
+    rows = _lp_rows(constraints, nvars)
+    if rows is None:
+        return None
     values = []
     for j in range(nvars):
         # the slice: v_0..v_{j-1} = nums / scale substituted, rows scaled by scale
@@ -94,6 +81,33 @@ def lp_feasible(constraints, nvars: int):
         else:
             values.append(Fraction(0))
     return values
+
+
+def lp_has_solution(constraints, nvars: int) -> bool:
+    """Whether the constraints of `lp_feasible` have a solution; one simplex phase I."""
+    rows = _lp_rows(constraints, nvars)
+    return rows is not None and _Tableau(rows, nvars)._phase_one()
+
+
+def _lp_rows(constraints, nvars: int):
+    """The constraints as integer rows (a, b) meaning a . v >= b; None if a constant one fails."""
+    rows = []
+    for coeffs, rel, rhs in constraints:
+        a = [*coeffs, rhs]
+        if len(a) != nvars + 1:
+            raise ValueError("constraint arity %d, expected %d" % (len(a) - 1, nvars))
+        if rel not in (">=", "=="):
+            raise ValueError("unsupported relation %r" % rel)
+        a = clear_denominators(a)
+        b = a.pop()
+        if not any(a):
+            if b > 0 or (rel == "==" and b < 0):
+                return None
+            continue
+        rows.append((a, b))
+        if rel == "==":
+            rows.append(([-x for x in a], -b))
+    return rows
 
 
 class _Tableau:
@@ -226,7 +240,7 @@ def corner_points(points) -> set:
     corners = set()
     for p in pts:
         cons = [(tuple(a - b for a, b in zip(s, p)), ">=", 1) for s in pts if s != p]
-        if lp_feasible(cons, r) is not None:
+        if lp_has_solution(cons, r):
             corners.add(p)
     return corners
 
@@ -474,7 +488,7 @@ class SupportGeometry:
             e = [x - y for x, y in zip(s, a)]
             if any(e[i] * d[j] != e[j] * d[i] for i in range(len(d)) for j in range(i)):
                 cons.append((e, ">=", 1))  # off the line: strictly on one side
-        return len(cons) == 1 or lp_feasible(cons, len(d)) is not None
+        return len(cons) == 1 or lp_has_solution(cons, len(d))
 
     def useful_pairs(self, W: IntLattice):
         """Every ordered corner pair admitting a witness certificate for W."""

@@ -323,6 +323,61 @@ def divide_exact(p: Poly, q: Poly):
     return Poly._make(p.vars, quotient)
 
 
+# ----------------------------------------------------------------------
+# images modulo a word-size prime
+
+MODULUS = (1 << 61) - 1  # a Mersenne prime
+
+
+def mod_image(p: Poly, i: int):
+    """p modulo MODULUS as a polynomial in x_i alone, coefficients lowest first.
+
+    Every other variable x_j takes the fixed residue 3^(64+j); the image is
+    None when MODULUS divides a coefficient denominator, since p has no
+    reduction modulo MODULUS then.
+    """
+    degrees = [max(col) for col in zip(*p.terms)] if p.terms else [0] * len(p.vars)
+    powers = []
+    for j, d in enumerate(degrees):
+        row = [1]
+        if j != i:
+            c = pow(3, 64 + j, MODULUS)
+            for _ in range(d):
+                row.append(row[-1] * c % MODULUS)
+        powers.append(row)
+    image = [0] * (degrees[i] + 1)
+    inverses = {}
+    for e, c in p.terms.items():
+        w = c.numerator
+        q = c.denominator
+        if q != 1:
+            inv = inverses.get(q)
+            if inv is None:
+                if q % MODULUS == 0:
+                    return None
+                inv = inverses[q] = pow(q, -1, MODULUS)
+            w *= inv
+        for j, d in enumerate(e):
+            if d and j != i:
+                w = w * powers[j][d] % MODULUS
+        image[e[i]] += w
+    return [x % MODULUS for x in image]
+
+
+def mod_zero(prim: Poly):
+    """A zero (i, z) of prim modulo MODULUS: x_i = z, the other variables as in mod_image.
+
+    Solves for the first variable in which prim has degree 1 and a leading
+    coefficient that does not vanish there; None when there is none.
+    """
+    for i in range(len(prim.vars)):
+        if prim.degree_in(i) == 1:
+            image = mod_image(prim, i)
+            if image is not None and image[1]:
+                return i, -image[0] * pow(image[1], -1, MODULUS) % MODULUS
+    return None
+
+
 def normalize_primitive(p: Poly):
     """Split p as unit * prim with prim integer-primitive and positive leading coefficient."""
     if p.is_zero():

@@ -4,9 +4,10 @@ import itertools
 import random
 from fractions import Fraction
 
+from plde.factored import FactoredPoly
 from plde.geometry import _facet_modules_3d, lp_feasible
 from plde.lattice import IntLattice, UnimodularMatrix, primitive_vector, saturation
-from plde.polyring import Poly, RationalFunction, parse_poly
+from plde.polyring import Poly, RationalFunction, divide_exact, parse_poly
 
 VARS2 = ("n", "k")
 
@@ -144,3 +145,31 @@ def face_parallel_modules_all_pairs(points):
     if 0 < affine.rank < r:
         modules.add(affine)
     return sorted(modules, key=lambda L: L.key())
+
+
+def reduce_by_trial_division(num, den):
+    """Reference for the differential test of ``bounds._Frac``: num / den reduced.
+
+    Divides num by each prim of den as often as it goes, up to the
+    multiplicity, with no test before a division.  Returns the reduced
+    numerator and denominator, the denominator's unit moved into num.
+    """
+    if den.unit != 1:
+        num = num * (1 / den.unit)
+        den = den.drop_unit()
+    if num.is_zero():
+        return num, FactoredPoly.one(den.vars)
+    factors = []
+    tags = []
+    for (prim, mult), tag in zip(den.factors, den.tags):
+        m = mult
+        while m:
+            q = divide_exact(num, prim)
+            if q is None:
+                break
+            num = q
+            m -= 1
+        if m:
+            factors.append((prim, m))
+            tags.append(tag)
+    return num, FactoredPoly(den.vars, 1, factors, tags)

@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,17 +11,18 @@ import pytest
 import plde.bounds
 import plde.geometry
 from plde.bounds import (BoundOptions, BoundReport, DegenerateFaceError, StripPreconditionError,
-                         aperiodic_bound, bound_for_module, combined_bound, dispersion_bound,
-                         lcm_combine, partial_multiple, strip_rewrite)
+                         _Frac, _horner, aperiodic_bound, bound_for_module, combined_bound,
+                         dispersion_bound, lcm_combine, partial_multiple, strip_rewrite)
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
 from plde.geometry import all_useful_pairs
 from plde.lattice import IntLattice, saturation
-from plde.polyring import InvariantError, Poly, RationalFunction, divide_exact, parse_poly
+from plde.polyring import (MODULUS, InvariantError, Poly, RationalFunction, divide_exact,
+                           mod_image, mod_zero, parse_poly)
 from plde.spread import NEG_INFINITY, invariance_lattice
 from plde.transform import act_on_rational, frame_for, map_point
 from plde.verify import check_solution, check_strip_identity, random_instance
-from support import VARS2, random_shift
+from support import VARS2, random_poly, random_shift, reduce_by_trial_division
 
 N_CASES = 200
 
@@ -121,6 +123,71 @@ def test_strip_requires_unique_base_point():
     eq = PLDE(VARS2, terms, Poly.zero(VARS2))
     with pytest.raises(StripPreconditionError):
         strip_rewrite(eq, (0, 0), 1)
+
+
+def _failing_divisions(monkeypatch):
+    """Record the divisor of every trial division in bounds that returns None."""
+    failed = []
+
+    def recording(p, q):
+        quotient = divide_exact(p, q)
+        if quotient is None:
+            failed.append(q)
+        return quotient
+
+    monkeypatch.setattr(plde.bounds, "divide_exact", recording)
+    return failed
+
+
+def test_frac_reduction_matches_trial_division(monkeypatch):
+    # the modular zero test may skip only divisions that fail, so the
+    # reduction equals plain trial division; it cannot skip for prims with
+    # no variable of degree 1, nor for numerators with a denominator
+    # divisible by the modulus, and it skips every failing division else
+    rng = random.Random(709)
+    pool = ["k+n+1", "2*k+3*n+1", "n*k+1", "n+1", "4*k-2*n+1", "n^2+n+1", "n^2+k^2+1"]
+    failed = _failing_divisions(monkeypatch)
+    zeros = {}
+    undecided = 0
+    for case in range(N_CASES):
+        texts = rng.sample(pool, rng.randint(1, 3))
+        factors = [(P(t).shift(random_shift(rng, 2, 2)), rng.randint(1, 3)) for t in texts]
+        den = FactoredPoly(VARS2, rng.choice([1, -2, Fraction(3, 5)]), factors)
+        num = random_poly(rng, max_degree=2, max_terms=3, integer=case % 2 == 0, nonzero=True)
+        for f, mult in factors:
+            num = num * f ** rng.randint(0, mult + 1)
+        if case % 8 == 0:
+            num = num * Fraction(1, MODULUS)
+        failed.clear()
+        got = _Frac(num, den, zeros)
+        assert (got.num, got.den) == reduce_by_trial_division(num, den), (num, den)
+        if case % 8 == 0 or any(mod_zero(prim) is None for prim in failed):
+            undecided += bool(failed)
+        else:
+            assert not failed, (num, den)
+    assert undecided >= 20
+    assert mod_zero(P("n^2+n+1")) is None and mod_zero(P("n^2+k^2+1")) is None
+    for prim in zeros:
+        if zeros[prim] is not None:
+            i, z = zeros[prim]
+            assert _horner(mod_image(prim, i), z) == 0
+
+
+def test_combined_makes_no_failing_trial_division(sys1, monkeypatch):
+    # dispersion family q = (n+k+1)(n+k+1+s)(3n+2k+1), a_s = c_s N^s q on the unit square
+    s = 4
+    q = F("n+k+1", "n+k+%d" % (1 + s), "3*n+2*k+1")
+    terms = {}
+    rhs = Poly.zero(VARS2)
+    for pt, c in zip([(0, 0), (0, 1), (1, 0), (1, 1)], [1, -1, 1, 1]):
+        terms[pt] = FactoredPoly(VARS2, c).mul(q.shift(pt))
+        rhs = rhs + Poly.const(VARS2, c)
+    eq = PLDE(VARS2, terms, rhs)
+    assert check_solution(eq, RationalFunction(Poly.one(VARS2), q.expand())).ok
+    failed = _failing_divisions(monkeypatch)
+    for e in (sys1, eq):
+        combined_bound(e)
+    assert not failed
 
 
 _OPTIMIZED_STRIP = """

@@ -5,7 +5,8 @@ from fractions import Fraction
 from plde import geometry
 from plde.geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL,
                            all_useful_pairs, classify_module, corner_points,
-                           face_parallel_modules, lp_feasible, witness_for_pair)
+                           face_parallel_modules, lp_feasible, lp_has_solution,
+                           witness_for_pair)
 from plde.lattice import IntLattice
 from support import face_parallel_modules_all_pairs, fourier_motzkin
 
@@ -131,6 +132,7 @@ def test_lp_point_matches_fourier_motzkin():
         cons = _random_system(rng, nvars, mode)
         expected = fourier_motzkin(cons, nvars)
         assert lp_feasible(cons, nvars) == expected, cons
+        assert lp_has_solution(cons, nvars) == (expected is not None), cons
         outcomes["infeasible" if expected is None else "feasible"] += 1
     assert min(outcomes.values()) >= 100, outcomes
 
