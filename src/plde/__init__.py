@@ -1,21 +1,18 @@
 """Denominator bounds for rational solutions of multivariate linear
 difference equations with polynomial coefficients."""
 
-from .bounds import (BoundOptions, BoundReport, StripResult, aperiodic_bound, bound_for_module,
-                     combined_bound, dispersion_bound, lcm_combine, partial_multiple,
-                     strip_rewrite)
+from .bounds import (BoundOptions, BoundReport, StripResult, combined_bound, dispersion_bound,
+                     module_bound, strip_rewrite)
 from .equation import PLDE, load_equation
 from .factored import FactoredPoly
-from .geometry import (classify_module, corner_points, face_parallel_modules, lp_feasible,
-                       witness_for_pair)
+from .geometry import SupportGeometry, corner_points, lp_feasible
 from .lattice import (IntLattice, ShiftCoset, UnimodularMatrix, orthogonal_complement_lattice,
                       saturation, unimodular_completion)
 from .polyring import (InvariantError, Poly, RationalFunction, divide_exact, format_poly,
                        gcd_poly, normalize_primitive, parse_poly, parse_rational)
 from .spread import (INFINITY, NEG_INFINITY, disp_k, invariance_lattice, shift_equiv,
                      spread_box_oracle)
-from .transform import (NormalizedFrame, act_on_rational, build_normalizing_frame,
-                        normalize_first_shift, transform_equation)
-from .verify import InstanceProfile, check_bound_covers, check_solution, random_instance
+from .transform import NormalizedFrame, build_normalizing_frame, normalize_first_shift, transform_equation
+from .verify import check_bound_covers, check_solution
 
 __version__ = "0.1.0"

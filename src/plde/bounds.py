@@ -25,9 +25,8 @@ from .equation import PLDE
 from .factored import FactoredPoly
 from .geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry,
                        WeakCertificate, WitnessCertificate)
-from .lattice import IntLattice, parse_module, primitive_vector, saturation
-from .polyring import (MODULUS, InvariantError, Poly, divide_exact, format_poly, mod_image,
-                       mod_zero, parse_poly)
+from .lattice import IntLattice, primitive_vector, saturation
+from .polyring import MODULUS, InvariantError, Poly, divide_exact, format_poly, mod_image, mod_zero
 from .spread import INFINITY, NEG_INFINITY, disp_k, invariance_lattice
 from .transform import frame_for, map_point, pull_back
 
@@ -104,35 +103,6 @@ class BoundReport:
             "uncovered": [str(W) for W in self.uncovered],
             "warnings": list(self.warnings),
         }
-
-    @classmethod
-    def from_json(cls, data) -> "BoundReport":
-        variables = tuple(data["variables"])
-        r = len(variables)
-        per_module = {}
-        for rec in data["modules"]:
-            W = parse_module(rec["W"], r)
-            s_value = rec.get("s")
-            if s_value == "-inf":
-                s_value = NEG_INFINITY
-            d_W = FactoredPoly.from_json(rec["d_W"], variables) if "d_W" in rec else None
-            cert = None
-            if "pair" in rec:
-                cert = WitnessCertificate(
-                    tuple(rec["pair"][0]), tuple(rec["pair"][1]), tuple(rec["witness"]),
-                    frozenset([tuple(rec["pair"][0])]), frozenset([tuple(rec["pair"][1])]))
-            elif "p" in rec:
-                cert = WeakCertificate(tuple(rec["p"]), tuple(rec["witness"]),
-                                       frozenset([tuple(rec["p"])]))
-            per_module[W] = ModuleEntry(rec["class"], cert, s_value, d_W)
-        return cls(
-            variables=variables,
-            d=FactoredPoly.from_json(data["d"], variables),
-            P=tuple(parse_poly(t, variables) for t in data["P"]),
-            per_module=per_module,
-            uncovered=tuple(parse_module(t, r) for t in data["uncovered"]),
-            warnings=tuple(data.get("warnings", [])),
-        )
 
 
 # ----------------------------------------------------------------------
@@ -349,19 +319,15 @@ def _bound_for_cert(eq: PLDE, W: IntLattice, cert: WitnessCertificate,
     return pull_back(frame, d_norm).drop_unit(), s_val
 
 
-def bound_for_module(eq: PLDE, W: IntLattice, cert: WitnessCertificate | None = None,
-                     options: BoundOptions = BoundOptions()) -> FactoredPoly:
-    """Denominator bound of eq with respect to the module W.
+def module_bound(eq: PLDE, geometry: SupportGeometry, W: IntLattice,
+                 cert: WitnessCertificate | None = None, options: BoundOptions = BoundOptions()):
+    """Denominator bound of eq with respect to the module W, and the dispersion s of cert.
 
-    Needs a useful-pair certificate; with ``refine`` the results of every
-    useful pair (both orientations included) are intersected by gcd.
+    ``geometry`` is the SupportGeometry of eq's support.  Needs a
+    useful-pair certificate (searched for when ``cert`` is None); with
+    ``refine`` the results of every useful pair (both orientations
+    included) are intersected by gcd.  s is None when no cert is given.
     """
-    return _module_bound(eq, SupportGeometry(eq.support), W, cert, options)[0]
-
-
-def _module_bound(eq: PLDE, geometry: SupportGeometry, W: IntLattice,
-                  cert: WitnessCertificate | None, options: BoundOptions):
-    """bound_for_module, plus the dispersion s of ``cert`` itself (None without one)."""
     W = saturation(W)
     support = eq.support
     if cert is None or options.refine:
@@ -384,23 +350,8 @@ def _module_bound(eq: PLDE, geometry: SupportGeometry, W: IntLattice,
     return result, s_cert
 
 
-def lcm_combine(bounds) -> FactoredPoly:
-    """Fold factored lcm over per-module bounds ((module, bound) pairs or bounds)."""
-    result = None
-    for item in bounds:
-        fp = item[1] if isinstance(item, tuple) else item
-        result = fp.drop_unit() if result is None else result.lcm(fp)
-    if result is None:
-        raise ValueError("empty bound list")
-    return result
-
-
-def aperiodic_bound(eq: PLDE, options: BoundOptions = BoundOptions()) -> FactoredPoly:
-    """Bound on the aperiodic denominator part: per corner, gcd across corners."""
-    return _aperiodic_bound(eq, SupportGeometry(eq.support), options)
-
-
 def _aperiodic_bound(eq: PLDE, geometry: SupportGeometry, options: BoundOptions):
+    """Bound on the aperiodic denominator part: per corner, gcd across corners."""
     opts = replace(options, drop_aperiodic=False, refine=False)
     support = eq.support
     zero = IntLattice.zero(len(eq.variables))
@@ -423,15 +374,6 @@ def _aperiodic_bound(eq: PLDE, geometry: SupportGeometry, options: BoundOptions)
         d_p, _ = _bound_for_cert(eq, zero, cert, opts)
         result = d_p if result is None else result.gcd(d_p)
     return result if result is not None else FactoredPoly.one(eq.variables)
-
-
-def partial_multiple(d: FactoredPoly, P, shifts, m: int) -> FactoredPoly:
-    """d times the m-th powers of all given shifts of the residual factors."""
-    result = d
-    for p in P:
-        for s in shifts:
-            result = result.mul(FactoredPoly(d.vars, 1, [(p.shift(s), int(m))]))
-    return result
 
 
 def combined_bound(eq: PLDE, options: BoundOptions = BoundOptions()) -> BoundReport:
@@ -467,7 +409,7 @@ def combined_bound(eq: PLDE, options: BoundOptions = BoundOptions()) -> BoundRep
             if Wu not in per_module:
                 cls = geometry.classify(Wu)
                 if cls.kind == CLASS_USEFUL:
-                    d_W, s_val = _module_bound(eq, geometry, Wu, cls.certificate, options)
+                    d_W, s_val = module_bound(eq, geometry, Wu, cls.certificate, options)
                     per_module[Wu] = ModuleEntry(cls.kind, cls.certificate, s_val, d_W)
                     d = d.lcm(d_W)
                 else:

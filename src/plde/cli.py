@@ -17,10 +17,10 @@ import json
 import sys
 
 from .bounds import BoundOptions, combined_bound
-from .equation import EquationFormatError, UnsupportedCoefficientError, load_equation
-from .geometry import classify_module
-from .lattice import IntLattice, UnimodularMatrix, parse_module
-from .polyring import ParseError, format_poly, parse_poly, parse_rational
+from .equation import EquationFormatError, load_equation
+from .geometry import SupportGeometry
+from .lattice import UnimodularMatrix, parse_module
+from .polyring import ParseError, UnsupportedInputError, format_poly, parse_poly, parse_rational
 from .spread import NEG_INFINITY, invariance_lattice, shift_equiv, spread_box_oracle
 from .transform import transform_equation
 from .verify import check_solution
@@ -37,7 +37,7 @@ def _load(path):
         return load_equation(path)
     except FileNotFoundError:
         raise _InputError("no such file: %s" % path)
-    except UnsupportedCoefficientError as exc:
+    except UnsupportedInputError as exc:
         raise _InputError(str(exc), code=2)
     except (EquationFormatError, ParseError, ValueError) as exc:
         raise _InputError(str(exc))
@@ -46,10 +46,6 @@ def _load(path):
 def _parse_matrix(text):
     rows = [[int(x) for x in part.split(",")] for part in text.split(";")]
     return UnimodularMatrix(rows)
-
-
-def _format_module(W: IntLattice) -> str:
-    return str(W)
 
 
 def cmd_bound(args) -> int:
@@ -68,13 +64,13 @@ def cmd_bound(args) -> int:
     print("modules:")
     for W in sorted(report.per_module, key=lambda L: L.key()):
         entry = report.per_module[W]
-        line = "  W=%s class=%s" % (_format_module(W), entry.kind)
+        line = "  W=%s class=%s" % (W, entry.kind)
         if entry.s_value is not None:
             line += " s=%s" % ("-inf" if entry.s_value == NEG_INFINITY else entry.s_value)
         if entry.d_W is not None:
             line += " d_W=%s" % entry.d_W
         print(line)
-    print("uncovered: %s" % (" ".join(_format_module(W) for W in report.uncovered) or "(none)"))
+    print("uncovered: %s" % (" ".join(map(str, report.uncovered)) or "(none)"))
     print("warnings: %s" % ("; ".join(report.warnings) or "(none)"))
     return 0
 
@@ -107,7 +103,7 @@ def cmd_classify(args) -> int:
         W = parse_module(args.module, len(eq.variables))
     except ValueError as exc:
         raise _InputError(str(exc))
-    cls = classify_module(eq.support, W)
+    cls = SupportGeometry(eq.support).classify(W)
     print(cls.kind)
     if cls.certificate is not None:
         print(json.dumps(cls.certificate.to_json(), sort_keys=True))
@@ -192,9 +188,12 @@ def main(argv=None) -> int:
     except _InputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return exc.code
-    except UnsupportedCoefficientError as exc:
+    except UnsupportedInputError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
+    except ParseError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -26,18 +26,23 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .factored import FactoredPoly
-from .polyring import (InvariantError, Poly, divide_exact, format_poly, is_name,
-                       normalize_primitive, parse_poly)
+from .polyring import (MAX_DEGREE, InvariantError, Poly, UnsupportedInputError, divide_exact,
+                       format_poly, is_name, normalize_primitive, parse_poly)
 
 
 class EquationFormatError(ValueError):
     """Malformed equation data."""
 
 
-class UnsupportedCoefficientError(ValueError):
+class UnsupportedCoefficientError(UnsupportedInputError):
     """A plain-text coefficient that the convenience factorizer cannot split."""
+
+
+# the largest |integer| whose divisors the rational root search enumerates
+MAX_ROOT_SEARCH = 10 ** 6
 
 
 @dataclass(frozen=True)
@@ -155,7 +160,11 @@ def _term(entry, index: int, variables):
             isinstance(f, list) and len(f) == 2 and _is_int(f[1]) and f[1] >= 1 for f in factors):
         raise EquationFormatError("term %d: factors must be a list of [text, multiplicity >= 1] "
                                   "pairs, not %r" % (index, factors))
-    return tuple(shift), FactoredPoly.from_json(coeff, variables)
+    fp = FactoredPoly.from_json(coeff, variables)
+    if fp.total_degree() > MAX_DEGREE:
+        raise UnsupportedCoefficientError("unsupported: term %d has degree %d, above the limit %d"
+                                          % (index, fp.total_degree(), MAX_DEGREE))
+    return tuple(shift), fp
 
 
 def load_equation(path) -> PLDE:
@@ -188,22 +197,15 @@ def _univariate_linear_split(p: Poly, var_index: int):
             break
         lead = cur_coeffs[d]
         const = cur_coeffs.get(0, Fraction(0))
-        root = None
         if const == 0:
             root = Fraction(0)
         else:
-            for num in _divisors(const.numerator * lead.denominator):
-                for den in _divisors(lead.numerator * const.denominator):
-                    for sign in (1, -1):
-                        cand = Fraction(sign * num, den)
-                        if current.eval_at([cand if i == var_index else 0
-                                            for i in range(len(vars))]) == 0:
-                            root = cand
-                            break
-                    if root is not None:
-                        break
-                if root is not None:
-                    break
+            dens = _divisors(lead.numerator * const.denominator)
+            cands = (Fraction(sign * num, den)
+                     for num in _divisors(const.numerator * lead.denominator)
+                     for den in dens for sign in (1, -1))
+            root = next((c for c in cands if current.eval_at(
+                [c if i == var_index else 0 for i in range(len(vars))]) == 0), None)
         if root is None:
             return None
         lin = x * root.denominator - Poly.const(vars, root.numerator)
@@ -218,11 +220,16 @@ def _univariate_linear_split(p: Poly, var_index: int):
 
 
 def _divisors(n: int):
+    """The positive divisors of n in ascending order; [1] for n = 0."""
     n = abs(int(n))
+    if n > MAX_ROOT_SEARCH:
+        raise UnsupportedCoefficientError(
+            "unsupported: a rational root search over the divisors of %d (limit %d); "
+            "supply the coefficient in factored form" % (n, MAX_ROOT_SEARCH))
     if n == 0:
         return [1]
-    out = [d for d in range(1, n + 1) if n % d == 0]
-    return out
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return sorted(set(small + [n // d for d in small]))
 
 
 def auto_factor(p: Poly) -> FactoredPoly:

@@ -375,7 +375,12 @@ class SupportGeometry:
         return setup
 
     def witness(self, p, p_prime, W: IntLattice):
-        """Certificate for the ordered corner pair (p, p'), or None; see witness_for_pair."""
+        """Certificate for the ordered corner pair (p, p'), or None.
+
+        Congruent-mod-W points are forced to tie, so requiring every class of
+        size >= 2 strictly below the top value is exactly max-face injectivity,
+        and the strict constraints at p make the minimal face a singleton.
+        """
         p = tuple(int(x) for x in p)
         p_prime = tuple(int(x) for x in p_prime)
         setup = self._setup(W)
@@ -440,7 +445,7 @@ class SupportGeometry:
         return None
 
     def classify(self, W: IntLattice) -> ModuleClass:
-        """Classify W as useful, opposite-only, or uncovered; see classify_module."""
+        """Classify W as useful, opposite-only, or uncovered for the support."""
         setup = self._setup(W)
         if len(self.points) == 1:
             if setup.t == 0:
@@ -497,33 +502,8 @@ class SupportGeometry:
         return [cert for cert in certs if cert is not None]
 
 
-def witness_for_pair(points, p, p_prime, W: IntLattice):
-    """Certificate for the ordered corner pair (p, p'), or None.
-
-    Congruent-mod-W points are forced to tie, so requiring every class of
-    size >= 2 strictly below the top value is exactly max-face injectivity,
-    and the strict constraints at p make the minimal face a singleton.
-    """
-    return SupportGeometry(points).witness(p, p_prime, W)
-
-
-def classify_module(points, W: IntLattice) -> ModuleClass:
-    """Classify W as useful, opposite-only, or uncovered for the support."""
-    return SupportGeometry(points).classify(W)
-
-
-def all_useful_pairs(points, W: IntLattice):
-    """Every ordered corner pair admitting a witness certificate for W."""
-    return SupportGeometry(points).useful_pairs(W)
-
-
 # ----------------------------------------------------------------------
 # face-parallel candidate modules
-
-
-def face_parallel_modules(points):
-    """Edge modules, plus facet modules for r = 3; see SupportGeometry.face_parallel_modules."""
-    return SupportGeometry(points).face_parallel_modules()
 
 
 def _facet_modules_3d(pts):

@@ -34,6 +34,28 @@ def primitive_vector(v) -> tuple:
     return tuple(x // g for x in ints)
 
 
+def _euclid_pivot(vecs, start: int, col: int, track=None):
+    """Clear entry col of vecs[start:] down to one nonzero vector, by Euclid; its index.
+
+    Repeatedly sorts the vectors with a nonzero entry by its absolute value
+    and subtracts from each the floor-quotient multiple of the first,
+    calling track(i, base, q) after vecs[i] -= q * vecs[base], until one is
+    left.  Returns None when every entry is zero already.
+    """
+    cand = [i for i in range(start, len(vecs)) if vecs[i][col]]
+    while len(cand) > 1:
+        cand.sort(key=lambda i: abs(vecs[i][col]))
+        base = cand[0]
+        for i in cand[1:]:
+            q = vecs[i][col] // vecs[base][col]
+            if q:
+                vecs[i] = [a - q * b for a, b in zip(vecs[i], vecs[base])]
+                if track is not None:
+                    track(i, base, q)
+        cand = [i for i in cand if vecs[i][col]]
+    return cand[0] if cand else None
+
+
 def _row_echelon(mat, width):
     """Integer row echelon over the first `width` columns, in place.
 
@@ -43,18 +65,9 @@ def _row_echelon(mat, width):
     row = 0
     pivots = []
     for col in range(width):
-        cand = [i for i in range(row, len(mat)) if mat[i][col]]
-        if not cand:
+        i0 = _euclid_pivot(mat, row, col)
+        if i0 is None:
             continue
-        while len(cand) > 1:
-            cand.sort(key=lambda i: abs(mat[i][col]))
-            base = cand[0]
-            for i in cand[1:]:
-                q = mat[i][col] // mat[base][col]
-                if q:
-                    mat[i] = [a - q * b for a, b in zip(mat[i], mat[base])]
-            cand = [i for i in cand if mat[i][col]]
-        i0 = cand[0]
         mat[row], mat[i0] = mat[i0], mat[row]
         if mat[row][col] < 0:
             mat[row] = [-a for a in mat[row]]
@@ -187,25 +200,15 @@ def solve_integer(matrix, rhs, ncols: int):
     hcols = [[matrix[i][j] for i in range(m)] for j in range(ncols)]
     vcols = [[1 if t == j else 0 for t in range(ncols)] for j in range(ncols)]
 
-    def combine(j, i, q):
-        hcols[j] = [a - q * b for a, b in zip(hcols[j], hcols[i])]
+    def track(j, i, q):
         vcols[j] = [a - q * b for a, b in zip(vcols[j], vcols[i])]
 
     cur = 0
     pivots = []  # (row, column position)
     for i in range(m):
-        cand = [j for j in range(cur, ncols) if hcols[j][i]]
-        if not cand:
+        j0 = _euclid_pivot(hcols, cur, i, track)
+        if j0 is None:
             continue
-        while len(cand) > 1:
-            cand.sort(key=lambda j: abs(hcols[j][i]))
-            base = cand[0]
-            for j in cand[1:]:
-                q = hcols[j][i] // hcols[base][i]
-                if q:
-                    combine(j, base, q)
-            cand = [j for j in cand if hcols[j][i]]
-        j0 = cand[0]
         hcols[cur], hcols[j0] = hcols[j0], hcols[cur]
         vcols[cur], vcols[j0] = vcols[j0], vcols[cur]
         pivots.append((i, cur))
@@ -306,12 +309,6 @@ class UnimodularMatrix:
             self._inv._inv = self
         return self._inv
 
-    def matmul(self, other: "UnimodularMatrix") -> "UnimodularMatrix":
-        n = self.dim
-        rows = [[sum(self.rows[i][t] * other.rows[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)]
-        return UnimodularMatrix(rows)
-
     def __eq__(self, other):
         return isinstance(other, UnimodularMatrix) and self.rows == other.rows
 
@@ -339,9 +336,8 @@ def unimodular_completion(rows) -> UnimodularMatrix:
     bcols = [[rows[i][j] for i in range(t)] for j in range(r)]
     mrows = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
 
-    def combine(j, i, q):
-        # column_j -= q * column_i on B, mirrored as row_i += q * row_j on M
-        bcols[j] = [a - q * b for a, b in zip(bcols[j], bcols[i])]
+    def track(j, i, q):
+        # column_j -= q * column_i on B is mirrored as row_i += q * row_j on M
         mrows[i] = [a + q * b for a, b in zip(mrows[i], mrows[j])]
 
     def swap(i, j):
@@ -353,18 +349,9 @@ def unimodular_completion(rows) -> UnimodularMatrix:
         mrows[i] = [-a for a in mrows[i]]
 
     for i in range(t):
-        cand = [j for j in range(i, r) if bcols[j][i]]
-        if not cand:
+        j0 = _euclid_pivot(bcols, i, i, track)
+        if j0 is None:
             raise ValueError("rows are linearly dependent")
-        while len(cand) > 1:
-            cand.sort(key=lambda j: abs(bcols[j][i]))
-            base = cand[0]
-            for j in cand[1:]:
-                q = bcols[j][i] // bcols[base][i]
-                if q:
-                    combine(j, base, q)
-            cand = [j for j in cand if bcols[j][i]]
-        j0 = cand[0]
         if j0 != i:
             swap(i, j0)
         if bcols[i][i] < 0:
@@ -374,7 +361,8 @@ def unimodular_completion(rows) -> UnimodularMatrix:
         for j in range(i):
             q = bcols[j][i]
             if q:
-                combine(j, i, q)
+                bcols[j] = [a - q * b for a, b in zip(bcols[j], bcols[i])]
+                track(j, i, q)
     M = UnimodularMatrix(mrows)
     if any(tuple(rows[i]) != M.rows[i] for i in range(t)):
         raise InvariantError("the completion does not start with the given rows")
@@ -425,19 +413,17 @@ def complement_within(K: IntLattice, G: IntLattice) -> IntLattice:
     kb = [list(row) for row in K.basis]
     m = K.rank
     matrix = [[kb[j][i] for j in range(m)] for i in range(K.dim)]
-    if G.is_zero():
-        coords = []
-    else:
-        coords = []
-        for row in G.basis:
-            sol = solve_integer(matrix, list(row), m)
-            if sol is None:
-                raise ValueError("inner lattice is not contained in the outer one")
-            coords.append(list(sol[0]))
+    coords = []
+    for row in G.basis:
+        sol = solve_integer(matrix, list(row), m)
+        if sol is None:
+            raise ValueError("inner lattice is not contained in the outer one")
+        coords.append(list(sol[0]))
     if not coords:
         return K
-    T = unimodular_completion(_hnf_rows(coords, m))
-    extra = T.rows[len(_hnf_rows(coords, m)):]
+    coords = _hnf_rows(coords, m)
+    T = unimodular_completion(coords)
+    extra = T.rows[len(coords):]
     rows = []
     for z in extra:
         rows.append([sum(z[j] * kb[j][i] for j in range(m)) for i in range(K.dim)])

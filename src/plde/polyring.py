@@ -22,6 +22,10 @@ class ParseError(ValueError):
         self.position = position
 
 
+class UnsupportedInputError(ValueError):
+    """Well-formed input beyond the supported size, such as a degree above MAX_DEGREE."""
+
+
 class InvariantError(RuntimeError):
     """An internal invariant failed; raised instead of `assert` so that `python -O` keeps it."""
 
@@ -498,6 +502,12 @@ def _gcd_recursive(p: Poly, q: Poly) -> Poly:
 #   term   := factor ('*' factor)*
 #   factor := atom ('^' UINT)*
 #   atom   := UINT | VAR | '(' expr ')'
+#
+# No product or power is expanded past total degree MAX_DEGREE (nor any
+# exponent above it): expansion time grows with the degree, and an
+# exponent such as n^99999999 would never finish.
+
+MAX_DEGREE = 100
 
 
 def is_name(text: str) -> bool:
@@ -575,8 +585,10 @@ class _Parser:
     def parse_term(self) -> Poly:
         result = self.parse_factor()
         while self.peek()[0] == "*":
-            self.advance()
-            result = result * self.parse_factor()
+            pos = self.advance()[2]
+            factor = self.parse_factor()
+            _check_degree(result.total_degree() + factor.total_degree(), pos)
+            result = result * factor
         return result
 
     def parse_factor(self) -> Poly:
@@ -584,7 +596,9 @@ class _Parser:
         while self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int")
-            result = result ** int(tok[1])
+            e = int(tok[1])
+            _check_degree(max(e, result.total_degree() * e), tok[2])
+            result = result ** e
         return result
 
     def parse_atom(self) -> Poly:
@@ -601,6 +615,12 @@ class _Parser:
             return inner
         raise ParseError("expected a number, variable or parenthesis, found %r"
                          % (tok[1] or "end of input"), tok[2])
+
+
+def _check_degree(degree: int, position: int):
+    if degree > MAX_DEGREE:
+        raise UnsupportedInputError("unsupported: degree %d at position %d exceeds the limit %d"
+                                    % (degree, position, MAX_DEGREE))
 
 
 def parse_poly(text: str, vars) -> Poly:

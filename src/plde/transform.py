@@ -1,12 +1,10 @@
-"""Unimodular changes of variables for equations and rational functions.
+"""Unimodular changes of variables for equations.
 
 Conventions, fixed once and validated by tests rather than trusted:
 
-* ``act_on_rational(A, y)`` is composition, (A.y)(n) = y(A n); it satisfies
-  A.(N^s y) = N^{A^{-1} s}(A.y) for every unimodular integer A.
 * ``transform_equation(eq, M)`` moves support points by s |-> M s and
   rewrites coefficients through the substitution matrix M^{-1}, so that y
-  solves the input iff act(M^{-1}, y) solves the output.
+  solves the input iff y(M^{-1} n) solves the output.
 * ``build_normalizing_frame`` produces the point transform M whose first
   row is a given witness covector u and which maps a module W onto the
   last coordinate axes; the first coordinate of M s is then exactly u . s.
@@ -14,19 +12,13 @@ Conventions, fixed once and validated by tests rather than trusted:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .equation import PLDE
 from .factored import FactoredPoly
 from .lattice import (IntLattice, UnimodularMatrix, orthogonal_complement_lattice,
                       primitive_vector, solve_integer, unimodular_completion)
-from .polyring import InvariantError, Poly, RationalFunction
-
-
-def act_on_rational(A: UnimodularMatrix, y: RationalFunction) -> RationalFunction:
-    """(A.y)(n) = y(A n); multiplicative and additive in y."""
-    images = Poly.linear_forms(y.num.vars, A.rows)
-    return RationalFunction(y.num.compose(images), y.den.compose(images))
+from .polyring import InvariantError, Poly
 
 
 def transform_equation(eq: PLDE, M: UnimodularMatrix) -> PLDE:
@@ -44,14 +36,14 @@ class NormalizedFrame:
 
     M: UnimodularMatrix
     t: int                      # codimension of W
-    shift_offset: tuple = ()
+    shift_offset: tuple         # translation applied after M
 
 
-def build_normalizing_frame(support, W: IntLattice, u) -> NormalizedFrame:
-    """Point transform with first row u, first t rows spanning the complement of W.
+def build_normalizing_frame(W: IntLattice, u) -> UnimodularMatrix:
+    """Point transform M with first row u, first t rows spanning the complement of W.
 
     Requires W saturated and u primitive inside the complement lattice.
-    The resulting M maps W onto {0}^t x Z^(r-t).
+    M maps W onto {0}^t x Z^(r-t), where t is the rank of the complement.
     """
     r = W.dim
     comp = orthogonal_complement_lattice(W)
@@ -77,30 +69,26 @@ def build_normalizing_frame(support, W: IntLattice, u) -> NormalizedFrame:
     for w_row in W.basis:
         if not norm.contains(M.apply(w_row)):
             raise InvariantError("the frame does not map the module onto the last axes")
-    return NormalizedFrame(M=M, t=t, shift_offset=(0,) * r)
+    return M
 
 
 def normalize_first_shift(eq: PLDE):
     """Translate the support so its minimal first coordinate is 0.
 
-    Returns (equation, k, offset) with k the maximal first coordinate; the
-    solution set is untouched because both sides were shifted together.
+    Returns (equation, offset); the solution set is untouched because both
+    sides were shifted together.
     """
     r = len(eq.variables)
     low = min(s[0] for s in eq.terms)
     offset = tuple([-low] + [0] * (r - 1))
-    moved = eq.shifted(offset) if low else eq
-    k = max(s[0] for s in moved.terms)
-    return moved, k, offset
+    return (eq.shifted(offset) if low else eq), offset
 
 
 def frame_for(eq: PLDE, W: IntLattice, u):
     """Full normalization: frame, transformed equation, and point images."""
-    frame = build_normalizing_frame(eq.support, W, u)
-    moved = transform_equation(eq, frame.M)
-    moved, _, offset = normalize_first_shift(moved)
-    frame = replace(frame, shift_offset=offset)
-    return frame, moved
+    M = build_normalizing_frame(W, u)
+    moved, offset = normalize_first_shift(transform_equation(eq, M))
+    return NormalizedFrame(M, W.dim - W.rank, offset), moved
 
 
 def map_point(frame: NormalizedFrame, s):

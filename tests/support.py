@@ -1,13 +1,16 @@
-"""Shared random generators for the property suites (fixed seeds throughout)."""
+"""Shared random generators and reference checks for the property suites (fixed seeds throughout)."""
 
 import itertools
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 
+from plde.equation import PLDE
 from plde.factored import FactoredPoly
 from plde.geometry import _facet_modules_3d, lp_feasible
 from plde.lattice import IntLattice, UnimodularMatrix, primitive_vector, saturation
-from plde.polyring import Poly, RationalFunction, divide_exact, parse_poly
+from plde.polyring import InvariantError, Poly, RationalFunction, divide_exact, parse_poly
+from plde.verify import check_solution
 
 VARS2 = ("n", "k")
 
@@ -121,7 +124,7 @@ def fourier_motzkin(constraints, nvars):
 
 
 def face_parallel_modules_all_pairs(points):
-    """Reference for ``face_parallel_modules`` that tests every pair of points for an edge.
+    """Reference for ``SupportGeometry.face_parallel_modules`` that tests every pair of points for an edge.
 
     The library tests only pairs of corners; the facet and affine parts are
     the same in both.
@@ -173,3 +176,94 @@ def reduce_by_trial_division(num, den):
             factors.append((prim, m))
             tags.append(tag)
     return num, FactoredPoly(den.vars, 1, factors, tags)
+
+
+def act_on_rational(A: UnimodularMatrix, y: RationalFunction) -> RationalFunction:
+    """(A.y)(n) = y(A n); multiplicative and additive in y.
+
+    It satisfies A.(N^s y) = N^{A^{-1} s}(A.y) for every unimodular A, so y
+    solves an equation iff act_on_rational(M^{-1}, y) solves its
+    ``transform_equation(eq, M)``.
+    """
+    images = Poly.linear_forms(y.num.vars, A.rows)
+    return RationalFunction(y.num.compose(images), y.den.compose(images))
+
+
+def check_strip_identity(strip, p, y: RationalFunction) -> bool:
+    """Exact identity behind a strip rewriting, evaluated on a known solution:
+
+        y(n + p) * D = b + sum_i terms[i] * y(n + i)
+    """
+    lhs = y.shift(p) * RationalFunction.from_poly(strip.D_actual.expand())
+    rhs = RationalFunction.from_poly(strip.b)
+    for i, num in strip.terms.items():
+        rhs = rhs + RationalFunction.from_poly(num) * y.shift(i)
+    return (lhs - rhs).is_zero()
+
+
+@dataclass(frozen=True)
+class InstanceProfile:
+    """Shape of a generated equation; everything stays at desk scale."""
+
+    variables: tuple = ("n", "k")
+    support_points: tuple = ((0, 0), (0, 1), (1, 0), (1, 1))
+    min_terms: int = 2
+    max_terms: int = 4
+    denominator_pool: tuple = ("k+n+1", "2*k+3*n+1", "n+1", "n^2+n+1", "n*k+1")
+    numerator_pool: tuple = ("1", "n", "n+k", "k^2+1")
+    max_den_factors: int = 2
+    coefficient_pool: tuple = ("1", "-1", "2", "n", "k+1", "n+k+2")
+
+
+def random_instance(seed, profile: InstanceProfile = InstanceProfile()):
+    """Equation together with a certified rational solution.
+
+    Built from a prescribed solution p/q by taking a_s = c_s * N^s q, which
+    turns the left-hand side into the polynomial sum of the c_s * N^s p.
+    """
+    rng = random.Random(seed)
+    vars = profile.variables
+    npts = rng.randint(profile.min_terms, min(profile.max_terms, len(profile.support_points)))
+    support = rng.sample(list(profile.support_points), npts)
+    den_factors = []
+    for _ in range(rng.randint(0, profile.max_den_factors)):
+        den_factors.append(parse_poly(rng.choice(profile.denominator_pool), vars))
+    q = FactoredPoly(vars, 1, [(f, 1) for f in den_factors])
+    p = parse_poly(rng.choice(profile.numerator_pool), vars)
+    terms = {}
+    rhs = Poly.zero(vars)
+    for s in support:
+        c = parse_poly(rng.choice(profile.coefficient_pool), vars)
+        while c.is_zero():
+            c = parse_poly(rng.choice(profile.coefficient_pool), vars)
+        shifted_q = q.shift(s)
+        coeff = FactoredPoly.from_poly(c).mul(shifted_q) if not c.is_constant() \
+            else FactoredPoly(vars, c.constant_value()).mul(shifted_q)
+        terms[tuple(s)] = coeff
+        rhs = rhs + c * p.shift(s)
+    eq = PLDE(tuple(vars), terms, rhs)
+    y = RationalFunction(p, q.expand())
+    if not check_solution(eq, y).ok:
+        raise InvariantError("generated instance does not certify its own solution")
+    return eq, y, q
+
+
+def homogeneous_instance(seed, profile: InstanceProfile = InstanceProfile()):
+    """Instance with zero right-hand side: numerator 1, balanced constants."""
+    rng = random.Random(seed)
+    vars = profile.variables
+    npairs = rng.randint(1, max(1, len(profile.support_points) // 2))
+    pts = rng.sample(list(profile.support_points), 2 * npairs)
+    den_factors = [parse_poly(rng.choice(profile.denominator_pool), vars)
+                   for _ in range(rng.randint(1, profile.max_den_factors))]
+    q = FactoredPoly(vars, 1, [(f, 1) for f in den_factors])
+    terms = {}
+    for i in range(npairs):
+        c = rng.randint(1, 3)
+        terms[tuple(pts[2 * i])] = FactoredPoly(vars, c).mul(q.shift(pts[2 * i]))
+        terms[tuple(pts[2 * i + 1])] = FactoredPoly(vars, -c).mul(q.shift(pts[2 * i + 1]))
+    eq = PLDE(tuple(vars), terms, Poly.zero(vars))
+    y = RationalFunction(Poly.one(vars), q.expand())
+    if not check_solution(eq, y).ok:
+        raise InvariantError("generated instance does not certify its own solution")
+    return eq, y, q

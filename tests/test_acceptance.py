@@ -8,17 +8,16 @@ import time
 
 import pytest
 
-from plde.bounds import (BoundOptions, DegenerateFaceError, bound_for_module,
-                         combined_bound)
+from plde.bounds import BoundOptions, DegenerateFaceError, combined_bound, module_bound
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
-from plde.geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, classify_module,
-                           face_parallel_modules)
+from plde.geometry import CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry
 from plde.lattice import IntLattice, UnimodularMatrix
 from plde.polyring import Poly, RationalFunction, divide_exact, parse_poly, parse_rational
 from plde.spread import invariance_lattice, spread_box_oracle
-from plde.transform import act_on_rational, transform_equation
+from plde.transform import transform_equation
 from plde.verify import check_solution
+from support import act_on_rational
 
 VARS = ("n", "k")
 
@@ -76,8 +75,9 @@ def test_criterion_2_first_example(ex1):
     rep = combined_bound(ex1)
     assert rep.P == (P("k+n+1"),)
     assert rep.per_module[L((1, -1))].kind == CLASS_OPPOSITE_ONLY
-    assert bound_for_module(ex1, L((1, 2)),
-                            options=BoundOptions(drop_aperiodic=True)).is_one()
+    d, _ = module_bound(ex1, SupportGeometry(ex1.support), L((1, 2)),
+                        options=BoundOptions(drop_aperiodic=True))
+    assert d.is_one()
     report(2, "first worked example: solution, spreads, P = {k+n+1}, trivial "
               "skew-module bound")
 
@@ -85,8 +85,8 @@ def test_criterion_2_first_example(ex1):
 def test_criterion_3_second_example(ex2):
     y = parse_rational("(n^2+2*k^2)/(k+n+1)", VARS)
     assert check_solution(ex2, y).ok
-    assert classify_module(ex2.support, L((1, -1))).kind == CLASS_UNCOVERED
-    assert set(face_parallel_modules(ex2.support)) == {L((1, 0)), L((1, -1))}
+    assert SupportGeometry(ex2.support).classify(L((1, -1))).kind == CLASS_UNCOVERED
+    assert set(SupportGeometry(ex2.support).face_parallel_modules()) == {L((1, 0)), L((1, -1))}
     report(3, "second worked example: solution, uncovered diagonal, face modules")
 
 
@@ -104,10 +104,11 @@ def test_criterion_4_normalization_example(ex1, nrm):
 
 
 def test_criterion_5_shear_equation(skew):
-    assert classify_module(skew.support, L((1, -1))).kind == CLASS_UNCOVERED
-    cls = classify_module(skew.support, L((1, 1)))
+    assert SupportGeometry(skew.support).classify(L((1, -1))).kind == CLASS_UNCOVERED
+    cls = SupportGeometry(skew.support).classify(L((1, 1)))
     assert cls.kind == CLASS_USEFUL
-    assert bound_for_module(skew, L((1, 1)), cls.certificate).is_one()
+    d, _ = module_bound(skew, SupportGeometry(skew.support), L((1, 1)), cls.certificate)
+    assert d.is_one()
     for text in ("n+k+1", "(n+k)^2+1", "2*n+2*k+3"):
         p = P(text)
         y = RationalFunction(Poly.one(VARS), p)

@@ -3,10 +3,8 @@ import random
 from fractions import Fraction
 
 from plde import geometry
-from plde.geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL,
-                           all_useful_pairs, classify_module, corner_points,
-                           face_parallel_modules, lp_feasible, lp_has_solution,
-                           witness_for_pair)
+from plde.geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry,
+                           corner_points, lp_feasible, lp_has_solution)
 from plde.lattice import IntLattice
 from support import face_parallel_modules_all_pairs, fourier_motzkin
 
@@ -142,7 +140,7 @@ def test_lp_point_matches_fourier_motzkin():
 
 
 def test_witness_square_diagonal():
-    cert = witness_for_pair(SYS1_S, (0, 0), (1, 1), L((1, -1)))
+    cert = SupportGeometry(SYS1_S).witness((0, 0), (1, 1), L((1, -1)))
     assert cert is not None
     assert cert.u == (1, 1)
     assert cert.min_face == frozenset([(0, 0)])
@@ -150,11 +148,11 @@ def test_witness_square_diagonal():
 
 
 def test_witness_blocked_by_congruent_max_face():
-    assert witness_for_pair(EX1_S, (0, 0), (0, 1), L((1, -1))) is None
+    assert SupportGeometry(EX1_S).witness((0, 0), (0, 1), L((1, -1))) is None
 
 
 def test_witness_skew_module():
-    cert = witness_for_pair(EX1_S, (1, 0), (0, 1), L((1, 2)))
+    cert = SupportGeometry(EX1_S).witness((1, 0), (0, 1), L((1, 2)))
     assert cert is not None
     values = {s: sum(a * b for a, b in zip(s, cert.u)) for s in EX1_S}
     assert values[(1, 0)] < values[(0, 0)] < values[(0, 1)]
@@ -176,7 +174,7 @@ def test_witness_certificates_verify_on_random_supports():
         p2 = rng.choice([c for c in corners if c != p] or corners)
         if p2 == p:
             continue
-        cert = witness_for_pair(pts, p, p2, W)
+        cert = SupportGeometry(pts).witness(p, p2, W)
         if cert is not None:
             cert.check(pts, W)  # raises on any violated postcondition
         done += 1
@@ -187,21 +185,21 @@ def test_witness_certificates_verify_on_random_supports():
 
 
 def test_classify_golden_cases():
-    assert classify_module(EX2_S, L((1, -1))).kind == CLASS_UNCOVERED
-    assert classify_module(EX1_S, L((1, -1))).kind == CLASS_OPPOSITE_ONLY
-    assert classify_module(SYS1_S, L((1, 0))).kind == CLASS_UNCOVERED
-    assert classify_module(SYS1_S, L((0, 1))).kind == CLASS_UNCOVERED
-    assert classify_module(SYS1_S, L((1, -1))).kind == CLASS_USEFUL
-    assert classify_module(SYS2_S, L((1, 1))).kind == CLASS_UNCOVERED
+    assert SupportGeometry(EX2_S).classify(L((1, -1))).kind == CLASS_UNCOVERED
+    assert SupportGeometry(EX1_S).classify(L((1, -1))).kind == CLASS_OPPOSITE_ONLY
+    assert SupportGeometry(SYS1_S).classify(L((1, 0))).kind == CLASS_UNCOVERED
+    assert SupportGeometry(SYS1_S).classify(L((0, 1))).kind == CLASS_UNCOVERED
+    assert SupportGeometry(SYS1_S).classify(L((1, -1))).kind == CLASS_USEFUL
+    assert SupportGeometry(SYS2_S).classify(L((1, 1))).kind == CLASS_UNCOVERED
 
 
 def test_classify_zero_module_is_useful():
     for pts in (EX1_S, EX2_S, SYS1_S, SYS2_S):
-        assert classify_module(pts, IntLattice.zero(2)).kind == CLASS_USEFUL
+        assert SupportGeometry(pts).classify(IntLattice.zero(2)).kind == CLASS_USEFUL
 
 
 def test_classify_full_module_is_uncovered():
-    assert classify_module(SYS1_S, IntLattice.full(2)).kind == CLASS_UNCOVERED
+    assert SupportGeometry(SYS1_S).classify(IntLattice.full(2)).kind == CLASS_UNCOVERED
 
 
 def test_useful_implies_singleton_faces_in_rank_one():
@@ -214,7 +212,7 @@ def test_useful_implies_singleton_faces_in_rank_one():
         if len(pts) < 2:
             continue
         W = rng.choice(mods)
-        cls = classify_module(pts, W)
+        cls = SupportGeometry(pts).classify(W)
         if cls.kind == CLASS_USEFUL and W.rank == 1:
             assert len(cls.certificate.min_face) == 1
             assert len(cls.certificate.max_face) == 1
@@ -226,20 +224,21 @@ def test_useful_implies_singleton_faces_in_rank_one():
 
 
 def test_face_modules_quadrilateral():
-    assert face_parallel_modules(EX2_S) == sorted([L((1, 0)), L((1, -1))], key=lambda x: x.key())
+    assert (SupportGeometry(EX2_S).face_parallel_modules()
+            == sorted([L((1, 0)), L((1, -1))], key=lambda x: x.key()))
 
 
 def test_face_modules_square():
-    assert set(face_parallel_modules(SYS1_S)) == {L((1, 0)), L((0, 1))}
+    assert set(SupportGeometry(SYS1_S).face_parallel_modules()) == {L((1, 0)), L((0, 1))}
 
 
 def test_face_modules_segment():
-    assert face_parallel_modules([(1, 0), (0, 1)]) == [L((1, -1))]
+    assert SupportGeometry([(1, 0), (0, 1)]).face_parallel_modules() == [L((1, -1))]
 
 
 def test_face_modules_3d():
     pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    mods = face_parallel_modules(pts)
+    mods = SupportGeometry(pts).face_parallel_modules()
     facet = IntLattice(3, [(1, 0, 0), (0, 1, 0)])
     assert facet in mods
     assert any(m.rank == 1 for m in mods)
@@ -259,7 +258,7 @@ def test_face_modules_match_the_all_pairs_search(monkeypatch):
             pts = rng.sample(grid, rng.randint(2, most))
             corners = len(corner_points(pts))
             del lps[:]
-            mods = face_parallel_modules(pts)
+            mods = SupportGeometry(pts).face_parallel_modules()
             assert len(lps) <= len(pts) + corners * (corners - 1) // 2
             assert mods == face_parallel_modules_all_pairs(pts)
             compared += 1
@@ -268,6 +267,6 @@ def test_face_modules_match_the_all_pairs_search(monkeypatch):
 
 
 def test_all_useful_pairs_contains_both_orientations():
-    certs = all_useful_pairs(SYS1_S, L((1, -1)))
+    certs = SupportGeometry(SYS1_S).useful_pairs(L((1, -1)))
     pairs = {(c.p, c.p_prime) for c in certs}
     assert ((0, 0), (1, 1)) in pairs and ((1, 1), (0, 0)) in pairs

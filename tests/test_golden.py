@@ -3,7 +3,7 @@
 The stored text of each report is ``json.dumps(report.to_json(),
 sort_keys=True)``, so witness covectors, pair choices, dispersions and
 factor order are all pinned.  The inputs are the bundled equations and
-seeded ``random_instance`` equations, whose JSON is stored alongside so
+seeded ``random_instance`` equations (tests/support.py), whose JSON is stored alongside so
 that the cases do not depend on the generator.
 
 To rewrite the files after an intended change of the reports:
@@ -22,7 +22,7 @@ BUNDLED = ("ex1", "ex2", "nrm", "skew", "sys1", "sys2")
 
 
 def _profiles():
-    from plde.verify import InstanceProfile
+    from support import InstanceProfile
 
     r2 = InstanceProfile(
         variables=("n", "k"),
@@ -81,7 +81,7 @@ def test_golden_set_has_non_axis_witnesses():
 
 
 def write_golden():
-    from plde.verify import random_instance
+    from support import random_instance
 
     GOLDEN.mkdir(exist_ok=True)
     profiles = _profiles()

@@ -190,8 +190,9 @@ def test_unimodular_matrix_inverse():
 
     for _ in range(N_CASES):
         M = random_unimodular(rng, 3)
-        I = M.matmul(M.inverse())
-        assert I == UnimodularMatrix.identity(3)
+        inv = M.inverse().rows
+        I = [[sum(a * inv[t][j] for t, a in enumerate(row)) for j in range(3)] for row in M.rows]
+        assert UnimodularMatrix(I) == UnimodularMatrix.identity(3)
 
 
 def test_parse_module():

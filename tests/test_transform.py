@@ -7,10 +7,10 @@ from plde.factored import FactoredPoly
 from plde.lattice import IntLattice, UnimodularMatrix
 from plde.polyring import Poly, parse_poly, parse_rational
 from plde.spread import invariance_lattice
-from plde.transform import (act_on_rational, build_normalizing_frame, frame_for, map_point,
-                            normalize_first_shift, transform_equation)
-from plde.verify import check_solution, random_instance
-from support import VARS2, random_rational, random_unimodular
+from plde.transform import (build_normalizing_frame, frame_for, map_point, normalize_first_shift,
+                            transform_equation)
+from plde.verify import check_solution
+from support import VARS2, act_on_rational, random_instance, random_rational, random_unimodular
 
 N_CASES = 200
 
@@ -82,52 +82,51 @@ def test_transform_round_trip_random():
 # frames
 
 
-def test_frame_for_diagonal_module():
+def test_frame_for_diagonal_module(sys1):
     W = IntLattice(2, [(1, -1)])
-    frame = build_normalizing_frame([(0, 0)], W, (1, 1))
+    frame, _ = frame_for(sys1, W, (1, 1))
     assert frame.M.rows[0] == (1, 1)
     img = frame.M.apply((1, -1))
     assert img[0] == 0
     assert frame.t == 1
 
 
-def test_frame_zero_module_identity_admissible():
+def test_frame_zero_module_identity_admissible(sys1):
     W = IntLattice.zero(2)
-    frame = build_normalizing_frame([(0, 0)], W, (1, 0))
+    frame, _ = frame_for(sys1, W, (1, 0))
     assert frame.M.rows[0] == (1, 0)
     assert frame.t == 2
 
 
 def test_frame_already_normalized():
     W = IntLattice(2, [(0, 1)])
-    frame = build_normalizing_frame([(0, 0)], W, (1, 0))
-    assert frame.M == UnimodularMatrix.identity(2)
+    assert build_normalizing_frame(W, (1, 0)) == UnimodularMatrix.identity(2)
 
 
 def test_frame_rejects_bad_covectors():
     W = IntLattice(2, [(1, -1)])
     with pytest.raises(ValueError):
-        build_normalizing_frame([(0, 0)], W, (1, 0))  # not orthogonal
+        build_normalizing_frame(W, (1, 0))  # not orthogonal
     with pytest.raises(ValueError):
-        build_normalizing_frame([(0, 0)], W, (2, 2))  # imprimitive
+        build_normalizing_frame(W, (2, 2))  # imprimitive
 
 
 def test_normalize_first_shift():
     terms = {(1, 0): FactoredPoly(VARS2, 1, [(P("n+1"), 1)]),
              (2, 1): FactoredPoly(VARS2, 1, [(P("k+1"), 1)])}
     eq = PLDE(VARS2, terms, Poly.zero(VARS2))
-    out, k, offset = normalize_first_shift(eq)
+    out, offset = normalize_first_shift(eq)
     assert sorted(out.terms) == [(0, 0), (1, 1)]
-    assert k == 1 and offset == (-1, 0)
+    assert offset == (-1, 0)
     assert out.terms[(0, 0)].expand() == P("n")  # coefficients shift along
 
-    again, k2, off2 = normalize_first_shift(out)
-    assert again.terms == out.terms and k2 == 1 and off2 == (0, 0)
+    again, off2 = normalize_first_shift(out)
+    assert again.terms == out.terms and off2 == (0, 0)
 
 
 def test_normalize_first_shift_sys2(sys2):
-    out, k, offset = normalize_first_shift(sys2)
-    assert sorted(out.terms) == sys2.support and k == 2 and offset == (0, 0)
+    out, offset = normalize_first_shift(sys2)
+    assert sorted(out.terms) == sys2.support and offset == (0, 0)
 
 
 def test_frame_makes_periodic_factors_leading_free(sys1):

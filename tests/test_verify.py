@@ -5,9 +5,8 @@ import pytest
 from plde.bounds import combined_bound
 from plde.factored import FactoredPoly
 from plde.polyring import Poly, RationalFunction, parse_poly, parse_rational
-from plde.verify import (InstanceProfile, check_bound_covers, check_solution,
-                         homogeneous_instance, random_instance)
-from support import VARS2
+from plde.verify import check_bound_covers, check_solution
+from support import VARS2, InstanceProfile, homogeneous_instance, random_instance
 
 N_CASES = 200
 
