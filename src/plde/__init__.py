@@ -1,8 +1,8 @@
 """Denominator bounds for rational solutions of multivariate linear
 difference equations with polynomial coefficients."""
 
-from .bounds import (BoundOptions, BoundReport, StripResult, combined_bound, dispersion_bound,
-                     module_bound, strip_rewrite)
+from .bounds import (BoundReport, StripResult, combined_bound, dispersion_bound, module_bound,
+                     strip_rewrite)
 from .equation import PLDE, load_equation
 from .factored import FactoredPoly
 from .geometry import SupportGeometry, corner_points, lp_feasible

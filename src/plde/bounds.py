@@ -20,7 +20,7 @@ face-parallel modules that no certificate can cover.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from .equation import PLDE
 from .factored import FactoredPoly
 from .geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry,
@@ -42,14 +42,6 @@ class DegenerateFaceError(ValueError):
 
 class StripPreconditionError(ValueError):
     """The strip rewriting needs a unique support point on the base plane."""
-
-
-@dataclass(frozen=True)
-class BoundOptions:
-    coarse: bool = False           # literal shifted-coefficient product instead of the
-                                   # reduced common denominator
-    refine: bool = True            # gcd over all useful pairs and both orientations
-    drop_aperiodic: bool = True    # remove aperiodic factors from periodic-module parts
 
 
 @dataclass(frozen=True)
@@ -140,9 +132,8 @@ class _Frac:
             den = FactoredPoly.one(den.vars)
         else:
             factors = []
-            tags = []
             images = {}  # variable -> mod_image of the current num
-            for (prim, mult), tag in zip(den.factors, den.tags):
+            for prim, mult in den.factors:
                 if prim not in zeros:
                     zeros[prim] = mod_zero(prim)
                 zero = zeros[prim]
@@ -163,8 +154,7 @@ class _Frac:
                     m -= 1
                 if m:
                     factors.append((prim, m))
-                    tags.append(tag)
-            den = FactoredPoly._from_canonical(den.vars, den.unit, factors, tags)
+            den = FactoredPoly._from_canonical(den.vars, den.unit, factors)
         self.num = num
         self.den = den
 
@@ -195,7 +185,7 @@ def _norm_module(eq_vars_count: int, t: int) -> IntLattice:
     return IntLattice(eq_vars_count, rows)
 
 
-def dispersion_bound(eq_norm: PLDE, t: int, drop_aperiodic: bool = True):
+def dispersion_bound(eq_norm: PLDE, t: int):
     """Maximal first-coordinate dispersion between base- and top-face W-parts.
 
     The equation must be in the normalized frame (minimal first coordinate
@@ -219,11 +209,11 @@ def dispersion_bound(eq_norm: PLDE, t: int, drop_aperiodic: bool = True):
     down = tuple([-k] + [0] * (r - 1))
     best = NEG_INFINITY
     for sa in A:
-        a_part = eq_norm.terms[sa].w_part(W_norm, drop_aperiodic)
+        a_part = eq_norm.terms[sa].w_part(W_norm)
         if a_part.is_constant():
             continue
         for sb in B:
-            b_part = eq_norm.terms[sb].w_part(W_norm, drop_aperiodic).shift(down)
+            b_part = eq_norm.terms[sb].w_part(W_norm).shift(down)
             if b_part.is_constant():
                 continue
             best = max(best, disp_k(a_part, b_part, 1))
@@ -296,69 +286,52 @@ def strip_rewrite(eq_norm: PLDE, p, s) -> StripResult:
 # ----------------------------------------------------------------------
 
 
-def _bound_for_cert(eq: PLDE, W: IntLattice, cert: WitnessCertificate,
-                    options: BoundOptions):
+def _bound_for_cert(eq: PLDE, W: IntLattice, cert: WitnessCertificate):
     frame, eqn = frame_for(eq, W, primitive_vector(cert.u))
     p_img = map_point(frame, cert.p)
     if p_img[0] != 0 or any(s[0] < 1 for s in eqn.support if s != p_img):
         raise InvariantError("the frame does not put the certificate point alone on its base plane")
-    s_val = dispersion_bound(eqn, frame.t, options.drop_aperiodic)
+    s_val = dispersion_bound(eqn, frame.t)
     if s_val == NEG_INFINITY:
         # no periodic factor of W can occur at the corner coefficient at all
         return FactoredPoly.one(eq.variables), s_val
     strip = strip_rewrite(eqn, p_img, s_val)
-    W_norm = _norm_module(len(eq.variables), frame.t)
-    if options.coarse:
-        a_prime = eqn.terms[p_img].w_part(W_norm, options.drop_aperiodic)
-        d_norm = FactoredPoly.one(eq.variables)
-        for i in strip.Rminus:
-            d_norm = d_norm.mul(a_prime.shift(tuple(a - 2 * b for a, b in zip(i, p_img))))
-    else:
-        back = strip.D_actual.shift(tuple(-x for x in p_img))
-        d_norm = back.w_part(W_norm, options.drop_aperiodic)
+    back = strip.D_actual.shift(tuple(-x for x in p_img))
+    d_norm = back.w_part(_norm_module(len(eq.variables), frame.t))
     return pull_back(frame, d_norm).drop_unit(), s_val
 
 
-def module_bound(eq: PLDE, geometry: SupportGeometry, W: IntLattice,
-                 cert: WitnessCertificate | None = None, options: BoundOptions = BoundOptions()):
-    """Denominator bound of eq with respect to the module W, and the dispersion s of cert.
+def module_bound(eq: PLDE, geometry: SupportGeometry, W: IntLattice):
+    """Denominator bound of eq with respect to the module W, and the dispersion s.
 
-    ``geometry`` is the SupportGeometry of eq's support.  Needs a
-    useful-pair certificate (searched for when ``cert`` is None); with
-    ``refine`` the results of every useful pair (both orientations
-    included) are intersected by gcd.  s is None when no cert is given.
+    ``geometry`` is the SupportGeometry of eq's support.  The results of
+    every useful pair (both orientations included) are intersected by gcd;
+    s is the dispersion of the first pair, which is the certificate that
+    ``geometry.classify(W)`` returns, as both scan the corner pairs in the
+    same order.  A single-point support has no pair, only the synthetic
+    certificate of classify.
     """
     W = saturation(W)
-    support = eq.support
-    if cert is None or options.refine:
-        certs = geometry.useful_pairs(W)
-        if cert is not None and cert not in certs:
-            certs.insert(0, cert)
-        if not certs:
+    certs = geometry.useful_pairs(W)
+    if not certs:
+        cls = geometry.classify(W)
+        if cls.kind != CLASS_USEFUL:
             raise ValueError("no useful pair exists for this module")
-        if not options.refine:
-            certs = certs[:1]
-    else:
-        cert.check(support, W)
-        certs = [cert]
-    result = s_cert = None
-    for c in certs:
-        d_c, s_c = _bound_for_cert(eq, W, c, options)
-        if c == cert:
-            s_cert = s_c
-        result = d_c if result is None else result.gcd(d_c)
-    return result, s_cert
+        certs = [cls.certificate]
+    d, s = _bound_for_cert(eq, W, certs[0])
+    for c in certs[1:]:
+        d = d.gcd(_bound_for_cert(eq, W, c)[0])
+    return d, s
 
 
-def _aperiodic_bound(eq: PLDE, geometry: SupportGeometry, options: BoundOptions):
+def _aperiodic_bound(eq: PLDE, geometry: SupportGeometry):
     """Bound on the aperiodic denominator part: per corner, gcd across corners."""
-    opts = replace(options, drop_aperiodic=False, refine=False)
     support = eq.support
     zero = IntLattice.zero(len(eq.variables))
     if len(support) == 1:
         p = support[0]
         down = tuple(-x for x in p)
-        return eq.terms[p].shift(down).w_part(zero, False).drop_unit()
+        return eq.terms[p].shift(down).w_part(zero).drop_unit()
     corners = geometry.corners
     result = None
     for p in corners:
@@ -371,12 +344,12 @@ def _aperiodic_bound(eq: PLDE, geometry: SupportGeometry, options: BoundOptions)
                 break
         if cert is None:
             continue
-        d_p, _ = _bound_for_cert(eq, zero, cert, opts)
+        d_p, _ = _bound_for_cert(eq, zero, cert)
         result = d_p if result is None else result.gcd(d_p)
     return result if result is not None else FactoredPoly.one(eq.variables)
 
 
-def combined_bound(eq: PLDE, options: BoundOptions = BoundOptions()) -> BoundReport:
+def combined_bound(eq: PLDE) -> BoundReport:
     """Bound driver over all corner-coefficient factor spreads.
 
     Aperiodic factors are handled by a preprocessing pass over all corners;
@@ -389,15 +362,14 @@ def combined_bound(eq: PLDE, options: BoundOptions = BoundOptions()) -> BoundRep
     r = len(eq.variables)
     warnings = []
     for s in support:
-        fp = eq.terms[s]
-        for (prim, _), tag in zip(fp.factors, fp.tags):
-            if tag != "verified_linear" and prim.total_degree() > 1:
-                warnings.append("factor %s at %r trusted as irreducible (%s)"
-                                % (format_poly(prim), tuple(s), tag))
+        for prim, _ in eq.terms[s].factors:
+            if prim.total_degree() > 1:
+                warnings.append("factor %s at %r trusted as irreducible (declared_irreducible)"
+                                % (format_poly(prim), tuple(s)))
     per_module = {}
     zero = IntLattice.zero(r)
     geometry = SupportGeometry(support)
-    ap = _aperiodic_bound(eq, geometry, options)
+    ap = _aperiodic_bound(eq, geometry)
     per_module[zero] = ModuleEntry(CLASS_USEFUL, None, None, ap)
     d = ap.drop_unit()
     residual = []
@@ -409,7 +381,7 @@ def combined_bound(eq: PLDE, options: BoundOptions = BoundOptions()) -> BoundRep
             if Wu not in per_module:
                 cls = geometry.classify(Wu)
                 if cls.kind == CLASS_USEFUL:
-                    d_W, s_val = module_bound(eq, geometry, Wu, cls.certificate, options)
+                    d_W, s_val = module_bound(eq, geometry, Wu)
                     per_module[Wu] = ModuleEntry(cls.kind, cls.certificate, s_val, d_W)
                     d = d.lcm(d_W)
                 else:

@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .bounds import BoundOptions, combined_bound
+from .bounds import combined_bound
 from .equation import EquationFormatError, load_equation
 from .geometry import SupportGeometry
 from .lattice import UnimodularMatrix, parse_module
@@ -49,13 +49,7 @@ def _parse_matrix(text):
 
 
 def cmd_bound(args) -> int:
-    eq = _load(args.file)
-    options = BoundOptions(
-        coarse=args.coarse,
-        refine=not args.no_refine,
-        drop_aperiodic=not args.keep_aperiodic_in_wpart,
-    )
-    report = combined_bound(eq, options)
+    report = combined_bound(_load(args.file))
     if args.json:
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
         return 0
@@ -147,11 +141,6 @@ def build_parser() -> argparse.ArgumentParser:
     b = sub.add_parser("bound", help="compute a denominator bound report")
     b.add_argument("file")
     b.add_argument("--json", action="store_true")
-    b.add_argument("--coarse", action="store_true",
-                   help="use the literal shifted-coefficient product")
-    b.add_argument("--no-refine", action="store_true",
-                   help="use a single useful pair per module")
-    b.add_argument("--keep-aperiodic-in-wpart", action="store_true")
     b.set_defaults(func=cmd_bound)
 
     s = sub.add_parser("spread", help="spread lattice of a polynomial")

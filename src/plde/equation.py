@@ -71,9 +71,6 @@ class PLDE:
     def support(self):
         return sorted(self.terms)
 
-    def coefficient(self, s) -> FactoredPoly:
-        return self.terms[tuple(s)]
-
     def shifted(self, c) -> "PLDE":
         """Apply the shift operator N^c to both sides; the solution set is unchanged."""
         c = tuple(int(x) for x in c)

@@ -2,55 +2,31 @@
 
 Coefficients and denominator bounds are carried in this form so that gcd
 and lcm reduce to multiplicity bookkeeping over canonical associate
-representatives.  Irreducibility of the stored factors is tracked by a
-per-factor tag: degree-1 factors are verified automatically, anything of
-higher degree is trusted as declared by the caller.
+representatives.  The stored factors are trusted to be irreducible, as
+degree-1 factors are and as the caller declares the others to be.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .lattice import is_sublattice
 from .polyring import Poly, format_poly, normalize_primitive, parse_poly
-
-VERIFIED_LINEAR = "verified_linear"
-DECLARED_IRREDUCIBLE = "declared_irreducible"
-UNVERIFIED = "unverified"
-
-_TAG_RANK = {VERIFIED_LINEAR: 2, DECLARED_IRREDUCIBLE: 1, UNVERIFIED: 0}
-
-
-def _auto_tag(prim: Poly, tag: str | None) -> str:
-    if prim.total_degree() == 1:
-        return VERIFIED_LINEAR
-    return tag if tag in _TAG_RANK else UNVERIFIED
-
-
-class SpreadComputationError(RuntimeError):
-    """Spread of a stored factor could not be determined; names the factor."""
-
-    def __init__(self, factor: Poly, reason: str):
-        super().__init__("cannot determine spread of %s: %s" % (format_poly(factor), reason))
-        self.factor = factor
+from .spread import invariance_lattice
 
 
 class FactoredPoly:
     """unit * prod(prim_i ^ mult_i) with canonical, pairwise distinct prims."""
 
-    __slots__ = ("vars", "unit", "factors", "tags")
+    __slots__ = ("vars", "unit", "factors")
 
-    def __init__(self, vars, unit=1, factors=(), tags=None):
+    def __init__(self, vars, unit=1, factors=()):
         self.vars = tuple(vars)
         unit = Fraction(unit)
         if unit == 0:
             raise ValueError("unit must be nonzero")
-        factors = list(factors)
-        tags = list(tags) if tags is not None else [None] * len(factors)
-        if len(tags) != len(factors):
-            raise ValueError("one tag per factor expected")
         prims = []
-        prim_tags = []
-        for (p, mult), tag in zip(factors, tags):
+        for p, mult in factors:
             mult = int(mult)
             if mult < 1:
                 raise ValueError("multiplicity must be positive")
@@ -62,40 +38,27 @@ class FactoredPoly:
             unit *= u ** mult
             if not prim.is_constant():
                 prims.append((prim, mult))
-                prim_tags.append(_auto_tag(prim, tag))
-        self._merge(unit, prims, prim_tags)
+        self._merge(unit, prims)
 
     @classmethod
-    def _from_canonical(cls, vars, unit, factors, tags) -> "FactoredPoly":
-        """Trusted constructor: every prim already canonical, nonconstant and tagged.
+    def _from_canonical(cls, vars, unit, factors) -> "FactoredPoly":
+        """Trusted constructor: every prim already canonical and nonconstant.
 
         Canonical means integer-primitive with positive leading coefficient,
         as normalize_primitive returns it; multiplicities are positive ints.
         """
         fp = object.__new__(cls)
         fp.vars = vars
-        fp._merge(unit, factors, tags)
+        fp._merge(unit, factors)
         return fp
 
-    def _merge(self, unit, factors, tags):
-        """Store the factors with repeated prims merged, sorted by sort_key.
-
-        Multiplicities of a repeated prim add up and its highest-ranked tag wins.
-        """
+    def _merge(self, unit, factors):
+        """Store the factors sorted by sort_key, the multiplicities of a repeated prim added."""
         merged: dict[Poly, int] = {}
-        tag_of: dict[Poly, str] = {}
-        for (prim, mult), tag in zip(factors, tags):
-            if prim in merged:
-                merged[prim] += mult
-                if _TAG_RANK[tag] > _TAG_RANK[tag_of[prim]]:
-                    tag_of[prim] = tag
-            else:
-                merged[prim] = mult
-                tag_of[prim] = tag
-        order = sorted(merged, key=Poly.sort_key)
+        for prim, mult in factors:
+            merged[prim] = merged.get(prim, 0) + mult
         self.unit = unit
-        self.factors = tuple((p, merged[p]) for p in order)
-        self.tags = tuple(tag_of[p] for p in order)
+        self.factors = tuple((p, merged[p]) for p in sorted(merged, key=Poly.sort_key))
 
     # ------------------------------------------------------------------
 
@@ -104,13 +67,13 @@ class FactoredPoly:
         return cls(vars)
 
     @classmethod
-    def from_poly(cls, p: Poly, tag: str | None = None) -> "FactoredPoly":
+    def from_poly(cls, p: Poly) -> "FactoredPoly":
         """Wrap a single (assumed irreducible) polynomial."""
         if p.is_zero():
             raise ValueError("zero polynomial has no factored form")
         if p.is_constant():
             return cls(p.vars, p.constant_value())
-        return cls(p.vars, 1, [(p, 1)], [tag])
+        return cls(p.vars, 1, [(p, 1)])
 
     def is_one(self) -> bool:
         return self.unit == 1 and not self.factors
@@ -160,37 +123,18 @@ class FactoredPoly:
     # ------------------------------------------------------------------
     # multiplicative structure
 
-    def _tag_for(self, prim: Poly) -> str:
-        for p, t in zip((p for p, _ in self.factors), self.tags):
-            if p == prim:
-                return t
-        return UNVERIFIED
-
     def mul(self, other: "FactoredPoly") -> "FactoredPoly":
         if self.vars != other.vars:
             raise ValueError("mismatched variable lists")
         return FactoredPoly._from_canonical(self.vars, self.unit * other.unit,
-                                            self.factors + other.factors, self.tags + other.tags)
-
-    def pow(self, n: int) -> "FactoredPoly":
-        n = int(n)
-        if n < 0:
-            raise ValueError("negative power of a factored polynomial")
-        factors = [(p, m * n) for p, m in self.factors] if n else []
-        return FactoredPoly._from_canonical(self.vars, self.unit ** n, factors,
-                                            self.tags if n else ())
+                                            self.factors + other.factors)
 
     def gcd(self, other: "FactoredPoly") -> "FactoredPoly":
         if self.vars != other.vars:
             raise ValueError("mismatched variable lists")
         mine = dict(self.factors)
-        factors = []
-        tags = []
-        for p, m in other.factors:
-            if p in mine:
-                factors.append((p, min(m, mine[p])))
-                tags.append(self._tag_for(p))
-        return FactoredPoly._from_canonical(self.vars, Fraction(1), factors, tags)
+        factors = [(p, min(m, mine[p])) for p, m in other.factors if p in mine]
+        return FactoredPoly._from_canonical(self.vars, Fraction(1), factors)
 
     def lcm(self, other: "FactoredPoly") -> "FactoredPoly":
         if self.vars != other.vars:
@@ -198,10 +142,7 @@ class FactoredPoly:
         mult = dict(self.factors)
         for p, m in other.factors:
             mult[p] = max(mult.get(p, 0), m)
-        factors = list(mult.items())
-        tags = [max(self._tag_for(p), other._tag_for(p), key=lambda t: _TAG_RANK[t])
-                for p, _ in factors]
-        return FactoredPoly._from_canonical(self.vars, Fraction(1), factors, tags)
+        return FactoredPoly._from_canonical(self.vars, Fraction(1), mult.items())
 
     def divides(self, other: "FactoredPoly") -> bool:
         """Multiset containment of factors (units ignored)."""
@@ -217,8 +158,7 @@ class FactoredPoly:
                 raise ValueError("not a factored divisor")
             mult[p] = left
         factors = [(p, m) for p, m in mult.items() if m]
-        tags = [self._tag_for(p) for p, _ in factors]
-        return FactoredPoly._from_canonical(self.vars, self.unit / other.unit, factors, tags)
+        return FactoredPoly._from_canonical(self.vars, self.unit / other.unit, factors)
 
     def shift(self, s) -> "FactoredPoly":
         """Shift every factor.
@@ -227,45 +167,35 @@ class FactoredPoly:
         integer content are unchanged) but may change the factor order.
         """
         factors = [(p.shift(s), m) for p, m in self.factors]
-        return FactoredPoly._from_canonical(self.vars, self.unit, factors, self.tags)
+        return FactoredPoly._from_canonical(self.vars, self.unit, factors)
 
     def subst(self, matrix) -> "FactoredPoly":
         """Apply the variable substitution n -> matrix . n to every factor."""
         images = Poly.linear_forms(self.vars, matrix.rows)
         factors = [(p.compose(images, self.vars), m) for p, m in self.factors]
-        return FactoredPoly(self.vars, self.unit, factors, list(self.tags))
+        return FactoredPoly(self.vars, self.unit, factors)
 
     def drop_unit(self) -> "FactoredPoly":
         if self.unit == 1:
             return self
-        return FactoredPoly._from_canonical(self.vars, Fraction(1), self.factors, self.tags)
+        return FactoredPoly._from_canonical(self.vars, Fraction(1), self.factors)
 
     # ------------------------------------------------------------------
     # spread filters
 
-    def w_part(self, W, drop_aperiodic: bool = False) -> "FactoredPoly":
+    def w_part(self, W) -> "FactoredPoly":
         """Factors whose spread lattice is contained in W; unit reset to 1.
 
-        With ``drop_aperiodic`` the factors with trivial spread are removed
-        as well (they are handled by the aperiodic preprocessing pass).
+        Factors with trivial spread are kept only when W = 0: for a nonzero
+        W they belong to the aperiodic pass, which bounds them over W = 0.
         """
-        from .spread import invariance_lattice
-        from .lattice import is_sublattice
-
+        keep_aperiodic = W.is_zero()
         kept = []
-        tags = []
-        for (p, m), tag in zip(self.factors, self.tags):
-            try:
-                sp = invariance_lattice(p)
-            except Exception as exc:  # pragma: no cover - defensive
-                raise SpreadComputationError(p, str(exc)) from exc
-            if not is_sublattice(sp, W):
-                continue
-            if drop_aperiodic and sp.is_zero():
-                continue
-            kept.append((p, m))
-            tags.append(tag)
-        return FactoredPoly._from_canonical(self.vars, Fraction(1), kept, tags)
+        for p, m in self.factors:
+            sp = invariance_lattice(p)
+            if is_sublattice(sp, W) and (keep_aperiodic or not sp.is_zero()):
+                kept.append((p, m))
+        return FactoredPoly._from_canonical(self.vars, Fraction(1), kept)
 
     # ------------------------------------------------------------------
     # serialization
@@ -282,5 +212,5 @@ class FactoredPoly:
         factors = []
         for text, mult in data.get("factors", []):
             factors.append((parse_poly(text, vars), int(mult)))
-        return cls(vars, unit, factors, [DECLARED_IRREDUCIBLE] * len(factors))
+        return cls(vars, unit, factors)
 

@@ -504,10 +504,15 @@ def _gcd_recursive(p: Poly, q: Poly) -> Poly:
 #   atom   := UINT | VAR | '(' expr ')'
 #
 # No product or power is expanded past total degree MAX_DEGREE (nor any
-# exponent above it): expansion time grows with the degree, and an
-# exponent such as n^99999999 would never finish.
+# exponent above it), nor when its result may have more than MAX_TERMS
+# terms: expansion time grows with both, an exponent such as n^99999999
+# would never finish, and (n+k+1)^100 alone takes seconds.  The term count
+# is bounded before the expansion by the number of monomials of the
+# result's degree in the variables that occur, or by the number of term
+# products if that is smaller.
 
 MAX_DEGREE = 100
+MAX_TERMS = 1000
 
 
 def is_name(text: str) -> bool:
@@ -587,7 +592,10 @@ class _Parser:
         while self.peek()[0] == "*":
             pos = self.advance()[2]
             factor = self.parse_factor()
-            _check_degree(result.total_degree() + factor.total_degree(), pos)
+            degree = result.total_degree() + factor.total_degree()
+            _check_degree(degree, pos)
+            _check_terms(min(len(result.terms) * len(factor.terms),
+                             _monomials(degree, result, factor)), pos)
             result = result * factor
         return result
 
@@ -597,7 +605,11 @@ class _Parser:
             self.advance()
             tok = self.expect("int")
             e = int(tok[1])
-            _check_degree(max(e, result.total_degree() * e), tok[2])
+            degree = result.total_degree() * e
+            _check_degree(max(e, degree), tok[2])
+            n = len(result.terms)
+            # a product of e terms is a multiset of e of the n terms
+            _check_terms(min(comb(n + e - 1, e) if n else 1, _monomials(degree, result)), tok[2])
             result = result ** e
         return result
 
@@ -621,6 +633,18 @@ def _check_degree(degree: int, position: int):
     if degree > MAX_DEGREE:
         raise UnsupportedInputError("unsupported: degree %d at position %d exceeds the limit %d"
                                     % (degree, position, MAX_DEGREE))
+
+
+def _monomials(degree: int, *polys) -> int:
+    """Number of monomials of total degree <= degree in the variables the polys use."""
+    used = len({i for p in polys for e in p.terms for i, x in enumerate(e) if x})
+    return comb(max(degree, 0) + used, used)
+
+
+def _check_terms(bound: int, position: int):
+    if bound > MAX_TERMS:
+        raise UnsupportedInputError("unsupported: up to %d terms at position %d exceed the "
+                                    "limit %d" % (bound, position, MAX_TERMS))
 
 
 def parse_poly(text: str, vars) -> Poly:

@@ -21,11 +21,14 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
-from .factored import FactoredPoly
 from .lattice import (IntLattice, ShiftCoset, clear_denominators, complement_within,
                       integer_kernel, solve_integer)
 from .polyring import InvariantError, Poly, gcd_poly, normalize_primitive
+
+if TYPE_CHECKING:
+    from .factored import FactoredPoly
 
 NEG_INFINITY = float("-inf")
 INFINITY = float("inf")

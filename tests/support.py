@@ -163,8 +163,7 @@ def reduce_by_trial_division(num, den):
     if num.is_zero():
         return num, FactoredPoly.one(den.vars)
     factors = []
-    tags = []
-    for (prim, mult), tag in zip(den.factors, den.tags):
+    for prim, mult in den.factors:
         m = mult
         while m:
             q = divide_exact(num, prim)
@@ -174,8 +173,7 @@ def reduce_by_trial_division(num, den):
             m -= 1
         if m:
             factors.append((prim, m))
-            tags.append(tag)
-    return num, FactoredPoly(den.vars, 1, factors, tags)
+    return num, FactoredPoly(den.vars, 1, factors)
 
 
 def act_on_rational(A: UnimodularMatrix, y: RationalFunction) -> RationalFunction:

@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from plde.bounds import BoundOptions, DegenerateFaceError, combined_bound, module_bound
+from plde.bounds import DegenerateFaceError, combined_bound, module_bound
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
 from plde.geometry import CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry
@@ -75,8 +75,7 @@ def test_criterion_2_first_example(ex1):
     rep = combined_bound(ex1)
     assert rep.P == (P("k+n+1"),)
     assert rep.per_module[L((1, -1))].kind == CLASS_OPPOSITE_ONLY
-    d, _ = module_bound(ex1, SupportGeometry(ex1.support), L((1, 2)),
-                        options=BoundOptions(drop_aperiodic=True))
+    d, _ = module_bound(ex1, SupportGeometry(ex1.support), L((1, 2)))
     assert d.is_one()
     report(2, "first worked example: solution, spreads, P = {k+n+1}, trivial "
               "skew-module bound")
@@ -107,7 +106,7 @@ def test_criterion_5_shear_equation(skew):
     assert SupportGeometry(skew.support).classify(L((1, -1))).kind == CLASS_UNCOVERED
     cls = SupportGeometry(skew.support).classify(L((1, 1)))
     assert cls.kind == CLASS_USEFUL
-    d, _ = module_bound(skew, SupportGeometry(skew.support), L((1, 1)), cls.certificate)
+    d, _ = module_bound(skew, SupportGeometry(skew.support), L((1, 1)))
     assert d.is_one()
     for text in ("n+k+1", "(n+k)^2+1", "2*n+2*k+3"):
         p = P(text)

@@ -11,9 +11,8 @@ import pytest
 
 import plde.bounds
 import plde.geometry
-from plde.bounds import (BoundOptions, DegenerateFaceError, StripPreconditionError, _Frac,
-                         _aperiodic_bound, _horner, combined_bound, dispersion_bound, module_bound,
-                         strip_rewrite)
+from plde.bounds import (DegenerateFaceError, StripPreconditionError, _Frac, _aperiodic_bound,
+                         _horner, combined_bound, dispersion_bound, module_bound, strip_rewrite)
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
 from plde.geometry import SupportGeometry
@@ -96,7 +95,7 @@ def test_strip_square_diagonal_cascade(sys1):
     strip = strip_rewrite(eqn, p, 2)
     assert len(strip.Rminus) == 6
     back = strip.D_actual.shift(tuple(-x for x in p))
-    wpart = back.w_part(L((0, 1)), True)
+    wpart = back.w_part(L((0, 1)))
     assert factor_set(wpart) == {P("n+1"): 1, P("n+2"): 1, P("n+3"): 1}
 
 
@@ -105,7 +104,7 @@ def test_strip_sys2_substitutions(sys2):
     p = map_point(frame, (0, 1))
     strip = strip_rewrite(eqn, p, 1)
     assert set(strip.Rminus) == {(0, 1), (1, 0), (1, 2)}
-    wpart = strip.D_actual.shift((0, -1)).w_part(L((0, 1)), True)
+    wpart = strip.D_actual.shift((0, -1)).w_part(L((0, 1)))
     assert factor_set(wpart) == {P("n^2+n+1"): 1, P("n^2+3*n+3"): 1}
 
 
@@ -295,13 +294,15 @@ def test_bound_rejects_useless_module(sys1):
         module_bound(sys1, SupportGeometry(sys1.support), L((1, 0)))
 
 
-def test_coarse_bound_keeps_cascade_multiplicities(sys1):
-    geometry = SupportGeometry(sys1.support)
-    refined, _ = module_bound(sys1, geometry, L((1, -1)))
-    coarse, _ = module_bound(sys1, geometry, L((1, -1)),
-                             options=BoundOptions(coarse=True, refine=False))
-    assert refined.divides(coarse)
-    assert factor_set(coarse) == {P("n+k+1"): 1, P("n+k+2"): 2, P("n+k+3"): 3}
+def test_bound_single_point_support():
+    # one support point makes no corner pair; classify's (p, p) certificate stands in,
+    # and y = f(n-1, k) / a(n-1, k) has the shifted coefficient as its denominator
+    eq = PLDE.from_json({"variables": ["n", "k"], "rhs": "n+1", "terms": [
+        {"shift": [1, 0], "coefficient": {"unit": "2", "factors": [["n+k+1", 2], ["n*k+1", 1]]}}]})
+    geometry = SupportGeometry(eq.support)
+    d, s = module_bound(eq, geometry, L((1, -1)))
+    assert factor_set(d) == {P("n+k"): 2} and s == 0
+    assert geometry.classify(L((1, -1))).certificate.p_prime == (1, 0)
 
 
 # ----------------------------------------------------------------------
@@ -383,7 +384,7 @@ def test_combined_is_deterministic(sys1):
 
 def test_aperiodic_bound_trivial_cases(sys1, ex1):
     for eq in (sys1, ex1):
-        assert _aperiodic_bound(eq, SupportGeometry(eq.support), BoundOptions()).is_one()
+        assert _aperiodic_bound(eq, SupportGeometry(eq.support)).is_one()
 
 
 def test_aperiodic_bound_catches_constructed_factor():
@@ -399,7 +400,7 @@ def test_aperiodic_bound_catches_constructed_factor():
         rhs = rhs + c
     eq = PLDE(VARS2, terms, rhs)
     assert check_solution(eq, RationalFunction(Poly.one(VARS2), q.expand())).ok
-    ap = _aperiodic_bound(eq, SupportGeometry(eq.support), BoundOptions())
+    ap = _aperiodic_bound(eq, SupportGeometry(eq.support))
     assert ap.multiplicity(P("n*k+1")) >= 1
     assert all(invariance_lattice(prim).rank == 0 for prim, _ in ap.factors)
 
@@ -432,10 +433,9 @@ def test_strip_runs_satisfy_identity_and_divisibility():
         W, cert = _pick_module(eq, q)
         if cert is None:
             continue
-        drop = W.rank > 0
         frame, eqn = frame_for(eq, W, cert.u)
         p = map_point(frame, cert.p)
-        s = dispersion_bound(eqn, frame.t, drop)
+        s = dispersion_bound(eqn, frame.t)
         if s == NEG_INFINITY:
             s = 0  # still exercise the zero-width strip
         strip = strip_rewrite(eqn, p, s)

@@ -31,14 +31,6 @@ def test_bound_json_round_trip(capsys, eqdir):
     assert {f for f, _ in data["d"]["factors"]} == {"n^2+n+1", "n^2+3*n+3", "3*n+2*k+1"}
 
 
-def test_bound_flags(capsys, eqdir):
-    code, out, _ = run(capsys, "bound", str(eqdir / "sys1.json"), "--coarse", "--no-refine", "--json")
-    assert code == 0
-    data = json.loads(out)
-    mults = dict(tuple(x) for x in data["d"]["factors"])
-    assert mults["n+k+3"] == 3  # the literal cascade product keeps multiplicities
-
-
 def test_spread_command(capsys):
     code, out, _ = run(capsys, "spread", "k+n+1", "--vars", "n,k")
     assert code == 0 and out.strip() == "lattice: (1,-1)"
@@ -106,12 +98,15 @@ def test_unfactored_nonlinear_exits_2(capsys, tmp_path):
     ({"shift": [0, 0], "coefficient": {"factors": [["k+n+1", 99999999]]}}, "0"),
     (None, "n^99999999"),
     (None, "(n+k+1)^3000"),
+    (None, "(n+k+1)^100"),  # within the degree limit, but 5,151 terms
+    ({"shift": [0, 0, 0], "coefficient": "1"}, "(n+k+m+1)^30"),  # 5,456 terms
 ])
 def test_oversized_input_exits_2_quickly(capsys, tmp_path, eqdir, term, rhs):
     data = json.loads((eqdir / "sys1.json").read_text())
     data["rhs"] = rhs
     if term is not None:
         data["terms"] = [term]
+        data["variables"] = ["n", "k", "m"][:len(term["shift"])]
     path = tmp_path / "big.json"
     path.write_text(json.dumps(data))
     start = time.perf_counter()

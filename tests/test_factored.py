@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from plde.factored import DECLARED_IRREDUCIBLE, FactoredPoly, UNVERIFIED, VERIFIED_LINEAR
+from plde.factored import FactoredPoly
 from plde.lattice import IntLattice
 from plde.polyring import Poly, divide_exact, parse_poly
 from support import VARS2, random_factor
@@ -39,16 +39,6 @@ def test_canonicalization_merges_associates():
     assert fp.factors == ((P("n+1"), 2),)
 
 
-def test_tags():
-    fp = FactoredPoly(VARS2, 1, [(P("n+1"), 1), (P("n^2+n+1"), 1)],
-                      [None, DECLARED_IRREDUCIBLE])
-    tags = dict(zip((p for p, _ in fp.factors), fp.tags))
-    assert tags[P("n+1")] == VERIFIED_LINEAR
-    assert tags[P("n^2+n+1")] == DECLARED_IRREDUCIBLE
-    fp2 = FactoredPoly.from_poly(P("n*k+1"))
-    assert fp2.tags == (UNVERIFIED,)
-
-
 def test_lcm_examples():
     d = F("n+k+1", "3*n+2*k+1")
     one = FactoredPoly.one(VARS2)
@@ -75,14 +65,16 @@ def test_shift_examples():
 def test_w_part_examples():
     W1 = IntLattice(2, [(1, -1)])
     fp = F("k+n+1", "2*k+3*n+1", unit=-1)
-    assert fp.w_part(W1, True) == F("k+n+1")
+    assert fp.w_part(W1) == F("k+n+1")
     W01 = IntLattice(2, [(0, 1)])
     fp2 = F("n^2+n+1", "2*k+3*n+3")
-    assert fp2.w_part(W01, True) == F("n^2+n+1")
+    assert fp2.w_part(W01) == F("n^2+n+1")
+    # aperiodic factors are kept only for W = 0, the module of the aperiodic pass
     aper = F("n*k+1")
-    assert aper.w_part(W1, True).is_one()
-    # aperiodic factors are inside every module unless dropped
-    assert aper.w_part(W1, False) == F("n*k+1")
+    assert aper.w_part(W1).is_one()
+    zero = IntLattice.zero(2)
+    assert aper.w_part(zero) == F("n*k+1")
+    assert fp.w_part(zero).is_one()
 
 
 def test_div_exact_and_divides():
@@ -137,44 +129,32 @@ def test_shift_commutes_with_expand():
 
 def test_w_part_is_a_sub_multiset():
     rng = random.Random(303)
-    W = IntLattice(2, [(1, -1)])
+    modules = [IntLattice(2, [(1, -1)]), IntLattice.zero(2)]
     for _ in range(N_CASES):
         fp = _random_fp(rng)
-        part = fp.w_part(W, rng.choice([True, False]))
+        part = fp.w_part(rng.choice(modules))
         assert part.divides(fp)
-
-
-def _random_tagged_fp(rng, factors=None):
-    if factors is None:
-        factors = [(random_factor(rng), rng.randint(1, 2)) for _ in range(rng.randint(0, 3))]
-    tags = [rng.choice([None, DECLARED_IRREDUCIBLE, UNVERIFIED]) for _ in factors]
-    return FactoredPoly(VARS2, rng.choice([1, -1, 2, "1/2"]), factors, tags)
 
 
 def test_trusted_results_match_the_validating_constructor():
     rng = random.Random(304)
-    W = IntLattice(2, [(1, -1)])
+    modules = [IntLattice(2, [(1, -1)]), IntLattice.zero(2)]
     for _ in range(N_CASES):
-        a = _random_tagged_fp(rng)
-        b = _random_tagged_fp(rng)
-        c = _random_tagged_fp(rng, list(a.factors))   # same prims, other tags
+        a = _random_fp(rng)
+        b = _random_fp(rng)
+        c = FactoredPoly(VARS2, rng.choice([1, -1, 2, "1/2"]),
+                         [(p, rng.randint(1, 2)) for p, _ in a.factors])   # same prims
         s = (rng.randint(-3, 3), rng.randint(-3, 3))
-        k = rng.randint(0, 2)
         g = a.gcd(b)
         # results next to what the validating constructor makes of the same inputs
         pairs = [
-            (a.mul(b), FactoredPoly(VARS2, a.unit * b.unit, a.factors + b.factors,
-                                    a.tags + b.tags)),
-            (a.mul(c), FactoredPoly(VARS2, a.unit * c.unit, a.factors + c.factors,
-                                    a.tags + c.tags)),
-            (a.pow(k), FactoredPoly(VARS2, a.unit ** k, [(p, m * k) for p, m in a.factors],
-                                    a.tags) if k else FactoredPoly.one(VARS2)),
-            (a.shift(s), FactoredPoly(VARS2, a.unit, [(p.shift(s), m) for p, m in a.factors],
-                                      a.tags)),
-            (a.drop_unit(), FactoredPoly(VARS2, 1, a.factors, a.tags)),
+            (a.mul(b), FactoredPoly(VARS2, a.unit * b.unit, a.factors + b.factors)),
+            (a.mul(c), FactoredPoly(VARS2, a.unit * c.unit, a.factors + c.factors)),
+            (a.shift(s), FactoredPoly(VARS2, a.unit, [(p.shift(s), m) for p, m in a.factors])),
+            (a.drop_unit(), FactoredPoly(VARS2, 1, a.factors)),
         ]
         for fp in (g, a.lcm(b), a.mul(b).div_exact(b), a.div_exact(g),
-                   a.w_part(W, rng.random() < 0.5)):
-            pairs.append((fp, FactoredPoly(fp.vars, fp.unit, fp.factors, fp.tags)))
+                   a.w_part(rng.choice(modules))):
+            pairs.append((fp, FactoredPoly(fp.vars, fp.unit, fp.factors)))
         for got, want in pairs:
-            assert (got.unit, got.factors, got.tags) == (want.unit, want.factors, want.tags)
+            assert (got.unit, got.factors) == (want.unit, want.factors)

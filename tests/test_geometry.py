@@ -246,10 +246,13 @@ def test_face_modules_3d():
 
 def test_face_modules_match_the_all_pairs_search(monkeypatch):
     # a hull edge joins two corners, so the library's corner-pair search
-    # finds every edge module the all-pairs reference finds, with fewer LPs
+    # finds every edge module the all-pairs reference finds, with fewer LPs;
+    # both LP entry points are counted
     lps = []
-    solve = geometry.lp_feasible
-    monkeypatch.setattr(geometry, "lp_feasible", lambda *args: lps.append(args) or solve(*args))
+    for name in ("lp_feasible", "lp_has_solution"):
+        solve = getattr(geometry, name)
+        monkeypatch.setattr(geometry, name,
+                            lambda *args, solve=solve: lps.append(args) or solve(*args))
     rng = random.Random(506)
     compared = with_inner_points = 0
     for r, side, most in ((2, 3, 8), (3, 2, 8), (4, 1, 7)):
@@ -259,7 +262,7 @@ def test_face_modules_match_the_all_pairs_search(monkeypatch):
             corners = len(corner_points(pts))
             del lps[:]
             mods = SupportGeometry(pts).face_parallel_modules()
-            assert len(lps) <= len(pts) + corners * (corners - 1) // 2
+            assert 0 < len(lps) <= len(pts) + corners * (corners - 1) // 2
             assert mods == face_parallel_modules_all_pairs(pts)
             compared += 1
             with_inner_points += corners < len(pts)
