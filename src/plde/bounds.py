@@ -21,12 +21,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 from .equation import PLDE
 from .factored import FactoredPoly
 from .geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry,
                        WeakCertificate, WitnessCertificate)
 from .lattice import IntLattice, primitive_vector, saturation
-from .polyring import MODULUS, InvariantError, Poly, divide_exact, format_poly, mod_image, mod_zero
+from .polyring import (MODULUS, InvariantError, Poly, add_terms, divide_int_terms, format_poly,
+                       int_terms, mod_image, mod_zero, mul_terms, poly_from_int, shift_terms)
 from .spread import INFINITY, NEG_INFINITY, disp_k, invariance_lattice
 from .transform import frame_for, map_point, pull_back
 
@@ -102,51 +105,56 @@ class BoundReport:
 
 
 class _Frac:
-    """Numerator polynomial over a factored denominator with unit 1, reduced.
+    """content * num / den, reduced: num an int term map, den a FactoredPoly with unit 1.
 
-    The reduction trial-divides the numerator by each prim of the
-    denominator, once per unit of multiplicity, and skips a division only
-    when a test modulo the prime P = 2^61 - 1 (`polyring.MODULUS`) proves
-    it would fail.  The test is exact: every prim is primitive in Z[x], so
-    if prim divides num in Q[x], Gauss's lemma puts the quotient's
-    coefficient denominators among the divisors of num's.  When P divides
-    none of num's denominators, reduction modulo P is then a ring map, and
-    num(z) = 0 (mod P) at every zero z of prim modulo P.  A nonzero num(z)
-    at one such zero (`polyring.mod_zero`) therefore proves that prim does
-    not divide num.  The full division runs whenever the test cannot
-    decide: prim has no variable of degree 1 (n^2+n+1, say), P divides a
-    denominator of num, or num(z) = 0.  Every division that succeeds still
-    runs, so the result is the same as without the test.
+    ``num`` is a primitive polynomial over Z (`polyring.int_terms`) and
+    ``content`` a Fraction, so the products, sums and shifts of the strip
+    rewriting run on ints.  The reduction trial-divides num by each prim of
+    the denominator, once per unit of multiplicity.  Every prim is
+    primitive in Z[x], so by Gauss's lemma a quotient of num by a prim is
+    again over Z: the division needs exact int division only
+    (`polyring.divide_int_terms`), and a nonzero remainder proves that prim
+    does not divide num.  A division is skipped when a test modulo the
+    prime P = 2^61 - 1 (`polyring.MODULUS`) proves it would fail: reduction
+    modulo P is a ring map on Z[x], so if prim divides num then
+    num(z) = 0 (mod P) at every zero z of prim modulo P, and a nonzero
+    num(z) at one such zero (`polyring.mod_zero`) is the proof.  The
+    division runs whenever the test cannot decide, which is when mod_zero
+    finds no zero (prim has no variable of degree 1, n^2+n+1 say) or
+    num(z) = 0.  Every division that succeeds still runs, so the result is
+    the same as without the test.
 
-    ``zeros`` maps prims to their `mod_zero`; one strip rewriting shares it
-    among all its fractions, so each prim is solved once per rewriting.
+    ``prims`` maps each prim to its int term map and its `mod_zero`; one
+    strip rewriting shares it among all its fractions, so each prim is
+    converted and solved once per rewriting.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("content", "num", "den")
 
-    def __init__(self, num: Poly, den: FactoredPoly, zeros: dict):
+    def __init__(self, content: Fraction, num: dict, den: FactoredPoly, prims: dict):
         if den.unit != 1:
-            num = num * (1 / den.unit)
+            content = content / den.unit
             den = den.drop_unit()
-        if num.is_zero():
+        if not num:
             den = FactoredPoly.one(den.vars)
         else:
+            g = gcd(*num.values())
+            if g != 1:
+                content = content * g
+                num = {e: c // g for e, c in num.items()}
             factors = []
             images = {}  # variable -> mod_image of the current num
             for prim, mult in den.factors:
-                if prim not in zeros:
-                    zeros[prim] = mod_zero(prim)
-                zero = zeros[prim]
+                terms, zero = _prim_entry(prims, prim)
                 m = mult
                 while m:
                     if zero is not None:
                         i, z = zero
                         if i not in images:
                             images[i] = mod_image(num, i)
-                        image = images[i]
-                        if image is not None and _horner(image, z):
+                        if _horner(images[i], z):
                             break
-                    q = divide_exact(num, prim)
+                    q = divide_int_terms(num, terms)
                     if q is None:
                         break
                     num = q
@@ -155,17 +163,45 @@ class _Frac:
                 if m:
                     factors.append((prim, m))
             den = FactoredPoly._from_canonical(den.vars, den.unit, factors)
+        self.content = content
         self.num = num
         self.den = den
 
     def is_zero(self) -> bool:
-        return self.num.is_zero()
+        return not self.num
 
-    def add(self, other: "_Frac", zeros: dict) -> "_Frac":
+    def add(self, other: "_Frac", prims: dict) -> "_Frac":
         common = self.den.lcm(other.den)
-        a = self.num * common.div_exact(self.den).expand()
-        b = other.num * common.div_exact(other.den).expand()
-        return _Frac(a + b, common, zeros)
+        c1, c2 = self.content, other.content
+        bottom = lcm(c1.denominator, c2.denominator)
+        a = mul_terms(self.num, _expand(common.div_exact(self.den), prims,
+                                        c1.numerator * (bottom // c1.denominator)))
+        b = mul_terms(other.num, _expand(common.div_exact(other.den), prims,
+                                         c2.numerator * (bottom // c2.denominator)))
+        return _Frac(Fraction(1, bottom), add_terms(a, b), common, prims)
+
+    def to_poly(self, D: FactoredPoly, prims: dict) -> Poly:
+        """The numerator over the common denominator D, as a Poly over Q."""
+        return poly_from_int(D.vars, self.content,
+                             mul_terms(self.num, _expand(D.div_exact(self.den), prims)))
+
+
+def _prim_entry(prims: dict, prim: Poly):
+    entry = prims.get(prim)
+    if entry is None:
+        terms = int_terms(prim)[1]
+        entry = prims[prim] = (terms, mod_zero(terms))
+    return entry
+
+
+def _expand(fp: FactoredPoly, prims: dict, scalar=1) -> dict:
+    """scalar times the product of fp's factors (its unit left out), as an int term map."""
+    result = {(0,) * len(fp.vars): scalar}
+    for prim, mult in fp.factors:
+        terms = _prim_entry(prims, prim)[0]
+        for _ in range(mult):
+            result = mul_terms(result, terms)
+    return result
 
 
 def _horner(image, z) -> int:
@@ -239,13 +275,13 @@ def strip_rewrite(eq_norm: PLDE, p, s) -> StripResult:
             raise StripPreconditionError(
                 "support point %r does not sit above the base plane of %r" % (q, p))
     a_p = eq_norm.terms[p]
-    zeros = {}
-    terms = {}
-    for q, a_q in eq_norm.terms.items():
-        if q != p:
-            terms[q] = _Frac(-a_q.expand(), a_p, zeros)
-    b = _Frac(eq_norm.rhs, a_p, zeros)
+    prims = {}
+    others = {q: (a_q.unit, _expand(a_q, prims)) for q, a_q in eq_norm.terms.items() if q != p}
+    terms = {q: _Frac(-unit, num, a_p, prims) for q, (unit, num) in others.items()}
+    rhs_content, rhs = int_terms(eq_norm.rhs)
+    b = _Frac(rhs_content, rhs, a_p, prims)
     substituted = []
+    pool = a_p  # the product of the shifted corner coefficients
     while True:
         ready = [i for i in terms if 1 <= i[0] - p[0] <= s]
         if not ready:
@@ -256,15 +292,17 @@ def strip_rewrite(eq_norm: PLDE, p, s) -> StripResult:
             continue
         d = tuple(a - b_ for a, b_ in zip(i, p))
         ap_d = a_p.shift(d)
+        pool = pool.mul(ap_d)
         substituted.append(i)
-        for q, a_q in eq_norm.terms.items():
-            if q == p:
-                continue
+        den = coeff.den.mul(ap_d)
+        for q, (unit, num) in others.items():
             target = tuple(a + b_ for a, b_ in zip(q, d))
-            addend = _Frac(-(coeff.num * a_q.shift(d).expand()), coeff.den.mul(ap_d), zeros)
-            terms[target] = terms[target].add(addend, zeros) if target in terms else addend
-        if not eq_norm.rhs.is_zero():
-            b = b.add(_Frac(coeff.num * eq_norm.rhs.shift(d), coeff.den.mul(ap_d), zeros), zeros)
+            addend = _Frac(-coeff.content * unit, mul_terms(coeff.num, shift_terms(num, d)), den,
+                           prims)
+            terms[target] = terms[target].add(addend, prims) if target in terms else addend
+        if rhs:
+            num = mul_terms(coeff.num, shift_terms(rhs, d))
+            b = b.add(_Frac(coeff.content * rhs_content, num, den, prims), prims)
     rminus = tuple(sorted([p] + substituted))
     live = {i: fr for i, fr in terms.items() if not fr.is_zero()}
     if any(i[0] - p[0] <= s for i in live):
@@ -273,14 +311,10 @@ def strip_rewrite(eq_norm: PLDE, p, s) -> StripResult:
     for fr in live.values():
         D = D.lcm(fr.den)
     D = D.lcm(b.den)
-    pool = FactoredPoly.one(eq_norm.variables)
-    for i in rminus:
-        pool = pool.mul(a_p.shift(tuple(a - b_ for a, b_ in zip(i, p))).drop_unit())
     if not D.divides(pool):
         raise InvariantError("common denominator escaped the substitution cascade")
-    out_terms = {i: fr.num * D.div_exact(fr.den).expand() for i, fr in live.items()}
-    out_b = b.num * D.div_exact(b.den).expand()
-    return StripResult(rminus, tuple(sorted(live)), D, out_terms, out_b)
+    out_terms = {i: fr.to_poly(D, prims) for i, fr in live.items()}
+    return StripResult(rminus, tuple(sorted(live)), D, out_terms, b.to_poly(D, prims))
 
 
 # ----------------------------------------------------------------------

@@ -1,10 +1,16 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-The ground field is QQ throughout: coefficients are `fractions.Fraction`
-values and every operation is exact; there is no floating point anywhere.
-A polynomial is an immutable map from exponent vectors to nonzero
-coefficients, together with an ordered tuple of variable names.  Leading
-terms and printing use graded lexicographic order on the exponent vectors.
+Every operation is exact; there is no floating point anywhere.  A
+polynomial is an immutable map from exponent vectors to nonzero
+coefficients (a term map), together with an ordered tuple of variable
+names.  `Poly` is the polynomial over QQ, with `fractions.Fraction`
+coefficients.  Its products, sums and shifts run on the term-map kernels
+`mul_terms`, `add_terms` and `shift_terms`, which take any exact
+coefficients.  The strip rewriting of `bounds` calls them on ints: it holds
+each numerator as a rational content times a term map over Z (`int_terms`),
+and divides by primitive integer polynomials with `divide_int_terms`, which
+by Gauss's lemma needs exact int division only.  Leading terms and printing
+use graded lexicographic order on the exponent vectors.
 """
 
 from __future__ import annotations
@@ -12,6 +18,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 from math import comb, gcd as _int_gcd, lcm as _int_lcm
+from operator import add as _add, sub as _sub
 
 
 class ParseError(ValueError):
@@ -42,11 +49,11 @@ class Poly:
     term map.  Instances are treated as immutable and are hashable.
     """
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "terms", "_hash", "_key")
 
     def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
-        self._hash = None
+        self._hash = self._key = None
         clean = {}
         if terms:
             r = len(self.vars)
@@ -67,7 +74,7 @@ class Poly:
         p = object.__new__(cls)
         p.vars = vars
         p.terms = terms
-        p._hash = None
+        p._hash = p._key = None
         return p
 
     # ------------------------------------------------------------------
@@ -150,18 +157,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_ring(other)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            v = terms.get(e)
-            if v is None:
-                terms[e] = c
-                continue
-            v += c
-            if v:
-                terms[e] = v
-            else:
-                del terms[e]
-        return Poly._make(self.vars, terms)
+        return Poly._make(self.vars, add_terms(self.terms, other.terms))
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -180,13 +176,7 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_ring(other)
-        terms = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                v = terms.get(e)
-                terms[e] = c1 * c2 if v is None else v + c1 * c2
-        return Poly._make(self.vars, {e: c for e, c in terms.items() if c})
+        return Poly._make(self.vars, mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -220,20 +210,7 @@ class Poly:
         s = tuple(int(x) for x in s)
         if len(s) != len(self.vars):
             raise ValueError("shift vector length %d, expected %d" % (len(s), len(self.vars)))
-        if not any(s):
-            return self
-        terms = {}
-        for e, c in self.terms.items():
-            # expand prod_i (x_i + s_i)^{e_i}
-            for f in itertools.product(*(range(d + 1) for d in e)):
-                w = c
-                for d, fi, si in zip(e, f, s):
-                    if d != fi:
-                        w *= comb(d, fi) * si ** (d - fi)
-                if w:
-                    v = terms.get(f)
-                    terms[f] = w if v is None else v + w
-        return Poly._make(self.vars, {e: c for e, c in terms.items() if c})
+        return Poly._make(self.vars, shift_terms(self.terms, s)) if any(s) else self
 
     def eval_at(self, point) -> Fraction:
         point = [Fraction(x) for x in point]
@@ -284,8 +261,15 @@ class Poly:
     # printing
 
     def sort_key(self):
-        """Deterministic comparison key: degree first, then the term list."""
-        return (self.total_degree(), tuple(sorted(self.terms.items())))
+        """Deterministic comparison key: degree first, then the term list.
+
+        Integer coefficients enter as ints, which compare faster than Fractions.
+        """
+        k = self._key
+        if k is None:
+            k = self._key = (self.total_degree(), tuple(sorted(
+                (e, c.numerator if c.denominator == 1 else c) for e, c in self.terms.items())))
+        return k
 
     def __str__(self):
         return format_poly(self)
@@ -297,34 +281,108 @@ class Poly:
 def divide_exact(p: Poly, q: Poly):
     """Quotient of p by q when the division is exact, else None.
 
-    Repeatedly cancels leading terms under graded lex; the loop fails as
-    soon as the leading monomial of q no longer divides the current
-    leading monomial, which happens exactly when q does not divide p.
+    Divides the primitive integer parts with divide_int_terms and scales
+    the quotient by the ratio of the contents.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
-    if p.is_zero():
-        return Poly.zero(p.vars)
     p._check_same_ring(q)
-    eq = q.leading_exponent()
-    cq = q.terms[eq]
+    cp, tp = int_terms(p)
+    cq, tq = int_terms(q)
+    quotient = divide_int_terms(tp, tq)
+    return None if quotient is None else poly_from_int(p.vars, cp / cq, quotient)
+
+
+# ----------------------------------------------------------------------
+# kernels on term maps
+
+
+def add_terms(a: dict, b: dict) -> dict:
+    terms = dict(a)
+    for e, c in b.items():
+        v = terms.get(e)
+        if v is None:
+            terms[e] = c
+            continue
+        v += c
+        if v:
+            terms[e] = v
+        else:
+            del terms[e]
+    return terms
+
+
+def mul_terms(a: dict, b: dict) -> dict:
+    terms = {}
+    get = terms.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(map(_add, e1, e2))
+            v = get(e)
+            terms[e] = c1 * c2 if v is None else v + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
+def shift_terms(a: dict, s: tuple) -> dict:
+    """The term map of p(n + s) for the polynomial p with term map a."""
+    terms = {}
+    for e, c in a.items():
+        # expand prod_i (x_i + s_i)^{e_i}
+        for f in itertools.product(*(range(d + 1) for d in e)):
+            w = c
+            for d, fi, si in zip(e, f, s):
+                if d != fi:
+                    w *= comb(d, fi) * si ** (d - fi)
+            if w:
+                v = terms.get(f)
+                terms[f] = w if v is None else v + w
+    return {e: c for e, c in terms.items() if c}
+
+
+def divide_int_terms(p: dict, q: dict):
+    """Quotient of p by q when q divides p, else None; p and q over Z, q primitive.
+
+    Repeatedly cancels leading terms under graded lex; each step finds one
+    coefficient of the quotient.  By Gauss's lemma a quotient of p by the
+    primitive q has integer coefficients, so the division fails as soon as
+    the leading monomial of q no longer divides the current one or an int
+    division leaves a remainder.
+    """
+    # exponents carry their total degree in front, so that max is grlex
+    q = [((sum(e),) + e, c) for e, c in q.items()]
+    eq, cq = max(q)
     quotient = {}
-    rem = dict(p.terms)
+    rem = {(sum(e),) + e: c for e, c in p.items()}
     while rem:
-        ep = max(rem, key=_grlex)
-        diff = tuple(a - b for a, b in zip(ep, eq))
-        if any(d < 0 for d in diff):
+        ep = max(rem)
+        diff = tuple(map(_sub, ep, eq))
+        if min(diff) < 0:
             return None
-        c = rem[ep] / cq
-        quotient[diff] = c
-        for e2, c2 in q.terms.items():
-            e = tuple(a + b for a, b in zip(diff, e2))
-            v = rem.get(e, Fraction(0)) - c * c2
+        c, r = divmod(rem[ep], cq)
+        if r:
+            return None
+        quotient[diff[1:]] = c
+        for e2, c2 in q:
+            e = tuple(map(_add, diff, e2))
+            v = rem.get(e, 0) - c * c2
             if v:
                 rem[e] = v
             else:
-                rem.pop(e, None)
-    return Poly._make(p.vars, quotient)
+                del rem[e]
+    return quotient
+
+
+def int_terms(p: Poly):
+    """(content, terms): p = content * terms, terms a primitive term map over Z."""
+    den = _int_lcm(*(c.denominator for c in p.terms.values()))
+    ints = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
+    g = _int_gcd(*ints.values()) or 1
+    return Fraction(g, den), {e: c // g for e, c in ints.items()}
+
+
+def poly_from_int(vars: tuple, content: Fraction, terms: dict) -> Poly:
+    """The Poly content * terms over vars, for an int term map."""
+    return Poly._make(vars, {e: content * c for e, c in terms.items()})
 
 
 # ----------------------------------------------------------------------
@@ -333,14 +391,12 @@ def divide_exact(p: Poly, q: Poly):
 MODULUS = (1 << 61) - 1  # a Mersenne prime
 
 
-def mod_image(p: Poly, i: int):
-    """p modulo MODULUS as a polynomial in x_i alone, coefficients lowest first.
+def mod_image(p: dict, i: int):
+    """A nonzero int term map p modulo MODULUS as a polynomial in x_i alone, lowest first.
 
-    Every other variable x_j takes the fixed residue 3^(64+j); the image is
-    None when MODULUS divides a coefficient denominator, since p has no
-    reduction modulo MODULUS then.
+    Every other variable x_j takes the fixed residue 3^(64+j).
     """
-    degrees = [max(col) for col in zip(*p.terms)] if p.terms else [0] * len(p.vars)
+    degrees = [max(col) for col in zip(*p)]
     powers = []
     for j, d in enumerate(degrees):
         row = [1]
@@ -350,35 +406,24 @@ def mod_image(p: Poly, i: int):
                 row.append(row[-1] * c % MODULUS)
         powers.append(row)
     image = [0] * (degrees[i] + 1)
-    inverses = {}
-    for e, c in p.terms.items():
-        w = c.numerator
-        q = c.denominator
-        if q != 1:
-            inv = inverses.get(q)
-            if inv is None:
-                if q % MODULUS == 0:
-                    return None
-                inv = inverses[q] = pow(q, -1, MODULUS)
-            w *= inv
+    for e, c in p.items():
         for j, d in enumerate(e):
             if d and j != i:
-                w = w * powers[j][d] % MODULUS
-        image[e[i]] += w
+                c = c * powers[j][d] % MODULUS
+        image[e[i]] += c
     return [x % MODULUS for x in image]
 
 
-def mod_zero(prim: Poly):
-    """A zero (i, z) of prim modulo MODULUS: x_i = z, the other variables as in mod_image.
+def mod_zero(prim: dict):
+    """A zero (i, z) of the int term map prim modulo MODULUS: x_i = z, the rest as in mod_image.
 
     Solves for the first variable in which prim has degree 1 and a leading
     coefficient that does not vanish there; None when there is none.
     """
-    for i in range(len(prim.vars)):
-        if prim.degree_in(i) == 1:
-            image = mod_image(prim, i)
-            if image is not None and image[1]:
-                return i, -image[0] * pow(image[1], -1, MODULUS) % MODULUS
+    for i in range(len(next(iter(prim)))):
+        image = mod_image(prim, i)
+        if len(image) == 2 and image[1]:
+            return i, -image[0] * pow(image[1], -1, MODULUS) % MODULUS
     return None
 
 
@@ -386,14 +431,9 @@ def normalize_primitive(p: Poly):
     """Split p as unit * prim with prim integer-primitive and positive leading coefficient."""
     if p.is_zero():
         raise ValueError("cannot normalize the zero polynomial")
-    den_lcm = 1
-    for c in p.terms.values():
-        den_lcm = _int_lcm(den_lcm, c.denominator)
-    num_gcd = 0
-    for c in p.terms.values():
-        num_gcd = _int_gcd(num_gcd, abs(c.numerator * (den_lcm // c.denominator)))
-    sign = 1 if p.leading_coefficient() > 0 else -1
-    unit = Fraction(sign * num_gcd, den_lcm)
+    unit = int_terms(p)[0]
+    if p.leading_coefficient() < 0:
+        unit = -unit
     return unit, p if unit == 1 else p * (1 / unit)
 
 
@@ -504,12 +544,13 @@ def _gcd_recursive(p: Poly, q: Poly) -> Poly:
 #   atom   := UINT | VAR | '(' expr ')'
 #
 # No product or power is expanded past total degree MAX_DEGREE (nor any
-# exponent above it), nor when its result may have more than MAX_TERMS
-# terms: expansion time grows with both, an exponent such as n^99999999
-# would never finish, and (n+k+1)^100 alone takes seconds.  The term count
-# is bounded before the expansion by the number of monomials of the
-# result's degree in the variables that occur, or by the number of term
-# products if that is smaller.
+# exponent above it), nor when the results of all products and powers of
+# one text may have more than MAX_TERMS terms together: expansion time
+# grows with both, an exponent such as n^99999999 would never finish, and
+# (n+k+1)^100 alone takes seconds.  Each product's or power's term count is
+# bounded before the expansion by the number of monomials of the result's
+# degree in the variables that occur, or by the number of term products if
+# that is smaller, and charged against the text's budget of MAX_TERMS.
 
 MAX_DEGREE = 100
 MAX_TERMS = 1000
@@ -560,6 +601,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.vars = tuple(vars)
+        self.budget = MAX_TERMS
 
     def peek(self):
         return self.tokens[self.pos]
@@ -594,8 +636,8 @@ class _Parser:
             factor = self.parse_factor()
             degree = result.total_degree() + factor.total_degree()
             _check_degree(degree, pos)
-            _check_terms(min(len(result.terms) * len(factor.terms),
-                             _monomials(degree, result, factor)), pos)
+            self.charge(min(len(result.terms) * len(factor.terms),
+                            _monomials(degree, result, factor)), pos)
             result = result * factor
         return result
 
@@ -609,7 +651,7 @@ class _Parser:
             _check_degree(max(e, degree), tok[2])
             n = len(result.terms)
             # a product of e terms is a multiset of e of the n terms
-            _check_terms(min(comb(n + e - 1, e) if n else 1, _monomials(degree, result)), tok[2])
+            self.charge(min(comb(n + e - 1, e) if n else 1, _monomials(degree, result)), tok[2])
             result = result ** e
         return result
 
@@ -628,6 +670,14 @@ class _Parser:
         raise ParseError("expected a number, variable or parenthesis, found %r"
                          % (tok[1] or "end of input"), tok[2])
 
+    def charge(self, bound: int, position: int):
+        """Charge a bound on the terms of one product or power against the text's budget."""
+        self.budget -= bound
+        if self.budget < 0:
+            raise UnsupportedInputError("unsupported: the products and powers up to position %d "
+                                        "exceed the budget of %d terms per polynomial text"
+                                        % (position, MAX_TERMS))
+
 
 def _check_degree(degree: int, position: int):
     if degree > MAX_DEGREE:
@@ -639,12 +689,6 @@ def _monomials(degree: int, *polys) -> int:
     """Number of monomials of total degree <= degree in the variables the polys use."""
     used = len({i for p in polys for e in p.terms for i, x in enumerate(e) if x})
     return comb(max(degree, 0) + used, used)
-
-
-def _check_terms(bound: int, position: int):
-    if bound > MAX_TERMS:
-        raise UnsupportedInputError("unsupported: up to %d terms at position %d exceed the "
-                                    "limit %d" % (bound, position, MAX_TERMS))
 
 
 def parse_poly(text: str, vars) -> Poly:

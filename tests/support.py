@@ -4,6 +4,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import prod
 
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
@@ -174,6 +175,35 @@ def reduce_by_trial_division(num, den):
         if m:
             factors.append((prim, m))
     return num, FactoredPoly(den.vars, 1, factors)
+
+
+def divide_over_q(p: Poly, q: Poly):
+    """Reference for the integer division kernel: long division over Q, or None.
+
+    Cancels leading terms under graded lex with Fraction coefficients and
+    fails when the leading monomial of q stops dividing the remainder's.
+    """
+    eq = q.leading_exponent()
+    quotient = {}
+    rem = dict(p.terms)
+    while rem:
+        ep = max(rem, key=lambda e: (sum(e), e))
+        diff = tuple(a - b for a, b in zip(ep, eq))
+        if any(d < 0 for d in diff):
+            return None
+        c = rem[ep] / q.terms[eq]
+        quotient[diff] = c
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(diff, e2))
+            rem[e] = rem.get(e, Fraction(0)) - c * c2
+            if not rem[e]:
+                del rem[e]
+    return Poly(p.vars, quotient)
+
+
+def evaluate_terms(terms: dict, point):
+    """The value of a term map at a point, by direct evaluation."""
+    return sum(c * prod(x ** d for x, d in zip(point, e)) for e, c in terms.items())
 
 
 def act_on_rational(A: UnimodularMatrix, y: RationalFunction) -> RationalFunction:

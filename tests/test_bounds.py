@@ -18,7 +18,7 @@ from plde.factored import FactoredPoly
 from plde.geometry import SupportGeometry
 from plde.lattice import IntLattice, saturation
 from plde.polyring import (MODULUS, InvariantError, Poly, RationalFunction, divide_exact,
-                           mod_image, mod_zero, parse_poly)
+                           divide_int_terms, int_terms, mod_image, mod_zero, parse_poly)
 from plde.spread import NEG_INFINITY, invariance_lattice
 from plde.transform import frame_for, map_point
 from plde.verify import check_solution
@@ -127,28 +127,29 @@ def test_strip_requires_unique_base_point():
 
 
 def _failing_divisions(monkeypatch):
-    """Record the divisor of every trial division in bounds that returns None."""
+    """Record the divisor (an int term map) of every trial division in bounds that fails."""
     failed = []
 
     def recording(p, q):
-        quotient = divide_exact(p, q)
+        quotient = divide_int_terms(p, q)
         if quotient is None:
             failed.append(q)
         return quotient
 
-    monkeypatch.setattr(plde.bounds, "divide_exact", recording)
+    monkeypatch.setattr(plde.bounds, "divide_int_terms", recording)
     return failed
 
 
 def test_frac_reduction_matches_trial_division(monkeypatch):
     # the modular zero test may skip only divisions that fail, so the
-    # reduction equals plain trial division; it cannot skip for prims with
-    # no variable of degree 1, nor for numerators with a denominator
-    # divisible by the modulus, and it skips every failing division else
+    # reduction equals plain trial division over Q; it cannot skip for
+    # prims with no variable of degree 1, and it skips every failing
+    # division else, also when 2^61-1 divides a coefficient denominator of
+    # the rational numerator (the integer part it tests has none)
     rng = random.Random(709)
     pool = ["k+n+1", "2*k+3*n+1", "n*k+1", "n+1", "4*k-2*n+1", "n^2+n+1", "n^2+k^2+1"]
     failed = _failing_divisions(monkeypatch)
-    zeros = {}
+    prims = {}
     undecided = 0
     for case in range(N_CASES):
         texts = rng.sample(pool, rng.randint(1, 3))
@@ -160,18 +161,18 @@ def test_frac_reduction_matches_trial_division(monkeypatch):
         if case % 8 == 0:
             num = num * Fraction(1, MODULUS)
         failed.clear()
-        got = _Frac(num, den, zeros)
-        assert (got.num, got.den) == reduce_by_trial_division(num, den), (num, den)
-        if case % 8 == 0 or any(mod_zero(prim) is None for prim in failed):
-            undecided += bool(failed)
-        else:
-            assert not failed, (num, den)
+        got = _Frac(*int_terms(num), den, prims)
+        assert (got.to_poly(got.den, prims), got.den) == reduce_by_trial_division(num, den), \
+            (num, den)
+        for terms in failed:
+            assert all(max(degrees) != 1 for degrees in zip(*terms)), (num, den, terms)
+        undecided += bool(failed)
     assert undecided >= 20
-    assert mod_zero(P("n^2+n+1")) is None and mod_zero(P("n^2+k^2+1")) is None
-    for prim in zeros:
-        if zeros[prim] is not None:
-            i, z = zeros[prim]
-            assert _horner(mod_image(prim, i), z) == 0
+    assert all(mod_zero(int_terms(P(t))[1]) is None for t in ("n^2+n+1", "n^2+k^2+1"))
+    for terms, zero in prims.values():
+        if zero is not None:
+            i, z = zero
+            assert _horner(mod_image(terms, i), z) == 0
 
 
 def test_combined_makes_no_failing_trial_division(sys1, monkeypatch):

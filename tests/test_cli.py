@@ -100,6 +100,7 @@ def test_unfactored_nonlinear_exits_2(capsys, tmp_path):
     (None, "(n+k+1)^3000"),
     (None, "(n+k+1)^100"),  # within the degree limit, but 5,151 terms
     ({"shift": [0, 0, 0], "coefficient": "1"}, "(n+k+m+1)^30"),  # 5,456 terms
+    (None, "+".join("(n+k+%d)^43" % a for a in range(1, 6))),  # 990 terms each
 ])
 def test_oversized_input_exits_2_quickly(capsys, tmp_path, eqdir, term, rhs):
     data = json.loads((eqdir / "sys1.json").read_text())

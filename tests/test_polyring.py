@@ -1,11 +1,14 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from plde.polyring import (ParseError, Poly, RationalFunction, divide_exact, format_poly,
-                           gcd_poly, normalize_primitive, parse_poly, parse_rational)
-from support import VARS2, random_poly
+from plde.polyring import (ParseError, Poly, RationalFunction, add_terms, divide_exact,
+                           divide_int_terms, format_poly, gcd_poly, int_terms, mul_terms,
+                           normalize_primitive, parse_poly, parse_rational, poly_from_int,
+                           shift_terms)
+from support import VARS2, divide_over_q, evaluate_terms, random_poly, random_shift
 
 N_CASES = 200
 
@@ -132,6 +135,41 @@ def test_divide_exact_basic():
 
 # ----------------------------------------------------------------------
 # normalization, evaluation
+
+
+def test_int_kernels_match_poly():
+    # the int term-map kernels of strip rewriting against independent
+    # references: products, sums and shifts on a grid that determines
+    # polynomials of their degree, and exact division by a primitive
+    # divisor against long division over Q, failing divisions included
+    rng = random.Random(1103)
+    outcomes = {True: 0, False: 0}
+    for _ in range(N_CASES):
+        a = int_terms(random_poly(rng, max_degree=3, max_terms=5, nonzero=True))[1]
+        b = int_terms(random_poly(rng, max_degree=2, max_terms=4, nonzero=True))[1]
+        s = random_shift(rng, 2, 3)
+        # a grid of 7 x 7 points determines polynomials of degree <= 6 in each variable
+        for pt in itertools.product(range(7), repeat=2):
+            x, y = evaluate_terms(a, pt), evaluate_terms(b, pt)
+            assert evaluate_terms(mul_terms(a, b), pt) == x * y
+            assert evaluate_terms(add_terms(a, b), pt) == x + y
+            assert evaluate_terms(shift_terms(a, s), pt) == evaluate_terms(
+                a, (pt[0] + s[0], pt[1] + s[1]))
+        assert add_terms(a, {e: -c for e, c in a.items()}) == {}
+        for p in (mul_terms(a, b), add_terms(mul_terms(a, b), random_poly(rng).terms), a):
+            p = {e: int(c) for e, c in p.items()}
+            want = divide_over_q(poly_from_int(VARS2, Fraction(1), p),
+                                 poly_from_int(VARS2, Fraction(1), b))
+            got = divide_int_terms(p, b)
+            outcomes[got is not None] += 1
+            assert (got is None) == (want is None), (p, b)
+            if got is not None:
+                assert all(type(c) is int for c in got.values())
+                assert poly_from_int(VARS2, Fraction(1), got) == want
+            scale = Fraction(rng.choice([1, -3, 5]), rng.choice([1, 2, 7]))
+            got = divide_exact(poly_from_int(VARS2, scale, p), poly_from_int(VARS2, 1 / scale, b))
+            assert got == (None if want is None else want * scale * scale)
+    assert min(outcomes.values()) >= 100, outcomes
 
 
 def test_normalize_primitive_examples():
