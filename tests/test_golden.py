@@ -38,11 +38,28 @@ def _profiles():
         denominator_pool=("n+k+m+1", "2*n+k+1", "k+m+1", "n-m+2", "n^2+m+1", "n*k+m+1"),
         numerator_pool=("1", "n", "k+m", "m^2+1"),
         coefficient_pool=("1", "-1", "2", "n", "k+1", "m+n+2"))
-    return {"r2": r2, "r3": r3}
+    r1 = InstanceProfile(
+        variables=("n",),
+        support_points=tuple((i,) for i in range(4)),
+        min_terms=2, max_terms=4,
+        denominator_pool=("n+1", "2*n+1", "n+3", "n^2+n+1", "3*n-2"),
+        numerator_pool=("1", "n", "n^2+1"),
+        coefficient_pool=("1", "-1", "2", "n", "n+2"))
+    r4 = InstanceProfile(
+        variables=("n", "k", "m", "j"),
+        support_points=tuple(itertools.product(range(2), repeat=4)),
+        min_terms=3, max_terms=5,
+        denominator_pool=("n+k+m+j+1", "n-j+2", "k+m+1", "2*n+k+1", "n^2+j+1", "n*k+m+1"),
+        numerator_pool=("1", "n", "k+j", "m^2+1"),
+        coefficient_pool=("1", "-1", "2", "n", "k+1", "j+m+2"))
+    return {"r1": r1, "r2": r2, "r3": r3, "r4": r4}
 
 
 # (profile, seed) of the generated cases
-GENERATED = tuple(("r2", seed) for seed in range(1, 11)) + tuple(("r3", seed) for seed in range(1, 11))
+GENERATED = (tuple(("r2", seed) for seed in range(1, 11))
+             + tuple(("r3", seed) for seed in range(1, 11))
+             + tuple(("r1", seed) for seed in range(1, 6))
+             + tuple(("r4", seed) for seed in (1, 5, 6, 7, 10)))
 
 
 def _case_names():
