@@ -12,7 +12,7 @@ from .polyring import (InvariantError, Poly, RationalFunction, divide_exact, for
                        gcd_poly, normalize_primitive, parse_poly, parse_rational)
 from .spread import (INFINITY, NEG_INFINITY, disp_k, invariance_lattice, shift_equiv,
                      spread_box_oracle)
-from .transform import NormalizedFrame, build_normalizing_frame, normalize_first_shift, transform_equation
+from .transform import transform_equation
 from .verify import check_bound_covers, check_solution
 
 __version__ = "0.1.0"

@@ -1,15 +1,15 @@
 """Denominator bounds for rational solutions, relative to spread modules.
 
-The pipeline for a single module W with a useful pair certificate:
+The pipeline for a single module W with a useful pair certificate (p, u),
+all in the equation's own coordinates; the level of a support point s is
+u . (s - p) (`transform.witness_levels`):
 
-1. change coordinates so that the witness covector becomes the first
-   coordinate functional and W becomes the last coordinate axes;
-2. bound the first-coordinate dispersion between the W-periodic parts of
-   the extreme-face coefficients;
-3. rewrite the equation by repeated substitution until every unknown term
+1. bound the dispersion along u between the W-periodic parts of the
+   coefficients on the minimal and the maximal level (`dispersion_bound`);
+2. rewrite the equation by repeated substitution until every unknown term
    sits beyond that dispersion strip, collecting the exact reduced common
-   denominator of the rewriting;
-4. keep the W-periodic part of that denominator and map it back.
+   denominator of the rewriting (`strip_rewrite`);
+3. keep the W-periodic part of that denominator, shifted back by p.
 
 The combined driver runs this for every module that occurs as the spread
 of a corner-coefficient factor, merges the results by lcm, collects the
@@ -31,20 +31,20 @@ from .lattice import IntLattice, primitive_vector, saturation
 from .polyring import (MODULUS, InvariantError, Poly, add_terms, divide_int_terms, format_poly,
                        int_terms, mod_image, mod_zero, mul_terms, poly_from_int, shift_terms)
 from .spread import INFINITY, NEG_INFINITY, disp_k, invariance_lattice
-from .transform import frame_for, map_point, pull_back
+from .transform import witness_levels
 
 
 class DegenerateFaceError(ValueError):
-    """Two extreme-face support points share their leading coordinates."""
+    """Two support points of one extreme face differ by an element of the module."""
 
     def __init__(self, a, b, face: str):
-        super().__init__("points %r and %r of the %s face agree in the leading "
-                         "coordinates; the dispersion bound does not apply" % (a, b, face))
+        super().__init__("points %r and %r of the %s face differ by an element of the "
+                         "module; the dispersion bound does not apply" % (a, b, face))
         self.points = (a, b)
 
 
 class StripPreconditionError(ValueError):
-    """The strip rewriting needs a unique support point on the base plane."""
+    """The strip rewriting needs a unique support point of minimal level."""
 
 
 @dataclass(frozen=True)
@@ -215,78 +215,78 @@ def _horner(image, z) -> int:
 # ----------------------------------------------------------------------
 
 
-def _norm_module(eq_vars_count: int, t: int) -> IntLattice:
-    rows = [[1 if j == i else 0 for j in range(eq_vars_count)]
-            for i in range(t, eq_vars_count)]
-    return IntLattice(eq_vars_count, rows)
+def dispersion_bound(eq: PLDE, W: IntLattice, u):
+    """Maximal dispersion along u between the W-parts of the two extreme faces.
 
-
-def dispersion_bound(eq_norm: PLDE, t: int):
-    """Maximal first-coordinate dispersion between base- and top-face W-parts.
-
-    The equation must be in the normalized frame (minimal first coordinate
-    0, the module mapped onto the last r - t axes).  Both extreme faces
-    must be injective in the first t coordinates, otherwise the result
-    would be meaningless and a DegenerateFaceError is raised.
+    The faces are the support points of minimal and maximal level u . s.
+    Each top-face W-part is shifted by sa - sb against a base-face point
+    sa, so the result is the maximum of |u . sigma| over the spread cosets
+    of all those factor pairs (`spread.disp_k`).  u must be a primitive
+    covector orthogonal to the saturated module W, and no two points of one
+    face may differ by an element of W, otherwise a ValueError or a
+    DegenerateFaceError is raised.
     """
-    r = len(eq_norm.variables)
-    support = eq_norm.support
-    low = min(s[0] for s in support)
-    if low != 0:
-        raise ValueError("equation is not shift-normalized")
-    k = max(s[0] for s in support)
-    A = [s for s in support if s[0] == 0]
-    B = [s for s in support if s[0] == k]
+    u = tuple(int(x) for x in u)
+    if any(sum(a * b for a, b in zip(u, w)) for w in W.basis):
+        raise ValueError("witness covector %r is not orthogonal to the module" % (u,))
+    if primitive_vector(u) != u:
+        raise ValueError("witness covector %r is not primitive" % (u,))
+    support = eq.support
+    levels = witness_levels(support, u, support[0])
+    low = min(levels.values())
+    high = max(levels.values())
+    A = [s for s in support if levels[s] == low]
+    B = [s for s in support if levels[s] == high]
     for face, name in ((A, "base"), (B, "top")):
         for a, b in itertools.combinations(face, 2):
-            if a[:t] == b[:t]:
+            if W.contains([x - y for x, y in zip(a, b)]):
                 raise DegenerateFaceError(a, b, name)
-    W_norm = _norm_module(r, t)
-    down = tuple([-k] + [0] * (r - 1))
     best = NEG_INFINITY
     for sa in A:
-        a_part = eq_norm.terms[sa].w_part(W_norm)
+        a_part = eq.terms[sa].w_part(W)
         if a_part.is_constant():
             continue
         for sb in B:
-            b_part = eq_norm.terms[sb].w_part(W_norm).shift(down)
+            b_part = eq.terms[sb].w_part(W).shift(tuple(x - y for x, y in zip(sa, sb)))
             if b_part.is_constant():
                 continue
-            best = max(best, disp_k(a_part, b_part, 1))
+            best = max(best, disp_k(a_part, b_part, u))
     if best == INFINITY:
-        raise InvariantError("periodic parts cannot disperse along the witness axis")
+        raise InvariantError("periodic parts cannot disperse along the witness covector")
     return best
 
 
-def strip_rewrite(eq_norm: PLDE, p, s) -> StripResult:
+def strip_rewrite(eq: PLDE, p, s, u) -> StripResult:
     """Rewrite N^p y over a single denominator by cascading substitutions.
 
-    Every term whose first-coordinate offset from p lies in [1, s] is
-    replaced via the equation shifted by that offset; offsets strictly
-    grow, so the process stops with all remaining terms beyond the strip.
-    The reduced common denominator divides the product of the shifted
-    copies of the corner coefficient collected along the way.
+    Every term at a level u . (i - p) in [1, s] is replaced via the
+    equation shifted by i - p, lowest level first; a substitution adds only
+    to strictly higher levels, so the process stops with all remaining
+    terms beyond the strip.  p must be the only support point of minimal
+    level.  The reduced common denominator divides the product of the
+    shifted copies of the corner coefficient collected along the way.
     """
     p = tuple(int(x) for x in p)
-    if p not in eq_norm.terms:
+    if p not in eq.terms:
         raise StripPreconditionError("%r is not a support point" % (p,))
-    for q in eq_norm.terms:
-        if q != p and q[0] <= p[0]:
+    level = witness_levels(eq.terms, u, p)
+    for q in eq.terms:
+        if q != p and level[q] < 1:
             raise StripPreconditionError(
-                "support point %r does not sit above the base plane of %r" % (q, p))
-    a_p = eq_norm.terms[p]
+                "support point %r does not sit above the level of %r" % (q, p))
+    a_p = eq.terms[p]
     prims = {}
-    others = {q: (a_q.unit, _expand(a_q, prims)) for q, a_q in eq_norm.terms.items() if q != p}
+    others = {q: (a_q.unit, _expand(a_q, prims)) for q, a_q in eq.terms.items() if q != p}
     terms = {q: _Frac(-unit, num, a_p, prims) for q, (unit, num) in others.items()}
-    rhs_content, rhs = int_terms(eq_norm.rhs)
+    rhs_content, rhs = int_terms(eq.rhs)
     b = _Frac(rhs_content, rhs, a_p, prims)
     substituted = []
     pool = a_p  # the product of the shifted corner coefficients
     while True:
-        ready = [i for i in terms if 1 <= i[0] - p[0] <= s]
+        ready = [(level[i], i) for i in terms if level[i] <= s]
         if not ready:
             break
-        i = min(ready)
+        _, i = min(ready)
         coeff = terms.pop(i)
         if coeff.is_zero():
             continue
@@ -297,6 +297,7 @@ def strip_rewrite(eq_norm: PLDE, p, s) -> StripResult:
         den = coeff.den.mul(ap_d)
         for q, (unit, num) in others.items():
             target = tuple(a + b_ for a, b_ in zip(q, d))
+            level[target] = level[q] + level[i]
             addend = _Frac(-coeff.content * unit, mul_terms(coeff.num, shift_terms(num, d)), den,
                            prims)
             terms[target] = terms[target].add(addend, prims) if target in terms else addend
@@ -305,9 +306,9 @@ def strip_rewrite(eq_norm: PLDE, p, s) -> StripResult:
             b = b.add(_Frac(coeff.content * rhs_content, num, den, prims), prims)
     rminus = tuple(sorted([p] + substituted))
     live = {i: fr for i, fr in terms.items() if not fr.is_zero()}
-    if any(i[0] - p[0] <= s for i in live):
+    if any(level[i] <= s for i in live):
         raise InvariantError("a reachable term survived inside the strip")
-    D = FactoredPoly.one(eq_norm.variables)
+    D = FactoredPoly.one(eq.variables)
     for fr in live.values():
         D = D.lcm(fr.den)
     D = D.lcm(b.den)
@@ -321,18 +322,13 @@ def strip_rewrite(eq_norm: PLDE, p, s) -> StripResult:
 
 
 def _bound_for_cert(eq: PLDE, W: IntLattice, cert: WitnessCertificate):
-    frame, eqn = frame_for(eq, W, primitive_vector(cert.u))
-    p_img = map_point(frame, cert.p)
-    if p_img[0] != 0 or any(s[0] < 1 for s in eqn.support if s != p_img):
-        raise InvariantError("the frame does not put the certificate point alone on its base plane")
-    s_val = dispersion_bound(eqn, frame.t)
+    u = primitive_vector(cert.u)
+    s_val = dispersion_bound(eq, W, u)
     if s_val == NEG_INFINITY:
         # no periodic factor of W can occur at the corner coefficient at all
         return FactoredPoly.one(eq.variables), s_val
-    strip = strip_rewrite(eqn, p_img, s_val)
-    back = strip.D_actual.shift(tuple(-x for x in p_img))
-    d_norm = back.w_part(_norm_module(len(eq.variables), frame.t))
-    return pull_back(frame, d_norm).drop_unit(), s_val
+    strip = strip_rewrite(eq, cert.p, s_val, u)
+    return strip.D_actual.shift(tuple(-x for x in cert.p)).w_part(W), s_val
 
 
 def module_bound(eq: PLDE, geometry: SupportGeometry, W: IntLattice):

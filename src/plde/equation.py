@@ -71,12 +71,6 @@ class PLDE:
     def support(self):
         return sorted(self.terms)
 
-    def shifted(self, c) -> "PLDE":
-        """Apply the shift operator N^c to both sides; the solution set is unchanged."""
-        c = tuple(int(x) for x in c)
-        terms = {tuple(a + b for a, b in zip(s, c)): fp.shift(c) for s, fp in self.terms.items()}
-        return PLDE(self.variables, terms, self.rhs.shift(c))
-
     def to_json(self):
         return {
             "variables": list(self.variables),

@@ -23,6 +23,7 @@ from math import lcm as _int_lcm
 
 from .lattice import (IntLattice, clear_denominators, orthogonal_complement_lattice,
                       primitive_vector, saturation)
+from .polyring import InvariantError
 
 CLASS_USEFUL = "U"
 CLASS_OPPOSITE_ONLY = "O\\U"
@@ -434,14 +435,13 @@ class SupportGeometry:
                 if z is None:
                     continue
                 u = setup.covector(z)
-                values = {s: sum(a * b for a, b in zip(s, u)) for s in self.points}
-                vmin = min(values.values())
-                if values[p] != vmin:
-                    continue
-                min_face = frozenset(s for s, v in values.items() if v == vmin)
-                if all(not setup.W.contains([x - y for x, y in zip(a, b)])
-                       for a, b in itertools.combinations(sorted(min_face), 2)):
-                    return WeakCertificate(p, u, min_face)
+                values = {s: sum(a * (x - y) for a, x, y in zip(u, s, p)) for s in self.points}
+                min_face = frozenset(s for s, v in values.items() if v == 0)
+                # the base rows give every level >= 0, and >= 1 outside singleton classes
+                if min(values.values()) < 0 or any(len(setup.cls_of[s]) > 1 for s in min_face):
+                    raise InvariantError("a weak covector does not make p minimal with an "
+                                         "injective minimal face")
+                return WeakCertificate(p, u, min_face)
         return None
 
     def classify(self, W: IntLattice) -> ModuleClass:

@@ -165,25 +165,25 @@ def _solve_residual(q, target, s0, directions):
         ]
 
 
-def disp_k(a: FactoredPoly, b: FactoredPoly, k: int):
-    """Dispersion along axis k (1-based) over all factor pairs of a and b.
+def disp_k(a: FactoredPoly, b: FactoredPoly, u):
+    """Dispersion along the covector u over all factor pairs of a and b.
 
-    Returns NEG_INFINITY when every pair spread is empty, INFINITY when a
-    coset direction moves along the axis, and the exact maximum otherwise.
+    The dispersion of a pair is |u . s| for s in its spread coset, so
+    u = e_k measures along axis k.  Returns NEG_INFINITY when every pair
+    spread is empty, INFINITY when a coset direction g has u . g != 0, and
+    the exact maximum otherwise.
     """
-    r = len(a.vars)
-    if not 1 <= k <= r:
-        raise ValueError("axis %d out of range 1..%d" % (k, r))
-    idx = k - 1
+    if len(u) != len(a.vars):
+        raise ValueError("covector %r does not have %d entries" % (tuple(u), len(a.vars)))
     best = NEG_INFINITY
-    for u, _ in a.factors:
-        for v, _ in b.factors:
-            coset = shift_equiv(u, v)
+    for f, _ in a.factors:
+        for g, _ in b.factors:
+            coset = shift_equiv(f, g)
             if coset.is_empty:
                 continue
-            if any(row[idx] for row in coset.lattice.basis):
+            if any(sum(a * g for a, g in zip(u, row)) for row in coset.lattice.basis):
                 return INFINITY
-            best = max(best, abs(coset.base[idx]))
+            best = max(best, abs(sum(a * x for a, x in zip(u, coset.base))))
     return best
 
 

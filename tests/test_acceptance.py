@@ -148,7 +148,7 @@ def test_criterion_6_property_suites(sys1):
     from plde.bounds import dispersion_bound, strip_rewrite, StripPreconditionError
 
     with pytest.raises(DegenerateFaceError):
-        dispersion_bound(eq, 1)
+        dispersion_bound(eq, L((0, 1)), (1, 0))
     with pytest.raises(StripPreconditionError):
-        strip_rewrite(eq, (0, 0), 1)
+        strip_rewrite(eq, (0, 0), 1, (1, 0))
     report(6, "all randomized property suites re-ran green; violated hypotheses raise")

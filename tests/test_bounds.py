@@ -20,10 +20,10 @@ from plde.lattice import IntLattice, saturation
 from plde.polyring import (MODULUS, InvariantError, Poly, RationalFunction, divide_exact,
                            divide_int_terms, int_terms, mod_image, mod_zero, parse_poly)
 from plde.spread import NEG_INFINITY, invariance_lattice
-from plde.transform import frame_for, map_point
+from plde.transform import transform_equation, witness_levels
 from plde.verify import check_solution
-from support import (VARS2, act_on_rational, check_strip_identity, random_instance, random_poly,
-                     random_shift, reduce_by_trial_division)
+from support import (VARS2, check_strip_identity, random_instance, random_poly, random_shift,
+                     random_unimodular, reduce_by_trial_division)
 
 N_CASES = 200
 
@@ -49,32 +49,37 @@ def factor_set(fp):
 
 
 def test_dispersion_square_diagonal_module(sys1):
-    frame, eqn = frame_for(sys1, L((1, -1)), (1, 1))
-    assert dispersion_bound(eqn, frame.t) == 2
+    assert dispersion_bound(sys1, L((1, -1)), (1, 1)) == 2
 
 
 def test_dispersion_square_skew_module(sys1):
-    frame, eqn = frame_for(sys1, L((2, -3)), (3, 2))
-    assert dispersion_bound(eqn, frame.t) == 0
+    assert dispersion_bound(sys1, L((2, -3)), (3, 2)) == 0
 
 
 def test_dispersion_sys2_vertical_module(sys2):
-    frame, eqn = frame_for(sys2, L((0, 1)), (1, 0))
-    assert dispersion_bound(eqn, frame.t) == 1
+    assert dispersion_bound(sys2, L((0, 1)), (1, 0)) == 1
 
 
 def test_dispersion_rejects_degenerate_faces():
     terms = {(0, 0): F("n+1"), (0, 1): F("n+2"), (1, 0): F("k+1")}
     eq = PLDE(VARS2, terms, Poly.zero(VARS2))
     with pytest.raises(DegenerateFaceError) as err:
-        dispersion_bound(eq, 1)
+        dispersion_bound(eq, L((0, 1)), (1, 0))
     assert set(err.value.points) == {(0, 0), (0, 1)}
+
+
+def test_dispersion_rejects_bad_covectors(sys1):
+    W = L((1, -1))
+    with pytest.raises(ValueError):
+        dispersion_bound(sys1, W, (1, 0))  # not orthogonal
+    with pytest.raises(ValueError):
+        dispersion_bound(sys1, W, (2, 2))  # imprimitive
 
 
 def test_dispersion_negative_infinity_without_periodic_parts():
     terms = {(0, 0): F("n*k+1"), (1, 1): F("n*k+3")}
     eq = PLDE(VARS2, terms, Poly.zero(VARS2))
-    assert dispersion_bound(eq, 2) == NEG_INFINITY
+    assert dispersion_bound(eq, IntLattice.zero(2), (1, 0)) == NEG_INFINITY
 
 
 # ----------------------------------------------------------------------
@@ -82,48 +87,38 @@ def test_dispersion_negative_infinity_without_periodic_parts():
 
 
 def test_strip_zero_width(sys1):
-    frame, eqn = frame_for(sys1, L((2, -3)), (3, 2))
-    p = map_point(frame, (0, 0))
-    strip = strip_rewrite(eqn, p, 0)
-    assert strip.Rminus == (p,)
-    assert strip.D_actual == eqn.terms[p].drop_unit()
+    strip = strip_rewrite(sys1, (0, 0), 0, (3, 2))
+    assert strip.Rminus == ((0, 0),)
+    assert strip.D_actual == sys1.terms[(0, 0)].drop_unit()
 
 
 def test_strip_square_diagonal_cascade(sys1):
-    frame, eqn = frame_for(sys1, L((1, -1)), (1, 1))
-    p = map_point(frame, (0, 0))
-    strip = strip_rewrite(eqn, p, 2)
+    strip = strip_rewrite(sys1, (0, 0), 2, (1, 1))
     assert len(strip.Rminus) == 6
-    back = strip.D_actual.shift(tuple(-x for x in p))
-    wpart = back.w_part(L((0, 1)))
-    assert factor_set(wpart) == {P("n+1"): 1, P("n+2"): 1, P("n+3"): 1}
+    wpart = strip.D_actual.w_part(L((1, -1)))
+    assert factor_set(wpart) == {P("n+k+1"): 1, P("n+k+2"): 1, P("n+k+3"): 1}
 
 
 def test_strip_sys2_substitutions(sys2):
-    frame, eqn = frame_for(sys2, L((0, 1)), (1, 0))
-    p = map_point(frame, (0, 1))
-    strip = strip_rewrite(eqn, p, 1)
+    strip = strip_rewrite(sys2, (0, 1), 1, (1, 0))
     assert set(strip.Rminus) == {(0, 1), (1, 0), (1, 2)}
     wpart = strip.D_actual.shift((0, -1)).w_part(L((0, 1)))
     assert factor_set(wpart) == {P("n^2+n+1"): 1, P("n^2+3*n+3"): 1}
 
 
 def test_strip_identity_on_golden_case(sys1):
-    frame, eqn = frame_for(sys1, L((1, -1)), (1, 1))
-    p = map_point(frame, (0, 0))
-    strip = strip_rewrite(eqn, p, 2)
+    strip = strip_rewrite(sys1, (0, 0), 2, (1, 1))
     big = "(n+k+1)*(n+k+2)*(n+k+3)*(n^2+n+1)*(n^2+3*n+3)*(3*n+2*k+1)"
     y = RationalFunction(Poly.one(VARS2), P(big))
-    y_frame = act_on_rational(frame.M.inverse(), y)
-    assert check_solution(eqn, y_frame).ok
-    assert check_strip_identity(strip, p, y_frame)
+    assert check_solution(sys1, y).ok
+    assert check_strip_identity(strip, (0, 0), y)
 
 
 def test_strip_requires_unique_base_point():
     terms = {(0, 0): F("n+1"), (0, 1): F("n+2"), (1, 0): F("k+1")}
     eq = PLDE(VARS2, terms, Poly.zero(VARS2))
     with pytest.raises(StripPreconditionError):
-        strip_rewrite(eq, (0, 0), 1)
+        strip_rewrite(eq, (0, 0), 1, (1, 0))
 
 
 def _failing_divisions(monkeypatch):
@@ -194,27 +189,23 @@ def test_combined_makes_no_failing_trial_division(sys1, monkeypatch):
 
 _OPTIMIZED_STRIP = """
 import sys
-from plde import FactoredPoly, InvariantError, IntLattice, load_equation, strip_rewrite
-from plde.transform import frame_for, map_point
+from plde import FactoredPoly, InvariantError, load_equation, strip_rewrite
 
 if not sys.flags.optimize:
     sys.exit("not running under python -O")
-frame, eqn = frame_for(load_equation(sys.argv[1]), IntLattice(2, [(1, -1)]), (1, 1))
 FactoredPoly.divides = lambda self, other: False
 try:
-    strip_rewrite(eqn, map_point(frame, (0, 0)), 2)
+    strip_rewrite(load_equation(sys.argv[1]), (0, 0), 2, (1, 1))
 except InvariantError as exc:
     print("InvariantError:", exc)
 """
 
 
 def test_strip_invariant_check_survives_optimize(sys1, eqdir, monkeypatch):
-    frame, eqn = frame_for(sys1, L((1, -1)), (1, 1))
-    p = map_point(frame, (0, 0))
     with monkeypatch.context() as m:
         m.setattr(FactoredPoly, "divides", lambda self, other: False)
         with pytest.raises(InvariantError, match="escaped the substitution cascade"):
-            strip_rewrite(eqn, p, 2)
+            strip_rewrite(sys1, (0, 0), 2, (1, 1))
     src = str(Path(plde.bounds.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=src)
     out = subprocess.run([sys.executable, "-O", "-c", _OPTIMIZED_STRIP, str(eqdir / "sys1.json")],
@@ -337,10 +328,9 @@ def test_combined_strips_each_input_once(sys1, sys2, monkeypatch):
     calls = []
     original = plde.bounds.strip_rewrite
 
-    def counting(eq_norm, p, s):
-        key = tuple((q, eq_norm.terms[q]) for q in eq_norm.support)
-        calls.append((key, eq_norm.rhs, tuple(p), s))
-        return original(eq_norm, p, s)
+    def counting(eq, p, s, u):
+        calls.append((tuple(p), s, tuple(u)))
+        return original(eq, p, s, u)
 
     monkeypatch.setattr(plde.bounds, "strip_rewrite", counting)
     for eq in (sys1, sys2):
@@ -425,7 +415,6 @@ def _pick_module(eq, q):
 
 
 def test_strip_runs_satisfy_identity_and_divisibility():
-    rng = random.Random(701)
     done = 0
     seed = 0
     while done < N_CASES:
@@ -434,24 +423,51 @@ def test_strip_runs_satisfy_identity_and_divisibility():
         W, cert = _pick_module(eq, q)
         if cert is None:
             continue
-        frame, eqn = frame_for(eq, W, cert.u)
-        p = map_point(frame, cert.p)
-        s = dispersion_bound(eqn, frame.t)
+        p, u = cert.p, cert.u
+        s = dispersion_bound(eq, W, u)
         if s == NEG_INFINITY:
             s = 0  # still exercise the zero-width strip
-        strip = strip_rewrite(eqn, p, s)
+        strip = strip_rewrite(eq, p, s, u)
         assert p in strip.Rminus
-        assert all(i[0] - p[0] > s for i in strip.Rplus)
+        assert all(level > s for level in witness_levels(strip.Rplus, u, p).values())
         pool = FactoredPoly.one(VARS2)
         for i in strip.Rminus:
-            pool = pool.mul(eqn.terms[p].shift(tuple(a - b for a, b in zip(i, p))))
+            pool = pool.mul(eq.terms[p].shift(tuple(a - b for a, b in zip(i, p))))
         assert strip.D_actual.divides(pool)
         if done % 20 == 0:
             # expanded cross-check of the factored divisibility
             assert divide_exact(pool.drop_unit().expand(), strip.D_actual.expand()) is not None
-        y_frame = act_on_rational(frame.M.inverse(), y)
-        assert check_solution(eqn, y_frame).ok
-        assert check_strip_identity(strip, p, y_frame)
+        assert check_strip_identity(strip, p, y)
+        done += 1
+
+
+def test_bound_is_covariant_under_unimodular_changes():
+    # the bound reads only levels u . (s - p), spread cosets and lattices, so
+    # running it on transform_equation(eq, M) with M p, u M^-1 and M W gives
+    # the image of the original run; subst may move a sign into the unit
+    rng = random.Random(703)
+    done = 0
+    seed = 5000
+    while done < 100:
+        seed += 1
+        eq, _, q = random_instance(seed)
+        W, cert = _pick_module(eq, q)
+        if cert is None:
+            continue
+        M = random_unimodular(rng, 2)
+        A = M.inverse()
+        p_m = M.apply(cert.p)
+        u_m = tuple(sum(cert.u[i] * A.rows[i][j] for i in range(2)) for j in range(2))
+        W_m = IntLattice(2, [M.apply(w) for w in W.basis])
+        eq_m = transform_equation(eq, M)
+        s = dispersion_bound(eq, W, cert.u)
+        assert dispersion_bound(eq_m, W_m, u_m) == s
+        if s == NEG_INFINITY:
+            s = 0
+        strip = strip_rewrite(eq, cert.p, s, cert.u)
+        strip_m = strip_rewrite(eq_m, p_m, s, u_m)
+        assert strip_m.Rminus == tuple(sorted(M.apply(i) for i in strip.Rminus))
+        assert strip_m.D_actual.subst(M).drop_unit() == strip.D_actual
         done += 1
 
 

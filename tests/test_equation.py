@@ -54,13 +54,3 @@ def test_from_json_rejects_duplicate_shifts():
     }
     with pytest.raises(EquationFormatError):
         PLDE.from_json(data)
-
-
-def test_shifted_equation_keeps_solutions(ex1):
-    from plde.polyring import parse_rational
-    from plde.verify import check_solution
-
-    moved = ex1.shifted((2, -1))
-    y = parse_rational("(n^2+2*k^2)/(k+n+1)", VARS2)
-    assert check_solution(moved, y).ok
-    assert sorted(moved.terms) == [(2, -1), (2, 0), (3, -1)]

@@ -219,6 +219,52 @@ def test_useful_implies_singleton_faces_in_rank_one():
         done += 1
 
 
+def test_weak_certificates_on_supports_without_useful_pairs(monkeypatch):
+    # classify reaches the one-sided search only when no corner pair is
+    # useful; a weak certificate must make p the unique minimal point of
+    # its congruence class, with every level u . (s - p) >= 0, and it must
+    # exist whenever a small integer covector with those levels does
+    rng = random.Random(505)
+    weak = SupportGeometry._weak
+    reached = []
+
+    def recording(self, setup, p):
+        cert = weak(self, setup, p)
+        reached.append((self.points, setup.W, p, cert))
+        return cert
+
+    monkeypatch.setattr(SupportGeometry, "_weak", recording)
+    mods2 = [L((1, -1)), L((1, 0)), L((0, 1)), L((1, 1)), L((2, 1))]
+    mods3 = [L((1, -1, 0), dim=3), L((0, 0, 1), dim=3), L((1, 0, 0), (0, 1, -1), dim=3)]
+    for _ in range(N_CASES):
+        r = rng.choice([2, 3])
+        pts = list({tuple(rng.randint(0, 2) for _ in range(r)) for _ in range(rng.randint(2, 6))})
+        if len(pts) >= 2:
+            SupportGeometry(pts).classify(rng.choice(mods2 if r == 2 else mods3))
+    found = 0
+    for points, W, p, cert in reached:
+        r = len(p)
+        classes = {s: [t for t in points if W.contains([a - b for a, b in zip(s, t)])]
+                   for s in points}
+        box = [u for u in itertools.product(range(-3, 4), repeat=r)
+               if any(u) and not any(sum(a * b for a, b in zip(u, w)) for w in W.basis)]
+        small = [u for u in box
+                 if all(sum(a * (x - y) for a, x, y in zip(u, s, p)) >= (len(classes[s]) > 1)
+                        for s in points if s != p)]
+        if cert is None:
+            assert not small or len(classes[p]) > 1, (points, W, p)
+            continue
+        found += 1
+        assert len(classes[p]) == 1 and not any(sum(a * b for a, b in zip(cert.u, w))
+                                                for w in W.basis)
+        levels = {s: sum(a * (x - y) for a, x, y in zip(cert.u, s, p)) for s in points}
+        assert min(levels.values()) == 0
+        assert cert.min_face == frozenset(s for s, v in levels.items() if v == 0)
+        assert all(not W.contains([x - y for x, y in zip(a, b)])
+                   for a, b in itertools.combinations(sorted(cert.min_face), 2))
+    assert found >= 20 and len(reached) > found
+
+
 # ----------------------------------------------------------------------
 # face-parallel candidates
 

@@ -92,22 +92,22 @@ def test_pair_residual_linear_layer():
 
 def test_disp_infinite_along_moving_axis():
     fp = FactoredPoly.from_poly(P("k+n+1"))
-    assert disp_k(fp, fp, 1) == INFINITY
+    assert disp_k(fp, fp, (1, 0)) == INFINITY
 
 
 def test_disp_aperiodic_self():
     fp = FactoredPoly.from_poly(P("n*k+1"))
-    assert disp_k(fp, fp, 1) == 0
+    assert disp_k(fp, fp, (1, 0)) == 0
 
 
 def test_disp_fixed_axis():
     a = FactoredPoly.from_poly(P("n+1"))
     b = FactoredPoly.from_poly(P("n+3"))
-    assert disp_k(a, b, 1) == 2
-    assert disp_k(a, b, 2) == INFINITY
-    assert disp_k(a, FactoredPoly.from_poly(P("n*k+1")), 1) == NEG_INFINITY
+    assert disp_k(a, b, (1, 0)) == 2
+    assert disp_k(a, b, (0, 1)) == INFINITY
+    assert disp_k(a, FactoredPoly.from_poly(P("n*k+1")), (1, 0)) == NEG_INFINITY
     with pytest.raises(ValueError):
-        disp_k(a, b, 3)
+        disp_k(a, b, (0, 0, 1))
 
 
 # ----------------------------------------------------------------------

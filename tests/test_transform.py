@@ -1,14 +1,8 @@
 import random
 
-import pytest
-
-from plde.equation import PLDE
-from plde.factored import FactoredPoly
-from plde.lattice import IntLattice, UnimodularMatrix
-from plde.polyring import Poly, parse_poly, parse_rational
-from plde.spread import invariance_lattice
-from plde.transform import (build_normalizing_frame, frame_for, map_point, normalize_first_shift,
-                            transform_equation)
+from plde.lattice import UnimodularMatrix
+from plde.polyring import parse_poly, parse_rational
+from plde.transform import transform_equation, witness_levels
 from plde.verify import check_solution
 from support import VARS2, act_on_rational, random_instance, random_rational, random_unimodular
 
@@ -79,63 +73,14 @@ def test_transform_round_trip_random():
 
 
 # ----------------------------------------------------------------------
-# frames
+# witness levels
 
 
-def test_frame_for_diagonal_module(sys1):
-    W = IntLattice(2, [(1, -1)])
-    frame, _ = frame_for(sys1, W, (1, 1))
-    assert frame.M.rows[0] == (1, 1)
-    img = frame.M.apply((1, -1))
-    assert img[0] == 0
-    assert frame.t == 1
-
-
-def test_frame_zero_module_identity_admissible(sys1):
-    W = IntLattice.zero(2)
-    frame, _ = frame_for(sys1, W, (1, 0))
-    assert frame.M.rows[0] == (1, 0)
-    assert frame.t == 2
-
-
-def test_frame_already_normalized():
-    W = IntLattice(2, [(0, 1)])
-    assert build_normalizing_frame(W, (1, 0)) == UnimodularMatrix.identity(2)
-
-
-def test_frame_rejects_bad_covectors():
-    W = IntLattice(2, [(1, -1)])
-    with pytest.raises(ValueError):
-        build_normalizing_frame(W, (1, 0))  # not orthogonal
-    with pytest.raises(ValueError):
-        build_normalizing_frame(W, (2, 2))  # imprimitive
-
-
-def test_normalize_first_shift():
-    terms = {(1, 0): FactoredPoly(VARS2, 1, [(P("n+1"), 1)]),
-             (2, 1): FactoredPoly(VARS2, 1, [(P("k+1"), 1)])}
-    eq = PLDE(VARS2, terms, Poly.zero(VARS2))
-    out, offset = normalize_first_shift(eq)
-    assert sorted(out.terms) == [(0, 0), (1, 1)]
-    assert offset == (-1, 0)
-    assert out.terms[(0, 0)].expand() == P("n")  # coefficients shift along
-
-    again, off2 = normalize_first_shift(out)
-    assert again.terms == out.terms and off2 == (0, 0)
-
-
-def test_normalize_first_shift_sys2(sys2):
-    out, offset = normalize_first_shift(sys2)
-    assert sorted(out.terms) == sys2.support and offset == (0, 0)
-
-
-def test_frame_makes_periodic_factors_leading_free(sys1):
-    # in the adapted frame, factors with spread inside W lose the leading variable
-    W = IntLattice(2, [(1, -1)])
-    frame, eqn = frame_for(sys1, W, (1, 1))
-    vertical = IntLattice(2, [(0, 1)])
-    p_img = map_point(frame, (0, 0))
-    for prim, _ in eqn.terms[p_img].factors:
-        lat = invariance_lattice(prim)
-        if lat == vertical:
-            assert prim.degree_in(1) == 0
+def test_witness_levels(sys1):
+    # the level of s above p is u . (s - p): the first coordinate of a
+    # unimodular M with first row u, applied to s - p
+    levels = witness_levels(sys1.terms, (1, 1), (0, 0))
+    assert levels == {(0, 0): 0, (0, 1): 1, (1, 0): 1, (1, 1): 2}
+    M = UnimodularMatrix([[3, 2], [1, 1]])
+    assert witness_levels([(2, -1), (5, 7)], (3, 2), (1, 1)) == {
+        s: M.apply([a - b for a, b in zip(s, (1, 1))])[0] for s in [(2, -1), (5, 7)]}
