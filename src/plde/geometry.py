@@ -435,10 +435,10 @@ class SupportGeometry:
                 if z is None:
                     continue
                 u = setup.covector(z)
-                values = {s: sum(a * (x - y) for a, x, y in zip(u, s, p)) for s in self.points}
-                min_face = frozenset(s for s, v in values.items() if v == 0)
+                levels = {s: sum(a * (x - y) for a, x, y in zip(u, s, p)) for s in self.points}
+                min_face = frozenset(s for s, v in levels.items() if v == 0)
                 # the base rows give every level >= 0, and >= 1 outside singleton classes
-                if min(values.values()) < 0 or any(len(setup.cls_of[s]) > 1 for s in min_face):
+                if min(levels.values()) < 0 or any(len(setup.cls_of[s]) > 1 for s in min_face):
                     raise InvariantError("a weak covector does not make p minimal with an "
                                          "injective minimal face")
                 return WeakCertificate(p, u, min_face)

@@ -181,9 +181,9 @@ def disp_k(a: FactoredPoly, b: FactoredPoly, u):
             coset = shift_equiv(f, g)
             if coset.is_empty:
                 continue
-            if any(sum(a * g for a, g in zip(u, row)) for row in coset.lattice.basis):
+            if any(sum(x * y for x, y in zip(u, row)) for row in coset.lattice.basis):
                 return INFINITY
-            best = max(best, abs(sum(a * x for a, x in zip(u, coset.base))))
+            best = max(best, abs(sum(x * y for x, y in zip(u, coset.base))))
     return best
 
 
