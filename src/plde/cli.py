@@ -17,7 +17,7 @@ import json
 import sys
 
 from .bounds import combined_bound
-from .equation import EquationFormatError, load_equation
+from .equation import EquationFormatError, load_equation, variable_names
 from .geometry import SupportGeometry
 from .lattice import UnimodularMatrix, parse_module
 from .polyring import ParseError, UnsupportedInputError, format_poly, parse_poly, parse_rational
@@ -70,23 +70,24 @@ def cmd_bound(args) -> int:
 
 
 def cmd_spread(args) -> int:
-    vars = tuple(v.strip() for v in args.vars.split(","))
+    try:
+        vars = variable_names([v.strip() for v in args.vars.split(",")])
+    except EquationFormatError as exc:
+        raise _InputError(str(exc))
     p = parse_poly(args.poly, vars)
-    if args.pair is not None:
-        q = parse_poly(args.pair, vars)
+    q = p if args.pair is None else parse_poly(args.pair, vars)
+    if p.is_constant() or q.is_constant():
+        raise _InputError("the spread of a constant polynomial is not defined")
+    if args.box is not None and args.box < 0:
+        raise _InputError("--box must be nonnegative, not %d" % args.box)
+    hits = None if args.box is None else sorted(spread_box_oracle(p, q, args.box))
+    if args.pair is None:
+        L = invariance_lattice(p)
+        print("lattice: (%s)" % L if not L.is_zero() else "lattice: 0")
+    else:
         coset = shift_equiv(p, q)
-        if coset.is_empty:
-            print("empty")
-        else:
-            print("coset: %s" % coset)
-        if args.box is not None:
-            hits = sorted(spread_box_oracle(p, q, args.box))
-            print("box: %s" % (" ".join("(%s)" % ",".join(map(str, h)) for h in hits) or "(none)"))
-        return 0
-    L = invariance_lattice(p)
-    print("lattice: (%s)" % L if not L.is_zero() else "lattice: 0")
-    if args.box is not None:
-        hits = sorted(spread_box_oracle(p, p, args.box))
+        print("empty" if coset.is_empty else "coset: %s" % coset)
+    if hits is not None:
         print("box: %s" % (" ".join("(%s)" % ",".join(map(str, h)) for h in hits) or "(none)"))
     return 0
 

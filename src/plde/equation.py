@@ -87,7 +87,7 @@ class PLDE:
             raise EquationFormatError("equation must be a JSON object, not %s"
                                       % type(data).__name__)
         try:
-            variables = _variable_names(data["variables"])
+            variables = variable_names(data["variables"])
             raw_terms = data["terms"]
             rhs_text = data.get("rhs", "0")
         except (KeyError, TypeError) as exc:
@@ -105,8 +105,8 @@ class PLDE:
         return cls(variables, terms, parse_poly(rhs_text, variables))
 
 
-def _variable_names(raw):
-    """The variables of an equation file: a non-empty list of distinct names."""
+def variable_names(raw):
+    """The variables of an equation file or command line: a non-empty list of distinct names."""
     if not isinstance(raw, (list, tuple)) or not raw or not all(isinstance(v, str) for v in raw):
         raise EquationFormatError("variables must be a non-empty list of names, not %r" % (raw,))
     variables = tuple(raw)

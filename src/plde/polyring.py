@@ -555,6 +555,10 @@ def _gcd_recursive(p: Poly, q: Poly) -> Poly:
 MAX_DEGREE = 100
 MAX_TERMS = 1000
 
+# spread.spread_box_oracle runs one gcd per point of its box, about a
+# millisecond each for small polynomials; no box has more points than this.
+MAX_BOX_POINTS = 10 ** 4
+
 
 def is_name(text: str) -> bool:
     """True when text is one variable name as polynomial text spells it."""

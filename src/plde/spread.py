@@ -25,7 +25,8 @@ from typing import TYPE_CHECKING
 
 from .lattice import (IntLattice, ShiftCoset, clear_denominators, complement_within,
                       integer_kernel, solve_integer)
-from .polyring import InvariantError, Poly, gcd_poly, normalize_primitive
+from .polyring import (MAX_BOX_POINTS, InvariantError, Poly, UnsupportedInputError, gcd_poly,
+                       normalize_primitive)
 
 if TYPE_CHECKING:
     from .factored import FactoredPoly
@@ -192,6 +193,9 @@ def spread_box_oracle(p: Poly, q: Poly, radius: int):
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     r = len(p.vars)
+    if (2 * radius + 1) ** r > MAX_BOX_POINTS:
+        raise UnsupportedInputError("unsupported box: radius %d in %d variables is more than %d points"
+                                    % (radius, r, MAX_BOX_POINTS))
     hits = set()
     for s in itertools.product(range(-radius, radius + 1), repeat=r):
         g = gcd_poly(p, q.shift(s))

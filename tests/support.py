@@ -201,6 +201,33 @@ def divide_over_q(p: Poly, q: Poly):
     return Poly(p.vars, quotient)
 
 
+def reference_check_solution(eq: PLDE, y: RationalFunction):
+    """Reference for ``verify.check_solution``: (residual, ok) by quadratic products over Q.
+
+    Builds total = sum_i A_i N_i prod_{j != i} D_j - f * prod_j D_j with a
+    fresh cofactor of m - 1 shifted denominators for each of the m points.
+    """
+    support = eq.support
+    shifted_nums = [y.num.shift(s) for s in support]
+    shifted_dens = [y.den.shift(s) for s in support]
+    common = Poly.one(eq.variables)
+    for den in shifted_dens:
+        common = common * den
+    total = Poly.zero(eq.variables)
+    for i, s in enumerate(support):
+        cof = Poly.one(eq.variables)
+        for j, den in enumerate(shifted_dens):
+            if j != i:
+                cof = cof * den
+        total = total + eq.terms[s].expand() * shifted_nums[i] * cof
+    total = total - eq.rhs * common
+    if total.is_zero():
+        residual = RationalFunction.from_poly(total)
+    else:
+        residual = RationalFunction(total, common)
+    return residual, residual.is_zero()
+
+
 def evaluate_terms(terms: dict, point):
     """The value of a term map at a point, by direct evaluation."""
     return sum(c * prod(x ** d for x, d in zip(point, e)) for e, c in terms.items())

@@ -69,6 +69,18 @@ def test_check_command(capsys, eqdir):
     assert code == 0 and json.loads(out)["ok"] is False
 
 
+def test_check_json_residual_text(capsys, eqdir):
+    # the residual text of a non-solution, as the quadratic check printed it
+    code, out, _ = run(capsys, "check", str(eqdir / "ex1.json"),
+                       "--solution", "(3*n-k)/(2*k+n+1)", "--json")
+    assert code == 0
+    assert json.loads(out) == {
+        "ok": False,
+        "residual": "(-12*n^4-76*n^3*k-308*n^2*k^2-452*n*k^3-88*k^4-58*n^3-470*n^2*k"
+                    "-1132*n*k^2-484*k^3-186*n^2-926*n*k-826*k^2-260*n-542*k-120)"
+                    "/(n^3+6*n^2*k+12*n*k^2+8*k^3+6*n^2+24*n*k+24*k^2+11*n+22*k+6)"}
+
+
 def test_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "bound", "/nonexistent/file.json")
     assert code == 1 and "no such file" in err
@@ -120,6 +132,31 @@ def test_spread_rejects_bad_polynomials(capsys):
     assert run(capsys, "spread", "n^", "--vars", "n,k")[0] == 1
     code, _, err = run(capsys, "spread", "n^101", "--vars", "n,k")
     assert code == 2 and "unsupported" in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("1", "--vars", "n,k"), "constant polynomial"),
+    (("n", "--vars", "n,k", "--pair", "3"), "constant polynomial"),
+    (("n", "--vars", "n,k", "--box", "-1"), "--box must be nonnegative"),
+    (("n", "--vars", "n,n"), "variable names must be distinct"),
+    (("n", "--vars", "n,1"), "is not a name"),
+    (("n", "--vars", "n,"), "is not a name"),
+])
+def test_spread_rejects_bad_arguments(capsys, argv, message):
+    code, out, err = run(capsys, "spread", *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err
+
+
+def test_spread_refuses_large_boxes_quickly(capsys):
+    start = time.perf_counter()
+    code, out, err = run(capsys, "spread", "n^2+k", "--vars", "n,k", "--box", "100000000")
+    assert code == 2 and out == "" and "unsupported" in err
+    code, out, err = run(capsys, "spread", "n+k+m+j", "--vars", "n,k,m,j", "--box", "5")
+    assert code == 2 and out == "" and "unsupported" in err
+    assert time.perf_counter() - start < 1.0
+    code, out, _ = run(capsys, "spread", "n^2+k", "--vars", "n,k", "--box", "2")
+    assert code == 0 and out.splitlines() == ["lattice: 0", "box: (0,0)"]
 
 
 def test_plain_string_coefficients_accepted_when_splittable(capsys, tmp_path):

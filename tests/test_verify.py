@@ -1,12 +1,14 @@
-import random
+from fractions import Fraction
 
 import pytest
 
 from plde.bounds import combined_bound
+from plde.equation import PLDE
 from plde.factored import FactoredPoly
-from plde.polyring import Poly, RationalFunction, parse_poly, parse_rational
+from plde.polyring import Poly, RationalFunction, divide_exact, parse_poly, parse_rational
 from plde.verify import check_bound_covers, check_solution
-from support import VARS2, InstanceProfile, homogeneous_instance, random_instance
+from support import (VARS2, InstanceProfile, homogeneous_instance, random_instance,
+                     reference_check_solution)
 
 N_CASES = 200
 
@@ -41,6 +43,57 @@ def test_check_solution_system(sys1, sys2):
     y = RationalFunction(Poly.one(VARS2), P(big))
     assert check_solution(sys1, y).ok
     assert check_solution(sys2, y).ok
+
+
+R3 = InstanceProfile(
+    variables=("n", "k", "m"),
+    support_points=((0, 0, 0), (0, 1, 0), (1, 0, 0), (0, 0, 1), (1, 1, 1)),
+    min_terms=2, max_terms=5,
+    denominator_pool=("n+k+m+1", "2*n+k+1", "n^2+m+1", "n*k+m+1"),
+    numerator_pool=("1", "n", "k+m", "m^2+1"),
+    coefficient_pool=("1", "-1", "2", "n", "k+1", "m+n+2"))
+
+
+def _scaled(eq, c):
+    """eq with every coefficient and the right-hand side multiplied by c; same solutions."""
+    unit = FactoredPoly(eq.variables, c)
+    return PLDE(eq.variables, {s: a.mul(unit) for s, a in eq.terms.items()}, eq.rhs * c)
+
+
+def _candidates(y, q):
+    """y, three non-solutions near it, 0 and y + 3/2 with an unreduced denominator."""
+    vars = y.num.vars
+    one = RationalFunction.from_poly(Poly.one(vars))
+    yield y
+    yield y + one
+    yield y * Poly.const(vars, Fraction(3, 7)) + one
+    if q.factors:
+        f = q.factors[0][0]
+        moved = f.shift((1,) + (0,) * (len(vars) - 1))
+        yield RationalFunction(y.num, divide_exact(y.den, f) * moved)
+    yield RationalFunction.from_poly(Poly.zero(vars))
+    # the constructor makes denominators primitive; this one has content 2/3
+    raw = object.__new__(RationalFunction)
+    raw.num, raw.den = y.num * Fraction(2, 3) + y.den, y.den * Fraction(2, 3)
+    yield raw
+
+
+def test_check_solution_matches_quadratic_reference():
+    checked = solved = 0
+    for seed in range(1, 25):
+        profile = R3 if seed % 6 == 0 else InstanceProfile()
+        eq, y, q = (random_instance(seed, profile) if seed % 2
+                    else homogeneous_instance(seed, profile))
+        for eq in (eq, _scaled(eq, Fraction(-5, 3))):
+            for cand in _candidates(y, q):
+                got = check_solution(eq, cand)
+                residual, ok = reference_check_solution(eq, cand)
+                assert got.ok == ok, (seed, str(cand))
+                assert got.residual == residual, (seed, str(cand))
+                assert str(got.residual) == str(residual), (seed, str(cand))
+                checked += 1
+                solved += ok
+    assert solved >= 48 and checked - solved >= 120
 
 
 # ----------------------------------------------------------------------
