@@ -20,6 +20,7 @@ face-parallel modules that no certificate can cover.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
@@ -28,10 +29,13 @@ from .factored import FactoredPoly
 from .geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry,
                        WeakCertificate, WitnessCertificate)
 from .lattice import IntLattice, primitive_vector, saturation
-from .polyring import (MODULUS, InvariantError, Poly, add_terms, divide_int_terms, format_poly,
-                       int_terms, mod_image, mod_zero, mul_terms, poly_from_int, shift_terms)
+from .polyring import (MODULUS, InvariantError, Poly, UnsupportedInputError, add_terms,
+                       divide_int_terms, format_poly, int_terms, mod_image, mod_zero, mul_terms,
+                       poly_from_int, shift_terms)
 from .spread import INFINITY, NEG_INFINITY, disp_k, invariance_lattice
 from .transform import witness_levels
+
+MAX_STRIP_POINTS = 1000  # support points a strip rewriting may reach
 
 
 class DegenerateFaceError(ValueError):
@@ -105,49 +109,51 @@ class BoundReport:
 
 
 class _Frac:
-    """content * num / den, reduced: num an int term map, den a FactoredPoly with unit 1.
+    """content * F * num / den, reduced; F and den are Counters of prim keys.
 
-    ``num`` is a primitive polynomial over Z (`polyring.int_terms`) and
-    ``content`` a Fraction, so the products, sums and shifts of the strip
-    rewriting run on ints.  The reduction trial-divides num by each prim of
-    the denominator, once per unit of multiplicity.  Every prim is
-    primitive in Z[x], so by Gauss's lemma a quotient of num by a prim is
-    again over Z: the division needs exact int division only
-    (`polyring.divide_int_terms`), and a nonzero remainder proves that prim
-    does not divide num.  A division is skipped when a test modulo the
-    prime P = 2^61 - 1 (`polyring.MODULUS`) proves it would fail: reduction
-    modulo P is a ring map on Z[x], so if prim divides num then
-    num(z) = 0 (mod P) at every zero z of prim modulo P, and a nonzero
-    num(z) at one such zero (`polyring.mod_zero`) is the proof.  The
-    division runs whenever the test cannot decide, which is when mod_zero
-    finds no zero (prim has no variable of degree 1, n^2+n+1 say) or
-    num(z) = 0.  Every division that succeeds still runs, so the result is
-    the same as without the test.
+    ``num`` is a primitive int term map (`polyring.int_terms`) and
+    ``content`` a Fraction, so the strip rewriting runs on ints.  ``F`` is
+    the factored part of the numerator, never expanded while the fraction
+    lives: a substitution puts the shifted coefficient a_q(n+d) there, whose
+    factors come back later as the denominator a_p(n+d), and `add` keeps the
+    gcd of the two factored parts.  The reduction cancels F against den by
+    the smaller multiplicity (Henrici's rule), then trial-divides num by
+    each prim of den, once per unit of multiplicity.  By Gauss's lemma a
+    quotient by a primitive prim is over Z, so the division
+    (`polyring.divide_int_terms`) needs exact int division only.  It is
+    skipped when a test modulo the prime P = 2^61 - 1 proves it would fail:
+    if prim divides num, then num(z) = 0 (mod P) at every zero z of prim
+    modulo P (`polyring.mod_zero`).  The test cannot decide, and the
+    division runs, when prim has no variable of degree 1 or num(z) = 0.
 
-    ``prims`` maps each prim to its int term map and its `mod_zero`; one
-    strip rewriting shares it among all its fractions, so each prim is
-    converted and solved once per rewriting.
+    Under the contract of `FactoredPoly`, pairwise coprime irreducible
+    prims, a prim divides F * num as often as it occurs in F plus as often
+    as it divides num, so the result is the reduced fraction that trial
+    division of the expanded F * num reaches.  Outside the contract every
+    cancellation is still an exact division: den can only be larger than
+    the reduced denominator, and a bound built from it stays sound.
+
+    ``prims`` maps the frozenset of each prim's int terms to that key, the
+    terms and their `mod_zero`; one strip rewriting shares it, so each prim
+    is converted and solved once and equal prims are one object.
     """
 
-    __slots__ = ("content", "num", "den")
+    __slots__ = ("content", "F", "num", "den")
 
-    def __init__(self, content: Fraction, num: dict, den: FactoredPoly, prims: dict):
-        if den.unit != 1:
-            content = content / den.unit
-            den = den.drop_unit()
+    def __init__(self, content: Fraction, F: Counter, num: dict, den: Counter, prims: dict):
         if not num:
-            den = FactoredPoly.one(den.vars)
+            F, den = Counter(), Counter()
         else:
             g = gcd(*num.values())
             if g != 1:
                 content = content * g
                 num = {e: c // g for e, c in num.items()}
-            factors = []
+            both = F & den
+            F, den = F - both, den - both
             images = {}  # variable -> mod_image of the current num
-            for prim, mult in den.factors:
-                terms, zero = _prim_entry(prims, prim)
-                m = mult
-                while m:
+            for prim in den:
+                _, terms, zero = prims[prim]
+                while den[prim]:
                     if zero is not None:
                         i, z = zero
                         if i not in images:
@@ -159,11 +165,10 @@ class _Frac:
                         break
                     num = q
                     images.clear()
-                    m -= 1
-                if m:
-                    factors.append((prim, m))
-            den = FactoredPoly._from_canonical(den.vars, den.unit, factors)
+                    den[prim] -= 1
+            den = +den
         self.content = content
+        self.F = F
         self.num = num
         self.den = den
 
@@ -171,37 +176,37 @@ class _Frac:
         return not self.num
 
     def add(self, other: "_Frac", prims: dict) -> "_Frac":
-        common = self.den.lcm(other.den)
+        common = self.den | other.den
+        a1 = self.F + common - self.den
+        a2 = other.F + common - other.den
+        g = a1 & a2
         c1, c2 = self.content, other.content
         bottom = lcm(c1.denominator, c2.denominator)
-        a = mul_terms(self.num, _expand(common.div_exact(self.den), prims,
-                                        c1.numerator * (bottom // c1.denominator)))
-        b = mul_terms(other.num, _expand(common.div_exact(other.den), prims,
-                                         c2.numerator * (bottom // c2.denominator)))
-        return _Frac(Fraction(1, bottom), add_terms(a, b), common, prims)
-
-    def to_poly(self, D: FactoredPoly, prims: dict) -> Poly:
-        """The numerator over the common denominator D, as a Poly over Q."""
-        return poly_from_int(D.vars, self.content,
-                             mul_terms(self.num, _expand(D.div_exact(self.den), prims)))
+        k1 = c1.numerator * (bottom // c1.denominator)
+        k2 = c2.numerator * (bottom // c2.denominator)
+        a = _expand(a1 - g, prims, {e: k1 * c for e, c in self.num.items()})
+        b = _expand(a2 - g, prims, {e: k2 * c for e, c in other.num.items()})
+        return _Frac(Fraction(1, bottom), g, add_terms(a, b), common, prims)
 
 
-def _prim_entry(prims: dict, prim: Poly):
-    entry = prims.get(prim)
-    if entry is None:
-        terms = int_terms(prim)[1]
-        entry = prims[prim] = (terms, mod_zero(terms))
-    return entry
+def _factors(factors: list, prims: dict, d: tuple) -> Counter:
+    """The (int term map, multiplicity) factors shifted by d, as a multiset of keys of prims."""
+    out = Counter()
+    for terms, m in factors:
+        terms = shift_terms(terms, d) if any(d) else terms
+        key = frozenset(terms.items())
+        if key not in prims:
+            prims[key] = (key, terms, mod_zero(terms))
+        out[prims[key][0]] = m
+    return out
 
 
-def _expand(fp: FactoredPoly, prims: dict, scalar=1) -> dict:
-    """scalar times the product of fp's factors (its unit left out), as an int term map."""
-    result = {(0,) * len(fp.vars): scalar}
-    for prim, mult in fp.factors:
-        terms = _prim_entry(prims, prim)[0]
-        for _ in range(mult):
-            result = mul_terms(result, terms)
-    return result
+def _expand(mults: dict, prims: dict, terms: dict) -> dict:
+    """terms times the product of prim^m over mults, as an int term map."""
+    for prim, m in mults.items():
+        for _ in range(m):
+            terms = mul_terms(terms, prims[prim][1])
+    return terms
 
 
 def _horner(image, z) -> int:
@@ -274,14 +279,29 @@ def strip_rewrite(eq: PLDE, p, s, u) -> StripResult:
         if q != p and level[q] < 1:
             raise StripPreconditionError(
                 "support point %r does not sit above the level of %r" % (q, p))
+    zero = (0,) * len(p)
+    reach, todo = {zero: 0}, [zero]  # the points p + v the cascade can reach, by level
+    while todo:
+        v = todo.pop()
+        for q in eq.terms:
+            t = tuple(a + b_ - c for a, b_, c in zip(v, q, p))
+            if t not in reach and reach[v] + level[q] <= s:
+                reach[t] = reach[v] + level[q]
+                todo.append(t)
+        if len(reach) > MAX_STRIP_POINTS:
+            raise UnsupportedInputError("unsupported: the strip of dispersion %d reaches more "
+                                        "than %d points" % (s, MAX_STRIP_POINTS))
     a_p = eq.terms[p]
     prims = {}
-    others = {q: (a_q.unit, _expand(a_q, prims)) for q, a_q in eq.terms.items() if q != p}
-    terms = {q: _Frac(-unit, num, a_p, prims) for q, (unit, num) in others.items()}
+    factors = {q: [(int_terms(f)[1], m) for f, m in a_q.factors] for q, a_q in eq.terms.items()}
+    base = _factors(factors[p], prims, zero)
+    others = {q: a_q.unit for q, a_q in eq.terms.items() if q != p}
+    terms = {q: _Frac(-unit / a_p.unit, _factors(factors[q], prims, zero), {zero: 1}, base, prims)
+             for q, unit in others.items()}
     rhs_content, rhs = int_terms(eq.rhs)
-    b = _Frac(rhs_content, rhs, a_p, prims)
+    b = _Frac(rhs_content / a_p.unit, Counter(), rhs, base, prims)
     substituted = []
-    pool = a_p  # the product of the shifted corner coefficients
+    pool = base  # the product of the shifted corner coefficients
     while True:
         ready = [(level[i], i) for i in terms if level[i] <= s]
         if not ready:
@@ -291,31 +311,40 @@ def strip_rewrite(eq: PLDE, p, s, u) -> StripResult:
         if coeff.is_zero():
             continue
         d = tuple(a - b_ for a, b_ in zip(i, p))
-        ap_d = a_p.shift(d)
-        pool = pool.mul(ap_d)
+        ap_d = _factors(factors[p], prims, d)
+        pool = pool + ap_d
         substituted.append(i)
-        den = coeff.den.mul(ap_d)
-        for q, (unit, num) in others.items():
+        den = coeff.den + ap_d
+        content = coeff.content / a_p.unit
+        for q, unit in others.items():
             target = tuple(a + b_ for a, b_ in zip(q, d))
             level[target] = level[q] + level[i]
-            addend = _Frac(-coeff.content * unit, mul_terms(coeff.num, shift_terms(num, d)), den,
-                           prims)
+            addend = _Frac(-content * unit, coeff.F + _factors(factors[q], prims, d), coeff.num,
+                           den, prims)
             terms[target] = terms[target].add(addend, prims) if target in terms else addend
         if rhs:
             num = mul_terms(coeff.num, shift_terms(rhs, d))
-            b = b.add(_Frac(coeff.content * rhs_content, num, den, prims), prims)
+            b = b.add(_Frac(content * rhs_content, coeff.F, num, den, prims), prims)
     rminus = tuple(sorted([p] + substituted))
     live = {i: fr for i, fr in terms.items() if not fr.is_zero()}
     if any(level[i] <= s for i in live):
         raise InvariantError("a reachable term survived inside the strip")
-    D = FactoredPoly.one(eq.variables)
+    D = b.den
     for fr in live.values():
-        D = D.lcm(fr.den)
-    D = D.lcm(b.den)
-    if not D.divides(pool):
+        D = D | fr.den
+    poly = {key: poly_from_int(eq.variables, Fraction(1), prims[key][1]) for key in D}
+    D_actual = FactoredPoly._from_canonical(eq.variables, Fraction(1),
+                                            [(poly[key], m) for key, m in D.items()])
+    D_pool = FactoredPoly._from_canonical(eq.variables, Fraction(1),  # D | pool iff D | D_pool
+                                          [(poly[key], m) for key, m in (pool & D).items()])
+    if not D_actual.divides(D_pool):
         raise InvariantError("common denominator escaped the substitution cascade")
-    out_terms = {i: fr.to_poly(D, prims) for i, fr in live.items()}
-    return StripResult(rminus, tuple(sorted(live)), D, out_terms, b.to_poly(D, prims))
+
+    def to_poly(fr):  # the numerator of fr over the common denominator D
+        return poly_from_int(eq.variables, fr.content, _expand(fr.F + D - fr.den, prims, fr.num))
+
+    out_terms = {i: to_poly(fr) for i, fr in live.items()}
+    return StripResult(rminus, tuple(sorted(live)), D_actual, out_terms, to_poly(b))
 
 
 # ----------------------------------------------------------------------

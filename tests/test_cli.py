@@ -113,13 +113,17 @@ def test_unfactored_nonlinear_exits_2(capsys, tmp_path):
     (None, "(n+k+1)^100"),  # within the degree limit, but 5,151 terms
     ({"shift": [0, 0, 0], "coefficient": "1"}, "(n+k+m+1)^30"),  # 5,456 terms
     (None, "+".join("(n+k+%d)^43" % a for a in range(1, 6))),  # 990 terms each
+    ([{"shift": [a, b], "coefficient": {"unit": str(c), "factors": [  # strip of 501,501 points
+        ["n+k+%d" % (1 + a + b), 1], ["n+k+%d" % (1001 + a + b), 1],
+        ["3*n+2*k+%d" % (1 + 3 * a + 2 * b), 1]]}}
+      for (a, b), c in zip([(0, 0), (0, 1), (1, 0), (1, 1)], [1, -1, 1, 1])], "2"),
 ])
 def test_oversized_input_exits_2_quickly(capsys, tmp_path, eqdir, term, rhs):
     data = json.loads((eqdir / "sys1.json").read_text())
     data["rhs"] = rhs
     if term is not None:
-        data["terms"] = [term]
-        data["variables"] = ["n", "k", "m"][:len(term["shift"])]
+        data["terms"] = term if isinstance(term, list) else [term]
+        data["variables"] = ["n", "k", "m"][:len(data["terms"][0]["shift"])]
     path = tmp_path / "big.json"
     path.write_text(json.dumps(data))
     start = time.perf_counter()
