@@ -9,9 +9,10 @@ degree-1 factors are and as the caller declares the others to be.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from .lattice import is_sublattice
-from .polyring import Poly, format_poly, normalize_primitive, parse_poly
+from .polyring import Poly, _grlex, format_poly, normalize_primitive, parse_terms
 from .spread import invariance_lattice
 
 
@@ -149,17 +150,6 @@ class FactoredPoly:
         theirs = dict(other.factors)
         return all(theirs.get(p, 0) >= m for p, m in self.factors)
 
-    def div_exact(self, other: "FactoredPoly") -> "FactoredPoly":
-        """Quotient by a factored divisor (multiset subtraction)."""
-        mult = dict(self.factors)
-        for p, m in other.factors:
-            left = mult.get(p, 0) - m
-            if left < 0:
-                raise ValueError("not a factored divisor")
-            mult[p] = left
-        factors = [(p, m) for p, m in mult.items() if m]
-        return FactoredPoly._from_canonical(self.vars, self.unit / other.unit, factors)
-
     def shift(self, s) -> "FactoredPoly":
         """Shift every factor.
 
@@ -208,9 +198,29 @@ class FactoredPoly:
 
     @classmethod
     def from_json(cls, data, vars) -> "FactoredPoly":
-        unit = Fraction(data.get("unit", "1"))
-        factors = []
-        for text, mult in data.get("factors", []):
-            factors.append((parse_poly(text, vars), int(mult)))
-        return cls(vars, unit, factors)
+        """The factored polynomial of a JSON object {"unit": ..., "factors": [[text, mult], ...]}.
 
+        Each factor text is parsed to an int term map and made canonical on
+        ints: its content, the gcd of its coefficients signed like its
+        leading coefficient in graded lex order, goes into the unit.
+        """
+        vars = tuple(vars)
+        unit = Fraction(data.get("unit", "1"))
+        parsed = [(parse_terms(text, vars), int(mult)) for text, mult in data.get("factors", [])]
+        if unit == 0:
+            raise ValueError("unit must be nonzero")
+        factors = []
+        for terms, mult in parsed:
+            if mult < 1:
+                raise ValueError("multiplicity must be positive")
+            if not terms:
+                raise ValueError("zero factor")
+            content = gcd(*terms.values())
+            if terms[max(terms, key=_grlex)] < 0:
+                content = -content
+            if content != 1:
+                unit *= content ** mult
+                terms = {e: c // content for e, c in terms.items()}
+            if len(terms) > 1 or any(next(iter(terms))):
+                factors.append((Poly._make(vars, {e: Fraction(c) for e, c in terms.items()}), mult))
+        return cls._from_canonical(vars, unit, factors)

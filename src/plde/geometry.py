@@ -20,6 +20,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm as _int_lcm
+from operator import mul as _mul, sub as _sub
 
 from .lattice import (IntLattice, clear_denominators, orthogonal_complement_lattice,
                       primitive_vector, saturation)
@@ -315,8 +316,10 @@ class _ModuleSetup:
 
     The covector u ranges over the span of ``basis``, a basis of the
     integer covectors orthogonal to W (rank ``t``); ``cls_of`` maps each
-    support point to its congruence class modulo W; ``pairs`` holds the
-    verdict of every ordered corner pair decided so far.
+    support point to its congruence class modulo W, and ``point_coeffs``
+    to the coefficients of its level s . u, so that by linearity the row of
+    s - p is a difference of two of them; ``pairs`` holds the verdict of
+    every ordered corner pair decided so far.
     """
 
     def __init__(self, points, W: IntLattice):
@@ -333,11 +336,13 @@ class _ModuleSetup:
                 classes.append(cls)
             cls.append(s)
             self.cls_of[s] = cls
+        # the coefficients in z of s . u, for the covector u = sum_k z_k basis[k]
+        self.point_coeffs = {s: tuple(sum(map(_mul, s, b)) for b in self.basis) for s in points}
         self.pairs = {}
 
-    def coeffs(self, vec):
-        """Coefficients in z of vec . u, for the covector u = sum_k z_k basis[k]."""
-        return tuple(sum(v * b[i] for i, v in enumerate(vec)) for b in self.basis)
+    def row(self, s, p):
+        """The coefficients in z of the level (s - p) . u of s above p."""
+        return tuple(map(_sub, self.point_coeffs[s], self.point_coeffs[p]))
 
     def covector(self, z):
         """The primitive integer covector with basis coordinates proportional to z."""
@@ -396,16 +401,18 @@ class SupportGeometry:
         return setup.pairs[key]
 
     def _solve_pair(self, setup: _ModuleSetup, p, p_prime):
-        if setup.t == 0 or len(setup.cls_of[p_prime]) > 1:
-            return None  # a congruent mate would always share the maximal face
+        if setup.t == 0 or len(setup.cls_of[p]) > 1 or len(setup.cls_of[p_prime]) > 1:
+            # a congruent mate of p would tie with it at the bottom, and one of
+            # p' would always share the maximal face
+            return None
         cons = []
         for s in self.points:
             if s != p:
-                cons.append((setup.coeffs([a - b for a, b in zip(s, p)]), ">=", 1))
+                cons.append((setup.row(s, p), ">=", 1))
             if s != p_prime:
                 # classes of size >= 2 stay strictly below the top value
                 rhs = 1 if len(setup.cls_of[s]) > 1 else 0
-                cons.append((setup.coeffs([a - b for a, b in zip(p_prime, s)]), ">=", rhs))
+                cons.append((setup.row(p_prime, s), ">=", rhs))
         z = lp_feasible(cons, setup.t)
         if z is None:
             return None
@@ -424,7 +431,7 @@ class SupportGeometry:
     def _weak(self, setup: _ModuleSetup, p):
         if setup.t == 0 or len(setup.cls_of[p]) > 1:
             return None
-        base_cons = [(setup.coeffs([a - b for a, b in zip(s, p)]), ">=",
+        base_cons = [(setup.row(s, p), ">=",
                       1 if len(setup.cls_of[s]) > 1 else 0)
                      for s in self.points if s != p]
         # exclude u = 0 by forcing some complement coordinate away from zero

@@ -4,13 +4,16 @@ Every operation is exact; there is no floating point anywhere.  A
 polynomial is an immutable map from exponent vectors to nonzero
 coefficients (a term map), together with an ordered tuple of variable
 names.  `Poly` is the polynomial over QQ, with `fractions.Fraction`
-coefficients.  Its products, sums and shifts run on the term-map kernels
-`mul_terms`, `add_terms` and `shift_terms`, which take any exact
-coefficients.  The strip rewriting of `bounds` calls them on ints: it holds
+coefficients.  Its products, powers, sums and shifts run on the term-map
+kernels `mul_terms`, `pow_terms`, `add_terms` and `shift_terms`, which take
+any exact coefficients.  The strip rewriting of `bounds` calls them on ints: it holds
 each numerator as a rational content times a term map over Z (`int_terms`),
 and divides by primitive integer polynomials with `divide_int_terms`, which
-by Gauss's lemma needs exact int division only.  Leading terms and printing
-use graded lexicographic order on the exponent vectors.
+by Gauss's lemma needs exact int division only.  Polynomial text has only
+unsigned integer literals, so the parser works on int term maps throughout
+(`parse_terms`); `parse_poly` converts its result to a `Poly` once, at the
+end.  Leading terms and printing use graded lexicographic order on the
+exponent vectors.
 """
 
 from __future__ import annotations
@@ -184,14 +187,7 @@ class Poly:
         n = int(n)
         if n < 0:
             raise ValueError("negative exponent")
-        result = Poly.one(self.vars)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        return Poly._make(self.vars, pow_terms(self.terms, n)) if n else Poly.one(self.vars)
 
     def __eq__(self, other):
         return isinstance(other, Poly) and self.vars == other.vars and self.terms == other.terms
@@ -321,6 +317,18 @@ def mul_terms(a: dict, b: dict) -> dict:
             v = get(e)
             terms[e] = c1 * c2 if v is None else v + c1 * c2
     return {e: c for e, c in terms.items() if c}
+
+
+def pow_terms(a: dict, e: int) -> dict:
+    """a^e for an exponent e >= 1, by repeated squaring."""
+    result = None
+    while e:
+        if e & 1:
+            result = a if result is None else mul_terms(result, a)
+        e >>= 1
+        if e:
+            a = mul_terms(a, a)
+    return result
 
 
 def shift_terms(a: dict, s: tuple) -> dict:
@@ -601,10 +609,13 @@ def _tokenize(text: str):
 
 
 class _Parser:
+    """Recursive descent over the tokens; every value is an int term map."""
+
     def __init__(self, text, vars):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.vars = tuple(vars)
+        self.zero = (0,) * len(self.vars)
         self.budget = MAX_TERMS
 
     def peek(self):
@@ -621,52 +632,54 @@ class _Parser:
             raise ParseError("expected %r, found %r" % (kind, tok[1] or "end of input"), tok[2])
         return tok
 
-    def parse_expr(self) -> Poly:
-        sign = 1
+    def parse_expr(self) -> dict:
+        negate = False
         if self.peek()[0] in "+-":
-            if self.advance()[0] == "-":
-                sign = -1
-        result = self.parse_term() * sign
+            negate = self.advance()[0] == "-"
+        result = self.parse_term()
+        if negate:
+            result = _negated(result)
         while self.peek()[0] in "+-":
             op = self.advance()[0]
             t = self.parse_term()
-            result = result + t if op == "+" else result - t
+            result = add_terms(result, t if op == "+" else _negated(t))
         return result
 
-    def parse_term(self) -> Poly:
+    def parse_term(self) -> dict:
         result = self.parse_factor()
         while self.peek()[0] == "*":
             pos = self.advance()[2]
             factor = self.parse_factor()
-            degree = result.total_degree() + factor.total_degree()
+            degree = _degree(result) + _degree(factor)
             _check_degree(degree, pos)
-            self.charge(min(len(result.terms) * len(factor.terms),
-                            _monomials(degree, result, factor)), pos)
-            result = result * factor
+            self.charge(min(len(result) * len(factor), _monomials(degree, result, factor)), pos)
+            result = mul_terms(result, factor)
         return result
 
-    def parse_factor(self) -> Poly:
+    def parse_factor(self) -> dict:
         result = self.parse_atom()
         while self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int")
             e = int(tok[1])
-            degree = result.total_degree() * e
+            degree = _degree(result) * e
             _check_degree(max(e, degree), tok[2])
-            n = len(result.terms)
+            n = len(result)
             # a product of e terms is a multiset of e of the n terms
             self.charge(min(comb(n + e - 1, e) if n else 1, _monomials(degree, result)), tok[2])
-            result = result ** e
+            result = pow_terms(result, e) if e else {self.zero: 1}
         return result
 
-    def parse_atom(self) -> Poly:
+    def parse_atom(self) -> dict:
         tok = self.advance()
         if tok[0] == "int":
-            return Poly.const(self.vars, int(tok[1]))
+            c = int(tok[1])
+            return {self.zero: c} if c else {}
         if tok[0] == "name":
             if tok[1] not in self.vars:
                 raise ParseError("unknown variable %r" % tok[1], tok[2])
-            return Poly.variable(self.vars, tok[1])
+            i = self.vars.index(tok[1])
+            return {self.zero[:i] + (1,) + self.zero[i + 1:]: 1}
         if tok[0] == "(":
             inner = self.parse_expr()
             self.expect(")")
@@ -683,23 +696,32 @@ class _Parser:
                                         % (position, MAX_TERMS))
 
 
+def _negated(terms: dict) -> dict:
+    return {e: -c for e, c in terms.items()}
+
+
+def _degree(terms: dict) -> int:
+    """Total degree of a term map; -1 for the zero polynomial."""
+    return max(map(sum, terms), default=-1)
+
+
 def _check_degree(degree: int, position: int):
     if degree > MAX_DEGREE:
         raise UnsupportedInputError("unsupported: degree %d at position %d exceeds the limit %d"
                                     % (degree, position, MAX_DEGREE))
 
 
-def _monomials(degree: int, *polys) -> int:
-    """Number of monomials of total degree <= degree in the variables the polys use."""
-    used = len({i for p in polys for e in p.terms for i, x in enumerate(e) if x})
+def _monomials(degree: int, *term_maps) -> int:
+    """Number of monomials of total degree <= degree in the variables the term maps use."""
+    used = sum(map(any, zip(*(e for terms in term_maps for e in terms))))
     return comb(max(degree, 0) + used, used)
 
 
-def parse_poly(text: str, vars) -> Poly:
-    """Parse polynomial text over the given variables.
+def parse_terms(text: str, vars) -> dict:
+    """Parse polynomial text over the given variables into an int term map.
 
-    >>> str(parse_poly("(n+1)*(n-1)", ("n", "k")))
-    'n^2-1'
+    >>> parse_terms("(n+1)*(n-1)", ("n", "k"))
+    {(2, 0): 1, (0, 0): -1}
     """
     if not isinstance(text, str):
         raise ParseError("expected polynomial text, not %r" % (text,), 0)
@@ -712,6 +734,15 @@ def parse_poly(text: str, vars) -> Poly:
     if tok[0] != "end":
         raise ParseError("unexpected trailing input %r" % tok[1], tok[2])
     return result
+
+
+def parse_poly(text: str, vars) -> Poly:
+    """Parse polynomial text over the given variables.
+
+    >>> str(parse_poly("(n+1)*(n-1)", ("n", "k")))
+    'n^2-1'
+    """
+    return Poly._make(tuple(vars), {e: Fraction(c) for e, c in parse_terms(text, vars).items()})
 
 
 def _format_coeff(c: Fraction) -> str:

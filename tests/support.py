@@ -4,13 +4,14 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
 from plde.geometry import _facet_modules_3d, lp_feasible
 from plde.lattice import IntLattice, UnimodularMatrix, primitive_vector, saturation
-from plde.polyring import InvariantError, Poly, RationalFunction, divide_exact, parse_poly
+from plde.polyring import (MAX_DEGREE, MAX_TERMS, InvariantError, ParseError, Poly,
+                           RationalFunction, UnsupportedInputError, divide_exact, parse_poly)
 from plde.verify import check_solution
 
 VARS2 = ("n", "k")
@@ -231,6 +232,195 @@ def reference_check_solution(eq: PLDE, y: RationalFunction):
 def evaluate_terms(terms: dict, point):
     """The value of a term map at a point, by direct evaluation."""
     return sum(c * prod(x ** d for x, d in zip(point, e)) for e, c in terms.items())
+
+
+def reference_parse_poly(text, vars) -> Poly:
+    """Reference for the differential test of ``parse_poly``: the parser on Fraction ``Poly``s.
+
+    Same grammar, tokens, size limits and errors as the library parser, but
+    every atom, sum, product and power is a ``Poly`` over QQ, as the library
+    built them before it parsed on integer term maps.
+    """
+    if not isinstance(text, str):
+        raise ParseError("expected polynomial text, not %r" % (text,), 0)
+    parser = _ReferenceParser(text, vars)
+    try:
+        result = parser.parse_expr()
+    except RecursionError:
+        raise ParseError("expression nested too deeply", parser.tokens[parser.pos][2]) from None
+    tok = parser.tokens[parser.pos]
+    if tok[0] != "end":
+        raise ParseError("unexpected trailing input %r" % tok[1], tok[2])
+    return result
+
+
+def _reference_tokenize(text):
+    tokens = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch.isdigit():
+            j = i
+            while j < n and text[j].isdigit():
+                j += 1
+            tokens.append(("int", text[i:j], i))
+            i = j
+            continue
+        if ch.isalpha() or ch == "_":
+            j = i
+            while j < n and (text[j].isalnum() or text[j] == "_"):
+                j += 1
+            tokens.append(("name", text[i:j], i))
+            i = j
+            continue
+        if ch in "+-*^()":
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        raise ParseError("unexpected character %r" % ch, i)
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class _ReferenceParser:
+    def __init__(self, text, vars):
+        self.tokens = _reference_tokenize(text)
+        self.pos = 0
+        self.vars = tuple(vars)
+        self.budget = MAX_TERMS
+
+    def advance(self):
+        self.pos += 1
+        return self.tokens[self.pos - 1]
+
+    def expect(self, kind):
+        tok = self.advance()
+        if tok[0] != kind:
+            raise ParseError("expected %r, found %r" % (kind, tok[1] or "end of input"), tok[2])
+        return tok
+
+    def parse_expr(self):
+        sign = 1
+        if self.tokens[self.pos][0] in "+-" and self.advance()[0] == "-":
+            sign = -1
+        result = self.parse_term() * sign
+        while self.tokens[self.pos][0] in "+-":
+            op = self.advance()[0]
+            t = self.parse_term()
+            result = result + t if op == "+" else result - t
+        return result
+
+    def parse_term(self):
+        result = self.parse_factor()
+        while self.tokens[self.pos][0] == "*":
+            pos = self.advance()[2]
+            factor = self.parse_factor()
+            degree = result.total_degree() + factor.total_degree()
+            self.limit(degree, pos)
+            self.charge(min(len(result.terms) * len(factor.terms),
+                            self.monomials(degree, result, factor)), pos)
+            result = result * factor
+        return result
+
+    def parse_factor(self):
+        result = self.parse_atom()
+        while self.tokens[self.pos][0] == "^":
+            self.advance()
+            tok = self.expect("int")
+            e = int(tok[1])
+            degree = result.total_degree() * e
+            self.limit(max(e, degree), tok[2])
+            n = len(result.terms)
+            self.charge(min(comb(n + e - 1, e) if n else 1, self.monomials(degree, result)),
+                        tok[2])
+            result = result ** e
+        return result
+
+    def parse_atom(self):
+        tok = self.advance()
+        if tok[0] == "int":
+            return Poly.const(self.vars, int(tok[1]))
+        if tok[0] == "name":
+            if tok[1] not in self.vars:
+                raise ParseError("unknown variable %r" % tok[1], tok[2])
+            return Poly.variable(self.vars, tok[1])
+        if tok[0] == "(":
+            inner = self.parse_expr()
+            self.expect(")")
+            return inner
+        raise ParseError("expected a number, variable or parenthesis, found %r"
+                         % (tok[1] or "end of input"), tok[2])
+
+    @staticmethod
+    def limit(degree, position):
+        if degree > MAX_DEGREE:
+            raise UnsupportedInputError("unsupported: degree %d at position %d exceeds the limit "
+                                        "%d" % (degree, position, MAX_DEGREE))
+
+    @staticmethod
+    def monomials(degree, *polys):
+        used = len({i for p in polys for e in p.terms for i, x in enumerate(e) if x})
+        return comb(max(degree, 0) + used, used)
+
+    def charge(self, bound, position):
+        self.budget -= bound
+        if self.budget < 0:
+            raise UnsupportedInputError("unsupported: the products and powers up to position %d "
+                                        "exceed the budget of %d terms per polynomial text"
+                                        % (position, MAX_TERMS))
+
+
+# atoms of random polynomial text: the variables, small and large integers,
+# zero, a name that is not a variable, and non-ASCII digits and letters
+_TEXT_ATOMS = ["n", "k", "n", "k", "0", "1", "2", "3", "17", "123456789012345678901234567890",
+               "m", "٣", "é", "n_1"]
+_TEXT_SPACES = ["", "", "", " ", "  ", "\t", "\n", " ", "\x1c"]
+_TEXT_NOISE = ["", "+", "-", "*", "^", "(", ")", "^-2", "2 n", "%", "/", "²", "^101", "^0"]
+
+
+def random_poly_text(rng, depth=3):
+    """Seeded polynomial text with nesting, unary signs, powers, zero and whitespace."""
+    def space():
+        return rng.choice(_TEXT_SPACES)
+
+    def expr(d):
+        pieces = [rng.choice(["", "", "-", "+"]) + term(d)]
+        for _ in range(rng.randint(0, 2)):
+            pieces.append(space() + rng.choice("+-") + space() + term(d))
+        return "".join(pieces)
+
+    def term(d):
+        return ("*" + space()).join(factor(d) for _ in range(rng.randint(1, 3)))
+
+    def factor(d):
+        text = atom(d)
+        # high powers of variables only: the parser bounds degree and term
+        # count, not the size of the coefficients that powers of constants
+        # and of sums build
+        exponents = [0, 1, 2, 12, 40] if text in ("n", "k") else [0, 1, 2, 3]
+        for _ in range(rng.choice([0, 0, 0, 1, 1, 2])):
+            text += "^" + space() + str(rng.choice(exponents))
+        return text + space()
+
+    def atom(d):
+        if d and rng.random() < 0.35:
+            return "(" + space() + expr(d - 1) + ")"
+        return rng.choice(_TEXT_ATOMS[:10] if rng.random() < 0.95 else _TEXT_ATOMS)
+
+    return space() + expr(depth)
+
+
+def random_malformed_text(rng):
+    """random_poly_text with one piece of noise inserted or one character dropped."""
+    text = random_poly_text(rng)
+    i = rng.randint(0, len(text))
+    if rng.random() < 0.3 and text:
+        return text[:i] + text[i + 1:]
+    return text[:i] + rng.choice(_TEXT_NOISE) + text[i:]
 
 
 def act_on_rational(A: UnimodularMatrix, y: RationalFunction) -> RationalFunction:

@@ -1,11 +1,10 @@
 import random
-
-import pytest
+from fractions import Fraction
 
 from plde.factored import FactoredPoly
 from plde.lattice import IntLattice
-from plde.polyring import Poly, divide_exact, parse_poly
-from support import VARS2, random_factor
+from plde.polyring import ParseError, Poly, UnsupportedInputError, divide_exact, parse_poly
+from support import VARS2, random_factor, random_poly_text, reference_parse_poly
 
 N_CASES = 200
 
@@ -77,14 +76,12 @@ def test_w_part_examples():
     assert fp.w_part(zero).is_one()
 
 
-def test_div_exact_and_divides():
+def test_divides():
     a = F("n+1", "k+2")
     b = F("n+1")
     assert b.divides(a)
-    assert a.div_exact(b) == F("k+2")
     assert not a.divides(b)
-    with pytest.raises(ValueError):
-        b.div_exact(a)
+    assert F("n+1", unit=3).divides(F("n+1", unit=-1))
 
 
 def test_json_round_trip():
@@ -92,6 +89,48 @@ def test_json_round_trip():
     data = fp.to_json()
     assert data == {"unit": "-1", "factors": [["n+k+1", 1], ["3*n+2*k+1", 1]]}
     assert FactoredPoly.from_json(data, VARS2) == fp
+
+
+def test_from_json_moves_signs_and_contents_into_the_unit():
+    data = {"unit": "3/2", "factors": [["-2*n-4", 1], ["6", 2], ["k^2-2*n*k", 1],
+                                       ["(2*n+4)*(-1)", 2]]}
+    fp = FactoredPoly.from_json(data, VARS2)
+    # -2n-4 = -2 (n+2); k^2-2nk leads with -2nk in graded lex, so = -1 (2nk-k^2)
+    assert fp.unit == Fraction(3, 2) * -2 * 6 ** 2 * -1 * (-2) ** 2
+    assert fp.factors == ((P("n+2"), 3), (P("2*n*k-k^2"), 1))
+    assert all(type(c) is Fraction for p, _ in fp.factors for c in p.terms.values())
+
+
+def _reference_from_json(data):
+    """FactoredPoly.from_json through the Fraction parser and the validating constructor."""
+    unit = Fraction(data.get("unit", "1"))
+    factors = [(reference_parse_poly(text, VARS2), int(mult))
+               for text, mult in data.get("factors", [])]
+    return FactoredPoly(VARS2, unit, factors)
+
+
+def _outcome(build, data):
+    try:
+        fp = build(data)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return fp.unit, fp.factors
+
+
+def test_from_json_matches_the_fraction_reference():
+    rng = random.Random(305)
+    pool = ["-2*n-4", "6*k+3*n", "-(k+n+1)*3", "n^2-k", "-k^2+2*n*k", "4", "-7", "0", "n-n",
+            "(n+1", "m+1", "(n+k)^101"]
+    kinds = set()
+    for _ in range(300):
+        data = {"factors": [[rng.choice(pool) if rng.random() < 0.6 else random_poly_text(rng, 2),
+                             rng.choice([1, 1, 2, 3, 0, -1])] for _ in range(rng.randint(0, 3))]}
+        if rng.random() < 0.9:
+            data["unit"] = rng.choice(["1", "-1", "2", "-3/4", "0"])
+        got = _outcome(lambda d: FactoredPoly.from_json(d, VARS2), data)
+        assert got == _outcome(_reference_from_json, data), data
+        kinds.add(got[0] if isinstance(got[0], type) else "ok")
+    assert kinds == {"ok", ValueError, ParseError, UnsupportedInputError}
 
 
 # ----------------------------------------------------------------------
@@ -153,8 +192,7 @@ def test_trusted_results_match_the_validating_constructor():
             (a.shift(s), FactoredPoly(VARS2, a.unit, [(p.shift(s), m) for p, m in a.factors])),
             (a.drop_unit(), FactoredPoly(VARS2, 1, a.factors)),
         ]
-        for fp in (g, a.lcm(b), a.mul(b).div_exact(b), a.div_exact(g),
-                   a.w_part(rng.choice(modules))):
+        for fp in (g, a.lcm(b), a.w_part(rng.choice(modules))):
             pairs.append((fp, FactoredPoly(fp.vars, fp.unit, fp.factors)))
         for got, want in pairs:
             assert (got.unit, got.factors) == (want.unit, want.factors)

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
-from plde.polyring import (ParseError, Poly, RationalFunction, add_terms, divide_exact,
-                           divide_int_terms, format_poly, gcd_poly, int_terms, mul_terms,
-                           normalize_primitive, parse_poly, parse_rational, poly_from_int,
-                           shift_terms)
-from support import VARS2, divide_over_q, evaluate_terms, random_poly, random_shift
+from plde.polyring import (ParseError, Poly, RationalFunction, UnsupportedInputError, add_terms,
+                           divide_exact, divide_int_terms, format_poly, gcd_poly, int_terms,
+                           mul_terms, normalize_primitive, parse_poly, parse_rational,
+                           parse_terms, poly_from_int, shift_terms)
+from support import (VARS2, divide_over_q, evaluate_terms, random_malformed_text, random_poly,
+                     random_poly_text, random_shift, reference_parse_poly)
 
 N_CASES = 200
 
@@ -53,6 +54,40 @@ def test_parse_errors_carry_position():
         P("(n+1")
     with pytest.raises(ParseError):
         P("n^-2")
+
+
+def _parse_outcome(parse, text, vars=VARS2):
+    try:
+        return parse(text, vars)
+    except ValueError as exc:
+        return type(exc), str(exc), getattr(exc, "position", None)
+
+
+def test_parser_matches_the_fraction_reference():
+    rng = random.Random(131)
+    outcomes = set()
+    for i in range(600):
+        text = random_poly_text(rng) if i % 2 else random_malformed_text(rng)
+        got = _parse_outcome(parse_poly, text)
+        assert got == _parse_outcome(reference_parse_poly, text), repr(text)
+        if isinstance(got, Poly):
+            assert all(type(c) is Fraction for c in got.terms.values())
+            assert parse_terms(text, VARS2) == got.terms
+            outcomes.add("valid")
+        else:
+            outcomes.add(got[0])
+    assert outcomes == {"valid", ParseError, UnsupportedInputError, ValueError}
+
+
+@pytest.mark.parametrize("text", [
+    "n^99999999", "(n+k+1)^3000", "(n+k+1)^100", "(n+k+m+1)^30", "((n+k+1)^10)^10",
+    "(n+k+m+1)^9*(n+k+m+1)^9", "(n+k+1)^43+(n+k+2)^43", "0*n^100", "0^0+(n-n)^5",
+    "(" * 40 + "n+k" + ")" * 40 + "^2", 7, None,
+])
+def test_parser_limits_match_the_fraction_reference(text):
+    vars = ("n", "k", "m")
+    assert _parse_outcome(parse_poly, text, vars) == _parse_outcome(reference_parse_poly, text,
+                                                                     vars)
 
 
 # ----------------------------------------------------------------------
