@@ -9,16 +9,20 @@ kernels `mul_terms`, `pow_terms`, `add_terms` and `shift_terms`, which take
 any exact coefficients.  The strip rewriting of `bounds` calls them on ints: it holds
 each numerator as a rational content times a term map over Z (`int_terms`),
 and divides by primitive integer polynomials with `divide_int_terms`, which
-by Gauss's lemma needs exact int division only.  Polynomial text has only
-unsigned integer literals, so the parser works on int term maps throughout
-(`parse_terms`); `parse_poly` converts its result to a `Poly` once, at the
-end.  Leading terms and printing use graded lexicographic order on the
-exponent vectors.
+by Gauss's lemma needs exact int division only.  The solution check of
+`verify` multiplies large int term maps with `mul_packed`, on keys that
+`pack_terms` makes from the exponent vectors: one int with a fixed-width
+field per variable.  `mul_terms` stays on tuples, which shifts and images
+modulo a prime read.  Polynomial text has only unsigned integer literals,
+so the parser works on int term maps throughout (`parse_terms`);
+`parse_poly` converts its result to a `Poly` once, at the end.  Leading
+terms and printing use graded lexicographic order on the exponent vectors.
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from fractions import Fraction
 from math import comb, gcd as _int_gcd, lcm as _int_lcm
 from operator import add as _add, sub as _sub
@@ -319,6 +323,36 @@ def mul_terms(a: dict, b: dict) -> dict:
     return {e: c for e, c in terms.items() if c}
 
 
+def pack_terms(a: dict, width: int) -> dict:
+    """a with each exponent vector e as the int key sum_j e_j * 2^(width * j).
+
+    Every exponent must be below 2^width.  A product of packed monomials is
+    then one integer addition, exact as long as the exponents of the
+    product stay below 2^width too, so that no field carries into the next.
+    """
+    offsets = [width * j for j in range(len(next(iter(a), ())))]
+    return {sum(x << o for x, o in zip(e, offsets)): c for e, c in a.items()}
+
+
+def unpack_terms(a: dict, width: int, r: int) -> dict:
+    """The term map over r variables whose pack_terms(., width) is a."""
+    mask = (1 << width) - 1
+    offsets = [width * j for j in range(r)]
+    return {tuple(key >> o & mask for o in offsets): c for key, c in a.items()}
+
+
+def mul_packed(a: dict, b: dict) -> dict:
+    """mul_terms on packed term maps (pack_terms) whose product fits the width."""
+    terms = {}
+    get = terms.get
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = e1 + e2
+            v = get(e)
+            terms[e] = c1 * c2 if v is None else v + c1 * c2
+    return {e: c for e, c in terms.items() if c}
+
+
 def pow_terms(a: dict, e: int) -> dict:
     """a^e for an exponent e >= 1, by repeated squaring."""
     result = None
@@ -559,9 +593,17 @@ def _gcd_recursive(p: Poly, q: Poly) -> Poly:
 # bounded before the expansion by the number of monomials of the result's
 # degree in the variables that occur, or by the number of term products if
 # that is smaller, and charged against the text's budget of MAX_TERMS.
+# Nor is a product or power expanded when its coefficients could exceed
+# MAX_COEFF_BITS bits: the sum of the absolute values of the coefficients
+# (the 1-norm) bounds each of them and is submultiplicative, so a product's
+# 1-norm has at most the sum of its operands' bit lengths, and a^e at most
+# e times the bit length of a's.  Without that bound ((17^100)^100)^100
+# alone is a 4-million-bit constant.  An integer literal of d digits counts
+# ceil(10d/3) bits, so none has more than 1,228 digits.
 
 MAX_DEGREE = 100
 MAX_TERMS = 1000
+MAX_COEFF_BITS = 4096
 
 # spread.spread_box_oracle runs one gcd per point of its box, about a
 # millisecond each for small polynomials; no box has more points than this.
@@ -652,6 +694,7 @@ class _Parser:
             factor = self.parse_factor()
             degree = _degree(result) + _degree(factor)
             _check_degree(degree, pos)
+            _check_bits(_norm_bits(result) + _norm_bits(factor), pos)
             self.charge(min(len(result) * len(factor), _monomials(degree, result, factor)), pos)
             result = mul_terms(result, factor)
         return result
@@ -664,6 +707,7 @@ class _Parser:
             e = int(tok[1])
             degree = _degree(result) * e
             _check_degree(max(e, degree), tok[2])
+            _check_bits(e * _norm_bits(result), tok[2])
             n = len(result)
             # a product of e terms is a multiset of e of the n terms
             self.charge(min(comb(n + e - 1, e) if n else 1, _monomials(degree, result)), tok[2])
@@ -673,6 +717,9 @@ class _Parser:
     def parse_atom(self) -> dict:
         tok = self.advance()
         if tok[0] == "int":
+            # d digits hold less than 10^d < 2^(10d/3); int() itself refuses
+            # more than sys.get_int_max_str_digits() digits
+            _check_bits(-(-10 * len(tok[1]) // 3), tok[2])
             c = int(tok[1])
             return {self.zero: c} if c else {}
         if tok[0] == "name":
@@ -711,6 +758,17 @@ def _check_degree(degree: int, position: int):
                                     % (degree, position, MAX_DEGREE))
 
 
+def _norm_bits(terms: dict) -> int:
+    """Bit length of the sum of the absolute values of the coefficients."""
+    return sum(map(abs, terms.values())).bit_length()
+
+
+def _check_bits(bits: int, position: int):
+    if bits > MAX_COEFF_BITS:
+        raise UnsupportedInputError("unsupported: coefficients of up to %d bits at position %d "
+                                    "exceed the limit %d" % (bits, position, MAX_COEFF_BITS))
+
+
 def _monomials(degree: int, *term_maps) -> int:
     """Number of monomials of total degree <= degree in the variables the term maps use."""
     used = sum(map(any, zip(*(e for terms in term_maps for e in terms))))
@@ -746,9 +804,13 @@ def parse_poly(text: str, vars) -> Poly:
 
 
 def _format_coeff(c: Fraction) -> str:
-    if c.denominator == 1:
-        return str(c.numerator)
-    return "%d/%d" % (c.numerator, c.denominator)
+    try:
+        if c.denominator == 1:
+            return str(c.numerator)
+        return "%d/%d" % (c.numerator, c.denominator)
+    except ValueError:  # Python's limit on int to decimal text conversion
+        raise UnsupportedInputError("unsupported: a coefficient has more than %d decimal digits, "
+                                    "too many to print" % sys.get_int_max_str_digits()) from None
 
 
 def format_poly(p: Poly) -> str:

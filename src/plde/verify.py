@@ -24,6 +24,25 @@ D_i share the content of D, and each point's rational scalar (content of
 A_i times content of N) becomes one integer k_i once all of them, and the
 one of f, are put over a common denominator L.  The exact content goes
 back on once, at the end.
+
+The accumulation runs on packed monomials (``polyring.pack_terms``): an
+exponent vector e is the int key sum_j e_j * 2^(w*j), so that a monomial
+product is one integer addition.  That is exact while no field reaches
+2^w, since then no field carries into the next, and the width w is fixed
+before the loop from degree bounds.  A shift keeps the degree in each
+variable x_j, so every D_i has degree deg_j D and every N_i degree
+deg_j N; hence after any number of points
+
+    deg_j C <= m * deg_j D,
+    deg_j T <= max_i (deg_j A_i + deg_j N) + (m - 1) * deg_j D,
+    deg_j (f * C) <= deg_j f + m * deg_j D,
+
+and the intermediate products A_i N_i, A_i N_i C, T D_i and C D_i stay
+within the same bounds.  The width is the bit length of the largest of
+these bounds over all j.  Each exponent of a product is the sum of the
+exponents of two monomials that occur, so cancellation does not matter.
+A zero total is decided on the packed keys; a nonzero residual is
+unpacked once.
 """
 
 from __future__ import annotations
@@ -35,8 +54,8 @@ from .bounds import BoundReport
 from .equation import PLDE
 from .factored import FactoredPoly
 from .geometry import CLASS_OPPOSITE_ONLY, CLASS_USEFUL, SupportGeometry
-from .polyring import (RationalFunction, add_terms, divide_exact, int_terms, mul_terms,
-                       poly_from_int, shift_terms)
+from .polyring import (Poly, RationalFunction, add_terms, divide_exact, int_terms, mul_packed,
+                       pack_terms, poly_from_int, shift_terms, unpack_terms)
 from .spread import invariance_lattice, shift_equiv
 
 
@@ -47,17 +66,28 @@ class SolutionCheck:
 
 
 def check_solution(eq: PLDE, y: RationalFunction) -> SolutionCheck:
-    """Substitute y into the equation and reduce the residual exactly.
+    """Substitute y into the equation and reduce the residual exactly."""
+    total, common = _residual(eq, y)
+    if common is None:
+        return SolutionCheck(RationalFunction.from_poly(total), True)
+    return SolutionCheck(RationalFunction(total, common), False)
+
+
+def _residual(eq: PLDE, y: RationalFunction):
+    """The unreduced residual (total, common) of y; common is None when total is 0.
 
     With D = cd * d, N = cn * n and A_i = ca_i * a_i split into content and
     primitive integer part, total = cd^(m-1) / L * (T + k_f * f' * C) and
     common = cd^m * C, where T and C are the accumulation of the module
     docstring on d, n and a_i with integer scalars k_i = L * ca_i * cn,
     k_f = -L * cf * cd, f = cf * f', and L is the least common multiple of
-    the denominators of those scalars.  Every step is exact over Z.
+    the denominators of those scalars.  Every step is exact over Z, on
+    monomials packed with the width of the module docstring.
     """
     vars = eq.variables
+    r = len(vars)
     support = eq.support
+    m = len(support)
     cn, num = int_terms(y.num)
     cd, den = int_terms(y.den)
     cf, rhs = int_terms(eq.rhs)
@@ -65,22 +95,29 @@ def check_solution(eq: PLDE, y: RationalFunction) -> SolutionCheck:
     scalars = [ca * cn for ca, _ in coeffs] + [-cf * cd]
     scale = lcm(*(c.denominator for c in scalars))
     ks = [c.numerator * (scale // c.denominator) for c in scalars]
+    da = map(max, zip(*(_degrees(a, r) for _, a in coeffs)))
+    width = max(max(a + n + (m - 1) * d, f + m * d)
+                for a, n, d, f in zip(da, _degrees(num, r), _degrees(den, r),
+                                      _degrees(rhs, r))).bit_length()
     total = {}
-    common = {(0,) * len(vars): 1}
+    common = {0: 1}
     for s, (_, a), k in zip(support, coeffs, ks):
-        d = shift_terms(den, s)
-        an = {e: k * v for e, v in mul_terms(a, shift_terms(num, s)).items()}
-        total = add_terms(mul_terms(total, d), mul_terms(an, common))
-        common = mul_terms(common, d)
-    rhs = {e: ks[-1] * v for e, v in rhs.items()}
-    total = add_terms(total, mul_terms(rhs, common))
-    m = len(support)
-    total = poly_from_int(vars, cd ** (m - 1) / scale, total)
-    if total.is_zero():
-        residual = RationalFunction.from_poly(total)
-    else:
-        residual = RationalFunction(total, poly_from_int(vars, cd ** m, common))
-    return SolutionCheck(residual, residual.is_zero())
+        d = pack_terms(shift_terms(den, s), width)
+        an = mul_packed(pack_terms({e: k * v for e, v in a.items()}, width),
+                        pack_terms(shift_terms(num, s), width))
+        total = add_terms(mul_packed(total, d), mul_packed(an, common))
+        common = mul_packed(common, d)
+    rhs = pack_terms({e: ks[-1] * v for e, v in rhs.items()}, width)
+    total = add_terms(total, mul_packed(rhs, common))
+    if not total:
+        return Poly.zero(vars), None
+    return (poly_from_int(vars, cd ** (m - 1) / scale, unpack_terms(total, width, r)),
+            poly_from_int(vars, cd ** m, unpack_terms(common, width, r)))
+
+
+def _degrees(terms: dict, r: int) -> list:
+    """The degree of a term map in each of its r variables; 0 for the zero map."""
+    return [max(col) for col in zip(*terms)] or [0] * r
 
 
 def check_bound_covers(eq: PLDE, y: RationalFunction, den_factors: FactoredPoly,

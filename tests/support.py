@@ -10,8 +10,9 @@ from plde.equation import PLDE
 from plde.factored import FactoredPoly
 from plde.geometry import _facet_modules_3d, lp_feasible
 from plde.lattice import IntLattice, UnimodularMatrix, primitive_vector, saturation
-from plde.polyring import (MAX_DEGREE, MAX_TERMS, InvariantError, ParseError, Poly,
-                           RationalFunction, UnsupportedInputError, divide_exact, parse_poly)
+from plde.polyring import (MAX_COEFF_BITS, MAX_DEGREE, MAX_TERMS, InvariantError, ParseError,
+                           Poly, RationalFunction, UnsupportedInputError, divide_exact,
+                           parse_poly)
 from plde.verify import check_solution
 
 VARS2 = ("n", "k")
@@ -203,7 +204,17 @@ def divide_over_q(p: Poly, q: Poly):
 
 
 def reference_check_solution(eq: PLDE, y: RationalFunction):
-    """Reference for ``verify.check_solution``: (residual, ok) by quadratic products over Q.
+    """Reference for ``verify.check_solution``: (residual, ok) by quadratic products over Q."""
+    total, common = reference_residual(eq, y)
+    if total.is_zero():
+        residual = RationalFunction.from_poly(total)
+    else:
+        residual = RationalFunction(total, common)
+    return residual, residual.is_zero()
+
+
+def reference_residual(eq: PLDE, y: RationalFunction):
+    """The unreduced residual (total, common) of y, as Polys over Q.
 
     Builds total = sum_i A_i N_i prod_{j != i} D_j - f * prod_j D_j with a
     fresh cofactor of m - 1 shifted denominators for each of the m points.
@@ -221,12 +232,7 @@ def reference_check_solution(eq: PLDE, y: RationalFunction):
             if j != i:
                 cof = cof * den
         total = total + eq.terms[s].expand() * shifted_nums[i] * cof
-    total = total - eq.rhs * common
-    if total.is_zero():
-        residual = RationalFunction.from_poly(total)
-    else:
-        residual = RationalFunction(total, common)
-    return residual, residual.is_zero()
+    return total - eq.rhs * common, common
 
 
 def evaluate_terms(terms: dict, point):
@@ -321,6 +327,7 @@ class _ReferenceParser:
             factor = self.parse_factor()
             degree = result.total_degree() + factor.total_degree()
             self.limit(degree, pos)
+            self.limit_bits(self.norm_bits(result) + self.norm_bits(factor), pos)
             self.charge(min(len(result.terms) * len(factor.terms),
                             self.monomials(degree, result, factor)), pos)
             result = result * factor
@@ -334,6 +341,7 @@ class _ReferenceParser:
             e = int(tok[1])
             degree = result.total_degree() * e
             self.limit(max(e, degree), tok[2])
+            self.limit_bits(e * self.norm_bits(result), tok[2])
             n = len(result.terms)
             self.charge(min(comb(n + e - 1, e) if n else 1, self.monomials(degree, result)),
                         tok[2])
@@ -343,6 +351,7 @@ class _ReferenceParser:
     def parse_atom(self):
         tok = self.advance()
         if tok[0] == "int":
+            self.limit_bits(-(-10 * len(tok[1]) // 3), tok[2])
             return Poly.const(self.vars, int(tok[1]))
         if tok[0] == "name":
             if tok[1] not in self.vars:
@@ -360,6 +369,16 @@ class _ReferenceParser:
         if degree > MAX_DEGREE:
             raise UnsupportedInputError("unsupported: degree %d at position %d exceeds the limit "
                                         "%d" % (degree, position, MAX_DEGREE))
+
+    @staticmethod
+    def norm_bits(p):
+        return int(sum(abs(c) for c in p.terms.values())).bit_length()
+
+    @staticmethod
+    def limit_bits(bits, position):
+        if bits > MAX_COEFF_BITS:
+            raise UnsupportedInputError("unsupported: coefficients of up to %d bits at position %d "
+                                        "exceed the limit %d" % (bits, position, MAX_COEFF_BITS))
 
     @staticmethod
     def monomials(degree, *polys):
@@ -398,10 +417,10 @@ def random_poly_text(rng, depth=3):
 
     def factor(d):
         text = atom(d)
-        # high powers of variables only: the parser bounds degree and term
-        # count, not the size of the coefficients that powers of constants
-        # and of sums build
-        exponents = [0, 1, 2, 12, 40] if text in ("n", "k") else [0, 1, 2, 3]
+        # high powers of variables and integers, whose repeated powers meet
+        # the coefficient limit; low powers of sums, which the Fraction
+        # reference would expand slowly to the term budget
+        exponents = [0, 1, 2, 3] if text.startswith("(") else [0, 1, 2, 12, 40]
         for _ in range(rng.choice([0, 0, 0, 1, 1, 2])):
             text += "^" + space() + str(rng.choice(exponents))
         return text + space()

@@ -67,6 +67,9 @@ def test_check_command(capsys, eqdir):
     assert code == 0 and out.strip() == "ok"
     code, out, _ = run(capsys, "check", str(eqdir / "ex1.json"), "--solution", "1", "--json")
     assert code == 0 and json.loads(out)["ok"] is False
+    # a literal too long for int() is refused by the coefficient limit first
+    code, out, err = run(capsys, "check", str(eqdir / "ex1.json"), "--solution", "1" * 5000)
+    assert code == 2 and out == "" and "unsupported" in err
 
 
 def test_check_json_residual_text(capsys, eqdir):
@@ -117,6 +120,10 @@ def test_unfactored_nonlinear_exits_2(capsys, tmp_path):
         ["n+k+%d" % (1 + a + b), 1], ["n+k+%d" % (1001 + a + b), 1],
         ["3*n+2*k+%d" % (1 + 3 * a + 2 * b), 1]]}}
       for (a, b), c in zip([(0, 0), (0, 1), (1, 0), (1, 1)], [1, -1, 1, 1])], "2"),
+    (None, "((17^100)^100)^100"),  # a 4-million-bit constant
+    (None, "(n+k+123456789^100)^40"),  # 861 terms, coefficients of 107,518 bits
+    (None, "(n+k+123456789^100)^10"),  # too large to print
+    (None, "n+" + "7" * 5000),  # more digits than int() converts
 ])
 def test_oversized_input_exits_2_quickly(capsys, tmp_path, eqdir, term, rhs):
     data = json.loads((eqdir / "sys1.json").read_text())
@@ -130,6 +137,17 @@ def test_oversized_input_exits_2_quickly(capsys, tmp_path, eqdir, term, rhs):
     code, _, err = run(capsys, "bound", str(path))
     assert code == 2 and "unsupported" in err
     assert time.perf_counter() - start < 1.0
+
+
+def test_unprintable_coefficients_exit_2(capsys, tmp_path, eqdir):
+    # the parser's limits hold, but a change of variables with an entry 10^50
+    # turns n^100 into coefficients of more than 5,000 digits
+    data = json.loads((eqdir / "sys1.json").read_text())
+    data["rhs"] = "n^100"
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(data))
+    code, out, err = run(capsys, "transform", str(path), "--matrix", "1,%d;0,1" % 10 ** 50)
+    assert code == 2 and out == "" and "unsupported" in err
 
 
 def test_spread_rejects_bad_polynomials(capsys):

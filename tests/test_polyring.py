@@ -6,8 +6,9 @@ import pytest
 
 from plde.polyring import (ParseError, Poly, RationalFunction, UnsupportedInputError, add_terms,
                            divide_exact, divide_int_terms, format_poly, gcd_poly, int_terms,
-                           mul_terms, normalize_primitive, parse_poly, parse_rational,
-                           parse_terms, poly_from_int, shift_terms)
+                           mul_packed, mul_terms, normalize_primitive, pack_terms, parse_poly,
+                           parse_rational, parse_terms, poly_from_int, shift_terms,
+                           unpack_terms)
 from support import (VARS2, divide_over_q, evaluate_terms, random_malformed_text, random_poly,
                      random_poly_text, random_shift, reference_parse_poly)
 
@@ -75,14 +76,18 @@ def test_parser_matches_the_fraction_reference():
             assert parse_terms(text, VARS2) == got.terms
             outcomes.add("valid")
         else:
-            outcomes.add(got[0])
-    assert outcomes == {"valid", ParseError, UnsupportedInputError, ValueError}
+            outcomes.add("bits" if "bits at position" in got[1] else got[0])
+    assert outcomes == {"valid", "bits", ParseError, UnsupportedInputError, ValueError}
 
 
 @pytest.mark.parametrize("text", [
     "n^99999999", "(n+k+1)^3000", "(n+k+1)^100", "(n+k+m+1)^30", "((n+k+1)^10)^10",
     "(n+k+m+1)^9*(n+k+m+1)^9", "(n+k+1)^43+(n+k+2)^43", "0*n^100", "0^0+(n-n)^5",
     "(" * 40 + "n+k" + ")" * 40 + "^2", 7, None,
+    "((17^100)^100)^100", "(n+k+123456789^100)^40", "(n+k+123456789^100)^10",
+    "(n+k+" + str(2 ** 94) + ")^43", "(n+k+" + str(2 ** 95) + ")^43", "(2^100)^40*2^94",
+    "(2^100)^40*2^95", "(n-n)^100*(17^100)^100", "n+" + "9" * 1228, "n+" + "0" * 1229,
+    "n+" + "1" * 5000,
 ])
 def test_parser_limits_match_the_fraction_reference(text):
     vars = ("n", "k", "m")
@@ -205,6 +210,55 @@ def test_int_kernels_match_poly():
             got = divide_exact(poly_from_int(VARS2, scale, p), poly_from_int(VARS2, 1 / scale, b))
             assert got == (None if want is None else want * scale * scale)
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def _random_int_terms(rng, r, max_degree, max_terms, bits):
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = tuple(rng.randint(0, max_degree) for _ in range(r))
+        terms[e] = rng.choice([-1, 1]) * rng.randint(1, 2 ** bits)
+    return terms
+
+
+def _packed_product(a, b, width):
+    r = len(next(iter(a)))
+    return unpack_terms(mul_packed(pack_terms(a, width), pack_terms(b, width)), width, r)
+
+
+def test_packed_product_matches_mul_terms():
+    # r = 1 to 4, zero exponents, coefficients of more than 64 bits, and the
+    # narrowest width that holds the product's degrees, so that the top
+    # field is often filled to its last bit
+    rng = random.Random(1307)
+    full = 0
+    for i in range(N_CASES):
+        r = 1 + i % 4
+        bits = rng.choice([3, 90])
+        a = _random_int_terms(rng, r, rng.randint(0, 4), 6, bits)
+        b = _random_int_terms(rng, r, rng.randint(0, 4), 6, bits)
+        top = max(max(col) for col in zip(*a)) + max(max(col) for col in zip(*b))
+        width = max(top.bit_length(), 1)
+        full += top == 2 ** width - 1
+        assert unpack_terms(pack_terms(a, width), width, r) == a
+        assert _packed_product(a, b, width) == mul_terms(a, b), (a, b, width)
+        product = mul_packed(pack_terms(a, width), pack_terms(b, width))
+        assert add_terms(product, {e: -c for e, c in product.items()}) == {}
+        assert mul_packed(pack_terms(a, width), {}) == {}
+    assert full >= 20, full
+
+
+def test_packed_product_examples():
+    big = 3 ** 50  # 80 bits
+    one = {(0, 0, 0): 1}
+    # the field of n is filled exactly: 3 + 4 = 7 = 2^3 - 1, and the
+    # constant and the unused variable m keep exponent 0
+    a = {(3, 1, 0): big, (0, 0, 0): -1}
+    b = {(4, 0, 0): big, (0, 2, 0): 5}
+    assert _packed_product(a, b, 3) == {(7, 1, 0): big * big, (3, 3, 0): 5 * big,
+                                        (4, 0, 0): -big, (0, 2, 0): -5}
+    assert _packed_product(a, one, 3) == a
+    # (n+1)*(n-1): the terms in n cancel inside the product
+    assert _packed_product({(1,): 1, (0,): 1}, {(1,): 1, (0,): -1}, 2) == {(2,): 1, (0,): -1}
 
 
 def test_normalize_primitive_examples():

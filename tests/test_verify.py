@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,9 @@ from plde.bounds import combined_bound
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
 from plde.polyring import Poly, RationalFunction, divide_exact, parse_poly, parse_rational
-from plde.verify import check_bound_covers, check_solution
+from plde.verify import _residual, check_bound_covers, check_solution
 from support import (VARS2, InstanceProfile, homogeneous_instance, random_instance,
-                     reference_check_solution)
+                     reference_check_solution, reference_residual)
 
 N_CASES = 200
 
@@ -94,6 +95,42 @@ def test_check_solution_matches_quadratic_reference():
                 checked += 1
                 solved += ok
     assert solved >= 48 and checked - solved >= 120
+
+
+# the shapes of the bench's geometry workload: r = 3 supports of 9-12
+# points on a 3x3x3 grid and r = 4 supports of 6-8 points on a 3^4 grid
+GEOMETRY_R3 = InstanceProfile(
+    variables=("n", "k", "m"), support_points=tuple(itertools.product(range(3), repeat=3)),
+    min_terms=9, max_terms=12, max_den_factors=1,
+    denominator_pool=("n+k+m+2", "2*n+k+1", "k+m+3", "n^2+m+1", "n*k+m+2"),
+    numerator_pool=("1", "n", "k+m", "m^2+1"),
+    coefficient_pool=("2", "-3", "n", "k+1", "m+n+2"))
+GEOMETRY_R4 = InstanceProfile(
+    variables=("n", "k", "m", "l"), support_points=tuple(itertools.product(range(3), repeat=4)),
+    min_terms=6, max_terms=8, max_den_factors=1,
+    denominator_pool=("n+k+m+l+1", "2*n+k+3", "k+m+2", "n^2+l+1"),
+    numerator_pool=("1", "n", "k+l"),
+    coefficient_pool=("1", "-2", "n", "l+3"))
+
+
+def test_check_solution_matches_reference_on_geometry_shapes():
+    # y + 1 is compared unreduced: reducing its residual waits on gcd_poly
+    shapes = set()
+    for seed in range(1, 19):
+        profile = GEOMETRY_R3 if seed % 2 else GEOMETRY_R4
+        eq, y, q = random_instance(seed, profile)
+        if not q.factors:
+            continue
+        got = check_solution(eq, y)
+        residual, ok = reference_check_solution(eq, y)
+        assert got.ok and ok and got.residual == residual, seed
+        wrong = y + RationalFunction.from_poly(Poly.one(eq.variables))
+        total, common = _residual(eq, wrong)
+        assert common is not None, seed
+        assert (total, common) == reference_residual(eq, wrong), seed
+        shapes.add((len(eq.variables), len(eq.support)))
+    assert {m for r, m in shapes if r == 3} >= {10, 12}
+    assert {m for r, m in shapes if r == 4} >= {6, 8}
 
 
 # ----------------------------------------------------------------------
