@@ -7,7 +7,7 @@ from .equation import PLDE, load_equation
 from .factored import FactoredPoly
 from .geometry import SupportGeometry, corner_points, lp_feasible
 from .lattice import (IntLattice, ShiftCoset, UnimodularMatrix, orthogonal_complement_lattice,
-                      saturation, unimodular_completion)
+                      saturation)
 from .polyring import (InvariantError, Poly, RationalFunction, divide_exact, format_poly,
                        gcd_poly, normalize_primitive, parse_poly, parse_rational)
 from .spread import (INFINITY, NEG_INFINITY, disp_k, invariance_lattice, shift_equiv,

@@ -323,7 +323,7 @@ class _ModuleSetup:
     """
 
     def __init__(self, points, W: IntLattice):
-        comp = orthogonal_complement_lattice(saturation(W))
+        comp = orthogonal_complement_lattice(W)
         self.W = W
         self.t = comp.rank
         self.basis = [list(row) for row in comp.basis]

@@ -1,14 +1,21 @@
 """Integer lattices: canonical Hermite forms, saturation, complements,
-unimodular completion, and exact linear solving over the integers.
+exact linear solving over the integers, and unimodular matrices.
 
 All lattices are submodules of Z^r stored by a canonical row Hermite
 normal form basis, so structural equality is plain tuple equality.
+
+One elimination does all the work: the row Hermite form of `_row_echelon`
+and `_hnf_rows`.  `_split` applies it to rows augmented by their images
+under a linear map, which separates the rows with zero image (a kernel)
+from a complement.  Integer kernels, integer solving, complements within a
+lattice and the inverse of a unimodular matrix are all read off such an
+augmented Hermite form (Cohen, *A Course in Computational Algebraic
+Number Theory*, 1993, ch. 2).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import gcd as _int_gcd, lcm as _int_lcm
 
 from .polyring import InvariantError
@@ -34,13 +41,12 @@ def primitive_vector(v) -> tuple:
     return tuple(x // g for x in ints)
 
 
-def _euclid_pivot(vecs, start: int, col: int, track=None):
+def _euclid_pivot(vecs, start: int, col: int):
     """Clear entry col of vecs[start:] down to one nonzero vector, by Euclid; its index.
 
     Repeatedly sorts the vectors with a nonzero entry by its absolute value
-    and subtracts from each the floor-quotient multiple of the first,
-    calling track(i, base, q) after vecs[i] -= q * vecs[base], until one is
-    left.  Returns None when every entry is zero already.
+    and subtracts from each the floor-quotient multiple of the first, until
+    one is left.  Returns None when every entry is zero already.
     """
     cand = [i for i in range(start, len(vecs)) if vecs[i][col]]
     while len(cand) > 1:
@@ -50,8 +56,6 @@ def _euclid_pivot(vecs, start: int, col: int, track=None):
             q = vecs[i][col] // vecs[base][col]
             if q:
                 vecs[i] = [a - q * b for a, b in zip(vecs[i], vecs[base])]
-                if track is not None:
-                    track(i, base, q)
         cand = [i for i in cand if vecs[i][col]]
     return cand[0] if cand else None
 
@@ -94,6 +98,19 @@ def _hnf_rows(rows, dim):
     return tuple(tuple(r) for r in mat[:len(pivots)])
 
 
+def _split(rows, images):
+    """Row-reduce [images | rows]; the rows whose images stay nonzero, and those whose images vanish.
+
+    The row operations are unimodular, so the two lists together span the
+    lattice of `rows`; the second spans its elements of zero image, and the
+    first a complement of them, whose images are linearly independent.
+    """
+    width = len(images[0]) if images else 0
+    mat = [list(a) + list(b) for a, b in zip(images, rows)]
+    rank = len(_row_echelon(mat, width))
+    return [r[width:] for r in mat[:rank]], [r[width:] for r in mat[rank:]]
+
+
 class IntLattice:
     """Submodule of Z^dim with canonical HNF basis rows."""
 
@@ -119,21 +136,13 @@ class IntLattice:
         return not self.basis
 
     def contains(self, v) -> bool:
-        v = [int(x) for x in v]
-        if len(v) != self.dim:
-            raise ValueError("vector length %d, expected %d" % (len(v), self.dim))
-        for row in self.basis:
-            col = next(i for i, x in enumerate(row) if x)
-            if v[col] % row[col]:
-                return False
-            q = v[col] // row[col]
-            if q:
-                v = [a - q * b for a, b in zip(v, row)]
-        return not any(v)
+        return not any(self.reduce(v))
 
     def reduce(self, v):
         """Canonical coset representative of v modulo this lattice."""
         v = [int(x) for x in v]
+        if len(v) != self.dim:
+            raise ValueError("vector length %d, expected %d" % (len(v), self.dim))
         for row in self.basis:
             col = next(i for i, x in enumerate(row) if x)
             q = v[col] // row[col]
@@ -168,20 +177,14 @@ def is_sublattice(inner: IntLattice, outer: IntLattice) -> bool:
 
 def integer_kernel(matrix, ncols: int) -> IntLattice:
     """Lattice {x in Z^ncols : matrix . x = 0} for an integer matrix."""
-    m = len(matrix)
-    aug = []
-    for j in range(ncols):
-        aug.append([matrix[i][j] for i in range(m)] + [1 if t == j else 0 for t in range(ncols)])
-    _row_echelon(aug, m)
-    rows = [r[m:] for r in aug if not any(r[:m])]
-    return IntLattice(ncols, rows)
+    units = [[1 if t == j else 0 for t in range(ncols)] for j in range(ncols)]
+    columns = [[row[j] for row in matrix] for j in range(ncols)]
+    return IntLattice(ncols, _split(units, columns)[1])
 
 
 def orthogonal_complement_lattice(W: IntLattice) -> IntLattice:
     """Saturated lattice of integer vectors orthogonal to every element of W."""
-    if W.is_zero():
-        return IntLattice.full(W.dim)
-    return integer_kernel([list(row) for row in W.basis], W.dim)
+    return integer_kernel(W.basis, W.dim)
 
 
 def saturation(L: IntLattice) -> IntLattice:
@@ -193,69 +196,14 @@ def solve_integer(matrix, rhs, ncols: int):
     """Solve matrix . x = rhs over Z.
 
     Returns (particular solution tuple, kernel IntLattice) or None when no
-    integer solution exists.  Works via column reduction with a tracked
-    unimodular transform.
+    integer solution exists.  The solutions (t, x) of [-rhs | matrix] . (t, x)
+    = 0 form a lattice whose Hermite basis starts with (1, x0) exactly when
+    x0 solves the system; its other rows are (0, g) for g in the kernel.
     """
-    m = len(matrix)
-    hcols = [[matrix[i][j] for i in range(m)] for j in range(ncols)]
-    vcols = [[1 if t == j else 0 for t in range(ncols)] for j in range(ncols)]
-
-    def track(j, i, q):
-        vcols[j] = [a - q * b for a, b in zip(vcols[j], vcols[i])]
-
-    cur = 0
-    pivots = []  # (row, column position)
-    for i in range(m):
-        j0 = _euclid_pivot(hcols, cur, i, track)
-        if j0 is None:
-            continue
-        hcols[cur], hcols[j0] = hcols[j0], hcols[cur]
-        vcols[cur], vcols[j0] = vcols[j0], vcols[cur]
-        pivots.append((i, cur))
-        cur += 1
-        if cur == ncols:
-            break
-    resid = [int(x) for x in rhs]
-    y = [0] * ncols
-    for (i, j) in pivots:
-        piv = hcols[j][i]
-        if resid[i] % piv:
-            return None
-        y[j] = resid[i] // piv
-        if y[j]:
-            resid = [a - y[j] * b for a, b in zip(resid, hcols[j])]
-    if any(resid):
+    K = integer_kernel([[-b] + list(row) for b, row in zip(rhs, matrix)], ncols + 1).basis
+    if not K or K[0][0] != 1:
         return None
-    particular = [0] * ncols
-    for j in range(ncols):
-        if y[j]:
-            particular = [a + y[j] * b for a, b in zip(particular, vcols[j])]
-    pivot_cols = {j for (_, j) in pivots}
-    kernel_rows = [vcols[j] for j in range(ncols) if j not in pivot_cols]
-    return tuple(particular), IntLattice(ncols, kernel_rows)
-
-
-def det_int(rows) -> int:
-    """Exact determinant of a square integer matrix (Bareiss)."""
-    mat = [list(map(int, r)) for r in rows]
-    n = len(mat)
-    if any(len(r) != n for r in mat):
-        raise ValueError("matrix is not square")
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if mat[k][k] == 0:
-            swap = next((i for i in range(k + 1, n) if mat[i][k]), None)
-            if swap is None:
-                return 0
-            mat[k], mat[swap] = mat[swap], mat[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                mat[i][j] = (mat[i][j] * mat[k][k] - mat[i][k] * mat[k][j]) // prev
-            mat[i][k] = 0
-        prev = mat[k][k]
-    return sign * mat[n - 1][n - 1] if n else 1
+    return K[0][1:], IntLattice(ncols, [row[1:] for row in K[1:]])
 
 
 class UnimodularMatrix:
@@ -266,10 +214,8 @@ class UnimodularMatrix:
     def __init__(self, rows):
         self.rows = tuple(tuple(int(x) for x in r) for r in rows)
         n = len(self.rows)
-        if any(len(r) != n for r in self.rows):
-            raise ValueError("matrix is not square")
-        if abs(det_int(self.rows)) != 1:
-            raise ValueError("determinant is not +-1")
+        if IntLattice(n, self.rows) != IntLattice.full(n):
+            raise ValueError("the rows do not span Z^%d: determinant is not +-1" % n)
         self._inv = None
 
     @classmethod
@@ -286,26 +232,14 @@ class UnimodularMatrix:
         return tuple(sum(a * b for a, b in zip(row, v)) for row in self.rows)
 
     def inverse(self) -> "UnimodularMatrix":
+        """The right block of the Hermite form [I | M^-1] of [M | I]."""
         if self._inv is None:
             n = self.dim
-            work = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-                    for i, row in enumerate(self.rows)]
-            for col in range(n):
-                piv = next(i for i in range(col, n) if work[i][col])
-                work[col], work[piv] = work[piv], work[col]
-                f = work[col][col]
-                work[col] = [x / f for x in work[col]]
-                for i in range(n):
-                    if i != col and work[i][col]:
-                        g = work[i][col]
-                        work[i] = [a - g * b for a, b in zip(work[i], work[col])]
-            inv_rows = []
-            for i in range(n):
-                row = work[i][n:]
-                if any(x.denominator != 1 for x in row):
-                    raise InvariantError("the inverse of a unimodular matrix is not integral")
-                inv_rows.append([x.numerator for x in row])
-            self._inv = UnimodularMatrix(inv_rows)
+            unit = IntLattice.full(n).basis
+            hnf = _hnf_rows([row + e for row, e in zip(self.rows, unit)], 2 * n)
+            if tuple(r[:n] for r in hnf) != unit:
+                raise InvariantError("the Hermite form of [M | I] does not start with I")
+            self._inv = UnimodularMatrix([r[n:] for r in hnf])
             self._inv._inv = self
         return self._inv
 
@@ -317,56 +251,6 @@ class UnimodularMatrix:
 
     def __repr__(self):
         return "UnimodularMatrix(%r)" % (list(map(list, self.rows)),)
-
-
-def unimodular_completion(rows) -> UnimodularMatrix:
-    """Extend a basis of a saturated lattice to a full determinant +-1 matrix.
-
-    The given rows become the first rows of the result.  Raises ValueError
-    when the rows are dependent or span a non-saturated lattice (the caller
-    is expected to saturate first).
-    """
-    rows = [list(map(int, r)) for r in rows]
-    if not rows:
-        raise ValueError("need at least one row")
-    t = len(rows)
-    r = len(rows[0])
-    if t > r:
-        raise ValueError("more rows than the ambient dimension")
-    bcols = [[rows[i][j] for i in range(t)] for j in range(r)]
-    mrows = [[1 if i == j else 0 for j in range(r)] for i in range(r)]
-
-    def track(j, i, q):
-        # column_j -= q * column_i on B is mirrored as row_i += q * row_j on M
-        mrows[i] = [a + q * b for a, b in zip(mrows[i], mrows[j])]
-
-    def swap(i, j):
-        bcols[i], bcols[j] = bcols[j], bcols[i]
-        mrows[i], mrows[j] = mrows[j], mrows[i]
-
-    def negate(i):
-        bcols[i] = [-a for a in bcols[i]]
-        mrows[i] = [-a for a in mrows[i]]
-
-    for i in range(t):
-        j0 = _euclid_pivot(bcols, i, i, track)
-        if j0 is None:
-            raise ValueError("rows are linearly dependent")
-        if j0 != i:
-            swap(i, j0)
-        if bcols[i][i] < 0:
-            negate(i)
-        if bcols[i][i] != 1:
-            raise ValueError("rows do not span a saturated lattice (pivot %d)" % bcols[i][i])
-        for j in range(i):
-            q = bcols[j][i]
-            if q:
-                bcols[j] = [a - q * b for a, b in zip(bcols[j], bcols[i])]
-                track(j, i, q)
-    M = UnimodularMatrix(mrows)
-    if any(tuple(rows[i]) != M.rows[i] for i in range(t)):
-        raise InvariantError("the completion does not start with the given rows")
-    return M
 
 
 @dataclass(frozen=True)
@@ -403,31 +287,20 @@ class ShiftCoset:
 
 
 def complement_within(K: IntLattice, G: IntLattice) -> IntLattice:
-    """A lattice K' with K = G (+) K', for saturated G inside K.
+    """A lattice K' with K = G (+) K', for G saturated within K.
 
-    Coordinates of G in a basis of K are completed unimodularly; the extra
-    rows, mapped back to the ambient space, span the complement.
+    The basis of K is split by its images under the covectors orthogonal to
+    G: the rows of zero image span K meet span_Q(G), which is G exactly when
+    G lies in K saturated, and the other rows span the complement.
     """
-    if G.rank == K.rank:
+    if K == G:
         return IntLattice.zero(K.dim)
-    kb = [list(row) for row in K.basis]
-    m = K.rank
-    matrix = [[kb[j][i] for j in range(m)] for i in range(K.dim)]
-    coords = []
-    for row in G.basis:
-        sol = solve_integer(matrix, list(row), m)
-        if sol is None:
-            raise ValueError("inner lattice is not contained in the outer one")
-        coords.append(list(sol[0]))
-    if not coords:
-        return K
-    coords = _hnf_rows(coords, m)
-    T = unimodular_completion(coords)
-    extra = T.rows[len(coords):]
-    rows = []
-    for z in extra:
-        rows.append([sum(z[j] * kb[j][i] for j in range(m)) for i in range(K.dim)])
-    return IntLattice(K.dim, rows)
+    comp = orthogonal_complement_lattice(G).basis
+    images = [[sum(a * b for a, b in zip(c, v)) for c in comp] for v in K.basis]
+    rest, inside = _split(K.basis, images)
+    if IntLattice(K.dim, inside) != G:
+        raise ValueError("inner lattice is not a saturated sublattice of the outer one")
+    return IntLattice(K.dim, rest)
 
 
 def parse_module(text: str, dim: int) -> IntLattice:

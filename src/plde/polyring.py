@@ -618,6 +618,10 @@ def is_name(text: str) -> bool:
         return False
 
 
+# str.isdigit also accepts digits such as '²' that int() refuses
+_DIGITS = "0123456789"
+
+
 def _tokenize(text: str):
     tokens = []
     i = 0
@@ -627,9 +631,9 @@ def _tokenize(text: str):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -704,7 +708,7 @@ class _Parser:
         while self.peek()[0] == "^":
             self.advance()
             tok = self.expect("int")
-            e = int(tok[1])
+            e = _exponent(tok)
             degree = _degree(result) * e
             _check_degree(max(e, degree), tok[2])
             _check_bits(e * _norm_bits(result), tok[2])
@@ -750,6 +754,15 @@ def _negated(terms: dict) -> dict:
 def _degree(terms: dict) -> int:
     """Total degree of a term map; -1 for the zero polynomial."""
     return max(map(sum, terms), default=-1)
+
+
+def _exponent(tok) -> int:
+    """The value of an exponent token; refused before int() if longer than MAX_DEGREE."""
+    digits = tok[1].lstrip("0")
+    if len(digits) > len(str(MAX_DEGREE)):
+        raise UnsupportedInputError("unsupported: an exponent of %d digits at position %d exceeds "
+                                    "the degree limit %d" % (len(digits), tok[2], MAX_DEGREE))
+    return int(digits or "0")
 
 
 def _check_degree(degree: int, position: int):

@@ -269,9 +269,9 @@ def _reference_tokenize(text):
         if ch.isspace():
             i += 1
             continue
-        if ch.isdigit():
+        if ch in "0123456789":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in "0123456789":
                 j += 1
             tokens.append(("int", text[i:j], i))
             i = j
@@ -338,7 +338,12 @@ class _ReferenceParser:
         while self.tokens[self.pos][0] == "^":
             self.advance()
             tok = self.expect("int")
-            e = int(tok[1])
+            digits = tok[1].lstrip("0")
+            if len(digits) > len(str(MAX_DEGREE)):
+                raise UnsupportedInputError("unsupported: an exponent of %d digits at position %d "
+                                            "exceeds the degree limit %d"
+                                            % (len(digits), tok[2], MAX_DEGREE))
+            e = int(digits or "0")
             degree = result.total_degree() * e
             self.limit(max(e, degree), tok[2])
             self.limit_bits(e * self.norm_bits(result), tok[2])

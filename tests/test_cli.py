@@ -61,6 +61,18 @@ def test_transform_command(capsys, eqdir):
     assert eq.support == [(0, 0), (1, 0), (1, 1)]
 
 
+@pytest.mark.parametrize("matrix, message", [
+    ("2,0;0,1", "determinant is not +-1"),
+    ("1,1;1,1", "determinant is not +-1"),
+    ("1,0;0", "determinant is not +-1"),
+    ("1,0;0,1,0", "row length 3, expected 2"),
+])
+def test_transform_rejects_matrices_that_are_not_unimodular(capsys, eqdir, matrix, message):
+    code, out, err = run(capsys, "transform", str(eqdir / "ex1.json"), "--matrix", matrix)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+
 def test_check_command(capsys, eqdir):
     code, out, _ = run(capsys, "check", str(eqdir / "ex1.json"),
                        "--solution", "(n^2+2*k^2)/(k+n+1)")
@@ -70,6 +82,28 @@ def test_check_command(capsys, eqdir):
     # a literal too long for int() is refused by the coefficient limit first
     code, out, err = run(capsys, "check", str(eqdir / "ex1.json"), "--solution", "1" * 5000)
     assert code == 2 and out == "" and "unsupported" in err
+
+
+@pytest.mark.parametrize("text, code, message", [
+    pytest.param("²", 1, "unexpected character '²'", id="superscript"),
+    pytest.param("n^²", 1, "unexpected character '²'", id="superscript-exponent"),
+    pytest.param("n^" + "1" * 5000, 2,
+                 "an exponent of 5000 digits at position 2 exceeds the degree limit",
+                 id="long-exponent"),
+    pytest.param("n^" + "0" * 5000 + "1", 0, "", id="leading-zeros"),  # this is n^1
+])
+@pytest.mark.parametrize("command", ["check", "spread"])
+def test_digits_are_ascii_and_exponents_short(capsys, eqdir, command, text, code, message):
+    if command == "check":
+        argv = ("check", str(eqdir / "ex1.json"), "--solution", text)
+    else:
+        argv = ("spread", text, "--vars", "n,k")
+    got, out, err = run(capsys, *argv)
+    assert got == code and message in err and "Traceback" not in err
+    if code:
+        assert out == "" and err.startswith("error: ")
+    else:
+        assert (out, err) == run(capsys, *("n" if a == text else a for a in argv))[1:]
 
 
 def test_check_json_residual_text(capsys, eqdir):

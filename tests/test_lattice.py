@@ -1,11 +1,12 @@
+import itertools
+import operator
 import random
 
 import pytest
 
 from plde.lattice import (IntLattice, ShiftCoset, UnimodularMatrix, complement_within,
-                          det_int, integer_kernel, is_sublattice,
-                          orthogonal_complement_lattice, parse_module, saturation,
-                          solve_integer, unimodular_completion)
+                          integer_kernel, is_sublattice, orthogonal_complement_lattice,
+                          parse_module, saturation, solve_integer)
 
 N_CASES = 200
 
@@ -46,6 +47,11 @@ def test_contains():
     assert not L((1, -1)).contains((2, -3))
     assert IntLattice.zero(2).contains((0, 0))
     assert not IntLattice.zero(2).contains((1, 0))
+    for v in ((1, -1, 0), (1,)):
+        with pytest.raises(ValueError):
+            L((1, -1)).contains(v)
+        with pytest.raises(ValueError):
+            L((1, -1)).reduce(v)
 
 
 def test_is_sublattice():
@@ -91,39 +97,6 @@ def test_complement_involution_on_saturated():
 
 
 # ----------------------------------------------------------------------
-# unimodular completion
-
-
-def test_completion_examples():
-    M = unimodular_completion([(1, 1)])
-    assert M.rows[0] == (1, 1) and abs(det_int(M.rows)) == 1
-    assert unimodular_completion([(1, 0), (0, 1)]) == UnimodularMatrix.identity(2)
-    M = unimodular_completion([(0, 1)])
-    assert M.rows[0] == (0, 1) and abs(det_int(M.rows)) == 1
-
-
-def test_completion_rejects_imprimitive():
-    with pytest.raises(ValueError):
-        unimodular_completion([(2, 0)])
-    with pytest.raises(ValueError):
-        unimodular_completion([(1, 0), (2, 0)])
-
-
-def test_completion_random():
-    rng = random.Random(204)
-    done = 0
-    while done < N_CASES:
-        rows = [[rng.randint(-4, 4) for _ in range(3)] for _ in range(rng.randint(1, 2))]
-        sat = saturation(IntLattice(3, rows))
-        if sat.rank == 0:
-            continue
-        M = unimodular_completion([list(r) for r in sat.basis])
-        assert abs(det_int(M.rows)) == 1
-        assert M.rows[:sat.rank] == sat.basis
-        done += 1
-
-
-# ----------------------------------------------------------------------
 # cosets
 
 
@@ -154,19 +127,33 @@ def test_solve_integer_basic():
 
 
 def test_solve_integer_random_against_definition():
+    # seeded systems of 1-4 rows in 2-4 columns, solvable and not, against
+    # the solutions found by brute force in a box
     rng = random.Random(205)
+    outcomes = set()
     for _ in range(N_CASES):
-        A = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(rng.randint(1, 3))]
-        x = [rng.randint(-3, 3), rng.randint(-3, 3)]
-        b = [sum(r[j] * x[j] for j in range(2)) for r in A]
-        sol = solve_integer(A, b, 2)
-        assert sol is not None
+        ncols = rng.randint(2, 4)
+        radius = 2 if ncols == 4 else 3
+        A = [[rng.randint(-3, 3) for _ in range(ncols)] for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            x = [rng.randint(-radius, radius) for _ in range(ncols)]
+            b = [sum(map(operator.mul, row, x)) for row in A]
+        else:
+            b = [rng.randint(-6, 6) for _ in A]
+        box = [x for x in itertools.product(range(-radius, radius + 1), repeat=ncols)
+               if all(sum(map(operator.mul, row, x)) == bi for row, bi in zip(A, b))]
+        sol = solve_integer(A, b, ncols)
+        outcomes.add(sol is None)
+        if sol is None:
+            assert not box
+            continue
         s0, ker = sol
-        assert all(sum(r[j] * s0[j] for j in range(2)) == bi for r, bi in zip(A, b))
-        for g in ker.basis:
-            assert all(sum(r[j] * g[j] for j in range(2)) == 0 for r in A)
-        # the constructed solution must lie in the solution coset
-        assert ker.reduce([a - c for a, c in zip(x, s0)]) == (0,) * 2
+        assert all(sum(map(operator.mul, row, s0)) == bi for row, bi in zip(A, b))
+        assert ker == integer_kernel(A, ncols)
+        # the box solutions are exactly the box points of the coset s0 + ker
+        assert box == [x for x in itertools.product(range(-radius, radius + 1), repeat=ncols)
+                       if ker.contains([a - c for a, c in zip(x, s0)])]
+    assert outcomes == {True, False}
 
 
 def test_integer_kernel():
@@ -182,6 +169,26 @@ def test_complement_within():
     assert C.rank == 1
     joined = IntLattice(2, list(G.basis) + list(C.basis))
     assert joined == IntLattice.full(2)
+    with pytest.raises(ValueError):
+        complement_within(IntLattice.full(2), L((2, 0)))  # not saturated
+    # random saturated G inside K, in Z^3 and Z^4
+    rng = random.Random(207)
+    rejected = 0
+    for _ in range(N_CASES):
+        dim = rng.choice((3, 4))
+        G = saturation(IntLattice(dim, [[rng.randint(-3, 3) for _ in range(dim)]
+                                        for _ in range(rng.randint(0, dim))]))
+        extra = [[rng.randint(-3, 3) for _ in range(dim)] for _ in range(rng.randint(0, dim))]
+        K = IntLattice(dim, list(G.basis) + extra)
+        C = complement_within(K, G)
+        assert IntLattice(dim, list(G.basis) + list(C.basis)) == K
+        assert C.rank == K.rank - G.rank
+        other = IntLattice(dim, extra)
+        if not is_sublattice(G, other):
+            rejected += 1
+            with pytest.raises(ValueError):
+                complement_within(other, G)
+    assert rejected > N_CASES // 4
 
 
 def test_unimodular_matrix_inverse():
@@ -193,6 +200,12 @@ def test_unimodular_matrix_inverse():
         inv = M.inverse().rows
         I = [[sum(a * inv[t][j] for t, a in enumerate(row)) for j in range(3)] for row in M.rows]
         assert UnimodularMatrix(I) == UnimodularMatrix.identity(3)
+        assert M.inverse().inverse() is M
+    # determinant 0, +-2, and ragged rows
+    for rows in ([[0, 0], [0, 0]], [[1, 2], [2, 4]], [[2, 0], [0, 1]], [[1, 1], [1, -1]],
+                 [[1, 0], [0]], [[1, 0, 0], [0, 1]], [[1, 0], [0, 1], [0, 0]]):
+        with pytest.raises(ValueError):
+            UnimodularMatrix(rows)
 
 
 def test_parse_module():

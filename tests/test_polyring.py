@@ -77,7 +77,8 @@ def test_parser_matches_the_fraction_reference():
             outcomes.add("valid")
         else:
             outcomes.add("bits" if "bits at position" in got[1] else got[0])
-    assert outcomes == {"valid", "bits", ParseError, UnsupportedInputError, ValueError}
+    # '²' among the noise is refused as an unexpected character, never handed to int()
+    assert outcomes == {"valid", "bits", ParseError, UnsupportedInputError}
 
 
 @pytest.mark.parametrize("text", [
@@ -87,7 +88,8 @@ def test_parser_matches_the_fraction_reference():
     "((17^100)^100)^100", "(n+k+123456789^100)^40", "(n+k+123456789^100)^10",
     "(n+k+" + str(2 ** 94) + ")^43", "(n+k+" + str(2 ** 95) + ")^43", "(2^100)^40*2^94",
     "(2^100)^40*2^95", "(n-n)^100*(17^100)^100", "n+" + "9" * 1228, "n+" + "0" * 1229,
-    "n+" + "1" * 5000,
+    "n+" + "1" * 5000, "²", "n^²", "2²", "n^" + "0" * 5000 + "1", "n^" + "0" * 5000,
+    "n^0100", "n^0101", "n^1000", "(n+1)^" + "9" * 5000,
 ])
 def test_parser_limits_match_the_fraction_reference(text):
     vars = ("n", "k", "m")
