@@ -83,10 +83,11 @@ def _row_echelon(mat, width):
 
 
 def _hnf_rows(rows, dim):
-    mat = [list(map(int, r)) for r in rows if any(r)]
+    mat = [list(map(int, r)) for r in rows]
     for r in mat:
         if len(r) != dim:
             raise ValueError("row length %d, expected %d" % (len(r), dim))
+    mat = [r for r in mat if any(r)]
     pivots = _row_echelon(mat, dim)
     # reduce entries above each pivot into [0, pivot)
     for j, col in enumerate(pivots):

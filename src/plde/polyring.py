@@ -146,13 +146,6 @@ class Poly:
     def leading_coefficient(self) -> Fraction:
         return self.terms[self.leading_exponent()]
 
-    def homogeneous_component(self, d: int) -> "Poly":
-        return Poly(self.vars, {e: c for e, c in self.terms.items() if sum(e) == d})
-
-    def leading_form(self) -> "Poly":
-        """Top-degree homogeneous part (invariant under integer shifts)."""
-        return self.homogeneous_component(self.total_degree())
-
     # ------------------------------------------------------------------
     # ring operations
 
@@ -224,15 +217,6 @@ class Poly:
                     w *= x ** d
             total += w
         return total
-
-    def partial(self, i: int) -> "Poly":
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                f = list(e)
-                f[i] -= 1
-                terms[tuple(f)] = c * e[i]
-        return Poly(self.vars, terms)
 
     def compose(self, exprs, target_vars=None) -> "Poly":
         """Substitute each variable by a polynomial in the target ring."""

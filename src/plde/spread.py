@@ -6,27 +6,27 @@ vector v fixes p if and only if the derivative of p along v vanishes
 identically (the t |-> p(n+tv) curve is polynomial, so vanishing of its
 derivative makes it constant).  That kernel is automatically saturated.
 
-The pairwise problem N^s q = c p is solved in stages: leading forms pin
-down the constant c, the next homogeneous layer is linear in s and yields
-a candidate coset over Z, and invariance of q reduces the remainder to a
-residual over directions that meet no invariance vector.  The residual is
-closed exactly by iterated linear extraction: each round decides the
-question or removes a direction (`_solve_residual` says why), so there is
-no search and no uncertain answer.  `spread_box_oracle` is a brute force
-kept for cross-checks only.
+The pairwise problem N^s q = c p is decided on primitive p and q with
+positive leading coefficients, for which c = 1: a shift keeps the content
+and the leading form.  Starting from s0 = 0 and directions spanning a
+complement of the invariance lattice G of q, one affine round is repeated:
+the top coefficients of q(n + s0 + v) - p are affine in the weights of v
+over the directions, and integer solving either rules the pair out or
+leaves fewer directions (`shift_equiv` says why).  There is no search and
+no uncertain answer.  `spread_box_oracle` is a brute force kept for
+cross-checks only.
 """
 
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
 from .lattice import (IntLattice, ShiftCoset, clear_denominators, complement_within,
                       integer_kernel, solve_integer)
-from .polyring import (MAX_BOX_POINTS, InvariantError, Poly, UnsupportedInputError, gcd_poly,
-                       normalize_primitive)
+from .polyring import (MAX_BOX_POINTS, InvariantError, Poly, UnsupportedInputError, add_terms,
+                       gcd_poly, int_terms, normalize_primitive, shift_terms)
 
 if TYPE_CHECKING:
     from .factored import FactoredPoly
@@ -35,17 +35,26 @@ NEG_INFINITY = float("-inf")
 INFINITY = float("inf")
 
 
+def _derivative(a: dict, d) -> dict:
+    """The term map of (d . grad) p for the polynomial p with term map a."""
+    terms = {}
+    for e, c in a.items():
+        for j, (ej, dj) in enumerate(zip(e, d)):
+            if ej and dj:
+                f = e[:j] + (ej - 1,) + e[j + 1:]
+                terms[f] = terms.get(f, 0) + c * ej * dj
+    return {e: c for e, c in terms.items() if c}
+
+
 @lru_cache(maxsize=None)
 def invariance_lattice(p: Poly) -> IntLattice:
     """Lattice of integer shifts fixing p; equals Spread(p) for irreducible p."""
     if p.is_constant():
         raise ValueError("spread of a constant polynomial is not defined here")
     r = len(p.vars)
-    partials = [p.partial(i) for i in range(r)]
-    monomials = sorted(set().union(*(q.terms.keys() for q in partials)))
-    mat = [clear_denominators([partials[i].terms.get(e, 0) for i in range(r)])
-           for e in monomials]
-    K = integer_kernel(mat, r)
+    partials = [_derivative(p.terms, u) for u in IntLattice.full(r).basis]
+    K = integer_kernel([clear_denominators([dp.get(e, 0) for dp in partials])
+                        for e in set().union(*partials)], r)
     if any(p.shift(g) != p for g in K.basis):
         raise InvariantError("a kernel vector of the partials does not fix the polynomial")
     return K
@@ -54,116 +63,53 @@ def invariance_lattice(p: Poly) -> IntLattice:
 def shift_equiv(p: Poly, q: Poly) -> ShiftCoset:
     """All s with q(n+s) = c * p(n) for some nonzero constant c.
 
-    Empty, or a coset of the invariance lattice of q.  For irreducible p
+    Empty, or a coset of the invariance lattice G of q.  For irreducible p
     and q this is Spread(p, q) = {s : gcd(p, N^s q) != 1}, since a
     nontrivial gcd forces N^s q and p to be associates.
+
+    Why the rounds are exact: after normalization c = 1, and the shifts
+    left to decide are s0 + v with v = sum t_i dirs[i], t integer.  No
+    v != 0 lies in span_Q(G), so the derivatives (dirs[i] . grad) q1 of
+    q1 = q(n + s0) are not all zero; let D1 be their largest degree.  In
+    the Taylor expansion of q1(n + v) the term of order j >= 2 in v has
+    degree at most D1 - j + 1, so the coefficient of each monomial of
+    degree >= D1 in q1(n + v) - p is affine in t, and some monomial of
+    degree D1 gives a nonzero linear part.  Solving these necessary
+    equations over Z rules the pair out, or keeps s0 + v within a
+    lattice of lower rank, so there are at most r - rank G rounds.  The
+    directions start as a complement of G, which meets span_Q(G) only in
+    0, so a solution is unique modulo G and one identity test decides
+    the last candidate.
     """
     if p.is_constant() or q.is_constant():
         raise ValueError("shift equivalence needs non-constant inputs")
     if p.vars != q.vars:
         raise ValueError("mismatched variable lists")
     r = len(p.vars)
-    p = normalize_primitive(p)[1]
     q = normalize_primitive(q)[1]
-    d = q.total_degree()
-    if p.total_degree() != d:
-        return ShiftCoset.empty(r)
-    # shifting preserves the top homogeneous form, so lf(q) must be c*lf(p)
-    c = Fraction(q.leading_coefficient(), p.leading_coefficient())
-    if q.leading_form() != p.leading_form() * c:
-        return ShiftCoset.empty(r)
-    target = p * c
-
-    # homogeneous layer d-1 of q(n+s) is q_{d-1} + sum_i s_i d/dn_i(q_d): linear in s
-    top = q.leading_form()
-    partials = [top.partial(i) for i in range(r)]
-    rhs_poly = target.homogeneous_component(d - 1) - q.homogeneous_component(d - 1)
-    monomials = sorted(set(rhs_poly.terms)
-                       | set().union(*(pp.terms.keys() for pp in partials)))
-    rows = [clear_denominators([pp.terms.get(e, 0) for pp in partials]
-                               + [rhs_poly.terms.get(e, 0)]) for e in monomials]
-    sol = solve_integer([row[:-1] for row in rows], [row[-1] for row in rows], r)
-    if sol is None:
-        return ShiftCoset.empty(r)
-    s0, K = sol
-
     G = invariance_lattice(q)
-    Kprime = complement_within(K, G)
-    if Kprime.rank == 0:
-        # single candidate class: one full-identity test decides everything
-        if q.shift(s0) == target:
-            return ShiftCoset.of(s0, G)
-        return ShiftCoset.empty(r)
-    found = _solve_residual(q, target, list(s0), [list(v) for v in Kprime.basis])
-    return ShiftCoset.empty(r) if found is None else ShiftCoset.of(found, G)
-
-
-def _residual_system(q: Poly, target: Poly, s0, directions):
-    """q(n + s0 + sum t_i dir_i) - target as equations over the t variables.
-
-    Returns one polynomial in QQ[t] per monomial in the original variables.
-    """
-    m = len(directions)
-    r = len(q.vars)
-    tvars = tuple(q.vars) + tuple("_t%d" % i for i in range(m))
-    gens = [Poly.variable(tvars, v) for v in tvars]
-    exprs = []
-    for j in range(r):
-        e = gens[j] + Poly.const(tvars, s0[j])
-        for i in range(m):
-            if directions[i][j]:
-                e = e + gens[r + i] * directions[i][j]
-        exprs.append(e)
-    phi = q.compose(exprs, tvars) - target.compose(gens[:r], tvars)
-    eqs = {}
-    for e, c in phi.terms.items():
-        key = e[:r]
-        te = e[r:]
-        eqs.setdefault(key, {})[te] = c
-    tonly = tuple(tvars[r:])
-    return [Poly(tonly, terms) for terms in eqs.values()]
-
-
-def _solve_residual(q, target, s0, directions):
-    """The s in s0 + span_Z(directions) with q(n + s) = target, or None.
-
-    Why this is exact: no v(t) = sum t_i directions[i] with t != 0 lies in
-    span_Q(G), G the invariance lattice of q (the directions complement
-    the saturated G), so (v(t) . grad) q is not zero.  Let D1 be the
-    largest n-degree among the (directions[i] . grad) q(n + s0).  In the
-    Taylor expansion of q(n + s0 + v(t)) the term of order j >= 2 in v
-    has n-degree at most D1 - j + 1, and the order-0 term does not involve
-    t, so the coefficients of the n-monomials of degree D1 in
-    q(n + s0 + v(t)) - target are affine in t with a nonzero linear part.
-    Each round solves every equation of degree at most one in t over Z,
-    those among them: it finds no solution, or a single candidate that one
-    identity test decides, or fewer directions spanning a sublattice, for
-    which the same holds.  The rounds therefore end after at most len(directions) steps,
-    and every exit that does not decide raises InvariantError.
-    """
-    while True:
-        m = len(directions)
-        linear = [e for e in _residual_system(q, target, s0, directions)
-                  if not e.is_zero() and e.total_degree() <= 1]
-        if not linear:
-            raise InvariantError("the residual system has no affine equation in the directions")
-        units = [tuple(int(j == i) for j in range(m)) for i in range(m)]
-        rows = [clear_denominators([e.terms.get(u, 0) for u in units]
-                                   + [-e.terms.get((0,) * m, 0)]) for e in linear]
-        sol = solve_integer([row[:-1] for row in rows], [row[-1] for row in rows], m)
+    # primitive with a positive leading coefficient, so their contents are 1
+    pt = int_terms(normalize_primitive(p)[1])[1]
+    qt = int_terms(q)[1]
+    s0 = (0,) * r
+    dirs = complement_within(IntLattice.full(r), G).basis
+    while dirs:
+        q1 = shift_terms(qt, s0) if any(s0) else qt
+        derivs = [_derivative(q1, d) for d in dirs]
+        D1 = max((sum(e) for dv in derivs for e in dv), default=-1)
+        if D1 < 0:
+            raise InvariantError("zero derivative along a direction outside the invariance lattice")
+        rest = add_terms(q1, {e: -c for e, c in pt.items()})
+        monomials = [e for e in set(rest).union(*derivs) if sum(e) >= D1]
+        sol = solve_integer([[dv.get(e, 0) for dv in derivs] for e in monomials],
+                            [-rest.get(e, 0) for e in monomials], len(dirs))
         if sol is None:
-            return None
+            return ShiftCoset.empty(r)
         tau, ker = sol
-        if ker.rank == m:
-            raise InvariantError("the affine residual equations do not involve the directions")
-        cand = [a + sum(tau[i] * directions[i][j] for i in range(m)) for j, a in enumerate(s0)]
-        if ker.rank == 0:
-            return tuple(cand) if q.shift(cand) == target else None
-        s0 = cand
-        directions = [
-            [sum(row[i] * directions[i][j] for i in range(m)) for j in range(len(s0))]
-            for row in ker.basis
-        ]
+        s0 = tuple(a + sum(t * d[j] for t, d in zip(tau, dirs)) for j, a in enumerate(s0))
+        dirs = [tuple(sum(k * d[j] for k, d in zip(row, dirs)) for j in range(r))
+                for row in ker.basis]
+    return ShiftCoset.of(s0, G) if shift_terms(qt, s0) == pt else ShiftCoset.empty(r)
 
 
 def disp_k(a: FactoredPoly, b: FactoredPoly, u):

@@ -9,10 +9,12 @@ from math import comb, prod
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
 from plde.geometry import _facet_modules_3d, lp_feasible
-from plde.lattice import IntLattice, UnimodularMatrix, primitive_vector, saturation
+from plde.lattice import (IntLattice, ShiftCoset, UnimodularMatrix, clear_denominators,
+                          complement_within, primitive_vector, saturation, solve_integer)
 from plde.polyring import (MAX_COEFF_BITS, MAX_DEGREE, MAX_TERMS, InvariantError, ParseError,
                            Poly, RationalFunction, UnsupportedInputError, divide_exact,
-                           parse_poly)
+                           normalize_primitive, parse_poly)
+from plde.spread import invariance_lattice
 from plde.verify import check_solution
 
 VARS2 = ("n", "k")
@@ -151,6 +153,70 @@ def face_parallel_modules_all_pairs(points):
     if 0 < affine.rank < r:
         modules.add(affine)
     return sorted(modules, key=lambda L: L.key())
+
+
+def _layer(p: Poly, d: int) -> Poly:
+    return Poly(p.vars, {e: c for e, c in p.terms.items() if sum(e) == d})
+
+
+def reference_shift_equiv(p: Poly, q: Poly) -> ShiftCoset:
+    """Shift equivalence by stages: all s with q(n+s) = c * p(n), c a nonzero constant.
+
+    Leading forms pin down c, the layer of degree d-1 is linear in s and
+    gives a candidate coset, and the directions of its lattice outside the
+    invariance lattice G of q are decided by expanding q(n + s0 + sum t_i
+    dir_i) in the variables t_i and solving its affine equations over Z,
+    round after round.
+    """
+    r = len(p.vars)
+    p = normalize_primitive(p)[1]
+    q = normalize_primitive(q)[1]
+    d = q.total_degree()
+    if p.total_degree() != d:
+        return ShiftCoset.empty(r)
+    c = Fraction(q.leading_coefficient(), p.leading_coefficient())
+    if _layer(q, d) != _layer(p, d) * c:
+        return ShiftCoset.empty(r)
+    target = p * c
+    partials = [Poly(q.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: a * e[i]
+                              for e, a in _layer(q, d).terms.items() if e[i]}) for i in range(r)]
+    rhs = _layer(target, d - 1) - _layer(q, d - 1)
+    monomials = sorted(set(rhs.terms) | set().union(*(pp.terms.keys() for pp in partials)))
+    rows = [clear_denominators([pp.terms.get(e, 0) for pp in partials] + [rhs.terms.get(e, 0)])
+            for e in monomials]
+    sol = solve_integer([row[:-1] for row in rows], [row[-1] for row in rows], r)
+    if sol is None:
+        return ShiftCoset.empty(r)
+    s0, K = sol
+    G = invariance_lattice(q)
+    directions = [list(v) for v in complement_within(K, G).basis]
+    s0 = list(s0)
+    while directions:
+        m = len(directions)
+        tvars = tuple(q.vars) + tuple("_t%d" % i for i in range(m))
+        gens = [Poly.variable(tvars, v) for v in tvars]
+        exprs = [sum((gens[r + i] * directions[i][j] for i in range(m)),
+                     gens[j] + Poly.const(tvars, s0[j])) for j in range(r)]
+        phi = q.compose(exprs, tvars) - target.compose(gens[:r], tvars)
+        eqs = {}
+        for e, coeff in phi.terms.items():
+            eqs.setdefault(e[:r], {})[e[r:]] = coeff
+        linear = [e for e in eqs.values() if max(map(sum, e)) <= 1]
+        if not linear:
+            raise InvariantError("the residual system has no affine equation in the directions")
+        units = [tuple(int(j == i) for j in range(m)) for i in range(m)]
+        rows = [clear_denominators([e.get(u, 0) for u in units] + [-e.get((0,) * m, 0)])
+                for e in linear]
+        sol = solve_integer([row[:-1] for row in rows], [row[-1] for row in rows], m)
+        if sol is None:
+            return ShiftCoset.empty(r)
+        tau, ker = sol
+        if ker.rank == m:
+            raise InvariantError("the affine residual equations do not involve the directions")
+        s0 = [a + sum(tau[i] * directions[i][j] for i in range(m)) for j, a in enumerate(s0)]
+        directions = [[sum(row[i] * directions[i][j] for i in range(m)) for j in range(r)]
+                      for row in ker.basis]
+    return ShiftCoset.of(s0, G) if q.shift(s0) == target else ShiftCoset.empty(r)
 
 
 def reduce_by_trial_division(num, den):

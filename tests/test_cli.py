@@ -64,7 +64,7 @@ def test_transform_command(capsys, eqdir):
 @pytest.mark.parametrize("matrix, message", [
     ("2,0;0,1", "determinant is not +-1"),
     ("1,1;1,1", "determinant is not +-1"),
-    ("1,0;0", "determinant is not +-1"),
+    ("1,0;0", "row length 1, expected 2"),
     ("1,0;0,1,0", "row length 3, expected 2"),
 ])
 def test_transform_rejects_matrices_that_are_not_unimodular(capsys, eqdir, matrix, message):

@@ -28,6 +28,12 @@ def test_hnf_empty_and_single():
     assert IntLattice(2, [(1, -1)]).basis == ((1, -1),)
 
 
+def test_hnf_checks_the_length_of_zero_rows():
+    for rows in ([(1, 0), (0,)], [(0,)], [(0, 0, 0), (1, 0)]):
+        with pytest.raises(ValueError, match="row length"):
+            IntLattice(2, rows)
+
+
 def test_hnf_idempotent_and_order_free():
     rng = random.Random(201)
     for _ in range(N_CASES):

@@ -9,7 +9,8 @@ from plde.lattice import IntLattice, is_sublattice
 from plde.polyring import Poly, parse_poly
 from plde.spread import (INFINITY, NEG_INFINITY, disp_k, invariance_lattice, shift_equiv,
                          spread_box_oracle)
-from support import VARS2, random_factor, random_poly, random_shift
+from support import (VARS2, random_factor, random_poly, random_shift,
+                     reference_shift_equiv)
 
 N_CASES = 200
 
@@ -204,13 +205,14 @@ def test_unique_leading_projection():
 
 
 # ----------------------------------------------------------------------
-# degenerate top forms: the residual solver
+# degenerate top forms: repeated affine rounds
 
 
-def _count_residual_calls(monkeypatch):
+def _count_rounds(monkeypatch):
+    """A list that grows by one per affine round: each round makes one integer solve."""
     calls = []
-    solve = spread._solve_residual
-    monkeypatch.setattr(spread, "_solve_residual", lambda *args: calls.append(args) or solve(*args))
+    solve = spread.solve_integer
+    monkeypatch.setattr(spread, "solve_integer", lambda *args: calls.append(args) or solve(*args))
     return calls
 
 
@@ -224,8 +226,8 @@ def _linear_form(rng, vars):
 def test_degenerate_top_forms_match_box_oracle(monkeypatch):
     # q = f(L) + a*M for independent linear forms L, M is linear in M, hence
     # irreducible, so the oracle's gcd test is shift equivalence; the top
-    # form c*L^d fixes only L(s) and leaves a direction for the residual
-    calls = _count_residual_calls(monkeypatch)
+    # form c*L^d fixes only L(s) and leaves a direction for a second round
+    calls, second_rounds = _count_rounds(monkeypatch), 0
     rng = random.Random(405)
     for _ in range(40):
         l, m = _linear_form(rng, VARS2), _linear_form(rng, VARS2)
@@ -239,16 +241,20 @@ def test_degenerate_top_forms_match_box_oracle(monkeypatch):
             p = q.shift(random_shift(rng, radius=2)) * rng.choice([1, -1, 2])
         else:
             p = q + L_ ** rng.randrange(d - 1) * rng.choice([-1, 1])
+        before = len(calls)
         coset = shift_equiv(p, q)
+        second_rounds += len(calls) - before >= 2
         assert _box_of_coset(coset, 2) == spread_box_oracle(p, q, 2)
-    assert len(calls) == 40
+    # the other 3 cases perturb p to a content other than q's: after
+    # normalization their top rows differ by a constant, so round 1 rules them out
+    assert second_rounds == 37
 
 
 def test_degenerate_top_forms_in_three_variables(monkeypatch):
-    # c*L^d plus random lower terms: the residual solver must decide every
-    # case (it raises InvariantError otherwise), keep every unperturbed
-    # shift, and return only true shift equivalences
-    calls = _count_residual_calls(monkeypatch)
+    # c*L^d plus random lower terms: the rounds must decide every case
+    # (they raise InvariantError otherwise), keep every unperturbed shift,
+    # and return only true shift equivalences
+    calls, second_rounds = _count_rounds(monkeypatch), 0
     rng = random.Random(406)
     vars3 = ("n", "k", "m")
     for _ in range(160):
@@ -261,10 +267,57 @@ def test_degenerate_top_forms_in_three_variables(monkeypatch):
         perturbed = rng.random() < 0.5
         if perturbed:
             p = p + random_poly(rng, vars3, max_degree=d - 2, max_terms=2)
+        before = len(calls)
         coset = shift_equiv(p, q)
+        second_rounds += len(calls) - before >= 2
         if not perturbed:
             assert coset.contains(s)
         if not coset.is_empty:
             image = q.shift(coset.base)
             assert image * (p.leading_coefficient() / image.leading_coefficient()) == p
-    assert len(calls) >= 100
+    assert second_rounds == 106
+
+
+def _differential_pair(rng, vars):
+    """A seeded pair (p, q) in len(vars) variables.
+
+    q is random, c*L^d plus lower terms, or (for r = 4) a polynomial in two
+    linear forms, fixed by a rank-2 lattice; p is a shifted and scaled copy
+    of q, such a copy plus lower terms, or an unrelated polynomial.
+    """
+    r = len(vars)
+    shape = rng.choice(["random", "degenerate", "rank2"] if r == 4 else ["random", "degenerate"])
+    if shape == "random":
+        q = random_poly(rng, vars, max_degree=3, max_terms=5, nonzero=True)
+    elif shape == "degenerate":
+        L_, = Poly.linear_forms(vars, [_linear_form(rng, vars)])
+        d = rng.randint(2, 3)
+        q = L_ ** d * rng.choice([-2, 1, 3]) + random_poly(rng, vars, max_degree=d - 1,
+                                                            max_terms=3)
+    else:
+        # a polynomial in two independent linear forms is fixed by a rank-2 lattice
+        A, B = Poly.linear_forms(vars, [(1, -1, 0, 2), (0, 1, 1, -1)])
+        q = (A ** 2 * rng.choice([1, 2]) + B * rng.choice([-1, 1])
+             + A * B * rng.randint(-1, 1) + Poly.const(vars, rng.randint(-3, 3)))
+    if q.is_constant():
+        q = q + Poly.variable(vars, vars[0])
+    p = q.shift(random_shift(rng, r=r)) * rng.choice([1, -1, 2, -3])
+    kind = rng.choice(["shifted", "perturbed", "unrelated"])
+    if kind == "perturbed":
+        p = p + random_poly(rng, vars, max_degree=max(q.total_degree() - 1, 0), max_terms=2,
+                            nonzero=True)
+    elif kind == "unrelated":
+        p = random_poly(rng, vars, max_degree=q.total_degree(), max_terms=4, nonzero=True)
+    return (p, q) if not p.is_constant() else (q, q)
+
+
+def test_shift_equiv_matches_staged_reference():
+    # the staged algorithm of tests/support.py (leading forms, layer d-1,
+    # residual rounds on a composed polynomial) is the reference
+    rng = random.Random(407)
+    mismatches = 0
+    for vars in (("n", "k"), ("n", "k", "m"), ("n", "k", "m", "j")):
+        for _ in range(N_CASES):
+            p, q = _differential_pair(rng, vars)
+            mismatches += shift_equiv(p, q) != reference_shift_equiv(p, q)
+    assert mismatches == 0
