@@ -1,9 +1,13 @@
 """Support-set geometry over Z^r.
 
-Corner points, separating covectors and the pair certificates consumed by
-the bounding pipeline are all decided by exact linear programming: a
-simplex method on integer tableaux (`lp_feasible`); nothing here is
-approximate.  `SupportGeometry` computes the corners of a support, and the
+Everything here is exact.  The faces of a support's convex hull come from
+one double description in integers (`_facets`): its facets, as the sets
+of support points they hold, and from their incidences the corners, the
+hull edges and, for r = 3, the facet modules (`_Faces`, whose docstring
+gives the argument).  The separating covectors of the pair certificates
+consumed by the bounding pipeline are decided by exact linear
+programming: a simplex method on integer tableaux (`lp_feasible`), the
+only LP here.  `SupportGeometry` computes the faces of a support, and the
 covector setup of each module, once for all the searches of one caller.
 
 A module W is *useful* for a support S when some ordered pair of corner
@@ -11,7 +15,10 @@ points (p, p') admits an integer covector u orthogonal to W such that p is
 the unique minimizer of s . u and no two maximizers differ by an element
 of W.  Points congruent modulo W always tie under any admissible u, which
 turns both face conditions into plain linear constraints; a single
-feasibility problem therefore decides usefulness exactly.
+feasibility problem therefore decides usefulness exactly.  W is taken
+modulo its saturation: a covector orthogonal to W is orthogonal to every
+integer vector with a multiple in W, so W and its saturation admit the
+same covectors, and the congruence classes are those of the saturation.
 """
 
 from __future__ import annotations
@@ -19,11 +26,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm as _int_lcm
+from math import gcd as _int_gcd, lcm as _int_lcm
 from operator import mul as _mul, sub as _sub
 
-from .lattice import (IntLattice, clear_denominators, orthogonal_complement_lattice,
-                      primitive_vector, saturation)
+from .lattice import (IntLattice, clear_denominators, integer_kernel,
+                      orthogonal_complement_lattice, primitive_vector, saturation)
 from .polyring import InvariantError
 
 CLASS_USEFUL = "U"
@@ -85,15 +92,14 @@ def lp_feasible(constraints, nvars: int):
     return values
 
 
-def lp_has_solution(constraints, nvars: int) -> bool:
-    """Whether the constraints of `lp_feasible` have a solution; one simplex phase I."""
-    rows = _lp_rows(constraints, nvars)
-    return rows is not None and _Tableau(rows, nvars)._phase_one()
-
-
 def _lp_rows(constraints, nvars: int):
-    """The constraints as integer rows (a, b) meaning a . v >= b; None if a constant one fails."""
-    rows = []
+    """The constraints as integer rows (a, b) meaning a . v >= b; None if a constant one fails.
+
+    Rows whose a are positive multiples of one primitive direction bound
+    the same half-spaces, so only the tightest, with the largest
+    b / gcd(a), is kept: the solution set is unchanged.
+    """
+    tightest = {}
     for coeffs, rel, rhs in constraints:
         a = [*coeffs, rhs]
         if len(a) != nvars + 1:
@@ -106,10 +112,15 @@ def _lp_rows(constraints, nvars: int):
             if b > 0 or (rel == "==" and b < 0):
                 return None
             continue
-        rows.append((a, b))
-        if rel == "==":
-            rows.append(([-x for x in a], -b))
-    return rows
+        halves = [(a, b), ([-x for x in a], -b)] if rel == "==" else [(a, b)]
+        for a, b in halves:
+            g = _int_gcd(*a)
+            key = tuple(x // g for x in a)
+            kept = tightest.get(key)
+            # tighter: b / g > kept_b / kept_g, with both gcds positive
+            if kept is None or b * kept[2] > kept[1] * g:
+                tightest[key] = (a, b, g)
+    return [(a, b) for a, b, _ in tightest.values()]
 
 
 class _Tableau:
@@ -139,20 +150,19 @@ class _Tableau:
     def _pivot(self, r, c):
         T, D = self.T, self.D
         prow = T[r]
-        p = prow[c]
+        # a negative pivot negates every row, so that the new D = |p| stays positive
+        sign = -1 if prow[c] < 0 else 1
+        p = sign * prow[c]
         for i, row in enumerate(T):
             if i != r:
-                f = row[c]
+                f = sign * row[c]
                 new = [(x * p - f * y) // D for x, y in zip(row, prow)]
                 new[c] = f
                 T[i] = new
-        new = [-y for y in prow]
-        new[c] = D
+        new = [-sign * y for y in prow]
+        new[c] = sign * D
         T[r] = new
         self.basis[r], self.nonbasic[c - 1] = self.nonbasic[c - 1], self.basis[r]
-        if p < 0:
-            self.T = [[-x for x in row] for row in T]
-            p = -p
         self.D = p
 
     def _minimize(self, var, sign):
@@ -230,21 +240,123 @@ class _Tableau:
 
 
 # ----------------------------------------------------------------------
-# corner points
+# facets, corners and edges
+
+
+def _facets(rows):
+    """The lineality basis and the rays of the cone {a : row . a >= 0 for every row}.
+
+    Double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
+    and Prodon 1996): the rows are added one at a time to the whole space,
+    whose lineality basis is the unit vectors.  A row h that does not
+    vanish on the lineality space takes a lineality vector l with h . l > 0
+    out of it: l becomes a ray, and every other ray and lineality vector
+    moves along l onto the hyperplane of h.  A row that vanishes there
+    drops the rays on its negative side and adds, for each adjacent pair of
+    a positive and a negative ray, their positive combination on its
+    hyperplane; two rays are adjacent when no third ray is tight on every
+    row both are tight on.  Each ray is a primitive integer vector with
+    the bitmask of the rows it is tight on (bit i for rows[i]); modulo the
+    lineality space, the rays are the extreme rays.
+    """
+    d = len(rows[0])
+    lineality = [(0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d)]
+    rays = []
+    for t, h in enumerate(rows):
+        bit = 1 << t
+        vals = [sum(map(_mul, h, v)) for v, _ in rays]
+        lvals = [sum(map(_mul, h, v)) for v in lineality]
+        i = next((i for i, x in enumerate(lvals) if x), None)
+        if i is not None:
+            l, hl = lineality[i], lvals[i]
+            if hl < 0:
+                l, hl = tuple(-x for x in l), -hl
+            rays = [(_onto(v, hv, l, hl), m | bit) for (v, m), hv in zip(rays, vals)]
+            rays.append((l, bit - 1))
+            lineality = [_onto(v, hv, l, hl) for j, (v, hv) in enumerate(zip(lineality, lvals))
+                         if j != i]
+            continue
+        new = []
+        for i, (vi, mi) in enumerate(rays):
+            if vals[i] <= 0:
+                continue
+            for j, (vj, mj) in enumerate(rays):
+                if vals[j] >= 0:
+                    continue
+                common = mi & mj
+                if not any(m & common == common
+                           for o, (_, m) in enumerate(rays) if o != i and o != j):
+                    new.append((_onto(vj, vals[j], vi, vals[i]), common | bit))
+        rays = [(v, m | bit if hv == 0 else m) for (v, m), hv in zip(rays, vals) if hv >= 0] + new
+    return lineality, rays
+
+
+def _onto(v, hv, l, hl):
+    """The primitive multiple of hl * v - hv * l, where h . v = hv and h . l = hl > 0.
+
+    It lies on the hyperplane h . x = 0, and is v itself when v does.
+    """
+    return v if not hv else primitive_vector([hl * x - hv * y for x, y in zip(v, l)])
+
+
+class _Faces:
+    """The facets of the convex hull of a support, and the faces read off them.
+
+    The facets are the rays (c0, c) of the cone {a : a . (1, s) >= 0 for
+    every support point s} (`_facets`), with c0 + c . s >= 0 tight exactly
+    on the facet's points.  The cone's lineality space holds the (c0, c)
+    with c0 + c . s = 0 throughout, so the support's affine hull has
+    dimension k = r minus its rank; for k < r each ray stands for its class
+    modulo the lineality space, which leaves its tight set unchanged.  For
+    k = 0 the one ray is tight on no point and bounds no face.
+
+    The facets of a polytope, as subsets of its points, are unique, so the
+    incidence sets below depend on the point set alone, not on the order
+    of the double description.  The smallest face holding a set of points
+    is the intersection of the facets incident to all of them (the whole
+    hull if there are none); its dimension is k minus the rank of their
+    normals, and it is the hull of the support points it holds.  So a
+    point is a corner, that is its incident normals have rank k, exactly
+    when its smallest face holds no other point; and two corners span an
+    edge, that is their common normals have rank k - 1, exactly when their
+    smallest face holds no third corner.
+    """
+
+    def __init__(self, points):
+        self.points = points
+        lineality, self.facets = _facets([(1, *s) for s in points])
+        self.dim = len(points[0]) - len(lineality)
+        self.corner_mask = 0
+        for i in range(len(points)):
+            if self._face(1 << i) == 1 << i:
+                self.corner_mask |= 1 << i
+        self.corners = [s for i, s in enumerate(points) if self.corner_mask >> i & 1]
+
+    def _face(self, mask):
+        """The points (a bitmask) of the smallest face holding the points of mask."""
+        face = (1 << len(self.points)) - 1
+        for _, m in self.facets:
+            if m & mask == mask:
+                face &= m
+        return face
+
+    def edges(self):
+        """The pairs of corners that span an edge of the hull."""
+        bits = {s: 1 << i for i, s in enumerate(self.points)}
+        pairs = []
+        for a, b in itertools.combinations(self.corners, 2):
+            pair = bits[a] | bits[b]
+            if self._face(pair) & self.corner_mask == pair:
+                pairs.append((a, b))
+        return pairs
 
 
 def corner_points(points) -> set:
-    """Vertices of the convex hull: p with some v satisfying (s-p).v >= 1."""
-    pts = [tuple(int(x) for x in p) for p in points]
+    """Vertices of the convex hull, read off its facets (`_Faces`)."""
+    pts = sorted({tuple(int(x) for x in p) for p in points})
     if not pts:
         raise ValueError("empty support")
-    r = len(pts[0])
-    corners = set()
-    for p in pts:
-        cons = [(tuple(a - b for a, b in zip(s, p)), ">=", 1) for s in pts if s != p]
-        if lp_has_solution(cons, r):
-            corners.add(p)
-    return corners
+    return set(_Faces(pts).corners)
 
 
 # ----------------------------------------------------------------------
@@ -314,30 +426,28 @@ class ModuleClass:
 class _ModuleSetup:
     """What every certificate search for one module W on one support shares.
 
-    The covector u ranges over the span of ``basis``, a basis of the
-    integer covectors orthogonal to W (rank ``t``); ``cls_of`` maps each
-    support point to its congruence class modulo W, and ``point_coeffs``
-    to the coefficients of its level s . u, so that by linearity the row of
-    s - p is a difference of two of them; ``pairs`` holds the verdict of
-    every ordered corner pair decided so far.
+    ``W`` is the saturation of the module given.  The covector u ranges
+    over the span of ``basis``, a basis of the integer covectors orthogonal
+    to W (rank ``t``); ``cls_of`` maps each support point to its
+    congruence class modulo W, and ``point_coeffs`` to the coefficients of
+    its level s . u, so that by linearity the row of s - p is a difference
+    of two of them; ``pairs`` holds the verdict of every ordered corner
+    pair decided so far.
     """
 
     def __init__(self, points, W: IntLattice):
         comp = orthogonal_complement_lattice(W)
-        self.W = W
+        self.W = orthogonal_complement_lattice(comp)  # the saturation of W
         self.t = comp.rank
         self.basis = [list(row) for row in comp.basis]
-        self.cls_of = {}
-        classes = []
-        for s in points:
-            cls = next((c for c in classes if W.contains([a - b for a, b in zip(s, c[0])])), None)
-            if cls is None:
-                cls = []
-                classes.append(cls)
-            cls.append(s)
-            self.cls_of[s] = cls
         # the coefficients in z of s . u, for the covector u = sum_k z_k basis[k]
         self.point_coeffs = {s: tuple(sum(map(_mul, s, b)) for b in self.basis) for s in points}
+        # s - s' lies in the saturated W exactly when every covector orthogonal
+        # to W takes one value at s and s': the classes share coefficients
+        classes = {}
+        for s in points:
+            classes.setdefault(self.point_coeffs[s], []).append(s)
+        self.cls_of = {s: classes[self.point_coeffs[s]] for s in points}
         self.pairs = {}
 
     def row(self, s, p):
@@ -352,27 +462,31 @@ class _ModuleSetup:
 
 
 class SupportGeometry:
-    """Corners and module certificates of one support, each computed once.
+    """Corners, faces and module certificates of one support, each computed once.
 
-    The corners, and for every module W its covector basis, its rank and
-    its congruence classes, are built on first use and kept by this object
-    only; a caller that bounds one equation makes one and drops it.  Every
-    pair certificate for a module is decided at most once.
+    The face enumeration (`_Faces`), and for every module W its covector
+    basis, its rank and its congruence classes modulo the saturation of W,
+    are built on first use and kept by this object only; a caller that
+    bounds one equation makes one and drops it.  Every pair certificate for
+    a module is decided at most once.
     """
 
     def __init__(self, points):
         self.points = sorted({tuple(int(x) for x in s) for s in points})
         if not self.points:
             raise ValueError("empty support")
-        self._corners = None
+        self._faces = None
         self._modules = {}
+
+    def _hull(self) -> _Faces:
+        if self._faces is None:
+            self._faces = _Faces(self.points)
+        return self._faces
 
     @property
     def corners(self):
         """The corner points, sorted."""
-        if self._corners is None:
-            self._corners = sorted(corner_points(self.points))
-        return self._corners
+        return self._hull().corners
 
     def _setup(self, W: IntLattice) -> _ModuleSetup:
         setup = self._modules.get(W)
@@ -475,59 +589,26 @@ class SupportGeometry:
         """Rank-1 modules along hull edges, plus rank-2 facet modules for r = 3.
 
         These are the only candidate spreads that leave no trace in any corner
-        coefficient.  For r > 3 only the edge modules are enumerated.  A hull
-        edge joins two corners, so only corner pairs are tested.
+        coefficient.  For r > 3 only the edge modules are enumerated.  Edges
+        and facets are read off the one face enumeration of the support.
         """
         pts = self.points
         r = len(pts[0])
         if r == 1 or len(pts) == 1:
             return []
+        faces = self._hull()
         modules = {IntLattice(r, [primitive_vector([y - x for x, y in zip(a, b)])])
-                   for a, b in itertools.combinations(self.corners, 2) if self._is_edge(a, b)}
-        if r == 3:
-            modules.update(_facet_modules_3d(pts))
-        diffs = [[x - y for x, y in zip(s, pts[0])] for s in pts[1:]]
-        affine = saturation(IntLattice(r, diffs))
-        if 0 < affine.rank < r:
-            modules.add(affine)  # degenerate support: the whole affine direction space
+                   for a, b in faces.edges()}
+        if r == faces.dim == 3:
+            # a full-dimensional hull has no lineality, so each facet (c0, c) is unique
+            modules.update(integer_kernel([f[1:]], 3) for f, _ in faces.facets)
+        if faces.dim < r:
+            # degenerate support: the whole affine direction space
+            modules.add(saturation(IntLattice(r, [list(map(_sub, s, pts[0])) for s in pts[1:]])))
         return sorted(modules, key=lambda L: L.key())
-
-    def _is_edge(self, a, b):
-        """Is the line through the corners a and b an exposed face of the hull?"""
-        d = [y - x for x, y in zip(a, b)]
-        cons = [(d, "==", 0)]
-        for s in self.points:
-            e = [x - y for x, y in zip(s, a)]
-            if any(e[i] * d[j] != e[j] * d[i] for i in range(len(d)) for j in range(i)):
-                cons.append((e, ">=", 1))  # off the line: strictly on one side
-        return len(cons) == 1 or lp_has_solution(cons, len(d))
 
     def useful_pairs(self, W: IntLattice):
         """Every ordered corner pair admitting a witness certificate for W."""
         setup = self._setup(W)
         certs = (self._pair(setup, p, p2) for p, p2 in itertools.permutations(self.corners, 2))
         return [cert for cert in certs if cert is not None]
-
-
-# ----------------------------------------------------------------------
-# face-parallel candidate modules
-
-
-def _facet_modules_3d(pts):
-    modules = set()
-    for a, b, c in itertools.combinations(pts, 3):
-        u = [b[i] - a[i] for i in range(3)]
-        v = [c[i] - a[i] for i in range(3)]
-        normal = (u[1] * v[2] - u[2] * v[1],
-                  u[2] * v[0] - u[0] * v[2],
-                  u[0] * v[1] - u[1] * v[0])
-        if not any(normal):
-            continue
-        vals = [sum(n * (s[i] - a[i]) for i, n in enumerate(normal)) for s in pts]
-        if all(x >= 0 for x in vals) or all(x <= 0 for x in vals):
-            on_plane = [s for s, x in zip(pts, vals) if x == 0]
-            diffs = [[x - y for x, y in zip(s, on_plane[0])] for s in on_plane[1:]]
-            L = saturation(IntLattice(3, diffs))
-            if L.rank == 2:
-                modules.add(L)
-    return modules

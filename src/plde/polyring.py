@@ -554,7 +554,9 @@ def _gcd_recursive(p: Poly, q: Poly) -> Poly:
         if rem.degree_in(x) == 0:
             g = Poly.one(p.vars)
             break
-        a, b = b, _content_and_primitive(rem, x)[1]
+        # a nonzero constant is a unit over Q: dropping the integer content keeps
+        # the remainders from growing
+        a, b = b, normalize_primitive(_content_and_primitive(rem, x)[1])[1]
     if not g.is_constant():
         g = _content_and_primitive(g, x)[1]
     return cont * g

@@ -8,7 +8,7 @@ from math import comb, prod
 
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
-from plde.geometry import _facet_modules_3d, lp_feasible
+from plde.geometry import lp_feasible
 from plde.lattice import (IntLattice, ShiftCoset, UnimodularMatrix, clear_denominators,
                           complement_within, primitive_vector, saturation, solve_integer)
 from plde.polyring import (MAX_COEFF_BITS, MAX_DEGREE, MAX_TERMS, InvariantError, ParseError,
@@ -128,27 +128,62 @@ def fourier_motzkin(constraints, nvars):
     return values
 
 
-def face_parallel_modules_all_pairs(points):
-    """Reference for ``SupportGeometry.face_parallel_modules`` that tests every pair of points for an edge.
+def reference_corner_points(points):
+    """Corners by one LP per point: p with some v such that (s - p) . v >= 1 for every other s."""
+    pts = sorted(set(tuple(p) for p in points))
+    r = len(pts[0])
+    return {p for p in pts
+            if lp_feasible([(tuple(a - b for a, b in zip(s, p)), ">=", 1) for s in pts if s != p],
+                           r) is not None}
 
-    The library tests only pairs of corners; the facet and affine parts are
-    the same in both.
+
+def reference_is_edge(points, a, b):
+    """Is the line through a and b an exposed face of the hull?  One LP."""
+    d = [y - x for x, y in zip(a, b)]
+    cons = [(d, "==", 0)]
+    for s in points:
+        e = [x - y for x, y in zip(s, a)]
+        if any(e[i] * d[j] != e[j] * d[i] for i in range(len(d)) for j in range(i)):
+            cons.append((e, ">=", 1))  # off the line: strictly on one side
+    return len(cons) == 1 or lp_feasible(cons, len(d)) is not None
+
+
+def reference_facet_modules_3d(pts):
+    """The rank-2 modules of the facets of an r = 3 support, by every plane through three points."""
+    modules = set()
+    for a, b, c in itertools.combinations(pts, 3):
+        u = [b[i] - a[i] for i in range(3)]
+        v = [c[i] - a[i] for i in range(3)]
+        normal = (u[1] * v[2] - u[2] * v[1],
+                  u[2] * v[0] - u[0] * v[2],
+                  u[0] * v[1] - u[1] * v[0])
+        if not any(normal):
+            continue
+        vals = [sum(n * (s[i] - a[i]) for i, n in enumerate(normal)) for s in pts]
+        if all(x >= 0 for x in vals) or all(x <= 0 for x in vals):
+            on_plane = [s for s, x in zip(pts, vals) if x == 0]
+            diffs = [[x - y for x, y in zip(s, on_plane[0])] for s in on_plane[1:]]
+            L = saturation(IntLattice(3, diffs))
+            if L.rank == 2:
+                modules.add(L)
+    return modules
+
+
+def face_parallel_modules_all_pairs(points):
+    """Reference for ``SupportGeometry.face_parallel_modules`` by LPs and a loop over point triples.
+
+    Every pair of points, not only of corners, is tested for an edge by
+    ``reference_is_edge``; for r = 3 every plane through three points is
+    tested for a facet.
     """
     pts = sorted(set(tuple(p) for p in points))
     r = len(pts[0])
     if r == 1 or len(pts) == 1:
         return []
-    modules = set()
-    for a, b in itertools.combinations(pts, 2):
-        d = primitive_vector([y - x for x, y in zip(a, b)])
-        online = [s for s in pts if all((s[i] - a[i]) * d[j] == (s[j] - a[j]) * d[i]
-                                        for i in range(r) for j in range(i + 1, r))]
-        cons = [(d, "==", 0)] + [(tuple(x - y for x, y in zip(s, a)), ">=", 1)
-                                 for s in pts if s not in online]
-        if len(cons) == 1 or lp_feasible(cons, r) is not None:
-            modules.add(IntLattice(r, [d]))
+    modules = {IntLattice(r, [primitive_vector([y - x for x, y in zip(a, b)])])
+               for a, b in itertools.combinations(pts, 2) if reference_is_edge(pts, a, b)}
     if r == 3:
-        modules.update(_facet_modules_3d(pts))
+        modules.update(reference_facet_modules_3d(pts))
     affine = saturation(IntLattice(r, [[x - y for x, y in zip(s, pts[0])] for s in pts[1:]]))
     if 0 < affine.rank < r:
         modules.add(affine)

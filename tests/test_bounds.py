@@ -358,26 +358,27 @@ def test_combined_strips_each_input_once(sys1, sys2, monkeypatch):
 
 
 def test_combined_computes_corners_and_pairs_once(sys1, sys2, ex2, monkeypatch):
-    corner_calls = []
+    # corners, edges and facets all come from one face enumeration per call
+    face_calls = []
     pair_calls = []
-    corner_points = plde.geometry.corner_points
+    faces = plde.geometry._Faces
     solve_pair = plde.geometry.SupportGeometry._solve_pair
 
-    def counting_corners(points):
-        corner_calls.append(tuple(points))
-        return corner_points(points)
+    def counting_faces(points):
+        face_calls.append(tuple(points))
+        return faces(points)
 
     def counting_pairs(self, setup, p, p_prime):
         pair_calls.append((setup.W, p, p_prime))
         return solve_pair(self, setup, p, p_prime)
 
-    monkeypatch.setattr(plde.geometry, "corner_points", counting_corners)
+    monkeypatch.setattr(plde.geometry, "_Faces", counting_faces)
     monkeypatch.setattr(plde.geometry.SupportGeometry, "_solve_pair", counting_pairs)
     for eq in (sys1, sys2, ex2):
-        corner_calls.clear()
+        face_calls.clear()
         pair_calls.clear()
         combined_bound(eq)
-        assert len(corner_calls) == 1
+        assert len(face_calls) == 1
         assert pair_calls and len(pair_calls) == len(set(pair_calls))
 
 

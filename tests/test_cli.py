@@ -1,6 +1,9 @@
 import copy
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 
 import pytest
@@ -54,6 +57,18 @@ def test_classify_command(capsys, eqdir):
     assert cert["witness"] in ([1, 1], [-1, -1])
 
 
+@pytest.mark.parametrize("name,scaled,saturated", [
+    ("ex2", "2,0", "1,0"), ("ex2", "2,-2", "1,-1"), ("ex1", "3,-3", "1,-1"),
+    ("sys1", "2,-2", "1,-1"), ("sys2", "0,4", "0,1"),
+])
+def test_classify_works_modulo_the_saturated_module(capsys, eqdir, name, scaled, saturated):
+    # points that differ by (1, 0) are congruent modulo the saturation of
+    # 2Z x 0, so a scaled generator classifies as its saturation does
+    outs = [run(capsys, "classify", str(eqdir / ("%s.json" % name)), "--module", m)
+            for m in (scaled, saturated)]
+    assert outs[0] == outs[1] and outs[0][0] == 0
+
+
 def test_transform_command(capsys, eqdir):
     code, out, _ = run(capsys, "transform", str(eqdir / "ex1.json"), "--matrix", "1,1;1,0")
     assert code == 0
@@ -104,6 +119,18 @@ def test_digits_are_ascii_and_exponents_short(capsys, eqdir, command, text, code
         assert out == "" and err.startswith("error: ")
     else:
         assert (out, err) == run(capsys, *("n" if a == text else a for a in argv))[1:]
+
+
+@pytest.mark.parametrize("name", ["ex1", "sys1"])
+def test_check_rejects_a_wrong_candidate_quickly(eqdir, name):
+    # the gcds that reduce the residual must keep their remainders integer-primitive,
+    # or their coefficients grow without bound on these files
+    path = str(eqdir / ("%s.json" % name))
+    proc = subprocess.run([sys.executable, "-m", "plde.cli", "check", path,
+                           "--solution", "(n+k)/(n*k+1)"],
+                          capture_output=True, text=True, timeout=60,
+                          env={**os.environ, "PYTHONPATH": str(eqdir.parent / "src")})
+    assert proc.returncode == 0 and proc.stdout.startswith("not a solution (residual "), proc.stderr
 
 
 def test_check_json_residual_text(capsys, eqdir):

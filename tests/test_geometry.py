@@ -1,12 +1,14 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 from plde import geometry
 from plde.geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry,
-                           corner_points, lp_feasible, lp_has_solution)
+                           corner_points, lp_feasible)
 from plde.lattice import IntLattice
-from support import face_parallel_modules_all_pairs, fourier_motzkin
+from support import (face_parallel_modules_all_pairs, fourier_motzkin, reference_corner_points,
+                     reference_is_edge)
 
 N_CASES = 200
 
@@ -130,9 +132,39 @@ def test_lp_point_matches_fourier_motzkin():
         cons = _random_system(rng, nvars, mode)
         expected = fourier_motzkin(cons, nvars)
         assert lp_feasible(cons, nvars) == expected, cons
-        assert lp_has_solution(cons, nvars) == (expected is not None), cons
         outcomes["infeasible" if expected is None else "feasible"] += 1
     assert min(outcomes.values()) >= 100, outcomes
+
+
+def test_lp_point_ignores_repeated_and_scaled_rows():
+    # rows along one direction are reduced to the tightest, which leaves the
+    # solution set, and so the point, unchanged
+    rng = random.Random(507)
+
+    def half_spaces(rows):
+        return sorted((tuple(x // math.gcd(*a) for x in a), Fraction(b, math.gcd(*a)))
+                      for a, b in rows)
+
+    feasible = 0
+    for case in range(240):
+        nvars = 1 + case % 3
+        cons = _random_system(rng, nvars, ("random", "boxed")[case % 2])
+        padded = list(cons)
+        for row, rel, rhs in cons:
+            for _ in range(rng.randint(1, 2)):
+                c = Fraction(rng.randint(1, 4), rng.choice((1, 2, 3)))
+                padded.append((tuple(c * x for x in row), rel, c * rhs))
+            if rel == ">=":
+                padded.append((row, ">=", rhs - rng.randint(1, 3)))  # a looser parallel row
+        rng.shuffle(padded)
+        point = lp_feasible(cons, nvars)
+        assert lp_feasible(padded, nvars) == point, cons
+        rows = geometry._lp_rows(padded, nvars)
+        if rows is not None:
+            assert half_spaces(rows) == half_spaces(geometry._lp_rows(cons, nvars))
+            assert len(half_spaces(rows)) == len(set(d for d, _ in half_spaces(rows)))
+        feasible += point is not None
+    assert feasible >= 100
 
 
 # ----------------------------------------------------------------------
@@ -291,14 +323,12 @@ def test_face_modules_3d():
 
 
 def test_face_modules_match_the_all_pairs_search(monkeypatch):
-    # a hull edge joins two corners, so the library's corner-pair search
-    # finds every edge module the all-pairs reference finds, with fewer LPs;
-    # both LP entry points are counted
+    # the face enumeration finds every edge module the all-pairs LP
+    # reference finds, and the facets of r = 3 supports, with no LP at all
     lps = []
-    for name in ("lp_feasible", "lp_has_solution"):
-        solve = getattr(geometry, name)
-        monkeypatch.setattr(geometry, name,
-                            lambda *args, solve=solve: lps.append(args) or solve(*args))
+    solve = geometry.lp_feasible
+    monkeypatch.setattr(geometry, "lp_feasible",
+                        lambda *args: lps.append(args) or solve(*args))
     rng = random.Random(506)
     compared = with_inner_points = 0
     for r, side, most in ((2, 3, 8), (3, 2, 8), (4, 1, 7)):
@@ -308,11 +338,48 @@ def test_face_modules_match_the_all_pairs_search(monkeypatch):
             corners = len(corner_points(pts))
             del lps[:]
             mods = SupportGeometry(pts).face_parallel_modules()
-            assert 0 < len(lps) <= len(pts) + corners * (corners - 1) // 2
+            assert not lps
             assert mods == face_parallel_modules_all_pairs(pts)
             compared += 1
             with_inner_points += corners < len(pts)
     assert compared == 210 and with_inner_points >= 40
+
+
+def _degenerate_support(rng, r, dim, size):
+    """Distinct points of Z^r whose affine hull has dimension at most dim."""
+    base = [rng.randint(-2, 2) for _ in range(r)]
+    dirs = [[rng.randint(-2, 2) for _ in range(r)] for _ in range(dim)]
+    return sorted({tuple(b + sum(c * d[i] for c, d in zip(cs, dirs)) for i, b in enumerate(base))
+                   for cs in (tuple(rng.randint(-2, 2) for _ in range(dim))
+                              for _ in range(size))})
+
+
+def test_face_enumeration_matches_lp_reference():
+    # corners, edges and face modules from one double description equal the
+    # LP reference: one LP per point for corners and one per corner pair for
+    # edges; degenerate supports (one point, two points, collinear, in a
+    # plane or a hyperplane) are seen in their affine hulls
+    rng = random.Random(508)
+    dims = {}
+    # (dimension at most, points) of the degenerate shapes, then random supports
+    shapes = [(0, 1), (1, 2), (1, 5), (2, 7), (3, 9), None]
+    for case in range(360):
+        r = 1 + case % 4
+        shape = shapes[case // 4 % len(shapes)]
+        if shape is not None:
+            pts = _degenerate_support(rng, r, *shape)
+        else:
+            pts = sorted({tuple(rng.randint(0, 3) for _ in range(r))
+                          for _ in range(rng.randint(2, 10))})
+        g = SupportGeometry(pts)
+        corners = sorted(reference_corner_points(pts))
+        assert g.corners == corners, pts
+        assert g._hull().edges() == [(a, b) for a, b in itertools.combinations(corners, 2)
+                                     if reference_is_edge(pts, a, b)], pts
+        assert g.face_parallel_modules() == face_parallel_modules_all_pairs(pts), pts
+        dims[r, g._hull().dim] = dims.get((r, g._hull().dim), 0) + 1
+    # every affine dimension occurs for every r
+    assert all(dims.get((r, k), 0) >= 5 for r in range(1, 5) for k in range(r + 1)), dims
 
 
 def test_all_useful_pairs_contains_both_orientations():

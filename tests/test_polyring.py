@@ -376,3 +376,21 @@ def test_arithmetic_results_match_the_validating_constructor():
             again = Poly(r.vars, dict(r.terms))
             assert r == again and hash(r) == hash(again)
             assert all(type(c) is Fraction and c for c in r.terms.values())
+
+
+def test_gcd_of_products_whose_content_is_not_one():
+    # every pseudo-remainder is made integer-primitive: a constant is a unit
+    # over Q, and its integer content would otherwise grow from one
+    # remainder to the next
+    rng = random.Random(104)
+    done = 0
+    while done < 40:
+        vars = VARS2[:1 + done % 2]  # univariate and bivariate in turn
+        g = random_poly(rng, vars, max_degree=3, max_terms=4, nonzero=True)
+        a = random_poly(rng, vars, max_degree=5, max_terms=5, nonzero=True)
+        b = random_poly(rng, vars, max_degree=5, max_terms=5, nonzero=True)
+        if g.is_constant() or not gcd_poly(a, b).is_constant():
+            continue
+        c, d = rng.choice((2, 3, 6, 10, 12)), rng.choice((-4, 5, 9, 14))
+        assert gcd_poly(g * a * c, g * b * d) == normalize_primitive(g)[1]
+        done += 1
