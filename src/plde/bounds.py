@@ -11,6 +11,12 @@ u . (s - p) (`transform.witness_levels`):
    denominator of the rewriting (`strip_rewrite`);
 3. keep the W-periodic part of that denominator, shifted back by p.
 
+The bound for W is the gcd of these over the useful pair certificates, and
+the aperiodic bound the gcd over the first witness pair of each corner.
+Both gcds are one loop (`_intersect`) that asks for the next certificate
+only while the gcd is not 1, so the pair programs, dispersions and strips
+that cannot change it are never run.
+
 The combined driver runs this for every module that occurs as the spread
 of a corner-coefficient factor, merges the results by lcm, collects the
 factors of opposite-only modules into the residual set P, and reports the
@@ -360,31 +366,53 @@ def _bound_for_cert(eq: PLDE, W: IntLattice, cert: WitnessCertificate):
     return strip.D_actual.shift(tuple(-x for x in cert.p)).w_part(W), s_val
 
 
+def _intersect(eq: PLDE, W: IntLattice, certs):
+    """gcd of the bounds of the certificates certs for W, and the dispersion of the first.
+
+    (None, None) when certs yields nothing.  No certificate is drawn once
+    the gcd is 1, and the result is still the gcd over all of them: each
+    multiplicity of a gcd is a minimum over the certificates, 0 for good
+    once no factor is left, and every bound, so every gcd, has unit 1.
+    """
+    d = s = None
+    for cert in certs:
+        d_c, s_c = _bound_for_cert(eq, W, cert)
+        if d is None:
+            d, s = d_c, s_c
+        else:
+            d = d.gcd(d_c)
+        if d.is_one():
+            break
+    return d, s
+
+
 def module_bound(eq: PLDE, geometry: SupportGeometry, W: IntLattice):
     """Denominator bound of eq with respect to the module W, and the dispersion s.
 
-    ``geometry`` is the SupportGeometry of eq's support.  The results of
-    every useful pair (both orientations included) are intersected by gcd;
-    s is the dispersion of the first pair, which is the certificate that
+    ``geometry`` is the SupportGeometry of eq's support.  The bound is the
+    gcd over the witness certificates of the useful corner pairs (both
+    orientations included), which ``geometry.useful_pairs`` decides on
+    demand and `_intersect` stops drawing once the gcd is 1.  s is the
+    dispersion of the first pair, which is the certificate that
     ``geometry.classify(W)`` returns, as both scan the corner pairs in the
     same order.  A single-point support has no pair, only the synthetic
     certificate of classify.
     """
     W = saturation(W)
-    certs = geometry.useful_pairs(W)
-    if not certs:
+    d, s = _intersect(eq, W, geometry.useful_pairs(W))
+    if d is None:
         cls = geometry.classify(W)
         if cls.kind != CLASS_USEFUL:
             raise ValueError("no useful pair exists for this module")
-        certs = [cls.certificate]
-    d, s = _bound_for_cert(eq, W, certs[0])
-    for c in certs[1:]:
-        d = d.gcd(_bound_for_cert(eq, W, c)[0])
+        d, s = _bound_for_cert(eq, W, cls.certificate)
     return d, s
 
 
 def _aperiodic_bound(eq: PLDE, geometry: SupportGeometry):
-    """Bound on the aperiodic denominator part: per corner, gcd across corners."""
+    """Bound on the aperiodic part: gcd over the corners, each by its first witness pair.
+
+    A corner's witnesses are searched only while the gcd needs them.
+    """
     support = eq.support
     zero = IntLattice.zero(len(eq.variables))
     if len(support) == 1:
@@ -392,20 +420,11 @@ def _aperiodic_bound(eq: PLDE, geometry: SupportGeometry):
         down = tuple(-x for x in p)
         return eq.terms[p].shift(down).w_part(zero).drop_unit()
     corners = geometry.corners
-    result = None
-    for p in corners:
-        cert = None
-        for p2 in corners:
-            if p2 == p:
-                continue
-            cert = geometry.witness(p, p2, zero)
-            if cert is not None:
-                break
-        if cert is None:
-            continue
-        d_p, _ = _bound_for_cert(eq, zero, cert)
-        result = d_p if result is None else result.gcd(d_p)
-    return result if result is not None else FactoredPoly.one(eq.variables)
+    # the first witness of each corner in corner order, None for a corner without one
+    firsts = (next(filter(None, (geometry.witness(p, p2, zero) for p2 in corners if p2 != p)),
+                   None) for p in corners)
+    d, _ = _intersect(eq, zero, filter(None, firsts))
+    return d if d is not None else FactoredPoly.one(eq.variables)
 
 
 def combined_bound(eq: PLDE) -> BoundReport:

@@ -97,24 +97,29 @@ def _lp_rows(constraints, nvars: int):
 
     Rows whose a are positive multiples of one primitive direction bound
     the same half-spaces, so only the tightest, with the largest
-    b / gcd(a), is kept: the solution set is unchanged.
+    b / gcd(a), is kept: the solution set is unchanged.  Only a row with an
+    entry other than an int, which `SupportGeometry` never makes, is scaled
+    to clear its denominators.
     """
     tightest = {}
     for coeffs, rel, rhs in constraints:
-        a = [*coeffs, rhs]
-        if len(a) != nvars + 1:
-            raise ValueError("constraint arity %d, expected %d" % (len(a) - 1, nvars))
+        a, b = [*coeffs], rhs
+        if len(a) != nvars:
+            raise ValueError("constraint arity %d, expected %d" % (len(a), nvars))
         if rel not in (">=", "=="):
             raise ValueError("unsupported relation %r" % rel)
-        a = clear_denominators(a)
-        b = a.pop()
-        if not any(a):
+        try:
+            _int_gcd(*a, b)  # a TypeError unless every entry is an int
+        except TypeError:
+            a = clear_denominators([*a, b])
+            b = a.pop()
+        g = _int_gcd(*a)
+        if not g:
             if b > 0 or (rel == "==" and b < 0):
                 return None
             continue
         halves = [(a, b), ([-x for x in a], -b)] if rel == "==" else [(a, b)]
         for a, b in halves:
-            g = _int_gcd(*a)
             key = tuple(x // g for x in a)
             kept = tightest.get(key)
             # tighter: b / g > kept_b / kept_g, with both gcds positive
@@ -608,7 +613,13 @@ class SupportGeometry:
         return sorted(modules, key=lambda L: L.key())
 
     def useful_pairs(self, W: IntLattice):
-        """Every ordered corner pair admitting a witness certificate for W."""
+        """The witness certificates for W of the ordered corner pairs, as a generator.
+
+        The pairs come in the order of `classify`, each decided only when
+        the next certificate is asked for.
+        """
         setup = self._setup(W)
-        certs = (self._pair(setup, p, p2) for p, p2 in itertools.permutations(self.corners, 2))
-        return [cert for cert in certs if cert is not None]
+        for p, p2 in itertools.permutations(self.corners, 2):
+            cert = self._pair(setup, p, p2)
+            if cert is not None:
+                yield cert

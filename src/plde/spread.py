@@ -8,13 +8,14 @@ derivative makes it constant).  That kernel is automatically saturated.
 
 The pairwise problem N^s q = c p is decided on primitive p and q with
 positive leading coefficients, for which c = 1: a shift keeps the content
-and the leading form.  Starting from s0 = 0 and directions spanning a
-complement of the invariance lattice G of q, one affine round is repeated:
-the top coefficients of q(n + s0 + v) - p are affine in the weights of v
-over the directions, and integer solving either rules the pair out or
-leaves fewer directions (`shift_equiv` says why).  There is no search and
-no uncertain answer.  `spread_box_oracle` is a brute force kept for
-cross-checks only.
+and the top-degree form, so a pair whose top-degree forms differ is ruled
+out before anything else is computed.  Starting from s0 = 0 and
+directions spanning a complement of the invariance lattice G of q, one
+affine round is repeated: the top coefficients of q(n + s0 + v) - p are
+affine in the weights of v over the directions, and integer solving
+either rules the pair out or leaves fewer directions (`shift_equiv` says
+why).  There is no search and no uncertain answer.  `spread_box_oracle`
+is a brute force kept for cross-checks only.
 """
 
 from __future__ import annotations
@@ -44,6 +45,12 @@ def _derivative(a: dict, d) -> dict:
                 f = e[:j] + (ej - 1,) + e[j + 1:]
                 terms[f] = terms.get(f, 0) + c * ej * dj
     return {e: c for e, c in terms.items() if c}
+
+
+def _top_form(a: dict) -> dict:
+    """The terms of highest total degree of the nonzero term map a."""
+    D = max(map(sum, a))
+    return {e: c for e, c in a.items() if sum(e) == D}
 
 
 @lru_cache(maxsize=None)
@@ -87,10 +94,12 @@ def shift_equiv(p: Poly, q: Poly) -> ShiftCoset:
         raise ValueError("mismatched variable lists")
     r = len(p.vars)
     q = normalize_primitive(q)[1]
-    G = invariance_lattice(q)
     # primitive with a positive leading coefficient, so their contents are 1
     pt = int_terms(normalize_primitive(p)[1])[1]
     qt = int_terms(q)[1]
+    if _top_form(pt) != _top_form(qt):
+        return ShiftCoset.empty(r)  # a shift keeps the total degree and the top-degree form
+    G = invariance_lattice(q)
     s0 = (0,) * r
     dirs = complement_within(IntLattice.full(r), G).basis
     while dirs:

@@ -6,9 +6,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, prod
 
+from plde import bounds
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
-from plde.geometry import lp_feasible
+from plde.geometry import CLASS_USEFUL, lp_feasible
 from plde.lattice import (IntLattice, ShiftCoset, UnimodularMatrix, clear_denominators,
                           complement_within, primitive_vector, saturation, solve_integer)
 from plde.polyring import (MAX_COEFF_BITS, MAX_DEGREE, MAX_TERMS, InvariantError, ParseError,
@@ -188,6 +189,44 @@ def face_parallel_modules_all_pairs(points):
     if 0 < affine.rank < r:
         modules.add(affine)
     return sorted(modules, key=lambda L: L.key())
+
+
+def reference_module_bound(eq: PLDE, geometry, W: IntLattice):
+    """module_bound eagerly: the gcd over the whole list of useful pairs, and s of the first."""
+    W = saturation(W)
+    certs = list(geometry.useful_pairs(W))
+    if not certs:
+        cls = geometry.classify(W)
+        if cls.kind != CLASS_USEFUL:
+            raise ValueError("no useful pair exists for this module")
+        certs = [cls.certificate]
+    d, s = bounds._bound_for_cert(eq, W, certs[0])
+    for c in certs[1:]:
+        d = d.gcd(bounds._bound_for_cert(eq, W, c)[0])
+    return d, s
+
+
+def reference_aperiodic_bound(eq: PLDE, geometry):
+    """The aperiodic bound eagerly: the first witness of every corner, gcd over all of them."""
+    zero = IntLattice.zero(len(eq.variables))
+    if len(eq.support) == 1:
+        p = eq.support[0]
+        return eq.terms[p].shift(tuple(-x for x in p)).w_part(zero).drop_unit()
+    corners = geometry.corners
+    result = None
+    for p in corners:
+        cert = None
+        for p2 in corners:
+            if p2 == p:
+                continue
+            cert = geometry.witness(p, p2, zero)
+            if cert is not None:
+                break
+        if cert is None:
+            continue
+        d_p, _ = bounds._bound_for_cert(eq, zero, cert)
+        result = d_p if result is None else result.gcd(d_p)
+    return result if result is not None else FactoredPoly.one(eq.variables)
 
 
 def _layer(p: Poly, d: int) -> Poly:

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import os
 import random
 import re
@@ -16,7 +17,7 @@ from plde.bounds import (DegenerateFaceError, StripPreconditionError, _expand, _
                          module_bound, strip_rewrite)
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
-from plde.geometry import SupportGeometry
+from plde.geometry import CLASS_USEFUL, SupportGeometry
 from plde.lattice import IntLattice, saturation
 from plde.polyring import (MODULUS, InvariantError, Poly, RationalFunction, divide_exact,
                            divide_int_terms, int_terms, mod_image, mod_zero, parse_poly,
@@ -24,8 +25,9 @@ from plde.polyring import (MODULUS, InvariantError, Poly, RationalFunction, divi
 from plde.spread import NEG_INFINITY, invariance_lattice
 from plde.transform import transform_equation, witness_levels
 from plde.verify import check_solution
-from support import (VARS2, check_strip_identity, random_instance, random_poly, random_shift,
-                     random_unimodular, reduce_by_trial_division)
+from support import (VARS2, InstanceProfile, check_strip_identity, random_instance, random_poly,
+                     random_shift, random_unimodular, reduce_by_trial_division,
+                     reference_aperiodic_bound, reference_module_bound)
 
 N_CASES = 200
 
@@ -415,6 +417,44 @@ def test_aperiodic_bound_catches_constructed_factor():
     assert all(invariance_lattice(prim).rank == 0 for prim, _ in ap.factors)
 
 
+def test_intersection_stops_once_the_gcd_is_one(ex1, ex2, nrm, skew, sys1, sys2, monkeypatch):
+    running = {}  # module -> gcd of the certificate bounds drawn so far
+    counts = {}
+    bound_for_cert = plde.bounds._bound_for_cert
+    solve_pair = plde.geometry.SupportGeometry._solve_pair
+    lp_feasible = plde.geometry.lp_feasible
+
+    def counting_bound(eq, W, cert):
+        assert W not in running or not running[W].is_one()
+        counts["bounds"] += 1
+        d, s = bound_for_cert(eq, W, cert)
+        running[W] = running[W].gcd(d) if W in running else d
+        return d, s
+
+    def counting_pair(self, setup, p, p_prime):
+        # the pair LPs of a module whose gcd is already 1 are not run
+        assert setup.W not in running or not running[setup.W].is_one()
+        return solve_pair(self, setup, p, p_prime)
+
+    def counting_lp(constraints, nvars):
+        counts["lps"] += 1
+        return lp_feasible(constraints, nvars)
+
+    monkeypatch.setattr(plde.bounds, "_bound_for_cert", counting_bound)
+    monkeypatch.setattr(plde.geometry.SupportGeometry, "_solve_pair", counting_pair)
+    monkeypatch.setattr(plde.geometry, "lp_feasible", counting_lp)
+    made = {}
+    for name, eq in (("ex1", ex1), ("ex2", ex2), ("nrm", nrm), ("skew", skew), ("sys1", sys1),
+                     ("sys2", sys2)):
+        running.clear()
+        counts.update(bounds=0, lps=0)
+        combined_bound(eq)
+        made[name] = (counts["bounds"], counts["lps"])
+    # deciding every pair and corner takes (5, 14) on ex1, (8, 22) on sys1 and sys2
+    assert made == {"ex1": (2, 10), "ex2": (2, 5), "nrm": (2, 10), "skew": (1, 1),
+                    "sys1": (5, 17), "sys2": (5, 17)}
+
+
 # ----------------------------------------------------------------------
 # property suites
 
@@ -427,7 +467,7 @@ def _pick_module(eq, q):
             cands.append(W)
     cands.append(IntLattice.zero(2))
     for W in cands:
-        certs = SupportGeometry(eq.support).useful_pairs(saturation(W))
+        certs = list(SupportGeometry(eq.support).useful_pairs(saturation(W)))
         if certs:
             return saturation(W), certs[0]
     return None, None
@@ -514,3 +554,81 @@ def test_lcm_of_two_module_bounds_covers_products():
         joined = d1.lcm(d2)
         assert divide_exact(joined.expand(), w1 * w2) is not None
         assert joined.multiplicity(w1) >= 1 and joined.multiplicity(w2) >= 1
+
+
+INTERSECTION_PROFILES = (
+    InstanceProfile(variables=("n",), support_points=tuple((i,) for i in range(4)),
+                    min_terms=2, max_terms=4,
+                    denominator_pool=("n+1", "2*n+1", "n+3", "n^2+n+1", "3*n-2"),
+                    numerator_pool=("1", "n", "n^2+1"),
+                    coefficient_pool=("1", "-1", "2", "n", "n+2")),
+    InstanceProfile(support_points=tuple(itertools.product(range(3), repeat=2)),
+                    min_terms=3, max_terms=5,
+                    denominator_pool=("k+n+1", "2*k+3*n+1", "4*k-2*n+1", "n+1", "n-k+2",
+                                      "n^2+n+1", "n*k+1")),
+    InstanceProfile(variables=("n", "k", "m"),
+                    support_points=tuple(itertools.product(range(2), repeat=3)),
+                    min_terms=3, max_terms=6,
+                    denominator_pool=("n+k+m+1", "2*n+k+1", "k+m+1", "n-m+2", "n^2+m+1",
+                                      "n*k+m+1"),
+                    numerator_pool=("1", "n", "k+m"),
+                    coefficient_pool=("1", "-1", "2", "n", "k+1", "m+n+2")),
+    InstanceProfile(variables=("n", "k", "m", "j"),
+                    support_points=tuple(itertools.product(range(2), repeat=4)),
+                    min_terms=3, max_terms=5,
+                    denominator_pool=("n+k+m+j+1", "n-j+2", "k+m+1", "2*n+k+1", "n*k+m+1"),
+                    numerator_pool=("1", "n", "k+j"),
+                    coefficient_pool=("1", "-1", "2", "n", "k+1", "j+m+2")),
+)
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:  # UnsupportedInputError, DegenerateFaceError; not InvariantError
+        return type(exc)
+
+
+def test_lazy_intersection_matches_the_eager_gcd(monkeypatch):
+    calls = [0]
+    bound_for_cert = plde.bounds._bound_for_cert
+
+    def counting(eq, W, cert):
+        calls[0] += 1
+        return bound_for_cert(eq, W, cert)
+
+    monkeypatch.setattr(plde.bounds, "_bound_for_cert", counting)
+    equations = lazy_calls = eager_calls = compared = 0
+    mismatches = []
+    for r, profile in enumerate(INTERSECTION_PROFILES, 1):
+        for seed in range(60):
+            eq, _, _ = random_instance(100 * r + seed, profile)
+            equations += 1
+            corners = SupportGeometry(eq.support).corners
+            modules = []
+            for q in corners:
+                for prim, _ in eq.terms[q].factors:
+                    W = saturation(invariance_lattice(prim))
+                    if not W.is_zero() and W not in modules:
+                        modules.append(W)
+            cases = [(_aperiodic_bound, reference_aperiodic_bound, ())]
+            cases += [(module_bound, reference_module_bound, (W,)) for W in modules
+                      if SupportGeometry(eq.support).classify(W).kind == CLASS_USEFUL]
+            for lazy_fn, eager_fn, args in cases:
+                calls[0] = 0
+                lazy = _outcome(lazy_fn, eq, SupportGeometry(eq.support), *args)
+                lazy_calls += calls[0]
+                calls[0] = 0
+                eager = _outcome(eager_fn, eq, SupportGeometry(eq.support), *args)
+                eager_calls += calls[0]
+                compared += 1
+                # a certificate that raises after the gcd reached 1 is never drawn
+                rescued = isinstance(eager, type) and not isinstance(lazy, type) and \
+                    (lazy[0] if isinstance(lazy, tuple) else lazy).is_one()
+                if lazy != eager and not rescued:
+                    mismatches.append((r, seed, args, lazy, eager))
+    print("%d equations, %d bounds compared: %d certificate bounds, %d skipped of %d"
+          % (equations, compared, lazy_calls, eager_calls - lazy_calls, eager_calls))
+    assert equations >= 200
+    assert not mismatches, mismatches[:3]
+    assert lazy_calls < eager_calls

@@ -383,6 +383,6 @@ def test_face_enumeration_matches_lp_reference():
 
 
 def test_all_useful_pairs_contains_both_orientations():
-    certs = SupportGeometry(SYS1_S).useful_pairs(L((1, -1)))
+    certs = list(SupportGeometry(SYS1_S).useful_pairs(L((1, -1))))
     pairs = {(c.p, c.p_prime) for c in certs}
     assert ((0, 0), (1, 1)) in pairs and ((1, 1), (0, 0)) in pairs

@@ -75,6 +75,22 @@ def test_pair_empty_cases():
     assert shift_equiv(P("k+n+1"), P("2*k+3*n+1")).is_empty
 
 
+def test_pair_with_different_top_forms_needs_no_invariance_lattice():
+    # the total degree, or the top-degree form after normalization, differs
+    pairs = [("k+n+1", "n*k+1"), ("k+n+1", "2*k+3*n+1"), ("n^2+k+7", "n*k+n+7"),
+             ("-n^2-k", "n^2+n*k+k"), ("3*n+3*k+1", "2*n+2*k+5")]
+    for p, q in pairs:
+        before = invariance_lattice.cache_info()
+        assert shift_equiv(P(p), P(q)).is_empty
+        after = invariance_lattice.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses), (p, q)
+    # equal top forms still reach the lattice, once for q
+    before = invariance_lattice.cache_info()
+    assert not shift_equiv(P("n^2+k+5"), P("n^2+k+2*n")).is_empty
+    after = invariance_lattice.cache_info()
+    assert after.hits + after.misses == before.hits + before.misses + 1
+
+
 def test_pair_with_itself():
     p = P("k+n+1")
     c = shift_equiv(p, p)
