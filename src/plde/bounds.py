@@ -29,6 +29,7 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 from .equation import PLDE
 from .factored import FactoredPoly
@@ -36,8 +37,7 @@ from .geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, Suppo
                        WeakCertificate, WitnessCertificate)
 from .lattice import IntLattice, primitive_vector, saturation
 from .polyring import (MODULUS, InvariantError, Poly, UnsupportedInputError, add_terms,
-                       divide_int_terms, format_poly, int_terms, mod_image, mod_zero, mul_terms,
-                       poly_from_int, shift_terms)
+                       divide_int_terms, format_poly, mod_image, mod_zero, mul_terms, shift_terms)
 from .spread import INFINITY, NEG_INFINITY, disp_k, invariance_lattice
 from .transform import witness_levels
 
@@ -57,13 +57,26 @@ class StripPreconditionError(ValueError):
     """The strip rewriting needs a unique support point of minimal level."""
 
 
-@dataclass(frozen=True)
 class StripResult:
-    Rminus: tuple
-    Rplus: tuple
-    D_actual: FactoredPoly
-    terms: dict          # point -> numerator over the common denominator
-    b: Poly
+    """The points substituted (Rminus) and left (Rplus), and the common denominator D_actual.
+
+    ``terms`` (point -> numerator over D_actual) and the right-hand side
+    ``b`` over D_actual are expanded the first time they are read; the
+    bound reads only D_actual.
+    """
+
+    def __init__(self, Rminus: tuple, Rplus: tuple, D_actual: FactoredPoly, numerator, live: dict,
+                 b):
+        self.Rminus, self.Rplus, self.D_actual = Rminus, Rplus, D_actual
+        self._numerator, self._live, self._b = numerator, live, b
+
+    @cached_property
+    def terms(self) -> dict:
+        return {i: self._numerator(fr) for i, fr in self._live.items()}
+
+    @cached_property
+    def b(self) -> Poly:
+        return self._numerator(self._b)
 
 
 @dataclass(frozen=True)
@@ -117,14 +130,14 @@ class BoundReport:
 class _Frac:
     """content * F * num / den, reduced; F and den are Counters of prim keys.
 
-    ``num`` is a primitive int term map (`polyring.int_terms`) and
-    ``content`` a Fraction, so the strip rewriting runs on ints.  ``F`` is
-    the factored part of the numerator, never expanded while the fraction
-    lives: a substitution puts the shifted coefficient a_q(n+d) there, whose
-    factors come back later as the denominator a_p(n+d), and `add` keeps the
-    gcd of the two factored parts.  The reduction cancels F against den by
-    the smaller multiplicity (Henrici's rule), then trial-divides num by
-    each prim of den, once per unit of multiplicity.  By Gauss's lemma a
+    ``num`` is an int term map with coprime coefficients and ``content`` a
+    Fraction, so the strip rewriting runs on ints.  ``F`` is the factored
+    part of the numerator, never expanded while the fraction lives: a
+    substitution puts the shifted coefficient a_q(n+d) there, whose factors
+    come back later as the denominator a_p(n+d), and `add` keeps the gcd of
+    the two factored parts.  The reduction cancels F against den by the
+    smaller multiplicity (Henrici's rule), then trial-divides num by each
+    prim of den, once per unit of multiplicity.  By Gauss's lemma a
     quotient by a primitive prim is over Z, so the division
     (`polyring.divide_int_terms`) needs exact int division only.  It is
     skipped when a test modulo the prime P = 2^61 - 1 proves it would fail:
@@ -299,12 +312,12 @@ def strip_rewrite(eq: PLDE, p, s, u) -> StripResult:
                                         "than %d points" % (s, MAX_STRIP_POINTS))
     a_p = eq.terms[p]
     prims = {}
-    factors = {q: [(int_terms(f)[1], m) for f, m in a_q.factors] for q, a_q in eq.terms.items()}
+    factors = {q: [(f.terms, m) for f, m in a_q.factors] for q, a_q in eq.terms.items()}
     base = _factors(factors[p], prims, zero)
     others = {q: a_q.unit for q, a_q in eq.terms.items() if q != p}
     terms = {q: _Frac(-unit / a_p.unit, _factors(factors[q], prims, zero), {zero: 1}, base, prims)
              for q, unit in others.items()}
-    rhs_content, rhs = int_terms(eq.rhs)
+    rhs_content, rhs = eq.rhs.content, eq.rhs.terms
     b = _Frac(rhs_content / a_p.unit, Counter(), rhs, base, prims)
     substituted = []
     pool = base  # the product of the shifted corner coefficients
@@ -338,7 +351,7 @@ def strip_rewrite(eq: PLDE, p, s, u) -> StripResult:
     D = b.den
     for fr in live.values():
         D = D | fr.den
-    poly = {key: poly_from_int(eq.variables, Fraction(1), prims[key][1]) for key in D}
+    poly = {key: Poly.from_ints(eq.variables, prims[key][1]) for key in D}
     D_actual = FactoredPoly._from_canonical(eq.variables, Fraction(1),
                                             [(poly[key], m) for key, m in D.items()])
     D_pool = FactoredPoly._from_canonical(eq.variables, Fraction(1),  # D | pool iff D | D_pool
@@ -346,11 +359,10 @@ def strip_rewrite(eq: PLDE, p, s, u) -> StripResult:
     if not D_actual.divides(D_pool):
         raise InvariantError("common denominator escaped the substitution cascade")
 
-    def to_poly(fr):  # the numerator of fr over the common denominator D
-        return poly_from_int(eq.variables, fr.content, _expand(fr.F + D - fr.den, prims, fr.num))
+    def numerator(fr):  # the numerator of fr over the common denominator D
+        return Poly.from_ints(eq.variables, _expand(fr.F + D - fr.den, prims, fr.num), fr.content)
 
-    out_terms = {i: to_poly(fr) for i, fr in live.items()}
-    return StripResult(rminus, tuple(sorted(live)), D_actual, out_terms, to_poly(b))
+    return StripResult(rminus, tuple(sorted(live)), D_actual, numerator, live, b)
 
 
 # ----------------------------------------------------------------------

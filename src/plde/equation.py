@@ -173,27 +173,22 @@ def _univariate_linear_split(p: Poly, var_index: int):
     Returns a factor list when p factors completely into linear pieces,
     which is the only split the convenience path promises.
     """
-    coeffs = {}
-    for e, c in p.terms.items():
-        coeffs[e[var_index]] = c
-    degree = max(coeffs)
     factors = []
     current = p
     vars = p.vars
     x = Poly.variable(vars, vars[var_index])
-    for _ in range(degree):
-        cur_coeffs = {e[var_index]: c for e, c in current.terms.items()}
-        d = max(cur_coeffs)
+    for _ in range(p.degree_in(var_index)):
+        # the rational roots of current are those of its primitive integer part
+        coeffs = {e[var_index]: c for e, c in current.terms.items()}
+        d = max(coeffs)
         if d == 0:
             break
-        lead = cur_coeffs[d]
-        const = cur_coeffs.get(0, Fraction(0))
+        const = coeffs.get(0, 0)
         if const == 0:
             root = Fraction(0)
         else:
-            dens = _divisors(lead.numerator * const.denominator)
-            cands = (Fraction(sign * num, den)
-                     for num in _divisors(const.numerator * lead.denominator)
+            dens = _divisors(coeffs[d])
+            cands = (Fraction(sign * num, den) for num in _divisors(const)
                      for den in dens for sign in (1, -1))
             root = next((c for c in cands if current.eval_at(
                 [c if i == var_index else 0 for i in range(len(vars))]) == 0), None)

@@ -9,10 +9,9 @@ degree-1 factors are and as the caller declares the others to be.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
 
 from .lattice import is_sublattice
-from .polyring import Poly, _grlex, format_poly, normalize_primitive, parse_terms
+from .polyring import Poly, format_poly, normalize_primitive, parse_poly
 from .spread import invariance_lattice
 
 
@@ -22,6 +21,7 @@ class FactoredPoly:
     __slots__ = ("vars", "unit", "factors")
 
     def __init__(self, vars, unit=1, factors=()):
+        """The canonical form of unit * prod(p ^ mult): each content moves into the unit."""
         self.vars = tuple(vars)
         unit = Fraction(unit)
         if unit == 0:
@@ -198,29 +198,7 @@ class FactoredPoly:
 
     @classmethod
     def from_json(cls, data, vars) -> "FactoredPoly":
-        """The factored polynomial of a JSON object {"unit": ..., "factors": [[text, mult], ...]}.
-
-        Each factor text is parsed to an int term map and made canonical on
-        ints: its content, the gcd of its coefficients signed like its
-        leading coefficient in graded lex order, goes into the unit.
-        """
-        vars = tuple(vars)
+        """The factored polynomial of a JSON object {"unit": ..., "factors": [[text, mult], ...]}."""
         unit = Fraction(data.get("unit", "1"))
-        parsed = [(parse_terms(text, vars), int(mult)) for text, mult in data.get("factors", [])]
-        if unit == 0:
-            raise ValueError("unit must be nonzero")
-        factors = []
-        for terms, mult in parsed:
-            if mult < 1:
-                raise ValueError("multiplicity must be positive")
-            if not terms:
-                raise ValueError("zero factor")
-            content = gcd(*terms.values())
-            if terms[max(terms, key=_grlex)] < 0:
-                content = -content
-            if content != 1:
-                unit *= content ** mult
-                terms = {e: c // content for e, c in terms.items()}
-            if len(terms) > 1 or any(next(iter(terms))):
-                factors.append((Poly._make(vars, {e: Fraction(c) for e, c in terms.items()}), mult))
-        return cls._from_canonical(vars, unit, factors)
+        return cls(vars, unit, [(parse_poly(text, vars), int(mult))
+                                for text, mult in data.get("factors", [])])

@@ -356,14 +356,6 @@ class _Faces:
         return pairs
 
 
-def corner_points(points) -> set:
-    """Vertices of the convex hull, read off its facets (`_Faces`)."""
-    pts = sorted({tuple(int(x) for x in p) for p in points})
-    if not pts:
-        raise ValueError("empty support")
-    return set(_Faces(pts).corners)
-
-
 # ----------------------------------------------------------------------
 # certificates
 

@@ -1,22 +1,27 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-Every operation is exact; there is no floating point anywhere.  A
-polynomial is an immutable map from exponent vectors to nonzero
-coefficients (a term map), together with an ordered tuple of variable
-names.  `Poly` is the polynomial over QQ, with `fractions.Fraction`
-coefficients.  Its products, powers, sums and shifts run on the term-map
-kernels `mul_terms`, `pow_terms`, `add_terms` and `shift_terms`, which take
-any exact coefficients.  The strip rewriting of `bounds` calls them on ints: it holds
-each numerator as a rational content times a term map over Z (`int_terms`),
-and divides by primitive integer polynomials with `divide_int_terms`, which
-by Gauss's lemma needs exact int division only.  The solution check of
-`verify` multiplies large int term maps with `mul_packed`, on keys that
-`pack_terms` makes from the exponent vectors: one int with a fixed-width
-field per variable.  `mul_terms` stays on tuples, which shifts and images
-modulo a prime read.  Polynomial text has only unsigned integer literals,
-so the parser works on int term maps throughout (`parse_terms`);
-`parse_poly` converts its result to a `Poly` once, at the end.  Leading
-terms and printing use graded lexicographic order on the exponent vectors.
+Every operation is exact; there is no floating point anywhere.  A term
+map is an immutable map from exponent vectors to nonzero coefficients.
+`Poly`, the polynomial over QQ in an ordered tuple of variable names, is
+a rational content times a term map over Z: ``p.content`` is a Fraction
+and ``p.terms`` an int term map whose coefficients have gcd 1 and whose
+leading coefficient in graded lexicographic order is positive.  The pair
+is canonical, so equality and hashing read it directly; the zero
+polynomial has content 0 and no terms (Geddes, Czapor & Labahn,
+*Algorithms for Computer Algebra*, 1992, ch. 2).  By Gauss's lemma a
+product, a power or an integer shift of such term maps is again primitive
+with a positive leading coefficient, so `mul_terms`, `pow_terms` and
+`shift_terms` run on the ints alone; a sum takes one gcd, and negation or
+a scalar factor touch only the content.  The strip rewriting of `bounds`
+calls the same kernels on ints and divides by primitive integer
+polynomials with `divide_int_terms`, which by Gauss's lemma needs exact
+int division only.  The solution check of `verify` multiplies large int
+term maps with `mul_packed`, on keys that `pack_terms` makes from the
+exponent vectors: one int with a fixed-width field per variable.
+`mul_terms` stays on tuples, which shifts and images modulo a prime read.
+Polynomial text has only unsigned integer literals, so the parser works
+on int term maps throughout (`parse_terms`).  Leading terms and printing
+use graded lexicographic order on the exponent vectors.
 """
 
 from __future__ import annotations
@@ -48,17 +53,35 @@ def _grlex(expvec):
     return (sum(expvec), expvec)
 
 
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
+
+
+def _canonical(content: Fraction, terms: dict):
+    """(content * g, terms / g) for the gcd g of the int term map, signed like its leading term."""
+    if not terms:
+        return _ZERO, terms
+    g = _int_gcd(*terms.values())
+    if terms[max(terms, key=_grlex)] < 0:
+        g = -g
+    if g == 1:
+        return content, terms
+    return content * g, {e: c // g for e, c in terms.items()}
+
+
 class Poly:
-    """Sparse polynomial in QQ[vars].
+    """Sparse polynomial in QQ[vars]: the Fraction ``content`` times the int map ``terms``.
 
     ``terms`` maps exponent tuples (one entry per variable, non-negative)
-    to nonzero Fraction coefficients.  The zero polynomial has an empty
-    term map.  Instances are treated as immutable and are hashable.
+    to nonzero int coefficients with gcd 1, the leading one in graded lex
+    order positive.  The zero polynomial has content 0 and an empty term
+    map.  Instances are treated as immutable and are hashable.
     """
 
-    __slots__ = ("vars", "terms", "_hash", "_key")
+    __slots__ = ("vars", "content", "terms", "_hash", "_key")
 
     def __init__(self, vars, terms=None):
+        """The polynomial with the given map of exponent vectors to rational coefficients."""
         self.vars = tuple(vars)
         self._hash = self._key = None
         clean = {}
@@ -73,27 +96,37 @@ class Poly:
                 c = Fraction(c)
                 if c:
                     clean[e] = c
-        self.terms = clean
+        den = _int_lcm(*(c.denominator for c in clean.values()))
+        self.content, self.terms = _canonical(
+            Fraction(1, den), {e: c.numerator * (den // c.denominator) for e, c in clean.items()})
 
     @classmethod
-    def _make(cls, vars: tuple, terms: dict) -> "Poly":
-        """Trusted constructor: tuple exponents, Fraction coefficients, none of them zero."""
+    def _make(cls, vars: tuple, content: Fraction, terms: dict) -> "Poly":
+        """Trusted constructor: the canonical pair (content, terms) of the class docstring."""
         p = object.__new__(cls)
         p.vars = vars
+        p.content = content
         p.terms = terms
         p._hash = p._key = None
         return p
+
+    @classmethod
+    def from_ints(cls, vars: tuple, terms: dict, content: Fraction = _ONE) -> "Poly":
+        """The polynomial content * terms for any int term map without zero coefficients."""
+        return cls._make(vars, *_canonical(content, terms))
 
     # ------------------------------------------------------------------
     # constructors
 
     @classmethod
     def zero(cls, vars) -> "Poly":
-        return cls(vars)
+        return cls._make(tuple(vars), _ZERO, {})
 
     @classmethod
     def const(cls, vars, c) -> "Poly":
-        return cls(vars, {(0,) * len(tuple(vars)): Fraction(c)})
+        vars = tuple(vars)
+        c = Fraction(c)
+        return cls._make(vars, c, {(0,) * len(vars): 1} if c else {})
 
     @classmethod
     def one(cls, vars) -> "Poly":
@@ -105,13 +138,14 @@ class Poly:
         i = vars.index(name)
         e = [0] * len(vars)
         e[i] = 1
-        return cls(vars, {tuple(e): Fraction(1)})
+        return cls._make(vars, _ONE, {tuple(e): 1})
 
     @classmethod
     def linear_forms(cls, vars, rows) -> list:
         """The images sum_j row[j] * vars[j] of the substitution n -> rows . n."""
+        vars = tuple(vars)
         units = [tuple(int(i == j) for i in range(len(vars))) for j in range(len(vars))]
-        return [cls(vars, {e: c for e, c in zip(units, row) if c}) for row in rows]
+        return [cls.from_ints(vars, {e: c for e, c in zip(units, row) if c}) for row in rows]
 
     # ------------------------------------------------------------------
     # structure queries
@@ -125,7 +159,7 @@ class Poly:
     def constant_value(self) -> Fraction:
         if not self.is_constant():
             raise ValueError("not a constant polynomial")
-        return self.terms.get((0,) * len(self.vars), Fraction(0))
+        return self.content * self.terms.get((0,) * len(self.vars), 0)
 
     def total_degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
@@ -144,7 +178,7 @@ class Poly:
         return max(self.terms, key=_grlex)
 
     def leading_coefficient(self) -> Fraction:
-        return self.terms[self.leading_exponent()]
+        return self.content * self.terms[self.leading_exponent()]
 
     # ------------------------------------------------------------------
     # ring operations
@@ -157,7 +191,21 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_ring(other)
-        return Poly._make(self.vars, add_terms(self.terms, other.terms))
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        c1, c2 = self.content, other.content
+        if c1 == c2:
+            return Poly.from_ints(self.vars, add_terms(self.terms, other.terms), c1)
+        # c1 = k1 * g and c2 = k2 * g with integers k1, k2
+        g = _int_gcd(c1.numerator, c2.numerator)
+        den = _int_lcm(c1.denominator, c2.denominator)
+        k1 = c1.numerator // g * (den // c1.denominator)
+        k2 = c2.numerator // g * (den // c2.denominator)
+        return Poly.from_ints(self.vars, add_terms({e: k1 * c for e, c in self.terms.items()},
+                                                   {e: k2 * c for e, c in other.terms.items()}),
+                              Fraction(g, den))
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -165,18 +213,21 @@ class Poly:
         return self + (-other)
 
     def __neg__(self):
-        return Poly._make(self.vars, {e: -c for e, c in self.terms.items()})
+        return Poly._make(self.vars, -self.content, self.terms)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = Fraction(other)
             if not f:
-                return Poly._make(self.vars, {})
-            return Poly._make(self.vars, {e: c * f for e, c in self.terms.items()})
+                return Poly.zero(self.vars)
+            return Poly._make(self.vars, self.content * f, self.terms)
         if not isinstance(other, Poly):
             return NotImplemented
         self._check_same_ring(other)
-        return Poly._make(self.vars, mul_terms(self.terms, other.terms))
+        if not self.terms or not other.terms:
+            return Poly.zero(self.vars)
+        return Poly._make(self.vars, self.content * other.content,
+                          mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -184,15 +235,18 @@ class Poly:
         n = int(n)
         if n < 0:
             raise ValueError("negative exponent")
-        return Poly._make(self.vars, pow_terms(self.terms, n)) if n else Poly.one(self.vars)
+        if not n:
+            return Poly.one(self.vars)
+        return Poly._make(self.vars, self.content ** n, pow_terms(self.terms, n))
 
     def __eq__(self, other):
-        return isinstance(other, Poly) and self.vars == other.vars and self.terms == other.terms
+        return (isinstance(other, Poly) and self.vars == other.vars
+                and self.content == other.content and self.terms == other.terms)
 
     def __hash__(self):
         h = self._hash
         if h is None:
-            h = self._hash = hash((self.vars, frozenset(self.terms.items())))
+            h = self._hash = hash((self.vars, self.content, frozenset(self.terms.items())))
         return h
 
     # ------------------------------------------------------------------
@@ -203,20 +257,20 @@ class Poly:
         s = tuple(int(x) for x in s)
         if len(s) != len(self.vars):
             raise ValueError("shift vector length %d, expected %d" % (len(s), len(self.vars)))
-        return Poly._make(self.vars, shift_terms(self.terms, s)) if any(s) else self
+        return Poly._make(self.vars, self.content, shift_terms(self.terms, s)) if any(s) else self
 
     def eval_at(self, point) -> Fraction:
         point = [Fraction(x) for x in point]
         if len(point) != len(self.vars):
             raise ValueError("point length %d, expected %d" % (len(point), len(self.vars)))
-        total = Fraction(0)
+        total = _ZERO
         for e, c in self.terms.items():
             w = c
             for x, d in zip(point, e):
                 if d:
                     w *= x ** d
             total += w
-        return total
+        return self.content * total
 
     def compose(self, exprs, target_vars=None) -> "Poly":
         """Substitute each variable by a polynomial in the target ring."""
@@ -239,20 +293,16 @@ class Poly:
                 if d:
                     t = t * powers[i][d]
             result = result + t
-        return result
+        return result * self.content
 
     # ------------------------------------------------------------------
     # printing
 
     def sort_key(self):
-        """Deterministic comparison key: degree first, then the term list.
-
-        Integer coefficients enter as ints, which compare faster than Fractions.
-        """
+        """Deterministic comparison key: degree first, then the term list, then the content."""
         k = self._key
         if k is None:
-            k = self._key = (self.total_degree(), tuple(sorted(
-                (e, c.numerator if c.denominator == 1 else c) for e, c in self.terms.items())))
+            k = self._key = (self.total_degree(), tuple(sorted(self.terms.items())), self.content)
         return k
 
     def __str__(self):
@@ -265,16 +315,15 @@ class Poly:
 def divide_exact(p: Poly, q: Poly):
     """Quotient of p by q when the division is exact, else None.
 
-    Divides the primitive integer parts with divide_int_terms and scales
-    the quotient by the ratio of the contents.
+    Divides the primitive integer parts with divide_int_terms; by Gauss's
+    lemma the quotient is primitive with a positive leading coefficient,
+    and its content is the ratio of the contents.
     """
     if q.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     p._check_same_ring(q)
-    cp, tp = int_terms(p)
-    cq, tq = int_terms(q)
-    quotient = divide_int_terms(tp, tq)
-    return None if quotient is None else poly_from_int(p.vars, cp / cq, quotient)
+    quotient = divide_int_terms(p.terms, q.terms)
+    return None if quotient is None else Poly._make(p.vars, p.content / q.content, quotient)
 
 
 # ----------------------------------------------------------------------
@@ -398,19 +447,6 @@ def divide_int_terms(p: dict, q: dict):
     return quotient
 
 
-def int_terms(p: Poly):
-    """(content, terms): p = content * terms, terms a primitive term map over Z."""
-    den = _int_lcm(*(c.denominator for c in p.terms.values()))
-    ints = {e: c.numerator * (den // c.denominator) for e, c in p.terms.items()}
-    g = _int_gcd(*ints.values()) or 1
-    return Fraction(g, den), {e: c // g for e, c in ints.items()}
-
-
-def poly_from_int(vars: tuple, content: Fraction, terms: dict) -> Poly:
-    """The Poly content * terms over vars, for an int term map."""
-    return Poly._make(vars, {e: content * c for e, c in terms.items()})
-
-
 # ----------------------------------------------------------------------
 # images modulo a word-size prime
 
@@ -457,22 +493,15 @@ def normalize_primitive(p: Poly):
     """Split p as unit * prim with prim integer-primitive and positive leading coefficient."""
     if p.is_zero():
         raise ValueError("cannot normalize the zero polynomial")
-    unit = int_terms(p)[0]
-    if p.leading_coefficient() < 0:
-        unit = -unit
-    return unit, p if unit == 1 else p * (1 / unit)
+    return p.content, p if p.content == 1 else Poly._make(p.vars, _ONE, p.terms)
 
 
 def _content_and_primitive(p: Poly, x: int):
     """Content (gcd of coefficients wrt variable x) and primitive part."""
     coeffs = {}
     for e, c in p.terms.items():
-        f = list(e)
-        d = f[x]
-        f[x] = 0
-        key = d
-        coeffs.setdefault(key, {})[tuple(f)] = c
-    polys = [Poly(p.vars, t) for t in coeffs.values()]
+        coeffs.setdefault(e[x], {})[e[:x] + (0,) + e[x + 1:]] = c
+    polys = [Poly.from_ints(p.vars, t, p.content) for t in coeffs.values()]
     cont = Poly.zero(p.vars)
     for q in polys:
         cont = gcd_poly(cont, q)
@@ -495,19 +524,14 @@ def _pseudo_rem(a: Poly, b: Poly, x: int) -> Poly:
         lc_r = _coeff_in(r, x, dr)
         mono = [0] * len(a.vars)
         mono[x] = dr - db
-        shift_term = Poly(a.vars, {tuple(mono): Fraction(1)})
+        shift_term = Poly._make(a.vars, _ONE, {tuple(mono): 1})
         r = r * lc_b - b * (lc_r * shift_term)
     return r
 
 
 def _coeff_in(p: Poly, x: int, d: int) -> Poly:
-    terms = {}
-    for e, c in p.terms.items():
-        if e[x] == d:
-            f = list(e)
-            f[x] = 0
-            terms[tuple(f)] = c
-    return Poly(p.vars, terms)
+    return Poly.from_ints(p.vars, {e[:x] + (0,) + e[x + 1:]: c for e, c in p.terms.items()
+                                   if e[x] == d}, p.content)
 
 
 def gcd_poly(p: Poly, q: Poly) -> Poly:
@@ -799,7 +823,7 @@ def parse_poly(text: str, vars) -> Poly:
     >>> str(parse_poly("(n+1)*(n-1)", ("n", "k")))
     'n^2-1'
     """
-    return Poly._make(tuple(vars), {e: Fraction(c) for e, c in parse_terms(text, vars).items()})
+    return Poly.from_ints(tuple(vars), parse_terms(text, vars))
 
 
 def _format_coeff(c: Fraction) -> str:
@@ -822,7 +846,7 @@ def format_poly(p: Poly) -> str:
         return "0"
     pieces = []
     for e in sorted(p.terms, key=_grlex, reverse=True):
-        c = p.terms[e]
+        c = p.content * p.terms[e]
         mono = "*".join(
             v if d == 1 else "%s^%d" % (v, d)
             for v, d in zip(p.vars, e) if d

@@ -24,10 +24,9 @@ import itertools
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .lattice import (IntLattice, ShiftCoset, clear_denominators, complement_within,
-                      integer_kernel, solve_integer)
+from .lattice import IntLattice, ShiftCoset, complement_within, integer_kernel, solve_integer
 from .polyring import (MAX_BOX_POINTS, InvariantError, Poly, UnsupportedInputError, add_terms,
-                       gcd_poly, int_terms, normalize_primitive, shift_terms)
+                       gcd_poly, normalize_primitive, shift_terms)
 
 if TYPE_CHECKING:
     from .factored import FactoredPoly
@@ -60,8 +59,7 @@ def invariance_lattice(p: Poly) -> IntLattice:
         raise ValueError("spread of a constant polynomial is not defined here")
     r = len(p.vars)
     partials = [_derivative(p.terms, u) for u in IntLattice.full(r).basis]
-    K = integer_kernel([clear_denominators([dp.get(e, 0) for dp in partials])
-                        for e in set().union(*partials)], r)
+    K = integer_kernel([[dp.get(e, 0) for dp in partials] for e in set().union(*partials)], r)
     if any(p.shift(g) != p for g in K.basis):
         raise InvariantError("a kernel vector of the partials does not fix the polynomial")
     return K
@@ -93,13 +91,11 @@ def shift_equiv(p: Poly, q: Poly) -> ShiftCoset:
     if p.vars != q.vars:
         raise ValueError("mismatched variable lists")
     r = len(p.vars)
-    q = normalize_primitive(q)[1]
-    # primitive with a positive leading coefficient, so their contents are 1
-    pt = int_terms(normalize_primitive(p)[1])[1]
-    qt = int_terms(q)[1]
+    # the primitive parts with positive leading coefficients: a shift keeps the content
+    pt, qt = p.terms, q.terms
     if _top_form(pt) != _top_form(qt):
         return ShiftCoset.empty(r)  # a shift keeps the total degree and the top-degree form
-    G = invariance_lattice(q)
+    G = invariance_lattice(normalize_primitive(q)[1])
     s0 = (0,) * r
     dirs = complement_within(IntLattice.full(r), G).basis
     while dirs:

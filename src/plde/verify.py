@@ -18,7 +18,7 @@ point,
 starting from T = 0 and C = 1: after point i, C is the product of the
 first i denominators and T is the sum over those points of A_j N_j times
 the other denominators among them, so at the end T + (-f) * C is total.
-The products run on primitive integer term maps (``polyring.int_terms``):
+The products run on the primitive integer term maps of ``polyring.Poly``:
 an integer shift is an invertible map of Z[n] that keeps content, so all
 D_i share the content of D, and each point's rational scalar (content of
 A_i times content of N) becomes one integer k_i once all of them, and the
@@ -54,8 +54,8 @@ from .bounds import BoundReport
 from .equation import PLDE
 from .factored import FactoredPoly
 from .geometry import CLASS_OPPOSITE_ONLY, CLASS_USEFUL, SupportGeometry
-from .polyring import (Poly, RationalFunction, add_terms, divide_exact, int_terms, mul_packed,
-                       pack_terms, poly_from_int, shift_terms, unpack_terms)
+from .polyring import (Poly, RationalFunction, add_terms, divide_exact, mul_packed, pack_terms,
+                       shift_terms, unpack_terms)
 from .spread import invariance_lattice, shift_equiv
 
 
@@ -88,10 +88,10 @@ def _residual(eq: PLDE, y: RationalFunction):
     r = len(vars)
     support = eq.support
     m = len(support)
-    cn, num = int_terms(y.num)
-    cd, den = int_terms(y.den)
-    cf, rhs = int_terms(eq.rhs)
-    coeffs = [int_terms(eq.terms[s].expand()) for s in support]
+    cn, num = y.num.content, y.num.terms
+    cd, den = y.den.content, y.den.terms
+    cf, rhs = eq.rhs.content, eq.rhs.terms
+    coeffs = [(a.content, a.terms) for a in (eq.terms[s].expand() for s in support)]
     scalars = [ca * cn for ca, _ in coeffs] + [-cf * cd]
     scale = lcm(*(c.denominator for c in scalars))
     ks = [c.numerator * (scale // c.denominator) for c in scalars]
@@ -111,8 +111,8 @@ def _residual(eq: PLDE, y: RationalFunction):
     total = add_terms(total, mul_packed(rhs, common))
     if not total:
         return Poly.zero(vars), None
-    return (poly_from_int(vars, cd ** (m - 1) / scale, unpack_terms(total, width, r)),
-            poly_from_int(vars, cd ** m, unpack_terms(common, width, r)))
+    return (Poly.from_ints(vars, unpack_terms(total, width, r), cd ** (m - 1) / scale),
+            Poly.from_ints(vars, unpack_terms(common, width, r), cd ** m))
 
 
 def _degrees(terms: dict, r: int) -> list:

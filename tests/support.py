@@ -4,7 +4,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, prod
 
 from plde import bounds
 from plde.equation import PLDE
@@ -44,6 +44,29 @@ def random_poly(rng, vars=VARS2, max_degree=3, max_terms=5, coeff_range=6,
     if nonzero and p.is_zero():
         return Poly.const(vars, rng.randint(1, coeff_range))
     return p
+
+
+def coefficients(p: Poly) -> dict:
+    """The coefficient map of p: its content times each of its primitive integer terms."""
+    return {e: p.content * c for e, c in p.terms.items()}
+
+
+def is_canonical(p: Poly) -> bool:
+    """Whether p has the layout of Poly: a Fraction content, nonzero unless p is zero, times an
+    int term map with coprime coefficients whose leading one in graded lex order is positive.
+    """
+    if not p.terms:
+        return p.content == 0 and type(p.content) is Fraction
+    return (type(p.content) is Fraction and p.content != 0
+            and all(type(c) is int and c for c in p.terms.values())
+            and gcd(*p.terms.values()) == 1
+            and p.terms[max(p.terms, key=lambda e: (sum(e), e))] > 0)
+
+
+def int_terms(p: Poly):
+    """(c, t) with p = c * t, c > 0, t an int term map with coprime coefficients, signs as p's."""
+    sign = -1 if p.content < 0 else 1
+    return sign * p.content, {e: sign * c for e, c in p.terms.items()}
 
 
 def random_factor(rng, vars=VARS2, shifted=True):
@@ -230,7 +253,7 @@ def reference_aperiodic_bound(eq: PLDE, geometry):
 
 
 def _layer(p: Poly, d: int) -> Poly:
-    return Poly(p.vars, {e: c for e, c in p.terms.items() if sum(e) == d})
+    return Poly(p.vars, {e: c for e, c in coefficients(p).items() if sum(e) == d})
 
 
 def reference_shift_equiv(p: Poly, q: Poly) -> ShiftCoset:
@@ -253,10 +276,12 @@ def reference_shift_equiv(p: Poly, q: Poly) -> ShiftCoset:
         return ShiftCoset.empty(r)
     target = p * c
     partials = [Poly(q.vars, {e[:i] + (e[i] - 1,) + e[i + 1:]: a * e[i]
-                              for e, a in _layer(q, d).terms.items() if e[i]}) for i in range(r)]
-    rhs = _layer(target, d - 1) - _layer(q, d - 1)
-    monomials = sorted(set(rhs.terms) | set().union(*(pp.terms.keys() for pp in partials)))
-    rows = [clear_denominators([pp.terms.get(e, 0) for pp in partials] + [rhs.terms.get(e, 0)])
+                              for e, a in coefficients(_layer(q, d)).items() if e[i]})
+                for i in range(r)]
+    rhs = coefficients(_layer(target, d - 1) - _layer(q, d - 1))
+    partials = [coefficients(pp) for pp in partials]
+    monomials = sorted(set(rhs) | set().union(*partials))
+    rows = [clear_denominators([pp.get(e, 0) for pp in partials] + [rhs.get(e, 0)])
             for e in monomials]
     sol = solve_integer([row[:-1] for row in rows], [row[-1] for row in rows], r)
     if sol is None:
@@ -273,7 +298,7 @@ def reference_shift_equiv(p: Poly, q: Poly) -> ShiftCoset:
                      gens[j] + Poly.const(tvars, s0[j])) for j in range(r)]
         phi = q.compose(exprs, tvars) - target.compose(gens[:r], tvars)
         eqs = {}
-        for e, coeff in phi.terms.items():
+        for e, coeff in coefficients(phi).items():
             eqs.setdefault(e[:r], {})[e[r:]] = coeff
         linear = [e for e in eqs.values() if max(map(sum, e)) <= 1]
         if not linear:
@@ -327,15 +352,16 @@ def divide_over_q(p: Poly, q: Poly):
     """
     eq = q.leading_exponent()
     quotient = {}
-    rem = dict(p.terms)
+    rem = coefficients(p)
+    q = coefficients(q)
     while rem:
         ep = max(rem, key=lambda e: (sum(e), e))
         diff = tuple(a - b for a, b in zip(ep, eq))
         if any(d < 0 for d in diff):
             return None
-        c = rem[ep] / q.terms[eq]
+        c = rem[ep] / q[eq]
         quotient[diff] = c
-        for e2, c2 in q.terms.items():
+        for e2, c2 in q.items():
             e = tuple(a + b for a, b in zip(diff, e2))
             rem[e] = rem.get(e, Fraction(0)) - c * c2
             if not rem[e]:
@@ -517,7 +543,7 @@ class _ReferenceParser:
 
     @staticmethod
     def norm_bits(p):
-        return int(sum(abs(c) for c in p.terms.values())).bit_length()
+        return int(sum(abs(c) for c in coefficients(p).values())).bit_length()
 
     @staticmethod
     def limit_bits(bits, position):

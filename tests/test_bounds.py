@@ -20,13 +20,12 @@ from plde.factored import FactoredPoly
 from plde.geometry import CLASS_USEFUL, SupportGeometry
 from plde.lattice import IntLattice, saturation
 from plde.polyring import (MODULUS, InvariantError, Poly, RationalFunction, divide_exact,
-                           divide_int_terms, int_terms, mod_image, mod_zero, parse_poly,
-                           poly_from_int)
+                           divide_int_terms, mod_image, mod_zero, parse_poly)
 from plde.spread import NEG_INFINITY, invariance_lattice
 from plde.transform import transform_equation, witness_levels
 from plde.verify import check_solution
-from support import (VARS2, InstanceProfile, check_strip_identity, random_instance, random_poly,
-                     random_shift, random_unimodular, reduce_by_trial_division,
+from support import (VARS2, InstanceProfile, check_strip_identity, int_terms, random_instance,
+                     random_poly, random_shift, random_unimodular, reduce_by_trial_division,
                      reference_aperiodic_bound, reference_module_bound)
 
 N_CASES = 200
@@ -152,7 +151,7 @@ def test_frac_reduction_matches_trial_division(monkeypatch):
     undecided = 0
 
     def counter(fp):
-        return _factors([(int_terms(f)[1], m) for f, m in fp.factors], prims, (0, 0))
+        return _factors([(f.terms, m) for f, m in fp.factors], prims, (0, 0))
 
     for case in range(N_CASES):
         texts = rng.sample(pool, rng.randint(1, 3))
@@ -170,8 +169,8 @@ def test_frac_reduction_matches_trial_division(monkeypatch):
         failed.clear()
         content, terms = int_terms(num)
         got = _Frac(content * part.unit / den.unit, counter(part), terms, counter(den), prims)
-        got_num = poly_from_int(VARS2, got.content, _expand(got.F, prims, got.num))
-        got_den = FactoredPoly(VARS2, 1, [(poly_from_int(VARS2, 1, prims[key][1]), m)
+        got_num = Poly.from_ints(VARS2, _expand(got.F, prims, got.num), got.content)
+        got_den = FactoredPoly(VARS2, 1, [(Poly.from_ints(VARS2, prims[key][1]), m)
                                           for key, m in got.den.items()])
         assert (got_num, got_den) == reduce_by_trial_division(num * part.expand(), den), \
             (num, part, den)
@@ -179,7 +178,7 @@ def test_frac_reduction_matches_trial_division(monkeypatch):
             assert all(max(degrees) != 1 for degrees in zip(*terms)), (num, den, terms)
         undecided += bool(failed)
     assert undecided >= 20
-    assert all(mod_zero(int_terms(P(t))[1]) is None for t in ("n^2+n+1", "n^2+k^2+1"))
+    assert all(mod_zero(P(t).terms) is None for t in ("n^2+n+1", "n^2+k^2+1"))
     for _, terms, zero in prims.values():
         if zero is not None:
             i, z = zero

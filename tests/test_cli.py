@@ -145,6 +145,32 @@ def test_check_json_residual_text(capsys, eqdir):
                     "/(n^3+6*n^2*k+12*n*k^2+8*k^3+6*n^2+24*n*k+24*k^2+11*n+22*k+6)"}
 
 
+def test_check_residuals_with_rational_contents(capsys, eqdir):
+    # residual texts with fractional coefficients, pinned byte for byte from
+    # the layout that stored every coefficient as a Fraction
+    code, out, _ = run(capsys, "check", str(eqdir / "ex1.json"),
+                       "--solution", "(n+1)/(2*n+2)", "--json")
+    assert code == 0 and out == '{"ok": false, "residual": "5*n-10*k-5/2"}\n'
+    # y = (n+1)/(2k+4) reduces to a numerator of content 1/2 over k+2
+    code, out, _ = run(capsys, "check", str(eqdir / "sys1.json"), "--solution", "(n+1)/(2*k+4)")
+    assert code == 0 and out == (
+        "not a solution (residual (-3*n^3+6*n^2*k+6*n*k^2+21/2*n^2+36*n*k+9*k^2+99/2*n+42*k"
+        "+93/2)/(k^2+5*k+6))\n")
+
+
+def test_transform_output_text(capsys, eqdir):
+    # the coefficient contents and signs move into the units, pinned byte for byte
+    code, out, _ = run(capsys, "transform", str(eqdir / "ex1.json"), "--matrix", "2,1;1,1")
+    expected = {"rhs": "0", "variables": ["n", "k"], "terms": [
+        {"coefficient": {"factors": [["6*n-10*k-1", 1], ["k+1", 1]], "unit": "-1"},
+         "shift": [0, 0]},
+        {"coefficient": {"factors": [["12*n^2-38*n*k+34*k^2+12*n-11*k+6", 1]], "unit": "1"},
+         "shift": [1, 1]},
+        {"coefficient": {"factors": [["6*n^2-22*n*k+22*k^2-12*n+25*k+6", 1]], "unit": "-2"},
+         "shift": [2, 1]}]}
+    assert code == 0 and out == json.dumps(expected, indent=2, sort_keys=True) + "\n"
+
+
 def test_missing_file_exits_1(capsys):
     code, _, err = run(capsys, "bound", "/nonexistent/file.json")
     assert code == 1 and "no such file" in err

@@ -4,7 +4,7 @@ from fractions import Fraction
 from plde.factored import FactoredPoly
 from plde.lattice import IntLattice
 from plde.polyring import ParseError, Poly, UnsupportedInputError, divide_exact, parse_poly
-from support import VARS2, random_factor, random_poly_text, reference_parse_poly
+from support import VARS2, is_canonical, random_factor, random_poly_text, reference_parse_poly
 
 N_CASES = 200
 
@@ -98,7 +98,7 @@ def test_from_json_moves_signs_and_contents_into_the_unit():
     # -2n-4 = -2 (n+2); k^2-2nk leads with -2nk in graded lex, so = -1 (2nk-k^2)
     assert fp.unit == Fraction(3, 2) * -2 * 6 ** 2 * -1 * (-2) ** 2
     assert fp.factors == ((P("n+2"), 3), (P("2*n*k-k^2"), 1))
-    assert all(type(c) is Fraction for p, _ in fp.factors for c in p.terms.values())
+    assert all(is_canonical(p) and p.content == 1 for p, _ in fp.factors)
 
 
 def _reference_from_json(data):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from plde import geometry
 from plde.geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry,
-                           corner_points, lp_feasible)
+                           lp_feasible)
 from plde.lattice import IntLattice
 from support import (face_parallel_modules_all_pairs, fourier_motzkin, reference_corner_points,
                      reference_is_edge)
@@ -27,15 +27,15 @@ def L(*rows, dim=2):
 
 
 def test_corner_triangle():
-    assert corner_points([(0, 0), (0, 1), (1, 0)]) == {(0, 0), (0, 1), (1, 0)}
+    assert set(SupportGeometry([(0, 0), (0, 1), (1, 0)]).corners) == {(0, 0), (0, 1), (1, 0)}
 
 
 def test_corner_collinear_midpoint():
-    assert corner_points([(0, 0), (1, 0), (2, 0)]) == {(0, 0), (2, 0)}
+    assert set(SupportGeometry([(0, 0), (1, 0), (2, 0)]).corners) == {(0, 0), (2, 0)}
 
 
 def test_corner_quadrilateral():
-    assert corner_points(EX2_S) == set(EX2_S)
+    assert set(SupportGeometry(EX2_S).corners) == set(EX2_S)
 
 
 def test_non_corners_are_convex_combinations():
@@ -44,7 +44,7 @@ def test_non_corners_are_convex_combinations():
         pts = list({(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 6))})
         if len(pts) < 3:
             continue
-        corners = corner_points(pts)
+        corners = set(SupportGeometry(pts).corners)
         for p in pts:
             if p in corners:
                 continue
@@ -201,7 +201,7 @@ def test_witness_certificates_verify_on_random_supports():
         if len(pts) < 2:
             continue
         W = rng.choice(mods)
-        corners = sorted(corner_points(pts))
+        corners = sorted(SupportGeometry(pts).corners)
         p = rng.choice(corners)
         p2 = rng.choice([c for c in corners if c != p] or corners)
         if p2 == p:
@@ -335,7 +335,7 @@ def test_face_modules_match_the_all_pairs_search(monkeypatch):
         grid = list(itertools.product(range(side + 1), repeat=r))
         for _ in range(70):
             pts = rng.sample(grid, rng.randint(2, most))
-            corners = len(corner_points(pts))
+            corners = len(SupportGeometry(pts).corners)
             del lps[:]
             mods = SupportGeometry(pts).face_parallel_modules()
             assert not lps
