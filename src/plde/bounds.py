@@ -38,7 +38,7 @@ from .geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, Suppo
 from .lattice import IntLattice, primitive_vector, saturation
 from .polyring import (MODULUS, InvariantError, Poly, UnsupportedInputError, add_terms,
                        divide_int_terms, format_poly, mod_image, mod_zero, mul_terms, shift_terms)
-from .spread import INFINITY, NEG_INFINITY, disp_k, invariance_lattice
+from .spread import NEG_INFINITY, invariance_lattice, shift_orbit
 from .transform import witness_levels
 
 MAX_STRIP_POINTS = 1000  # support points a strip rewriting may reach
@@ -239,18 +239,22 @@ def _horner(image, z) -> int:
 # ----------------------------------------------------------------------
 
 
-def dispersion_bound(eq: PLDE, W: IntLattice, u):
+def dispersion_bound(eq: PLDE, W: IntLattice, u, orbits=None):
     """Maximal dispersion along u between the W-parts of the two extreme faces.
 
     The faces are the support points of minimal and maximal level u . s.
-    Each top-face W-part is shifted by sa - sb against a base-face point
-    sa, so the result is the maximum of |u . sigma| over the spread cosets
-    of all those factor pairs (`spread.disp_k`).  u must be a primitive
-    covector orthogonal to the saturated module W, and no two points of one
-    face may differ by an element of W, otherwise a ValueError or a
-    DegenerateFaceError is raised.
+    A W-part prim f at a base point sa and one g at a top point sb with
+    equal `spread.shift_orbit` keys disperse by u . sigma for sigma in
+    (offset_g + sb) - (offset_f + sa) + G, with G in W: then g(n + sa - sb
+    + sigma) ~ f.  The result is the maximum of |u . sigma| over those
+    pairs, NEG_INFINITY if none.  u must be a primitive covector
+    orthogonal to the saturated module W, and no two points of one face
+    may differ by an element of W, otherwise a ValueError or a
+    DegenerateFaceError is raised.  ``orbits`` maps prims to their orbits.
     """
     u = tuple(int(x) for x in u)
+    if len(u) != len(eq.variables):
+        raise ValueError("covector %r does not have %d entries" % (u, len(eq.variables)))
     if any(sum(a * b for a, b in zip(u, w)) for w in W.basis):
         raise ValueError("witness covector %r is not orthogonal to the module" % (u,))
     if primitive_vector(u) != u:
@@ -265,19 +269,23 @@ def dispersion_bound(eq: PLDE, W: IntLattice, u):
         for a, b in itertools.combinations(face, 2):
             if W.contains([x - y for x, y in zip(a, b)]):
                 raise DegenerateFaceError(a, b, name)
-    best = NEG_INFINITY
-    for sa in A:
-        a_part = eq.terms[sa].w_part(W)
-        if a_part.is_constant():
-            continue
-        for sb in B:
-            b_part = eq.terms[sb].w_part(W).shift(tuple(x - y for x, y in zip(sa, sb)))
-            if b_part.is_constant():
-                continue
-            best = max(best, disp_k(a_part, b_part, u))
-    if best == INFINITY:
-        raise InvariantError("periodic parts cannot disperse along the witness covector")
-    return best
+    orbits = {} if orbits is None else orbits
+
+    def parts(face):  # orbit key -> the levels u . (offset + s) of the face's W-part prims
+        by_key = {}
+        for s in face:
+            for g, _ in eq.terms[s].w_part(W).factors:
+                if g not in orbits:
+                    orbits[g] = shift_orbit(g)
+                key, offset, _ = orbits[g]
+                level = levels[s] + sum(a * b for a, b in zip(u, offset))
+                by_key.setdefault(key, []).append(level)
+        return by_key
+
+    base = parts(A)
+    top = parts(B) if base else {}
+    return max((abs(x - y) for key, ys in base.items() for y in ys for x in top.get(key, ())),
+               default=NEG_INFINITY)
 
 
 def strip_rewrite(eq: PLDE, p, s, u) -> StripResult:
@@ -368,9 +376,9 @@ def strip_rewrite(eq: PLDE, p, s, u) -> StripResult:
 # ----------------------------------------------------------------------
 
 
-def _bound_for_cert(eq: PLDE, W: IntLattice, cert: WitnessCertificate):
+def _bound_for_cert(eq: PLDE, W: IntLattice, cert: WitnessCertificate, orbits: dict):
     u = primitive_vector(cert.u)
-    s_val = dispersion_bound(eq, W, u)
+    s_val = dispersion_bound(eq, W, u, orbits)
     if s_val == NEG_INFINITY:
         # no periodic factor of W can occur at the corner coefficient at all
         return FactoredPoly.one(eq.variables), s_val
@@ -378,7 +386,7 @@ def _bound_for_cert(eq: PLDE, W: IntLattice, cert: WitnessCertificate):
     return strip.D_actual.shift(tuple(-x for x in cert.p)).w_part(W), s_val
 
 
-def _intersect(eq: PLDE, W: IntLattice, certs):
+def _intersect(eq: PLDE, W: IntLattice, certs, orbits: dict):
     """gcd of the bounds of the certificates certs for W, and the dispersion of the first.
 
     (None, None) when certs yields nothing.  No certificate is drawn once
@@ -388,7 +396,7 @@ def _intersect(eq: PLDE, W: IntLattice, certs):
     """
     d = s = None
     for cert in certs:
-        d_c, s_c = _bound_for_cert(eq, W, cert)
+        d_c, s_c = _bound_for_cert(eq, W, cert, orbits)
         if d is None:
             d, s = d_c, s_c
         else:
@@ -398,29 +406,24 @@ def _intersect(eq: PLDE, W: IntLattice, certs):
     return d, s
 
 
-def module_bound(eq: PLDE, geometry: SupportGeometry, W: IntLattice):
+def module_bound(eq: PLDE, geometry: SupportGeometry, W: IntLattice, orbits=None):
     """Denominator bound of eq with respect to the module W, and the dispersion s.
 
     ``geometry`` is the SupportGeometry of eq's support.  The bound is the
-    gcd over the witness certificates of the useful corner pairs (both
-    orientations included), which ``geometry.useful_pairs`` decides on
-    demand and `_intersect` stops drawing once the gcd is 1.  s is the
-    dispersion of the first pair, which is the certificate that
-    ``geometry.classify(W)`` returns, as both scan the corner pairs in the
-    same order.  A single-point support has no pair, only the synthetic
-    certificate of classify.
+    gcd over the witness certificates of ``geometry.useful_pairs(W)``,
+    which decides them on demand, and `_intersect` stops drawing once the
+    gcd is 1.  s is the dispersion of the first certificate, which is the
+    one that ``geometry.classify(W)`` returns.  ``orbits`` is the shift
+    orbit registry of `dispersion_bound`.
     """
     W = saturation(W)
-    d, s = _intersect(eq, W, geometry.useful_pairs(W))
+    d, s = _intersect(eq, W, geometry.useful_pairs(W), {} if orbits is None else orbits)
     if d is None:
-        cls = geometry.classify(W)
-        if cls.kind != CLASS_USEFUL:
-            raise ValueError("no useful pair exists for this module")
-        d, s = _bound_for_cert(eq, W, cls.certificate)
+        raise ValueError("no useful pair exists for this module")
     return d, s
 
 
-def _aperiodic_bound(eq: PLDE, geometry: SupportGeometry):
+def _aperiodic_bound(eq: PLDE, geometry: SupportGeometry, orbits: dict):
     """Bound on the aperiodic part: gcd over the corners, each by its first witness pair.
 
     A corner's witnesses are searched only while the gcd needs them.
@@ -435,7 +438,7 @@ def _aperiodic_bound(eq: PLDE, geometry: SupportGeometry):
     # the first witness of each corner in corner order, None for a corner without one
     firsts = (next(filter(None, (geometry.witness(p, p2, zero) for p2 in corners if p2 != p)),
                    None) for p in corners)
-    d, _ = _intersect(eq, zero, filter(None, firsts))
+    d, _ = _intersect(eq, zero, filter(None, firsts), orbits)
     return d if d is not None else FactoredPoly.one(eq.variables)
 
 
@@ -459,7 +462,8 @@ def combined_bound(eq: PLDE) -> BoundReport:
     per_module = {}
     zero = IntLattice.zero(r)
     geometry = SupportGeometry(support)
-    ap = _aperiodic_bound(eq, geometry)
+    orbits = {}  # prim -> shift_orbit(prim), for every dispersion of this call
+    ap = _aperiodic_bound(eq, geometry, orbits)
     per_module[zero] = ModuleEntry(CLASS_USEFUL, None, None, ap)
     d = ap.drop_unit()
     residual = []
@@ -471,7 +475,7 @@ def combined_bound(eq: PLDE) -> BoundReport:
             if Wu not in per_module:
                 cls = geometry.classify(Wu)
                 if cls.kind == CLASS_USEFUL:
-                    d_W, s_val = module_bound(eq, geometry, Wu)
+                    d_W, s_val = module_bound(eq, geometry, Wu, orbits)
                     per_module[Wu] = ModuleEntry(cls.kind, cls.certificate, s_val, d_W)
                     d = d.lcm(d_W)
                 else:

@@ -133,6 +133,27 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _values_kept(argv) -> list:
+    """argv in a form in which argparse reads values such as "-n" or "-1,1" as values.
+
+    An option that takes a value and its value become "--opt=value", and
+    any other token that starts with a single "-" moves behind "--".
+    """
+    out, positional = [], []
+    args = iter(argv)
+    for arg in args:
+        if arg == "--":
+            positional.extend(args)
+        elif arg in ("--vars", "--pair", "--box", "--module", "--matrix", "--solution"):
+            value = next(args, None)
+            out.append(arg if value is None else "%s=%s" % (arg, value))
+        elif arg.startswith("-") and not arg.startswith("--") and arg not in ("-", "-h"):
+            positional.append(arg)
+        else:
+            out.append(arg)
+    return out + ["--"] + positional if positional else out
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="plde",
                                      description="Denominator bounds for rational solutions "
@@ -172,7 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_values_kept(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except _InputError as exc:

@@ -564,18 +564,10 @@ class SupportGeometry:
 
     def classify(self, W: IntLattice) -> ModuleClass:
         """Classify W as useful, opposite-only, or uncovered for the support."""
-        setup = self._setup(W)
-        if len(self.points) == 1:
-            if setup.t == 0:
-                return ModuleClass(CLASS_UNCOVERED)
-            p = self.points[0]
-            cert = WitnessCertificate(p, p, tuple(setup.basis[0]), frozenset([p]),
-                                      frozenset([p]))
+        cert = next(self.useful_pairs(W), None)
+        if cert is not None:
             return ModuleClass(CLASS_USEFUL, cert)
-        for p, p2 in itertools.permutations(self.corners, 2):
-            cert = self._pair(setup, p, p2)
-            if cert is not None:
-                return ModuleClass(CLASS_USEFUL, cert)
+        setup = self._setup(W)
         for p in self.corners:
             weak = self._weak(setup, p)
             if weak is not None:
@@ -607,10 +599,14 @@ class SupportGeometry:
     def useful_pairs(self, W: IntLattice):
         """The witness certificates for W of the ordered corner pairs, as a generator.
 
-        The pairs come in the order of `classify`, each decided only when
-        the next certificate is asked for.
+        Each pair is decided only when the next certificate is asked for;
+        the first is the certificate of `classify`.  A single point p has no
+        pair, but gets (p, p) along a covector orthogonal to W, if any.
         """
         setup = self._setup(W)
+        if len(self.points) == 1 and setup.t:
+            p = self.points[0]
+            yield WitnessCertificate(p, p, tuple(setup.basis[0]), frozenset([p]), frozenset([p]))
         for p, p2 in itertools.permutations(self.corners, 2):
             cert = self._pair(setup, p, p2)
             if cert is not None:

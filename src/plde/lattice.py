@@ -1,5 +1,5 @@
-"""Integer lattices: canonical Hermite forms, saturation, complements,
-exact linear solving over the integers, and unimodular matrices.
+"""Integer lattices: canonical Hermite forms, saturation, orthogonal
+complements, reduction modulo a span, and unimodular matrices.
 
 All lattices are submodules of Z^r stored by a canonical row Hermite
 normal form basis, so structural equality is plain tuple equality.
@@ -7,10 +7,10 @@ normal form basis, so structural equality is plain tuple equality.
 One elimination does all the work: the row Hermite form of `_row_echelon`
 and `_hnf_rows`.  `_split` applies it to rows augmented by their images
 under a linear map, which separates the rows with zero image (a kernel)
-from a complement.  Integer kernels, integer solving, complements within a
-lattice and the inverse of a unimodular matrix are all read off such an
-augmented Hermite form (Cohen, *A Course in Computational Algebraic
-Number Theory*, 1993, ch. 2).
+from a complement.  Integer kernels, the reduction of a vector modulo a
+span with the combination that reaches it (`reduce_by_span`) and the
+inverse of a unimodular matrix are all read off such augmented forms
+(Cohen, *A Course in Computational Algebraic Number Theory*, 1993, ch. 2).
 """
 
 from __future__ import annotations
@@ -193,18 +193,26 @@ def saturation(L: IntLattice) -> IntLattice:
     return orthogonal_complement_lattice(orthogonal_complement_lattice(L))
 
 
-def solve_integer(matrix, rhs, ncols: int):
-    """Solve matrix . x = rhs over Z.
+def reduce_by_span(vectors, v):
+    """(t, K): v + sum t_i vectors[i] is the `IntLattice.reduce` form of v
+    modulo the span of the integer vectors, and the rows K span the lattice
+    of the t' with sum t'_i vectors[i] = 0.
 
-    Returns (particular solution tuple, kernel IntLattice) or None when no
-    integer solution exists.  The solutions (t, x) of [-rhs | matrix] . (t, x)
-    = 0 form a lattice whose Hermite basis starts with (1, x0) exactly when
-    x0 solves the system; its other rows are (0, g) for g in the kernel.
+    An echelon form of [vectors | I] holds an echelon basis of the span
+    with positive pivots; reducing v by it puts each pivot entry in [0,
+    pivot), which singles out one element of the coset for any such basis.
+    The right parts give t, and those of the rows with zero left part, K.
     """
-    K = integer_kernel([[-b] + list(row) for b, row in zip(rhs, matrix)], ncols + 1).basis
-    if not K or K[0][0] != 1:
-        return None
-    return K[0][1:], IntLattice(ncols, [row[1:] for row in K[1:]])
+    n, m = len(v), len(vectors)
+    mat = [list(a) + [int(i == j) for j in range(m)] for i, a in enumerate(vectors)]
+    rank = len(_row_echelon(mat, n))
+    t = [0] * m
+    for row in mat[:rank]:
+        col = next(j for j, x in enumerate(row) if x)
+        q = v[col] // row[col]
+        v = [a - q * b for a, b in zip(v, row)]
+        t = [a - q * b for a, b in zip(t, row[n:])]
+    return t, [row[n:] for row in mat[rank:]]
 
 
 class UnimodularMatrix:
@@ -285,23 +293,6 @@ class ShiftCoset:
         if self.lattice.is_zero():
             return "(%s)" % base
         return "(%s)+(%s)" % (base, self.lattice)
-
-
-def complement_within(K: IntLattice, G: IntLattice) -> IntLattice:
-    """A lattice K' with K = G (+) K', for G saturated within K.
-
-    The basis of K is split by its images under the covectors orthogonal to
-    G: the rows of zero image span K meet span_Q(G), which is G exactly when
-    G lies in K saturated, and the other rows span the complement.
-    """
-    if K == G:
-        return IntLattice.zero(K.dim)
-    comp = orthogonal_complement_lattice(G).basis
-    images = [[sum(a * b for a, b in zip(c, v)) for c in comp] for v in K.basis]
-    rest, inside = _split(K.basis, images)
-    if IntLattice(K.dim, inside) != G:
-        raise ValueError("inner lattice is not a saturated sublattice of the outer one")
-    return IntLattice(K.dim, rest)
 
 
 def parse_module(text: str, dim: int) -> IntLattice:

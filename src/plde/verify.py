@@ -56,7 +56,7 @@ from .factored import FactoredPoly
 from .geometry import CLASS_OPPOSITE_ONLY, CLASS_USEFUL, SupportGeometry
 from .polyring import (Poly, RationalFunction, add_terms, divide_exact, mul_packed, pack_terms,
                        shift_terms, unpack_terms)
-from .spread import invariance_lattice, shift_equiv
+from .spread import invariance_lattice, shift_orbit
 
 
 @dataclass(frozen=True)
@@ -127,7 +127,8 @@ def check_bound_covers(eq: PLDE, y: RationalFunction, den_factors: FactoredPoly,
     Each factor with multiplicity m must land in exactly one case:
     1. its spread module is useful and the factor divides the bound with
        full multiplicity; 2. the module is opposite-only and a shifted copy
-       of the factor occurs in P; 3. the module is uncovered.
+       of the factor occurs in P, that is, a prim of P has its shift orbit
+       key (`spread.shift_orbit`); 3. the module is uncovered.
     """
     if not check_solution(eq, y).ok:
         raise ValueError("the supplied rational function does not solve the equation")
@@ -145,7 +146,8 @@ def check_bound_covers(eq: PLDE, y: RationalFunction, den_factors: FactoredPoly,
             detail = "multiplicity %d of %d in d" % (report.d.multiplicity(prim), mult)
         elif cls.kind == CLASS_OPPOSITE_ONLY:
             case = 2
-            ok = any(not shift_equiv(p, prim).is_empty for p in report.P)
+            key = shift_orbit(prim)[0]  # a shifted copy has the invariance lattice W too
+            ok = any(shift_orbit(p)[0] == key for p in report.P if invariance_lattice(p) == W)
             detail = "shifted copy in P" if ok else "no shifted copy in P"
         else:
             case = 3

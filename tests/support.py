@@ -9,9 +9,10 @@ from math import comb, gcd, prod
 from plde import bounds
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
-from plde.geometry import CLASS_USEFUL, lp_feasible
-from plde.lattice import (IntLattice, ShiftCoset, UnimodularMatrix, clear_denominators,
-                          complement_within, primitive_vector, saturation, solve_integer)
+from plde.geometry import lp_feasible
+from plde.lattice import (IntLattice, ShiftCoset, UnimodularMatrix, _split, clear_denominators,
+                          integer_kernel, orthogonal_complement_lattice, primitive_vector,
+                          saturation)
 from plde.polyring import (MAX_COEFF_BITS, MAX_DEGREE, MAX_TERMS, InvariantError, ParseError,
                            Poly, RationalFunction, UnsupportedInputError, divide_exact,
                            normalize_primitive, parse_poly)
@@ -219,13 +220,11 @@ def reference_module_bound(eq: PLDE, geometry, W: IntLattice):
     W = saturation(W)
     certs = list(geometry.useful_pairs(W))
     if not certs:
-        cls = geometry.classify(W)
-        if cls.kind != CLASS_USEFUL:
-            raise ValueError("no useful pair exists for this module")
-        certs = [cls.certificate]
-    d, s = bounds._bound_for_cert(eq, W, certs[0])
+        raise ValueError("no useful pair exists for this module")
+    orbits = {}
+    d, s = bounds._bound_for_cert(eq, W, certs[0], orbits)
     for c in certs[1:]:
-        d = d.gcd(bounds._bound_for_cert(eq, W, c)[0])
+        d = d.gcd(bounds._bound_for_cert(eq, W, c, orbits)[0])
     return d, s
 
 
@@ -237,6 +236,7 @@ def reference_aperiodic_bound(eq: PLDE, geometry):
         return eq.terms[p].shift(tuple(-x for x in p)).w_part(zero).drop_unit()
     corners = geometry.corners
     result = None
+    orbits = {}
     for p in corners:
         cert = None
         for p2 in corners:
@@ -247,13 +247,44 @@ def reference_aperiodic_bound(eq: PLDE, geometry):
                 break
         if cert is None:
             continue
-        d_p, _ = bounds._bound_for_cert(eq, zero, cert)
+        d_p, _ = bounds._bound_for_cert(eq, zero, cert, orbits)
         result = d_p if result is None else result.gcd(d_p)
     return result if result is not None else FactoredPoly.one(eq.variables)
 
 
 def _layer(p: Poly, d: int) -> Poly:
     return Poly(p.vars, {e: c for e, c in coefficients(p).items() if sum(e) == d})
+
+
+def solve_integer(matrix, rhs, ncols: int):
+    """Solve matrix . x = rhs over Z.
+
+    Returns (particular solution tuple, kernel IntLattice) or None when no
+    integer solution exists.  The solutions (t, x) of [-rhs | matrix] . (t, x)
+    = 0 form a lattice whose Hermite basis starts with (1, x0) exactly when
+    x0 solves the system; its other rows are (0, g) for g in the kernel.
+    """
+    K = integer_kernel([[-b] + list(row) for b, row in zip(rhs, matrix)], ncols + 1).basis
+    if not K or K[0][0] != 1:
+        return None
+    return K[0][1:], IntLattice(ncols, [row[1:] for row in K[1:]])
+
+
+def complement_within(K: IntLattice, G: IntLattice) -> IntLattice:
+    """A lattice K' with K = G (+) K', for G saturated within K.
+
+    The basis of K is split by its images under the covectors orthogonal to
+    G: the rows of zero image span K meet span_Q(G), which is G exactly when
+    G lies in K saturated, and the other rows span the complement.
+    """
+    if K == G:
+        return IntLattice.zero(K.dim)
+    comp = orthogonal_complement_lattice(G).basis
+    images = [[sum(a * b for a, b in zip(c, v)) for c in comp] for v in K.basis]
+    rest, inside = _split(K.basis, images)
+    if IntLattice(K.dim, inside) != G:
+        raise ValueError("inner lattice is not a saturated sublattice of the outer one")
+    return IntLattice(K.dim, rest)
 
 
 def reference_shift_equiv(p: Poly, q: Poly) -> ShiftCoset:

@@ -5,6 +5,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 
 import plde.bounds
 import plde.geometry
+import plde.spread
 from plde.bounds import (DegenerateFaceError, StripPreconditionError, _expand, _factors,
                          _Frac, _aperiodic_bound, _horner, combined_bound, dispersion_bound,
                          module_bound, strip_rewrite)
@@ -395,7 +397,7 @@ def test_combined_is_deterministic(sys1):
 
 def test_aperiodic_bound_trivial_cases(sys1, ex1):
     for eq in (sys1, ex1):
-        assert _aperiodic_bound(eq, SupportGeometry(eq.support)).is_one()
+        assert _aperiodic_bound(eq, SupportGeometry(eq.support), {}).is_one()
 
 
 def test_aperiodic_bound_catches_constructed_factor():
@@ -411,7 +413,7 @@ def test_aperiodic_bound_catches_constructed_factor():
         rhs = rhs + c
     eq = PLDE(VARS2, terms, rhs)
     assert check_solution(eq, RationalFunction(Poly.one(VARS2), q.expand())).ok
-    ap = _aperiodic_bound(eq, SupportGeometry(eq.support))
+    ap = _aperiodic_bound(eq, SupportGeometry(eq.support), {})
     assert ap.multiplicity(P("n*k+1")) >= 1
     assert all(invariance_lattice(prim).rank == 0 for prim, _ in ap.factors)
 
@@ -423,10 +425,10 @@ def test_intersection_stops_once_the_gcd_is_one(ex1, ex2, nrm, skew, sys1, sys2,
     solve_pair = plde.geometry.SupportGeometry._solve_pair
     lp_feasible = plde.geometry.lp_feasible
 
-    def counting_bound(eq, W, cert):
+    def counting_bound(eq, W, cert, orbits):
         assert W not in running or not running[W].is_one()
         counts["bounds"] += 1
-        d, s = bound_for_cert(eq, W, cert)
+        d, s = bound_for_cert(eq, W, cert, orbits)
         running[W] = running[W].gcd(d) if W in running else d
         return d, s
 
@@ -452,6 +454,33 @@ def test_intersection_stops_once_the_gcd_is_one(ex1, ex2, nrm, skew, sys1, sys2,
     # deciding every pair and corner takes (5, 14) on ex1, (8, 22) on sys1 and sys2
     assert made == {"ex1": (2, 10), "ex2": (2, 5), "nrm": (2, 10), "skew": (1, 1),
                     "sys1": (5, 17), "sys2": (5, 17)}
+
+
+def test_one_shift_orbit_per_prim_and_call(ex1, ex2, nrm, skew, sys1, sys2, monkeypatch):
+    # the dispersions of one combined_bound share one orbit registry, and
+    # no pair is decided by shift_equiv on the bound path
+    orbits = Counter()
+    shift_orbit = plde.bounds.shift_orbit
+
+    def counting(p):
+        orbits[p] += 1
+        return shift_orbit(p)
+
+    def no_pair_solve(p, q):
+        raise AssertionError("shift_equiv called on the bound path")
+
+    monkeypatch.setattr(plde.bounds, "shift_orbit", counting)
+    monkeypatch.setattr(plde.spread, "shift_equiv", no_pair_solve)
+    made = {}
+    for name, eq in (("ex1", ex1), ("ex2", ex2), ("nrm", nrm), ("skew", skew), ("sys1", sys1),
+                     ("sys2", sys2)):
+        orbits.clear()
+        combined_bound(eq)
+        assert set(orbits.values()) <= {1}, name
+        made[name] = len(orbits)
+    # the base faces of ex1 and nrm have no W-part, so their top faces need
+    # no orbit either, and skew has constant coefficients
+    assert made == {"ex1": 0, "ex2": 4, "nrm": 0, "skew": 0, "sys1": 4, "sys2": 4}
 
 
 # ----------------------------------------------------------------------
@@ -592,9 +621,9 @@ def test_lazy_intersection_matches_the_eager_gcd(monkeypatch):
     calls = [0]
     bound_for_cert = plde.bounds._bound_for_cert
 
-    def counting(eq, W, cert):
+    def counting(eq, W, cert, orbits):
         calls[0] += 1
-        return bound_for_cert(eq, W, cert)
+        return bound_for_cert(eq, W, cert, orbits)
 
     monkeypatch.setattr(plde.bounds, "_bound_for_cert", counting)
     equations = lazy_calls = eager_calls = compared = 0
@@ -610,7 +639,8 @@ def test_lazy_intersection_matches_the_eager_gcd(monkeypatch):
                     W = saturation(invariance_lattice(prim))
                     if not W.is_zero() and W not in modules:
                         modules.append(W)
-            cases = [(_aperiodic_bound, reference_aperiodic_bound, ())]
+            cases = [(lambda eq, geometry: _aperiodic_bound(eq, geometry, {}),
+                      reference_aperiodic_bound, ())]
             cases += [(module_bound, reference_module_bound, (W,)) for W in modules
                       if SupportGeometry(eq.support).classify(W).kind == CLASS_USEFUL]
             for lazy_fn, eager_fn, args in cases:

@@ -88,6 +88,24 @@ def test_transform_rejects_matrices_that_are_not_unimodular(capsys, eqdir, matri
     assert err.startswith("error: ") and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, first_line", [
+    (("check", "ex1", "--solution", "-n"),
+     "not a solution (residual -6*n^2+24*n*k+12*k^2+7*n+26*k+12)"),
+    (("spread", "-n", "--vars", "n,k"), "lattice: (0,1)"),
+    (("spread", "n", "--vars", "n,k", "--pair", "-n"), "coset: (0,0)+(0,1)"),
+    (("spread", "n^2+k+5", "--vars", "n,k", "--pair", "-n^2-k"), "coset: (0,5)"),
+    (("classify", "ex1", "--module", "-1,1"), "O\\U"),
+    (("transform", "ex1", "--matrix", "-1,0;0,-1"), "{"),
+])
+def test_values_that_start_with_a_dash(capsys, eqdir, argv, first_line):
+    argv = [str(eqdir / "ex1.json") if a == "ex1" else a for a in argv]
+    code, out, err = run(capsys, *argv)
+    assert code == 0 and err == "" and out.splitlines()[0] == first_line
+    if argv[-2].startswith("--"):
+        # the same as the "--option=value" form, which argparse always reads as a value
+        assert run(capsys, *argv[:-2], "%s=%s" % tuple(argv[-2:])) == (0, out, "")
+
+
 def test_check_command(capsys, eqdir):
     code, out, _ = run(capsys, "check", str(eqdir / "ex1.json"),
                        "--solution", "(n^2+2*k^2)/(k+n+1)")

@@ -4,9 +4,10 @@ import random
 
 import pytest
 
-from plde.lattice import (IntLattice, ShiftCoset, UnimodularMatrix, complement_within,
-                          integer_kernel, is_sublattice, orthogonal_complement_lattice,
-                          parse_module, saturation, solve_integer)
+from plde.lattice import (IntLattice, ShiftCoset, UnimodularMatrix, integer_kernel,
+                          is_sublattice, orthogonal_complement_lattice, parse_module,
+                          reduce_by_span, saturation)
+from support import complement_within, solve_integer
 
 N_CASES = 200
 
@@ -120,7 +121,24 @@ def test_coset_membership():
 
 
 # ----------------------------------------------------------------------
-# integer solving
+# integer solving (the solver of the staged reference_shift_equiv in tests/support.py)
+# and reduction modulo a span
+
+
+def test_reduce_by_span_matches_the_hermite_reduction():
+    # seeded spans of 0-4 vectors in Z^1 to Z^4, dependent ones included
+    rng = random.Random(208)
+    for _ in range(N_CASES):
+        n = rng.randint(1, 4)
+        vectors = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(rng.randint(0, 4))]
+        if vectors and rng.random() < 0.3:
+            vectors.append([2 * a - b for a, b in zip(vectors[0], vectors[-1])])
+        v = [rng.randint(-9, 9) for _ in range(n)]
+        t, K = reduce_by_span(vectors, v)
+        reached = [x + sum(ti * w[j] for ti, w in zip(t, vectors)) for j, x in enumerate(v)]
+        assert tuple(reached) == IntLattice(n, vectors).reduce(v)
+        assert IntLattice(len(vectors), K) == integer_kernel([list(col) for col in zip(*vectors)],
+                                                             len(vectors))
 
 
 def test_solve_integer_basic():
@@ -169,6 +187,7 @@ def test_integer_kernel():
 
 
 def test_complement_within():
+    # the complement that the staged reference_shift_equiv of tests/support.py starts from
     K = IntLattice.full(2)
     G = L((1, -1))
     C = complement_within(K, G)

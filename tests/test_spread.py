@@ -1,13 +1,17 @@
 import itertools
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
 from plde import spread
+from plde.bounds import dispersion_bound
+from plde.equation import PLDE
 from plde.factored import FactoredPoly
 from plde.lattice import IntLattice, is_sublattice
-from plde.polyring import Poly, parse_poly
-from plde.spread import (INFINITY, NEG_INFINITY, disp_k, invariance_lattice, shift_equiv,
+from plde.polyring import Poly, normalize_primitive, parse_poly
+from plde.spread import (NEG_INFINITY, invariance_lattice, shift_equiv, shift_orbit,
                          spread_box_oracle)
 from support import (VARS2, random_factor, random_poly, random_shift,
                      reference_shift_equiv)
@@ -71,24 +75,12 @@ def test_pair_quadratic():
 
 
 def test_pair_empty_cases():
-    assert shift_equiv(P("k+n+1"), P("n*k+1")).is_empty
-    assert shift_equiv(P("k+n+1"), P("2*k+3*n+1")).is_empty
-
-
-def test_pair_with_different_top_forms_needs_no_invariance_lattice():
     # the total degree, or the top-degree form after normalization, differs
     pairs = [("k+n+1", "n*k+1"), ("k+n+1", "2*k+3*n+1"), ("n^2+k+7", "n*k+n+7"),
              ("-n^2-k", "n^2+n*k+k"), ("3*n+3*k+1", "2*n+2*k+5")]
     for p, q in pairs:
-        before = invariance_lattice.cache_info()
-        assert shift_equiv(P(p), P(q)).is_empty
-        after = invariance_lattice.cache_info()
-        assert (after.hits, after.misses) == (before.hits, before.misses), (p, q)
-    # equal top forms still reach the lattice, once for q
-    before = invariance_lattice.cache_info()
+        assert shift_equiv(P(p), P(q)).is_empty, (p, q)
     assert not shift_equiv(P("n^2+k+5"), P("n^2+k+2*n")).is_empty
-    after = invariance_lattice.cache_info()
-    assert after.hits + after.misses == before.hits + before.misses + 1
 
 
 def test_pair_with_itself():
@@ -104,27 +96,34 @@ def test_pair_residual_linear_layer():
 
 
 # ----------------------------------------------------------------------
-# dispersion
+# dispersion of one factor pair: a(0,0) * y(n,k) + b(1,0) * y(n+1,k) = 0,
+# so along u = (1, 0) the pair disperses by sigma with b(n - 1 + sigma) ~ a
+
+
+def _two_point(a, b):
+    return PLDE(VARS2, {(0, 0): FactoredPoly.from_poly(P(a)),
+                        (1, 0): FactoredPoly.from_poly(P(b))}, Poly.zero(VARS2))
 
 
 def test_disp_infinite_along_moving_axis():
-    fp = FactoredPoly.from_poly(P("k+n+1"))
-    assert disp_k(fp, fp, (1, 0)) == INFINITY
+    # the coset direction (1,-1) of k+n+1 moves along u: its module is not
+    # orthogonal to u, which the dispersion bound refuses
+    with pytest.raises(ValueError):
+        dispersion_bound(_two_point("k+n+1", "k+n+2"), L((1, -1)), (1, 0))
 
 
 def test_disp_aperiodic_self():
-    fp = FactoredPoly.from_poly(P("n*k+1"))
-    assert disp_k(fp, fp, (1, 0)) == 0
+    assert dispersion_bound(_two_point("n*k+1", "n*k+k+1"), IntLattice.zero(2), (1, 0)) == 0
 
 
 def test_disp_fixed_axis():
-    a = FactoredPoly.from_poly(P("n+1"))
-    b = FactoredPoly.from_poly(P("n+3"))
-    assert disp_k(a, b, (1, 0)) == 2
-    assert disp_k(a, b, (0, 1)) == INFINITY
-    assert disp_k(a, FactoredPoly.from_poly(P("n*k+1")), (1, 0)) == NEG_INFINITY
+    eq = _two_point("n+1", "n+4")
+    assert dispersion_bound(eq, L((0, 1)), (1, 0)) == 2
     with pytest.raises(ValueError):
-        disp_k(a, b, (0, 0, 1))
+        dispersion_bound(eq, L((0, 1)), (0, 1))  # moves along the spread (0,1)
+    assert dispersion_bound(_two_point("n+1", "n^2+1"), L((0, 1)), (1, 0)) == NEG_INFINITY
+    with pytest.raises(ValueError):
+        dispersion_bound(eq, L((0, 1)), (1, 0, 0))
 
 
 # ----------------------------------------------------------------------
@@ -225,10 +224,11 @@ def test_unique_leading_projection():
 
 
 def _count_rounds(monkeypatch):
-    """A list that grows by one per affine round: each round makes one integer solve."""
+    """A list that grows by one per affine round: each round makes one reduction."""
     calls = []
-    solve = spread.solve_integer
-    monkeypatch.setattr(spread, "solve_integer", lambda *args: calls.append(args) or solve(*args))
+    reduce = spread.reduce_by_span
+    monkeypatch.setattr(spread, "reduce_by_span",
+                        lambda *args: calls.append(args) or reduce(*args))
     return calls
 
 
@@ -239,11 +239,18 @@ def _linear_form(rng, vars):
     return coeffs
 
 
+def _orbit_rounds(calls, q):
+    """The number of affine rounds that shift_orbit(q) makes."""
+    before = len(calls)
+    shift_orbit(q)
+    return len(calls) - before
+
+
 def test_degenerate_top_forms_match_box_oracle(monkeypatch):
     # q = f(L) + a*M for independent linear forms L, M is linear in M, hence
     # irreducible, so the oracle's gcd test is shift equivalence; the top
     # form c*L^d fixes only L(s) and leaves a direction for a second round
-    calls, second_rounds = _count_rounds(monkeypatch), 0
+    calls, rounds = _count_rounds(monkeypatch), Counter()
     rng = random.Random(405)
     for _ in range(40):
         l, m = _linear_form(rng, VARS2), _linear_form(rng, VARS2)
@@ -257,20 +264,17 @@ def test_degenerate_top_forms_match_box_oracle(monkeypatch):
             p = q.shift(random_shift(rng, radius=2)) * rng.choice([1, -1, 2])
         else:
             p = q + L_ ** rng.randrange(d - 1) * rng.choice([-1, 1])
-        before = len(calls)
+        rounds[_orbit_rounds(calls, q)] += 1
         coset = shift_equiv(p, q)
-        second_rounds += len(calls) - before >= 2
         assert _box_of_coset(coset, 2) == spread_box_oracle(p, q, 2)
-    # the other 3 cases perturb p to a content other than q's: after
-    # normalization their top rows differ by a constant, so round 1 rules them out
-    assert second_rounds == 37
+    # G = 0, round 1 fixes L(s) and round 2 M(s): every orbit takes both
+    assert rounds == {2: 40}
 
 
 def test_degenerate_top_forms_in_three_variables(monkeypatch):
-    # c*L^d plus random lower terms: the rounds must decide every case
-    # (they raise InvariantError otherwise), keep every unperturbed shift,
-    # and return only true shift equivalences
-    calls, second_rounds = _count_rounds(monkeypatch), 0
+    # c*L^d plus random lower terms: the rounds must keep every unperturbed
+    # shift and return only true shift equivalences
+    calls, rounds = _count_rounds(monkeypatch), Counter()
     rng = random.Random(406)
     vars3 = ("n", "k", "m")
     for _ in range(160):
@@ -283,15 +287,17 @@ def test_degenerate_top_forms_in_three_variables(monkeypatch):
         perturbed = rng.random() < 0.5
         if perturbed:
             p = p + random_poly(rng, vars3, max_degree=d - 2, max_terms=2)
-        before = len(calls)
+        rounds[_orbit_rounds(calls, q)] += 1
         coset = shift_equiv(p, q)
-        second_rounds += len(calls) - before >= 2
         if not perturbed:
             assert coset.contains(s)
         if not coset.is_empty:
             image = q.shift(coset.base)
             assert image * (p.leading_coefficient() / image.leading_coefficient()) == p
-    assert second_rounds == 106
+    # round 1 fixes L(s); each later round fixes at least one more direction
+    # outside G: rank G = 2 takes 1 round (45 cases), rank 1 takes 2 (83),
+    # rank 0 takes 2 (25) or 3 (7)
+    assert rounds == {1: 45, 2: 108, 3: 7}
 
 
 def _differential_pair(rng, vars):
@@ -337,3 +343,23 @@ def test_shift_equiv_matches_staged_reference():
             p, q = _differential_pair(rng, vars)
             mismatches += shift_equiv(p, q) != reference_shift_equiv(p, q)
     assert mismatches == 0
+
+
+def test_shift_orbits_are_canonical():
+    # every shifted, scaled or negated copy of q has the key of q, and its
+    # offset differs from q's by the shift, modulo the invariance lattice
+    rng = random.Random(408)
+    ranks = Counter()
+    for vars in (("n",), ("n", "k"), ("n", "k", "m"), ("n", "k", "m", "j")):
+        for _ in range(N_CASES // 2):
+            q = _differential_pair(rng, vars)[1]
+            key, offset, G = shift_orbit(q)
+            ranks[len(vars), G.rank] += 1
+            assert G == invariance_lattice(q) and G.reduce(offset) == offset
+            assert key.content == 1 and normalize_primitive(q.shift(offset))[1] == key
+            a = random_shift(rng, r=len(vars))
+            scale = rng.choice([1, -1, 3, Fraction(-2, 5)])
+            key_a, offset_a, G_a = shift_orbit(q.shift(a) * scale)
+            assert (key_a, G_a) == (key, G)
+            assert offset_a == G.reduce([x - y for x, y in zip(offset, a)])
+    assert ranks[4, 2] > 0 and ranks[1, 0] == N_CASES // 2
