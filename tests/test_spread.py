@@ -75,12 +75,27 @@ def test_pair_quadratic():
 
 
 def test_pair_empty_cases():
-    # the total degree, or the top-degree form after normalization, differs
+    assert shift_equiv(P("k+n+1"), P("n*k+1")).is_empty
+    assert shift_equiv(P("k+n+1"), P("2*k+3*n+1")).is_empty
+
+
+def test_pair_with_different_top_forms_needs_no_invariance_lattice():
+    # the total degree, or the top-degree form after normalization, differs;
+    # the orbit keys tell the pair apart and shift_equiv never computes an
+    # invariance lattice, since shift_orbit reads G off its last round
     pairs = [("k+n+1", "n*k+1"), ("k+n+1", "2*k+3*n+1"), ("n^2+k+7", "n*k+n+7"),
              ("-n^2-k", "n^2+n*k+k"), ("3*n+3*k+1", "2*n+2*k+5")]
     for p, q in pairs:
+        before = invariance_lattice.cache_info()
+        assert shift_orbit(P(p))[0] != shift_orbit(P(q))[0], (p, q)
         assert shift_equiv(P(p), P(q)).is_empty, (p, q)
+        after = invariance_lattice.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses), (p, q)
+    # equal top forms: still no lattice call, and the coset is nonempty
+    before = invariance_lattice.cache_info()
     assert not shift_equiv(P("n^2+k+5"), P("n^2+k+2*n")).is_empty
+    after = invariance_lattice.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
 
 
 def test_pair_with_itself():
