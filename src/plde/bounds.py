@@ -36,8 +36,8 @@ from .factored import FactoredPoly
 from .geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry,
                        WeakCertificate, WitnessCertificate)
 from .lattice import IntLattice, primitive_vector, saturation
-from .polyring import (MODULUS, InvariantError, Poly, UnsupportedInputError, add_terms,
-                       divide_int_terms, format_poly, mod_image, mod_zero, mul_terms, shift_terms)
+from .polyring import (InvariantError, Poly, UnsupportedInputError, add_terms, divide_int_terms,
+                       format_poly, mul_terms, shift_terms)
 from .spread import NEG_INFINITY, invariance_lattice, shift_orbit
 from .transform import witness_levels
 
@@ -139,11 +139,9 @@ class _Frac:
     smaller multiplicity (Henrici's rule), then trial-divides num by each
     prim of den, once per unit of multiplicity.  By Gauss's lemma a
     quotient by a primitive prim is over Z, so the division
-    (`polyring.divide_int_terms`) needs exact int division only.  It is
-    skipped when a test modulo the prime P = 2^61 - 1 proves it would fail:
-    if prim divides num, then num(z) = 0 (mod P) at every zero z of prim
-    modulo P (`polyring.mod_zero`).  The test cannot decide, and the
-    division runs, when prim has no variable of degree 1 or num(z) = 0.
+    (`polyring.divide_int_terms`) needs exact int division only.  The
+    trial division of a prim stops at its first failure, which leaves num
+    and den as they were.
 
     Under the contract of `FactoredPoly`, pairwise coprime irreducible
     prims, a prim divides F * num as often as it occurs in F plus as often
@@ -152,9 +150,9 @@ class _Frac:
     cancellation is still an exact division: den can only be larger than
     the reduced denominator, and a bound built from it stays sound.
 
-    ``prims`` maps the frozenset of each prim's int terms to that key, the
-    terms and their `mod_zero`; one strip rewriting shares it, so each prim
-    is converted and solved once and equal prims are one object.
+    ``prims`` maps the frozenset of each prim's int terms to that key and
+    the terms; one strip rewriting shares it, so each prim is converted
+    once and equal prims are one object.
     """
 
     __slots__ = ("content", "F", "num", "den")
@@ -169,21 +167,13 @@ class _Frac:
                 num = {e: c // g for e, c in num.items()}
             both = F & den
             F, den = F - both, den - both
-            images = {}  # variable -> mod_image of the current num
             for prim in den:
-                _, terms, zero = prims[prim]
+                _, terms = prims[prim]
                 while den[prim]:
-                    if zero is not None:
-                        i, z = zero
-                        if i not in images:
-                            images[i] = mod_image(num, i)
-                        if _horner(images[i], z):
-                            break
                     q = divide_int_terms(num, terms)
                     if q is None:
                         break
                     num = q
-                    images.clear()
                     den[prim] -= 1
             den = +den
         self.content = content
@@ -214,9 +204,7 @@ def _factors(factors: list, prims: dict, d: tuple) -> Counter:
     for terms, m in factors:
         terms = shift_terms(terms, d) if any(d) else terms
         key = frozenset(terms.items())
-        if key not in prims:
-            prims[key] = (key, terms, mod_zero(terms))
-        out[prims[key][0]] = m
+        out[prims.setdefault(key, (key, terms))[0]] = m
     return out
 
 
@@ -226,14 +214,6 @@ def _expand(mults: dict, prims: dict, terms: dict) -> dict:
         for _ in range(m):
             terms = mul_terms(terms, prims[prim][1])
     return terms
-
-
-def _horner(image, z) -> int:
-    """The univariate image (coefficients lowest first) at z, modulo MODULUS."""
-    v = 0
-    for c in reversed(image):
-        v = (v * z + c) % MODULUS
-    return v
 
 
 # ----------------------------------------------------------------------

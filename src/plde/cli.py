@@ -37,6 +37,8 @@ def _load(path):
         return load_equation(path)
     except FileNotFoundError:
         raise _InputError("no such file: %s" % path)
+    except OSError as exc:
+        raise _InputError("cannot read %s: %s" % (path, exc.strerror))
     except UnsupportedInputError as exc:
         raise _InputError(str(exc), code=2)
     except (EquationFormatError, ParseError, ValueError) as exc:

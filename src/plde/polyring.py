@@ -18,7 +18,7 @@ polynomials with `divide_int_terms`, which by Gauss's lemma needs exact
 int division only.  The solution check of `verify` multiplies large int
 term maps with `mul_packed`, on keys that `pack_terms` makes from the
 exponent vectors: one int with a fixed-width field per variable.
-`mul_terms` stays on tuples, which shifts and images modulo a prime read.
+`mul_terms` stays on tuples, which `shift_terms` reads.
 Polynomial text has only unsigned integer literals, so the parser works
 on int term maps throughout (`parse_terms`).  Leading terms and printing
 use graded lexicographic order on the exponent vectors.
@@ -29,7 +29,7 @@ from __future__ import annotations
 import itertools
 import sys
 from fractions import Fraction
-from math import comb, gcd as _int_gcd, lcm as _int_lcm
+from math import comb, gcd as _int_gcd, lcm as _int_lcm, prod
 from operator import add as _add, sub as _sub
 
 
@@ -278,12 +278,19 @@ class Poly:
         if len(exprs) != len(self.vars):
             raise ValueError("need one substitute per variable")
         tv = tuple(target_vars) if target_vars is not None else exprs[0].vars
-        # cache powers of each substitute up to the degree actually used
+        # a monomial e gives at most prod_i C(e_i + w_i - 1, w_i - 1) terms, w_i the terms of
+        # the i-th substitute, and the result no more than the monomials of its degree
+        widths = [max(len(q.terms), 1) for q in exprs]
+        bound = min(sum(prod(comb(d + w - 1, w - 1) for d, w in zip(e, widths)) for e in self.terms),
+                    _monomials(self.total_degree() * max(q.total_degree() for q in exprs),
+                               *(q.terms for q in exprs)))
+        if bound > MAX_TERMS:
+            raise UnsupportedInputError("unsupported: a substitution of %d > %d terms"
+                                        % (bound, MAX_TERMS))
         powers = []
         for i, q in enumerate(exprs):
-            dmax = self.degree_in(i) if self.terms else 0
             cache = [Poly.one(tv)]
-            for _ in range(max(dmax, 0)):
+            for _ in range(self.degree_in(i)):
                 cache.append(cache[-1] * q)
             powers.append(cache)
         result = Poly.zero(tv)
@@ -445,48 +452,6 @@ def divide_int_terms(p: dict, q: dict):
             else:
                 del rem[e]
     return quotient
-
-
-# ----------------------------------------------------------------------
-# images modulo a word-size prime
-
-MODULUS = (1 << 61) - 1  # a Mersenne prime
-
-
-def mod_image(p: dict, i: int):
-    """A nonzero int term map p modulo MODULUS as a polynomial in x_i alone, lowest first.
-
-    Every other variable x_j takes the fixed residue 3^(64+j).
-    """
-    degrees = [max(col) for col in zip(*p)]
-    powers = []
-    for j, d in enumerate(degrees):
-        row = [1]
-        if j != i:
-            c = pow(3, 64 + j, MODULUS)
-            for _ in range(d):
-                row.append(row[-1] * c % MODULUS)
-        powers.append(row)
-    image = [0] * (degrees[i] + 1)
-    for e, c in p.items():
-        for j, d in enumerate(e):
-            if d and j != i:
-                c = c * powers[j][d] % MODULUS
-        image[e[i]] += c
-    return [x % MODULUS for x in image]
-
-
-def mod_zero(prim: dict):
-    """A zero (i, z) of the int term map prim modulo MODULUS: x_i = z, the rest as in mod_image.
-
-    Solves for the first variable in which prim has degree 1 and a leading
-    coefficient that does not vanish there; None when there is none.
-    """
-    for i in range(len(next(iter(prim)))):
-        image = mod_image(prim, i)
-        if len(image) == 2 and image[1]:
-            return i, -image[0] * pow(image[1], -1, MODULUS) % MODULUS
-    return None
 
 
 def normalize_primitive(p: Poly):

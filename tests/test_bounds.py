@@ -15,14 +15,14 @@ import plde.bounds
 import plde.geometry
 import plde.spread
 from plde.bounds import (DegenerateFaceError, StripPreconditionError, _expand, _factors,
-                         _Frac, _aperiodic_bound, _horner, combined_bound, dispersion_bound,
-                         module_bound, strip_rewrite)
+                         _Frac, _aperiodic_bound, combined_bound, dispersion_bound, module_bound,
+                         strip_rewrite)
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
 from plde.geometry import CLASS_USEFUL, SupportGeometry
 from plde.lattice import IntLattice, saturation
-from plde.polyring import (MODULUS, InvariantError, Poly, RationalFunction, divide_exact,
-                           divide_int_terms, mod_image, mod_zero, parse_poly)
+from plde.polyring import (InvariantError, Poly, RationalFunction, divide_exact, divide_int_terms,
+                           parse_poly)
 from plde.spread import NEG_INFINITY, invariance_lattice
 from plde.transform import transform_equation, witness_levels
 from plde.verify import check_solution
@@ -126,31 +126,14 @@ def test_strip_requires_unique_base_point():
         strip_rewrite(eq, (0, 0), 1, (1, 0))
 
 
-def _trial_divisions(monkeypatch):
-    """Record the divisor (an int term map) of each trial division in bounds: failed, succeeded."""
-    failed, succeeded = [], []
-
-    def recording(p, q):
-        quotient = divide_int_terms(p, q)
-        (failed if quotient is None else succeeded).append(q)
-        return quotient
-
-    monkeypatch.setattr(plde.bounds, "divide_int_terms", recording)
-    return failed, succeeded
-
-
-def test_frac_reduction_matches_trial_division(monkeypatch):
-    # the modular zero test may skip only divisions that fail, and the
-    # factored part cancels against den by multiplicity, so the reduction
-    # equals plain trial division over Q of the expanded product; the test
-    # cannot skip for prims with no variable of degree 1, and it skips every
-    # failing division else, also when 2^61-1 divides a coefficient
-    # denominator of the rational numerator (the integer part it tests has none)
+def test_frac_reduction_matches_trial_division():
+    # the factored part cancels against den by multiplicity, and num is
+    # trial-divided by what is left, so the reduction equals plain trial
+    # division over Q of the expanded product, also when 2^61-1 divides a
+    # coefficient denominator of the rational numerator
     rng = random.Random(709)
     pool = ["k+n+1", "2*k+3*n+1", "n*k+1", "n+1", "4*k-2*n+1", "n^2+n+1", "n^2+k^2+1"]
-    failed, _ = _trial_divisions(monkeypatch)
     prims = {}
-    undecided = 0
 
     def counter(fp):
         return _factors([(f.terms, m) for f, m in fp.factors], prims, (0, 0))
@@ -163,12 +146,11 @@ def test_frac_reduction_matches_trial_division(monkeypatch):
         for f, mult in factors:
             num = num * f ** rng.randint(0, mult + 1)
         if case % 8 == 0:
-            num = num * Fraction(1, MODULUS)
+            num = num * Fraction(1, 2**61 - 1)
         # the factored part: pool prims, shifted, some of them also in den
         own = [f for f, _ in rng.sample(factors, rng.randint(0, len(factors)))]
         own += [P(t).shift(random_shift(rng, 2, 2)) for t in rng.sample(pool, rng.randint(0, 2))]
         part = FactoredPoly(VARS2, 1, [(f, m) for f in own if (m := rng.randint(0, 3))])
-        failed.clear()
         content, terms = int_terms(num)
         got = _Frac(content * part.unit / den.unit, counter(part), terms, counter(den), prims)
         got_num = Poly.from_ints(VARS2, _expand(got.F, prims, got.num), got.content)
@@ -176,18 +158,9 @@ def test_frac_reduction_matches_trial_division(monkeypatch):
                                           for key, m in got.den.items()])
         assert (got_num, got_den) == reduce_by_trial_division(num * part.expand(), den), \
             (num, part, den)
-        for terms in failed:
-            assert all(max(degrees) != 1 for degrees in zip(*terms)), (num, den, terms)
-        undecided += bool(failed)
-    assert undecided >= 20
-    assert all(mod_zero(P(t).terms) is None for t in ("n^2+n+1", "n^2+k^2+1"))
-    for _, terms, zero in prims.values():
-        if zero is not None:
-            i, z = zero
-            assert _horner(mod_image(terms, i), z) == 0
 
 
-def test_combined_makes_no_failing_trial_division(sys1, monkeypatch):
+def test_combined_cancels_corner_factors_by_multiplicity(sys1, monkeypatch):
     # dispersion family q = (n+k+1)(n+k+1+s)(3n+2k+1), a_s = c_s N^s q on the unit square
     s = 4
     q = F("n+k+1", "n+k+%d" % (1 + s), "3*n+2*k+1")
@@ -198,11 +171,17 @@ def test_combined_makes_no_failing_trial_division(sys1, monkeypatch):
         rhs = rhs + Poly.const(VARS2, c)
     eq = PLDE(VARS2, terms, rhs)
     assert check_solution(eq, RationalFunction(Poly.one(VARS2), q.expand())).ok
-    failed, succeeded = _trial_divisions(monkeypatch)
     combined_bound(sys1)
-    succeeded.clear()
+    succeeded = []
+
+    def recording(num, prim):  # the divisors of the trial divisions that succeed
+        quotient = divide_int_terms(num, prim)
+        if quotient is not None:
+            succeeded.append(prim)
+        return quotient
+
+    monkeypatch.setattr(plde.bounds, "divide_int_terms", recording)
     combined_bound(eq)
-    assert not failed
     # the shifted corner factors cancel by multiplicity, so next to no division
     # is left (dividing them back out of expanded numerators took 318 here)
     assert len(succeeded) <= 32, len(succeeded)

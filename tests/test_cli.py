@@ -194,6 +194,15 @@ def test_missing_file_exits_1(capsys):
     assert code == 1 and "no such file" in err
 
 
+@pytest.mark.parametrize("command, options", [
+    ("bound", []), ("classify", ["--module", "1,0"]), ("transform", ["--matrix", "1,0;0,1"]),
+    ("check", ["--solution", "1"])])
+def test_directory_path_exits_1(capsys, tmp_path, command, options):
+    code, out, err = run(capsys, command, str(tmp_path), *options)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read %s: " % tmp_path) and "Traceback" not in err
+
+
 def test_empty_terms_exits_1(capsys, tmp_path):
     path = tmp_path / "empty.json"
     path.write_text('{"variables": ["n", "k"], "terms": [], "rhs": "0"}')
@@ -253,6 +262,31 @@ def test_unprintable_coefficients_exit_2(capsys, tmp_path, eqdir):
     path.write_text(json.dumps(data))
     code, out, err = run(capsys, "transform", str(path), "--matrix", "1,%d;0,1" % 10 ** 50)
     assert code == 2 and out == "" and "unsupported" in err
+
+
+@pytest.mark.parametrize("factor, matrix, terms", [
+    # n -> n-k-m-l: a bound of 176,852 terms, refused at once
+    ("n^100+1", "1,1,1,1;0,1,0,0;0,0,1,0;0,0,0,1", None),
+    ("n^100+1", "1,1,1;0,1,0;0,0,1", None),  # 5,152 terms, more than a file reads back
+    ("n^100+1", "1,1;0,1", 102),  # the shear n -> n-k
+    # every substitute has three terms, so the products of the 84 monomials
+    # may give 5,005 terms, but degree 6 in three variables allows only 84
+    ("(n+2*k+3*m+1)^6", "2,-1,0;-1,2,-1;0,-1,1", 84),
+])
+def test_transform_bounds_the_terms_of_a_substitution(capsys, tmp_path, factor, matrix, terms):
+    r = matrix.count(";") + 1
+    path = tmp_path / "eq.json"
+    path.write_text(json.dumps({"variables": ["n", "k", "m", "l"][:r], "rhs": "0", "terms": [
+        {"shift": [0] * r, "coefficient": {"factors": [[factor, 1]]}},
+        {"shift": [1] + [0] * (r - 1), "coefficient": "1"}]}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "transform", str(path), "--matrix", matrix)
+    assert time.perf_counter() - start < 1.0
+    if terms is None:
+        assert code == 2 and out == "" and "unsupported" in err and "Traceback" not in err
+    else:
+        (prim, _), = PLDE.from_json(json.loads(out)).terms[(0,) * r].factors
+        assert code == 0 and len(prim.terms) == terms
 
 
 def test_spread_rejects_bad_polynomials(capsys):
