@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from .equation import PLDE
-from .factored import FactoredPoly
+from .factored import FactoredPoly, in_w_part
 from .geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry,
                        WeakCertificate, WitnessCertificate)
 from .lattice import IntLattice, primitive_vector, saturation
@@ -60,14 +60,15 @@ class StripPreconditionError(ValueError):
 class StripResult:
     """The points substituted (Rminus) and left (Rplus), and the common denominator D_actual.
 
-    ``terms`` (point -> numerator over D_actual) and the right-hand side
-    ``b`` over D_actual are expanded the first time they are read; the
-    bound reads only D_actual.
+    ``origins`` maps each prim of D_actual to a coefficient factor of the
+    equation that it is a shift of.  ``terms`` (point -> numerator over
+    D_actual) and the right-hand side ``b`` over D_actual are expanded the
+    first time they are read; the bound reads only D_actual and origins.
     """
 
-    def __init__(self, Rminus: tuple, Rplus: tuple, D_actual: FactoredPoly, numerator, live: dict,
-                 b):
-        self.Rminus, self.Rplus, self.D_actual = Rminus, Rplus, D_actual
+    def __init__(self, Rminus: tuple, Rplus: tuple, D_actual: FactoredPoly, origins: dict,
+                 numerator, live: dict, b):
+        self.Rminus, self.Rplus, self.D_actual, self.origins = Rminus, Rplus, D_actual, origins
         self._numerator, self._live, self._b = numerator, live, b
 
     @cached_property
@@ -150,9 +151,10 @@ class _Frac:
     cancellation is still an exact division: den can only be larger than
     the reduced denominator, and a bound built from it stays sound.
 
-    ``prims`` maps the frozenset of each prim's int terms to that key and
-    the terms; one strip rewriting shares it, so each prim is converted
-    once and equal prims are one object.
+    ``prims`` maps the frozenset of each prim's int terms to that key, the
+    terms and the coefficient factor that the prim is a shift of; one strip
+    rewriting shares it, so each prim is converted once and equal prims are
+    one object.
     """
 
     __slots__ = ("content", "F", "num", "den")
@@ -168,7 +170,7 @@ class _Frac:
             both = F & den
             F, den = F - both, den - both
             for prim in den:
-                _, terms = prims[prim]
+                terms = prims[prim][1]
                 while den[prim]:
                     q = divide_int_terms(num, terms)
                     if q is None:
@@ -198,13 +200,13 @@ class _Frac:
         return _Frac(Fraction(1, bottom), g, add_terms(a, b), common, prims)
 
 
-def _factors(factors: list, prims: dict, d: tuple) -> Counter:
-    """The (int term map, multiplicity) factors shifted by d, as a multiset of keys of prims."""
+def _factors(factors, prims: dict, d: tuple) -> Counter:
+    """A coefficient's factors (prim, multiplicity) shifted by d, as a Counter of keys of prims."""
     out = Counter()
-    for terms, m in factors:
-        terms = shift_terms(terms, d) if any(d) else terms
+    for f, m in factors:
+        terms = shift_terms(f.terms, d) if any(d) else f.terms
         key = frozenset(terms.items())
-        out[prims.setdefault(key, (key, terms))[0]] = m
+        out[prims.setdefault(key, (key, terms, f))[0]] = m
     return out
 
 
@@ -300,7 +302,7 @@ def strip_rewrite(eq: PLDE, p, s, u) -> StripResult:
                                         "than %d points" % (s, MAX_STRIP_POINTS))
     a_p = eq.terms[p]
     prims = {}
-    factors = {q: [(f.terms, m) for f, m in a_q.factors] for q, a_q in eq.terms.items()}
+    factors = {q: a_q.factors for q, a_q in eq.terms.items()}
     base = _factors(factors[p], prims, zero)
     others = {q: a_q.unit for q, a_q in eq.terms.items() if q != p}
     terms = {q: _Frac(-unit / a_p.unit, _factors(factors[q], prims, zero), {zero: 1}, base, prims)
@@ -340,6 +342,7 @@ def strip_rewrite(eq: PLDE, p, s, u) -> StripResult:
     for fr in live.values():
         D = D | fr.den
     poly = {key: Poly.from_ints(eq.variables, prims[key][1]) for key in D}
+    origins = {poly[key]: prims[key][2] for key in D}
     D_actual = FactoredPoly._from_canonical(eq.variables, Fraction(1),
                                             [(poly[key], m) for key, m in D.items()])
     D_pool = FactoredPoly._from_canonical(eq.variables, Fraction(1),  # D | pool iff D | D_pool
@@ -350,7 +353,7 @@ def strip_rewrite(eq: PLDE, p, s, u) -> StripResult:
     def numerator(fr):  # the numerator of fr over the common denominator D
         return Poly.from_ints(eq.variables, _expand(fr.F + D - fr.den, prims, fr.num), fr.content)
 
-    return StripResult(rminus, tuple(sorted(live)), D_actual, numerator, live, b)
+    return StripResult(rminus, tuple(sorted(live)), D_actual, origins, numerator, live, b)
 
 
 # ----------------------------------------------------------------------
@@ -363,7 +366,11 @@ def _bound_for_cert(eq: PLDE, W: IntLattice, cert: WitnessCertificate, orbits: d
         # no periodic factor of W can occur at the corner coefficient at all
         return FactoredPoly.one(eq.variables), s_val
     strip = strip_rewrite(eq, cert.p, s_val, u)
-    return strip.D_actual.shift(tuple(-x for x in cert.p)).w_part(W), s_val
+    # a shift has the spread of what it shifts; only the prims kept are shifted back
+    down = tuple(-x for x in cert.p)
+    kept = [(f.shift(down), m) for f, m in strip.D_actual.factors
+            if in_w_part(invariance_lattice(strip.origins[f]), W)]
+    return FactoredPoly._from_canonical(eq.variables, Fraction(1), kept), s_val
 
 
 def _intersect(eq: PLDE, W: IntLattice, certs, orbits: dict):
@@ -411,15 +418,15 @@ def _aperiodic_bound(eq: PLDE, geometry: SupportGeometry, orbits: dict):
     support = eq.support
     zero = IntLattice.zero(len(eq.variables))
     if len(support) == 1:
-        p = support[0]
-        down = tuple(-x for x in p)
-        return eq.terms[p].shift(down).w_part(zero).drop_unit()
+        return eq.terms[support[0]].w_part(zero).shift(tuple(-x for x in support[0]))
     corners = geometry.corners
     # the first witness of each corner in corner order, None for a corner without one
     firsts = (next(filter(None, (geometry.witness(p, p2, zero) for p2 in corners if p2 != p)),
                    None) for p in corners)
     d, _ = _intersect(eq, zero, filter(None, firsts), orbits)
-    return d if d is not None else FactoredPoly.one(eq.variables)
+    if d is None:  # a covector exposing corner p alone has another corner on its top face
+        raise InvariantError("no corner of the support has a witness pair")
+    return d
 
 
 def combined_bound(eq: PLDE) -> BoundReport:
@@ -443,9 +450,8 @@ def combined_bound(eq: PLDE) -> BoundReport:
     zero = IntLattice.zero(r)
     geometry = SupportGeometry(support)
     orbits = {}  # prim -> shift_orbit(prim), for every dispersion of this call
-    ap = _aperiodic_bound(eq, geometry, orbits)
-    per_module[zero] = ModuleEntry(CLASS_USEFUL, None, None, ap)
-    d = ap.drop_unit()
+    d = _aperiodic_bound(eq, geometry, orbits)
+    per_module[zero] = ModuleEntry(CLASS_USEFUL, None, None, d)
     residual = []
     for q in geometry.corners:
         for prim, _mult in eq.terms[q].factors:

@@ -15,6 +15,12 @@ from .polyring import Poly, format_poly, normalize_primitive, parse_poly
 from .spread import invariance_lattice
 
 
+def in_w_part(G, W) -> bool:
+    """Whether a factor of invariance lattice G is in the W-part: G in W, and G = 0 only if W = 0
+    (for a nonzero W, a factor of trivial spread belongs to the aperiodic pass, over W = 0)."""
+    return is_sublattice(G, W) and (W.is_zero() or not G.is_zero())
+
+
 class FactoredPoly:
     """unit * prod(prim_i ^ mult_i) with canonical, pairwise distinct prims."""
 
@@ -174,17 +180,8 @@ class FactoredPoly:
     # spread filters
 
     def w_part(self, W) -> "FactoredPoly":
-        """Factors whose spread lattice is contained in W; unit reset to 1.
-
-        Factors with trivial spread are kept only when W = 0: for a nonzero
-        W they belong to the aperiodic pass, which bounds them over W = 0.
-        """
-        keep_aperiodic = W.is_zero()
-        kept = []
-        for p, m in self.factors:
-            sp = invariance_lattice(p)
-            if is_sublattice(sp, W) and (keep_aperiodic or not sp.is_zero()):
-                kept.append((p, m))
+        """The factors that `in_w_part` keeps for W; unit reset to 1."""
+        kept = [(p, m) for p, m in self.factors if in_w_part(invariance_lattice(p), W)]
         return FactoredPoly._from_canonical(self.vars, Fraction(1), kept)
 
     # ------------------------------------------------------------------

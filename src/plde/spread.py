@@ -1,19 +1,14 @@
 """Shift equivalence of polynomials: spread lattices and shift orbits.
 
-For an irreducible p the invariance group {g : p(n+g) = p(n)} is computed
-exactly as the integer kernel of the directional-derivative system: a
-vector v fixes p if and only if the derivative of p along v vanishes
-identically (the t |-> p(n+tv) curve is polynomial, so vanishing of its
-derivative makes it constant).  That kernel is automatically saturated.
-
 `shift_orbit` maps a polynomial to a normal form of its orbit under
-integer shifts, so N^s q = c p is decided by comparing two keys.  Each
-round moves the degree-D coefficients to the Hermite-reduced
-representative of the coset c + L that they fill over the shifts left.
-The key is canonical because L and the class c + L do not depend on the
-choice of directions: derivatives along the invariance lattice vanish,
-and a shift leaves the degree-D part of a derivative unchanged.
-`spread_box_oracle`, a brute force, is kept for cross-checks.
+integer shifts, so N^s q = c p is decided by comparing two keys.  Its
+rounds keep the integer directions along which the derivatives lose their
+top degree, and stop when every derivative along the directions left
+vanishes.  Those directions span the invariance lattice G = {g : p(n+g) =
+p(n)}, which is Spread(p) for irreducible p: v fixes p exactly when the
+derivative of p along v vanishes, since t |-> p(n+tv) is a polynomial.
+`invariance_lattice` reads G off the normal form.  `spread_box_oracle`,
+a brute force, is kept for cross-checks.
 """
 
 from __future__ import annotations
@@ -21,9 +16,8 @@ from __future__ import annotations
 import itertools
 from functools import lru_cache
 
-from .lattice import IntLattice, ShiftCoset, integer_kernel, reduce_by_span
-from .polyring import (MAX_BOX_POINTS, InvariantError, Poly, UnsupportedInputError, gcd_poly,
-                       shift_terms)
+from .lattice import IntLattice, ShiftCoset, reduce_by_span
+from .polyring import MAX_BOX_POINTS, Poly, UnsupportedInputError, gcd_poly, shift_terms
 
 NEG_INFINITY = float("-inf")
 
@@ -41,15 +35,12 @@ def _derivative(a: dict, d) -> dict:
 
 @lru_cache(maxsize=None)
 def invariance_lattice(p: Poly) -> IntLattice:
-    """Lattice of integer shifts fixing p; equals Spread(p) for irreducible p."""
-    if p.is_constant():
-        raise ValueError("spread of a constant polynomial is not defined here")
-    r = len(p.vars)
-    partials = [_derivative(p.terms, u) for u in IntLattice.full(r).basis]
-    K = integer_kernel([[dp.get(e, 0) for dp in partials] for e in set().union(*partials)], r)
-    if any(p.shift(g) != p for g in K.basis):
-        raise InvariantError("a kernel vector of the partials does not fix the polynomial")
-    return K
+    """The lattice G of integer shifts fixing p; Spread(p) for irreducible p.
+
+    G is the span of the directions left when the rounds of `shift_orbit`
+    stop.  A constant p raises a ValueError.
+    """
+    return shift_orbit(p)[2]
 
 
 def shift_orbit(p: Poly):

@@ -136,6 +136,12 @@ def check_bound_covers(eq: PLDE, y: RationalFunction, den_factors: FactoredPoly,
     if divide_exact(y.den, expanded) is None or divide_exact(expanded, y.den) is None:
         raise ValueError("denominator factorization does not match the solution")
     geometry = SupportGeometry(eq.support)
+    keys = {}  # prim -> its shift orbit key, computed at most once per call
+
+    def key_of(p):
+        if p not in keys:
+            keys[p] = shift_orbit(p)[0]
+        return keys[p]
     verdicts = {}
     for prim, mult in den_factors.factors:
         W = invariance_lattice(prim)
@@ -146,8 +152,8 @@ def check_bound_covers(eq: PLDE, y: RationalFunction, den_factors: FactoredPoly,
             detail = "multiplicity %d of %d in d" % (report.d.multiplicity(prim), mult)
         elif cls.kind == CLASS_OPPOSITE_ONLY:
             case = 2
-            key = shift_orbit(prim)[0]  # a shifted copy has the invariance lattice W too
-            ok = any(shift_orbit(p)[0] == key for p in report.P if invariance_lattice(p) == W)
+            key = key_of(prim)  # a shifted copy has the invariance lattice W too
+            ok = any(key_of(p) == key for p in report.P if invariance_lattice(p) == W)
             detail = "shifted copy in P" if ok else "no shifted copy in P"
         else:
             case = 3

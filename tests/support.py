@@ -16,7 +16,6 @@ from plde.lattice import (IntLattice, ShiftCoset, UnimodularMatrix, _split, clea
 from plde.polyring import (MAX_COEFF_BITS, MAX_DEGREE, MAX_TERMS, InvariantError, ParseError,
                            Poly, RationalFunction, UnsupportedInputError, divide_exact,
                            normalize_primitive, parse_poly)
-from plde.spread import invariance_lattice
 from plde.verify import check_solution
 
 VARS2 = ("n", "k")
@@ -287,6 +286,25 @@ def complement_within(K: IntLattice, G: IntLattice) -> IntLattice:
     return IntLattice(K.dim, rest)
 
 
+def reference_invariance_lattice(p: Poly) -> IntLattice:
+    """The lattice of integer shifts fixing p, as the integer kernel of its partial derivatives.
+
+    A vector v fixes p exactly when the derivative of p along v vanishes
+    identically (the t |-> p(n+tv) curve is polynomial, so a vanishing
+    derivative makes it constant); the kernel is saturated.  Every kernel
+    vector is checked to fix p.
+    """
+    if p.is_constant():
+        raise ValueError("spread of a constant polynomial is not defined here")
+    r = len(p.vars)
+    partials = [{e[:i] + (e[i] - 1,) + e[i + 1:]: c * e[i] for e, c in p.terms.items() if e[i]}
+                for i in range(r)]
+    K = integer_kernel([[dp.get(e, 0) for dp in partials] for e in set().union(*partials)], r)
+    if any(p.shift(g) != p for g in K.basis):
+        raise InvariantError("a kernel vector of the partials does not fix the polynomial")
+    return K
+
+
 def reference_shift_equiv(p: Poly, q: Poly) -> ShiftCoset:
     """Shift equivalence by stages: all s with q(n+s) = c * p(n), c a nonzero constant.
 
@@ -318,7 +336,7 @@ def reference_shift_equiv(p: Poly, q: Poly) -> ShiftCoset:
     if sol is None:
         return ShiftCoset.empty(r)
     s0, K = sol
-    G = invariance_lattice(q)
+    G = reference_invariance_lattice(q)
     directions = [list(v) for v in complement_within(K, G).basis]
     s0 = list(s0)
     while directions:

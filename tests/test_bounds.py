@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import plde.bounds
+import plde.factored
 import plde.geometry
 import plde.spread
 from plde.bounds import (DegenerateFaceError, StripPreconditionError, _expand, _factors,
@@ -136,7 +137,7 @@ def test_frac_reduction_matches_trial_division():
     prims = {}
 
     def counter(fp):
-        return _factors([(f.terms, m) for f, m in fp.factors], prims, (0, 0))
+        return _factors(fp.factors, prims, (0, 0))
 
     for case in range(N_CASES):
         texts = rng.sample(pool, rng.randint(1, 3))
@@ -379,6 +380,24 @@ def test_aperiodic_bound_trivial_cases(sys1, ex1):
         assert _aperiodic_bound(eq, SupportGeometry(eq.support), {}).is_one()
 
 
+def test_aperiodic_bound_needs_a_witness_for_some_corner(sys1, monkeypatch):
+    # for W = 0 every corner of two or more points has a first witness (a
+    # covector exposing it alone has another corner on its top face), so the
+    # pass raises when it finds none
+    rng = random.Random(711)
+    for r in (2, 3):
+        for _ in range(20):
+            points = {random_shift(rng, r, 2) for _ in range(rng.randint(2, 7))}
+            if len(points) == 1:
+                continue
+            geometry, zero = SupportGeometry(points), IntLattice.zero(r)
+            for p in geometry.corners:
+                assert any(geometry.witness(p, q, zero) for q in geometry.corners if q != p)
+    monkeypatch.setattr(SupportGeometry, "witness", lambda self, p, p_prime, W: None)
+    with pytest.raises(InvariantError, match="witness pair"):
+        _aperiodic_bound(sys1, SupportGeometry(sys1.support), {})
+
+
 def test_aperiodic_bound_catches_constructed_factor():
     # equation built around the solution 1/(nk+1)
     rng = random.Random(7)
@@ -460,6 +479,29 @@ def test_one_shift_orbit_per_prim_and_call(ex1, ex2, nrm, skew, sys1, sys2, monk
     # the base faces of ex1 and nrm have no W-part, so their top faces need
     # no orbit either, and skew has constant coefficients
     assert made == {"ex1": 0, "ex2": 4, "nrm": 0, "skew": 0, "sys1": 4, "sys2": 4}
+
+
+def test_lattices_only_of_coefficient_factors(ex1, ex2, nrm, skew, sys1, sys2, monkeypatch):
+    # a strip prim has the spread of the coefficient factor it shifts, so the
+    # bound looks up no lattice of a shifted copy
+    seen = []
+    lattice = plde.spread.invariance_lattice
+
+    def recording(p):
+        seen.append(p)
+        return lattice(p)
+
+    monkeypatch.setattr(plde.bounds, "invariance_lattice", recording)
+    monkeypatch.setattr(plde.factored, "invariance_lattice", recording)
+    made = {}
+    for name, eq in (("ex1", ex1), ("ex2", ex2), ("nrm", nrm), ("skew", skew), ("sys1", sys1),
+                     ("sys2", sys2)):
+        seen.clear()
+        combined_bound(eq)
+        factors = {f for a in eq.terms.values() for f, _ in a.factors}
+        assert set(seen) <= factors, (name, set(seen) - factors)
+        made[name] = len(set(seen))
+    assert made == {"ex1": 4, "ex2": 4, "nrm": 4, "skew": 0, "sys1": 8, "sys2": 8}
 
 
 # ----------------------------------------------------------------------

@@ -14,7 +14,7 @@ from plde.polyring import Poly, normalize_primitive, parse_poly
 from plde.spread import (NEG_INFINITY, invariance_lattice, shift_equiv, shift_orbit,
                          spread_box_oracle)
 from support import (VARS2, random_factor, random_poly, random_shift,
-                     reference_shift_equiv)
+                     reference_invariance_lattice, reference_shift_equiv)
 
 N_CASES = 200
 
@@ -32,14 +32,17 @@ def L(*rows):
 
 
 def test_invariance_examples():
-    assert invariance_lattice(P("k+n+1")) == L((1, -1))
-    assert invariance_lattice(P("n*k+1")).rank == 0
-    assert invariance_lattice(P("2*n-3*k")) == L((3, 2))
+    # the orbit rounds and the kernel of the partials (the reference) agree
+    for lattice_of in (invariance_lattice, reference_invariance_lattice):
+        assert lattice_of(P("k+n+1")) == L((1, -1))
+        assert lattice_of(P("n*k+1")).rank == 0
+        assert lattice_of(P("2*n-3*k")) == L((3, 2))
 
 
 def test_invariance_rejects_constants():
-    with pytest.raises(ValueError):
-        invariance_lattice(Poly.const(VARS2, 5))
+    for lattice_of in (invariance_lattice, reference_invariance_lattice):
+        with pytest.raises(ValueError):
+            lattice_of(Poly.const(VARS2, 5))
 
 
 def test_invariance_of_skew_linear_factor():
@@ -55,8 +58,9 @@ def test_invariance_of_skew_linear_factor():
 
 def test_invariance_needs_nonlinear_layer():
     # n^2+k: the top form alone would allow (0,1) but the constant layer kills it
-    assert invariance_lattice(P("n^2+k")).rank == 0
-    assert invariance_lattice(P("n^2+n+1")) == L((0, 1))
+    for lattice_of in (invariance_lattice, reference_invariance_lattice):
+        assert lattice_of(P("n^2+k")).rank == 0
+        assert lattice_of(P("n^2+n+1")) == L((0, 1))
 
 
 # ----------------------------------------------------------------------
@@ -362,7 +366,8 @@ def test_shift_equiv_matches_staged_reference():
 
 def test_shift_orbits_are_canonical():
     # every shifted, scaled or negated copy of q has the key of q, and its
-    # offset differs from q's by the shift, modulo the invariance lattice
+    # offset differs from q's by the shift, modulo the invariance lattice,
+    # which is the kernel of the partials of the reference
     rng = random.Random(408)
     ranks = Counter()
     for vars in (("n",), ("n", "k"), ("n", "k", "m"), ("n", "k", "m", "j")):
@@ -370,7 +375,7 @@ def test_shift_orbits_are_canonical():
             q = _differential_pair(rng, vars)[1]
             key, offset, G = shift_orbit(q)
             ranks[len(vars), G.rank] += 1
-            assert G == invariance_lattice(q) and G.reduce(offset) == offset
+            assert G == reference_invariance_lattice(q) and G.reduce(offset) == offset
             assert key.content == 1 and normalize_primitive(q.shift(offset))[1] == key
             a = random_shift(rng, r=len(vars))
             scale = rng.choice([1, -1, 3, Fraction(-2, 5)])
