@@ -171,11 +171,6 @@ class FactoredPoly:
         factors = [(p.compose(images, self.vars), m) for p, m in self.factors]
         return FactoredPoly(self.vars, self.unit, factors)
 
-    def drop_unit(self) -> "FactoredPoly":
-        if self.unit == 1:
-            return self
-        return FactoredPoly._from_canonical(self.vars, Fraction(1), self.factors)
-
     # ------------------------------------------------------------------
     # spread filters
 

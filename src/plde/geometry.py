@@ -1,14 +1,15 @@
 """Support-set geometry over Z^r.
 
-Everything here is exact.  The faces of a support's convex hull come from
-one double description in integers (`_facets`): its facets, as the sets
-of support points they hold, and from their incidences the corners, the
-hull edges and, for r = 3, the facet modules (`_Faces`, whose docstring
-gives the argument).  The separating covectors of the pair certificates
-consumed by the bounding pipeline are decided by exact linear
-programming: a simplex method on integer tableaux (`lp_feasible`), the
-only LP here.  `SupportGeometry` computes the faces of a support, and the
-covector setup of each module, once for all the searches of one caller.
+Everything here is exact, and rests on one polyhedral algorithm: the
+double description in integers (`_facets`).  It gives the faces of a
+support's convex hull: its facets, as the sets of support points they
+hold, and from their incidences the corners, the hull edges and, for
+r = 3, the facet modules (`_Faces`, whose docstring gives the argument).
+It also decides the separating covectors of the pair certificates
+consumed by the bounding pipeline: `lp_feasible` reads the point it
+returns off the generators of a homogenized cone.  `SupportGeometry`
+computes the faces of a support, and the covector setup of each module,
+once for all the searches of one caller.
 
 A module W is *useful* for a support S when some ordered pair of corner
 points (p, p') admits an integer covector u orthogonal to W such that p is
@@ -26,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd as _int_gcd, lcm as _int_lcm
+from math import gcd as _int_gcd
 from operator import mul as _mul, sub as _sub
 
 from .lattice import (IntLattice, clear_denominators, integer_kernel,
@@ -53,43 +54,53 @@ def lp_feasible(constraints, nvars: int):
     (lo + hi) / 2 when both ends are finite, max(lo, 0) when only lo is,
     min(hi, 0) when only hi is, and 0 when neither is.
 
-    Each range but the last is found by two runs of an exact simplex
-    (`_Tableau`); the last is read off the one-variable rows that remain.
+    The ranges are read off the generators of the cone
+    {(t, v) : t >= 0, a . v >= b t for every row a . v >= b}, which the
+    double description builds (`_facets`): its rays with t > 0 are the
+    vertices v / t of P, and its rays with t = 0 and its lineality vectors
+    are the recession directions of P, so P is empty exactly when no ray
+    has t > 0.  Once v_j is chosen, the two rows of v_j = value t are added
+    to the generators already built, which leaves those of the next slice.
+    A one-variable system is read straight off its rows.
     """
     rows = _lp_rows(constraints, nvars)
     if rows is None:
         return None
+    if nvars == 1:
+        lo = max((Fraction(b, a[0]) for a, b in rows if a[0] > 0), default=None)
+        hi = min((Fraction(b, a[0]) for a, b in rows if a[0] < 0), default=None)
+        if lo is not None and hi is not None and lo > hi:
+            return None
+        return [_point_rule(lo, hi)]
+    cone = [(1,) + (0,) * nvars] + [(-b, *a) for a, b in rows]
+    lineality, rays = _facets(cone)
+    if not any(v[0] for v, _ in rays):
+        return None
     values = []
-    for j in range(nvars):
-        # the slice: v_0..v_{j-1} = nums / scale substituted, rows scaled by scale
-        scale = _int_lcm(*(v.denominator for v in values))
-        nums = [v.numerator * (scale // v.denominator) for v in values]
-        sliced = []
-        for a, b in rows:
-            rest = b * scale - sum(x * v for x, v in zip(a, nums))
-            if any(a[j:]):
-                sliced.append(([x * scale for x in a[j:]], rest))
-            elif rest > 0:
-                return None
-        if j + 1 < nvars:
-            ends = _Tableau(sliced, nvars - j).range_of_first()
-            if ends is None:
-                return None
-            lo, hi = ends
-        else:
-            lo = max((Fraction(b, a[0]) for a, b in sliced if a[0] > 0), default=None)
-            hi = min((Fraction(b, a[0]) for a, b in sliced if a[0] < 0), default=None)
-            if lo is not None and hi is not None and lo > hi:
-                return None
-        if lo is not None and hi is not None:
-            values.append((lo + hi) / 2)
-        elif lo is not None:
-            values.append(max(lo, Fraction(0)))
-        elif hi is not None:
-            values.append(min(hi, Fraction(0)))
-        else:
-            values.append(Fraction(0))
+    for j in range(1, nvars + 1):
+        ends = [Fraction(v[j], v[0]) for v, _ in rays if v[0]]
+        # v_j along the recession directions; a lineality vector goes both ways
+        slopes = [v[j] for v, _ in rays if not v[0]] + [x * v[j] for v in lineality for x in (1, -1)]
+        value = _point_rule(None if any(x < 0 for x in slopes) else min(ends),
+                            None if any(x > 0 for x in slopes) else max(ends))
+        values.append(value)
+        if j < nvars:
+            fix = [0] * (nvars + 1)
+            fix[0], fix[j] = -value.numerator, value.denominator
+            first = len(cone) + 2 * (j - 1)  # the rows already cut
+            lineality, rays = _facets([fix, [-x for x in fix]], lineality, rays, first)
     return values
+
+
+def _point_rule(lo, hi):
+    """The value that `lp_feasible` chooses in the range [lo, hi]; None for an infinite end."""
+    if lo is not None and hi is not None:
+        return (lo + hi) / 2
+    if lo is not None:
+        return max(lo, Fraction(0))
+    if hi is not None:
+        return min(hi, Fraction(0))
+    return Fraction(0)
 
 
 def _lp_rows(constraints, nvars: int):
@@ -128,127 +139,11 @@ def _lp_rows(constraints, nvars: int):
     return [(a, b) for a, b, _ in tightest.values()]
 
 
-class _Tableau:
-    """Simplex dictionary over the integers for the rows a . w >= b, w free.
-
-    Row i reads x_basis[i] = (T[i][0] + sum_c T[i][c] x_nonbasic[c-1]) / D.
-    Variable ids: 0 is the phase-I variable and 1, 2, ... the row slacks,
-    all constrained to be >= 0; -1, -2, ... are the free variables w_0,
-    w_1, ...
-    Pivots are fraction-free (Bareiss 1968), so every entry stays an
-    integer minor of the starting rows, and the entering and leaving
-    variables follow Bland's rule (Bland 1977), so no basis repeats.
-    """
-
-    def __init__(self, rows, nvars: int):
-        self.D = 1
-        self.T = [[-b] + list(a) for a, b in rows]
-        self.basis = list(range(1, len(rows) + 1))
-        self.nonbasic = [-(j + 1) for j in range(nvars)]
-        # free variables enter the basis for good; one that no row
-        # involves stays nonbasic and unconstrained
-        for c in range(1, nvars + 1):
-            r = next((i for i, x in enumerate(self.basis) if x > 0 and self.T[i][c]), None)
-            if r is not None:
-                self._pivot(r, c)
-
-    def _pivot(self, r, c):
-        T, D = self.T, self.D
-        prow = T[r]
-        # a negative pivot negates every row, so that the new D = |p| stays positive
-        sign = -1 if prow[c] < 0 else 1
-        p = sign * prow[c]
-        for i, row in enumerate(T):
-            if i != r:
-                f = sign * row[c]
-                new = [(x * p - f * y) // D for x, y in zip(row, prow)]
-                new[c] = f
-                T[i] = new
-        new = [-sign * y for y in prow]
-        new[c] = sign * D
-        T[r] = new
-        self.basis[r], self.nonbasic[c - 1] = self.nonbasic[c - 1], self.basis[r]
-        self.D = p
-
-    def _minimize(self, var, sign):
-        """Minimum of sign * x_var (basic) over the feasible dictionary; None if unbounded.
-
-        Stops early, at 0, if the phase-I variable (var 0) leaves the basis.
-        """
-        while var in self.basis:
-            T, basis = self.T, self.basis
-            obj = T[basis.index(var)]
-            enter = None
-            for c, x in enumerate(self.nonbasic, 1):
-                coef = sign * obj[c]
-                if coef and x < 0:
-                    return None  # a free direction moves the objective both ways
-                if coef < 0 and (enter is None or x < self.nonbasic[enter - 1]):
-                    enter = c
-            if enter is None:
-                return Fraction(sign * obj[0], self.D)
-            leave = None
-            for i, x in enumerate(basis):
-                a = T[i][enter]
-                if x >= 0 and a < 0:
-                    if leave is None:
-                        leave, num, den = i, T[i][0], -a
-                        continue
-                    lhs, rhs = T[i][0] * den, num * -a
-                    if lhs < rhs or (lhs == rhs and x < basis[leave]):
-                        leave, num, den = i, T[i][0], -a
-            if leave is None:
-                return None
-            self._pivot(leave, enter)
-        return Fraction(0)
-
-    def _phase_one(self) -> bool:
-        """Reach a feasible dictionary; False if the rows have no solution.
-
-        The phase-I variable x0 is added to every slack row (Chvatal's
-        auxiliary problem), enters where the slack is most negative, which
-        makes every slack nonnegative, and is then minimized.
-        """
-        slacks = [i for i, x in enumerate(self.basis) if x > 0]
-        r = min(slacks, key=lambda i: (self.T[i][0], self.basis[i]), default=None)
-        if r is None or self.T[r][0] >= 0:
-            return True
-        for row, x in zip(self.T, self.basis):
-            row.append(self.D if x > 0 else 0)
-        self.nonbasic.append(0)
-        self._pivot(r, len(self.nonbasic))
-        if self._minimize(0, 1) > 0:
-            return False
-        if 0 in self.basis:
-            # degenerate: x0 = 0 is basic; swap it for any nonbasic slack
-            r = self.basis.index(0)
-            c = next((c for c, x in enumerate(self.nonbasic, 1) if x > 0 and self.T[r][c]), None)
-            if c is None:
-                del self.T[r], self.basis[r]
-            else:
-                self._pivot(r, c)
-        c = self.nonbasic.index(0) + 1
-        for row in self.T:
-            del row[c]
-        del self.nonbasic[c - 1]
-        return True
-
-    def range_of_first(self):
-        """(min, max) of w_0 over the rows, None for an infinite end; None if no w fits."""
-        if not self._phase_one():
-            return None
-        if -1 not in self.basis:
-            return None, None  # no row involves w_0
-        lo = self._minimize(-1, 1)
-        neg_hi = self._minimize(-1, -1)
-        return lo, None if neg_hi is None else -neg_hi
-
-
 # ----------------------------------------------------------------------
 # facets, corners and edges
 
 
-def _facets(rows):
+def _facets(rows, lineality=None, rays=(), first=0):
     """The lineality basis and the rays of the cone {a : row . a >= 0 for every row}.
 
     Double description (Motzkin, Raiffa, Thompson and Thrall 1953; Fukuda
@@ -261,13 +156,19 @@ def _facets(rows):
     a positive and a negative ray, their positive combination on its
     hyperplane; two rays are adjacent when no third ray is tight on every
     row both are tight on.  Each ray is a primitive integer vector with
-    the bitmask of the rows it is tight on (bit i for rows[i]); modulo the
-    lineality space, the rays are the extreme rays.
+    the bitmask of the rows it is tight on; modulo the lineality space, the
+    rays are the extreme rays.
+
+    Given ``lineality`` and ``rays``, the generators that this returned for
+    ``first`` earlier rows, it continues from them instead of the whole
+    space: the cone is then cut by those rows and ``rows`` together.  Bit i
+    of a mask stands for the i-th row of all of them, so rows[i] has bit
+    first + i.
     """
-    d = len(rows[0])
-    lineality = [(0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d)]
-    rays = []
-    for t, h in enumerate(rows):
+    if lineality is None:
+        d = len(rows[0])
+        lineality = [(0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d)]
+    for t, h in enumerate(rows, first):
         bit = 1 << t
         vals = [sum(map(_mul, h, v)) for v, _ in rays]
         lvals = [sum(map(_mul, h, v)) for v in lineality]
@@ -281,17 +182,20 @@ def _facets(rows):
             lineality = [_onto(v, hv, l, hl) for j, (v, hv) in enumerate(zip(lineality, lvals))
                          if j != i]
             continue
+        # adjacent rays span a face of dimension 2 modulo the lineality space,
+        # so at least len(h) - len(lineality) - 2 rows are tight on both
+        tight = len(h) - len(lineality) - 2
+        masks = [m for _, m in rays]
+        negative = [j for j, x in enumerate(vals) if x < 0]
         new = []
         for i, (vi, mi) in enumerate(rays):
             if vals[i] <= 0:
                 continue
-            for j, (vj, mj) in enumerate(rays):
-                if vals[j] >= 0:
-                    continue
-                common = mi & mj
-                if not any(m & common == common
-                           for o, (_, m) in enumerate(rays) if o != i and o != j):
-                    new.append((_onto(vj, vals[j], vi, vals[i]), common | bit))
+            for j in negative:
+                common = mi & masks[j]
+                if common.bit_count() >= tight and not any(
+                        m & common == common for o, m in enumerate(masks) if o != i and o != j):
+                    new.append((_onto(rays[j][0], vals[j], vi, vals[i]), common | bit))
         rays = [(v, m | bit if hv == 0 else m) for (v, m), hv in zip(rays, vals) if hv >= 0] + new
     return lineality, rays
 

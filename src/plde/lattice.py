@@ -41,7 +41,7 @@ def primitive_vector(v) -> tuple:
     return tuple(x // g for x in ints)
 
 
-def _euclid_pivot(vecs, start: int, col: int):
+def _euclid_clear(vecs, start: int, col: int):
     """Clear entry col of vecs[start:] down to one nonzero vector, by Euclid; its index.
 
     Repeatedly sorts the vectors with a nonzero entry by its absolute value
@@ -69,7 +69,7 @@ def _row_echelon(mat, width):
     row = 0
     pivots = []
     for col in range(width):
-        i0 = _euclid_pivot(mat, row, col)
+        i0 = _euclid_clear(mat, row, col)
         if i0 is None:
             continue
         mat[row], mat[i0] = mat[i0], mat[row]

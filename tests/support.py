@@ -232,7 +232,7 @@ def reference_aperiodic_bound(eq: PLDE, geometry):
     zero = IntLattice.zero(len(eq.variables))
     if len(eq.support) == 1:
         p = eq.support[0]
-        return eq.terms[p].shift(tuple(-x for x in p)).w_part(zero).drop_unit()
+        return eq.terms[p].shift(tuple(-x for x in p)).w_part(zero)
     corners = geometry.corners
     result = None
     orbits = {}
@@ -376,7 +376,7 @@ def reduce_by_trial_division(num, den):
     """
     if den.unit != 1:
         num = num * (1 / den.unit)
-        den = den.drop_unit()
+        den = FactoredPoly(den.vars, 1, den.factors)
     if num.is_zero():
         return num, FactoredPoly.one(den.vars)
     factors = []

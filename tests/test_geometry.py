@@ -1,9 +1,13 @@
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 from plde import geometry
+from plde.bounds import combined_bound
+from plde.equation import PLDE
 from plde.geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry,
                            lp_feasible)
 from plde.lattice import IntLattice
@@ -165,6 +169,25 @@ def test_lp_point_ignores_repeated_and_scaled_rows():
             assert len(half_spaces(rows)) == len(set(d for d, _ in half_spaces(rows)))
         feasible += point is not None
     assert feasible >= 100
+
+
+def test_pipeline_lp_systems_match_fourier_motzkin(ex1, ex2, nrm, skew, sys1, sys2, monkeypatch):
+    # the systems that combined_bound itself builds, on the bundled files and
+    # the golden equations, get the point of the reference
+    systems = []
+    solve = geometry.lp_feasible
+
+    def recording(constraints, nvars):
+        systems.append((constraints, nvars))
+        return solve(constraints, nvars)
+
+    monkeypatch.setattr(geometry, "lp_feasible", recording)
+    golden = json.loads((Path(__file__).parent / "golden" / "equations.json").read_text())
+    for eq in [ex1, ex2, nrm, skew, sys1, sys2] + [PLDE.from_json(d) for d in golden.values()]:
+        combined_bound(eq)
+    for constraints, nvars in systems:
+        assert solve(constraints, nvars) == fourier_motzkin(constraints, nvars), constraints
+    assert len(systems) >= 300 and {nvars for _, nvars in systems} == {1, 2, 3, 4}
 
 
 # ----------------------------------------------------------------------
