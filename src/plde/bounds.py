@@ -26,7 +26,6 @@ face-parallel modules that no certificate can cover.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -129,7 +128,7 @@ class BoundReport:
 
 
 class _Frac:
-    """content * F * num / den, reduced; F and den are Counters of prim keys.
+    """content * F * num / den, reduced; F and den are dicts from prim keys to multiplicities.
 
     ``num`` is an int term map with coprime coefficients and ``content`` a
     Fraction, so the strip rewriting runs on ints.  ``F`` is the factored
@@ -142,7 +141,9 @@ class _Frac:
     quotient by a primitive prim is over Z, so the division
     (`polyring.divide_int_terms`) needs exact int division only.  The
     trial division of a prim stops at its first failure, which leaves num
-    and den as they were.
+    and den as they were, and is skipped when num has a lower total degree
+    than the prim (the degree rule): a nonconstant prim divides no nonzero
+    polynomial of lower degree, so a skipped division is one that fails.
 
     Under the contract of `FactoredPoly`, pairwise coprime irreducible
     prims, a prim divides F * num as often as it occurs in F plus as often
@@ -151,33 +152,38 @@ class _Frac:
     cancellation is still an exact division: den can only be larger than
     the reduced denominator, and a bound built from it stays sound.
 
-    ``prims`` maps the frozenset of each prim's int terms to that key, the
-    terms and the coefficient factor that the prim is a shift of; one strip
-    rewriting shares it, so each prim is converted once and equal prims are
-    one object.
+    ``prims`` maps each prim key to the prim's int terms, the coefficient
+    factor that the prim is a shift of and the prim's total degree.  One
+    strip rewriting shares it and keys a shift f(n + d) of a coefficient
+    factor f by its shift orbit (`_factors`), so equal prims have one key
+    and the terms of each are made once.
     """
 
     __slots__ = ("content", "F", "num", "den")
 
-    def __init__(self, content: Fraction, F: Counter, num: dict, den: Counter, prims: dict):
+    def __init__(self, content: Fraction, F: dict, num: dict, den: dict, prims: dict):
         if not num:
-            F, den = Counter(), Counter()
+            F, den = {}, {}
         else:
             g = gcd(*num.values())
             if g != 1:
                 content = content * g
                 num = {e: c // g for e, c in num.items()}
-            both = F & den
-            F, den = F - both, den - both
-            for prim in den:
-                terms = prims[prim][1]
-                while den[prim]:
-                    q = divide_int_terms(num, terms)
-                    if q is None:
-                        break
-                    num = q
-                    den[prim] -= 1
-            den = +den
+            if F and den:
+                F, den = _minus(F, den), _minus(den, F)
+            if den:
+                degree = max(map(sum, num))
+                left = {}
+                for prim, m in den.items():
+                    terms, _, prim_degree = prims[prim]
+                    while m and prim_degree <= degree:
+                        q = divide_int_terms(num, terms)
+                        if q is None:
+                            break
+                        num, m, degree = q, m - 1, degree - prim_degree
+                    if m:
+                        left[prim] = m
+                den = left
         self.content = content
         self.F = F
         self.num = num
@@ -187,26 +193,63 @@ class _Frac:
         return not self.num
 
     def add(self, other: "_Frac", prims: dict) -> "_Frac":
-        common = self.den | other.den
-        a1 = self.F + common - self.den
-        a2 = other.F + common - other.den
-        g = a1 & a2
+        common = _max(self.den, other.den)
+        a1 = _minus(_plus(self.F, common), self.den)
+        a2 = _minus(_plus(other.F, common), other.den)
+        g = _min(a1, a2)
         c1, c2 = self.content, other.content
         bottom = lcm(c1.denominator, c2.denominator)
         k1 = c1.numerator * (bottom // c1.denominator)
         k2 = c2.numerator * (bottom // c2.denominator)
-        a = _expand(a1 - g, prims, {e: k1 * c for e, c in self.num.items()})
-        b = _expand(a2 - g, prims, {e: k2 * c for e, c in other.num.items()})
+        a = _expand(_minus(a1, g), prims, {e: k1 * c for e, c in self.num.items()})
+        b = _expand(_minus(a2, g), prims, {e: k2 * c for e, c in other.num.items()})
         return _Frac(Fraction(1, bottom), g, add_terms(a, b), common, prims)
 
 
-def _factors(factors, prims: dict, d: tuple) -> Counter:
-    """A coefficient's factors (prim, multiplicity) shifted by d, as a Counter of keys of prims."""
-    out = Counter()
+# multiplicity dicts, never changed once made: sum, positive part of the difference, max, min
+
+
+def _plus(a: dict, b: dict) -> dict:
+    return {**a, **{key: a.get(key, 0) + m for key, m in b.items()}} if b else a
+
+
+def _minus(a: dict, b: dict) -> dict:
+    return {key: m - n for key, m in a.items() if (n := b.get(key, 0)) < m} if b else a
+
+
+def _max(a: dict, b: dict) -> dict:
+    return {**a, **{key: m for key, m in b.items() if m > a.get(key, 0)}}
+
+
+def _min(a: dict, b: dict) -> dict:
+    return {key: min(m, b[key]) for key, m in a.items() if key in b}
+
+
+def _orbit_rows(factors, orbit, ids: dict) -> list:
+    """(f, m, id of key, offset, G) for each factor (f, m), (key, offset, G) = orbit(f)."""
+    rows = []
     for f, m in factors:
-        terms = shift_terms(f.terms, d) if any(d) else f.terms
-        key = frozenset(terms.items())
-        out[prims.setdefault(key, (key, terms, f))[0]] = m
+        key, offset, G = orbit(f)
+        rows.append((f, m, ids.setdefault(key, len(ids)), offset, G))
+    return rows
+
+
+def _factors(rows, prims: dict, d: tuple) -> dict:
+    """A coefficient's factors (`_orbit_rows`) shifted by d, as a dict from prim keys to multiplicities.
+
+    The key of f(n + d) is (orbit id, G.reduce(offset - d)).  Its terms are
+    made the first time it is seen, as those of f(n + offset - reduced),
+    which is f(n + d): offset - reduced - d lies in G, the shifts fixing f.
+    """
+    out = {}
+    for f, m, orbit_id, offset, G in rows:
+        reduced = G.reduce([a - b for a, b in zip(offset, d)])
+        key = (orbit_id, reduced)
+        if key not in prims:
+            shift = tuple(a - b for a, b in zip(offset, reduced))
+            prims[key] = (shift_terms(f.terms, shift) if any(shift) else f.terms, f,
+                          f.total_degree())
+        out[key] = m
     return out
 
 
@@ -214,7 +257,7 @@ def _expand(mults: dict, prims: dict, terms: dict) -> dict:
     """terms times the product of prim^m over mults, as an int term map."""
     for prim, m in mults.items():
         for _ in range(m):
-            terms = mul_terms(terms, prims[prim][1])
+            terms = mul_terms(terms, prims[prim][0])
     return terms
 
 
@@ -270,7 +313,7 @@ def dispersion_bound(eq: PLDE, W: IntLattice, u, orbits=None):
                default=NEG_INFINITY)
 
 
-def strip_rewrite(eq: PLDE, p, s, u) -> StripResult:
+def strip_rewrite(eq: PLDE, p, s, u, orbits=None) -> StripResult:
     """Rewrite N^p y over a single denominator by cascading substitutions.
 
     Every term at a level u . (i - p) in [1, s] is replaced via the
@@ -279,6 +322,10 @@ def strip_rewrite(eq: PLDE, p, s, u) -> StripResult:
     terms beyond the strip.  p must be the only support point of minimal
     level.  The reduced common denominator divides the product of the
     shifted copies of the corner coefficient collected along the way.
+
+    A strip that substitutes keys the shifted coefficient factors by their
+    `spread.shift_orbit`, read from and added to ``orbits``, the registry of
+    `dispersion_bound`; one that reaches only p keys each factor by itself.
     """
     p = tuple(int(x) for x in p)
     if p not in eq.terms:
@@ -300,15 +347,25 @@ def strip_rewrite(eq: PLDE, p, s, u) -> StripResult:
         if len(reach) > MAX_STRIP_POINTS:
             raise UnsupportedInputError("unsupported: the strip of dispersion %d reaches more "
                                         "than %d points" % (s, MAX_STRIP_POINTS))
+    orbits = {} if orbits is None else orbits
+    fixed = (zero, IntLattice.zero(len(p)))
+
+    def orbit(f):  # a strip that reaches only p shifts nothing: each factor is its own orbit
+        if len(reach) == 1:
+            return (f,) + fixed
+        if f not in orbits:
+            orbits[f] = shift_orbit(f)
+        return orbits[f]
+
     a_p = eq.terms[p]
-    prims = {}
-    factors = {q: a_q.factors for q, a_q in eq.terms.items()}
+    prims, ids = {}, {}  # ids numbers the orbit keys, so that prim keys compare as ints
+    factors = {q: _orbit_rows(a_q.factors, orbit, ids) for q, a_q in eq.terms.items()}
     base = _factors(factors[p], prims, zero)
     others = {q: a_q.unit for q, a_q in eq.terms.items() if q != p}
     terms = {q: _Frac(-unit / a_p.unit, _factors(factors[q], prims, zero), {zero: 1}, base, prims)
              for q, unit in others.items()}
     rhs_content, rhs = eq.rhs.content, eq.rhs.terms
-    b = _Frac(rhs_content / a_p.unit, Counter(), rhs, base, prims)
+    b = _Frac(rhs_content / a_p.unit, {}, rhs, base, prims)
     substituted = []
     pool = base  # the product of the shifted corner coefficients
     while True:
@@ -321,15 +378,15 @@ def strip_rewrite(eq: PLDE, p, s, u) -> StripResult:
             continue
         d = tuple(a - b_ for a, b_ in zip(i, p))
         ap_d = _factors(factors[p], prims, d)
-        pool = pool + ap_d
+        pool = _plus(pool, ap_d)
         substituted.append(i)
-        den = coeff.den + ap_d
+        den = _plus(coeff.den, ap_d)
         content = coeff.content / a_p.unit
         for q, unit in others.items():
             target = tuple(a + b_ for a, b_ in zip(q, d))
             level[target] = level[q] + level[i]
-            addend = _Frac(-content * unit, coeff.F + _factors(factors[q], prims, d), coeff.num,
-                           den, prims)
+            addend = _Frac(-content * unit, _plus(coeff.F, _factors(factors[q], prims, d)),
+                           coeff.num, den, prims)
             terms[target] = terms[target].add(addend, prims) if target in terms else addend
         if rhs:
             num = mul_terms(coeff.num, shift_terms(rhs, d))
@@ -340,18 +397,19 @@ def strip_rewrite(eq: PLDE, p, s, u) -> StripResult:
         raise InvariantError("a reachable term survived inside the strip")
     D = b.den
     for fr in live.values():
-        D = D | fr.den
-    poly = {key: Poly.from_ints(eq.variables, prims[key][1]) for key in D}
-    origins = {poly[key]: prims[key][2] for key in D}
+        D = _max(D, fr.den)
+    poly = {key: Poly.from_ints(eq.variables, prims[key][0]) for key in D}
+    origins = {poly[key]: prims[key][1] for key in D}
     D_actual = FactoredPoly._from_canonical(eq.variables, Fraction(1),
                                             [(poly[key], m) for key, m in D.items()])
     D_pool = FactoredPoly._from_canonical(eq.variables, Fraction(1),  # D | pool iff D | D_pool
-                                          [(poly[key], m) for key, m in (pool & D).items()])
+                                          [(poly[key], m) for key, m in _min(pool, D).items()])
     if not D_actual.divides(D_pool):
         raise InvariantError("common denominator escaped the substitution cascade")
 
     def numerator(fr):  # the numerator of fr over the common denominator D
-        return Poly.from_ints(eq.variables, _expand(fr.F + D - fr.den, prims, fr.num), fr.content)
+        return Poly.from_ints(eq.variables, _expand(_minus(_plus(fr.F, D), fr.den), prims, fr.num),
+                              fr.content)
 
     return StripResult(rminus, tuple(sorted(live)), D_actual, origins, numerator, live, b)
 
@@ -365,7 +423,7 @@ def _bound_for_cert(eq: PLDE, W: IntLattice, cert: WitnessCertificate, orbits: d
     if s_val == NEG_INFINITY:
         # no periodic factor of W can occur at the corner coefficient at all
         return FactoredPoly.one(eq.variables), s_val
-    strip = strip_rewrite(eq, cert.p, s_val, u)
+    strip = strip_rewrite(eq, cert.p, s_val, u, orbits)
     # a shift has the spread of what it shifts; only the prims kept are shifted back
     down = tuple(-x for x in cert.p)
     kept = [(f.shift(down), m) for f, m in strip.D_actual.factors

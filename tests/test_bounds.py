@@ -16,20 +16,20 @@ import plde.factored
 import plde.geometry
 import plde.spread
 from plde.bounds import (DegenerateFaceError, StripPreconditionError, _expand, _factors,
-                         _Frac, _aperiodic_bound, combined_bound, dispersion_bound, module_bound,
-                         strip_rewrite)
+                         _Frac, _aperiodic_bound, _orbit_rows, combined_bound, dispersion_bound,
+                         module_bound, strip_rewrite)
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
 from plde.geometry import CLASS_USEFUL, SupportGeometry
 from plde.lattice import IntLattice, saturation
 from plde.polyring import (InvariantError, Poly, RationalFunction, divide_exact, divide_int_terms,
                            parse_poly)
-from plde.spread import NEG_INFINITY, invariance_lattice
+from plde.spread import NEG_INFINITY, invariance_lattice, shift_orbit
 from plde.transform import transform_equation, witness_levels
 from plde.verify import check_solution
-from support import (VARS2, InstanceProfile, check_strip_identity, int_terms, random_instance,
-                     random_poly, random_shift, random_unimodular, reduce_by_trial_division,
-                     reference_aperiodic_bound, reference_module_bound)
+from support import (VARS2, InstanceProfile, check_strip_identity, dispersion_family, int_terms,
+                     random_instance, random_poly, random_shift, random_unimodular,
+                     reduce_by_trial_division, reference_aperiodic_bound, reference_module_bound)
 
 N_CASES = 200
 
@@ -135,10 +135,10 @@ def test_frac_reduction_matches_trial_division():
     # coefficient denominator of the rational numerator
     rng = random.Random(709)
     pool = ["k+n+1", "2*k+3*n+1", "n*k+1", "n+1", "4*k-2*n+1", "n^2+n+1", "n^2+k^2+1"]
-    prims = {}
+    prims, ids = {}, {}
 
-    def counter(fp):
-        return _factors(fp.factors, prims, (0, 0))
+    def counter(fp):  # keyed as in a strip: shifts of one pool prim share an orbit id
+        return _factors(_orbit_rows(fp.factors, shift_orbit, ids), prims, (0, 0))
 
     for case in range(N_CASES):
         texts = rng.sample(pool, rng.randint(1, 3))
@@ -156,7 +156,7 @@ def test_frac_reduction_matches_trial_division():
         content, terms = int_terms(num)
         got = _Frac(content * part.unit / den.unit, counter(part), terms, counter(den), prims)
         got_num = Poly.from_ints(VARS2, _expand(got.F, prims, got.num), got.content)
-        got_den = FactoredPoly(VARS2, 1, [(Poly.from_ints(VARS2, prims[key][1]), m)
+        got_den = FactoredPoly(VARS2, 1, [(Poly.from_ints(VARS2, prims[key][0]), m)
                                           for key, m in got.den.items()])
         assert (got_num, got_den) == reduce_by_trial_division(num * part.expand(), den), \
             (num, part, den)
@@ -187,6 +187,55 @@ def test_combined_cancels_corner_factors_by_multiplicity(sys1, monkeypatch):
     # the shifted corner factors cancel by multiplicity, so next to no division
     # is left (dividing them back out of expanded numerators took 318 here)
     assert len(succeeded) <= 32, len(succeeded)
+
+
+def test_wide_strips_shift_each_prim_once(monkeypatch):
+    # on the dispersion family at s = 16 and 32, the strips key shifted prims
+    # by shift orbit, so a prim's terms are made once per strip (3,952 and
+    # 14,560 shift_terms calls when each substitution shifted every factor),
+    # and the degree rule skips every trial division (5,972 and 22,636 before)
+    shifts = []
+    divisions = []
+    prim_maps = {}
+    strips = []
+    shift_terms, factors = plde.bounds.shift_terms, plde.bounds._factors
+    original = plde.bounds.strip_rewrite
+
+    def counting_shift(terms, d):
+        shifts.append(d)
+        return shift_terms(terms, d)
+
+    def counting_division(num, prim):
+        divisions.append(prim)
+        return divide_int_terms(num, prim)
+
+    def recording_factors(rows, prims, d):
+        prim_maps[id(prims)] = prims
+        return factors(rows, prims, d)
+
+    def recording_strip(eq, p, s, u, orbits=None):
+        strip = original(eq, p, s, u, orbits)
+        strips.append((strip, p))
+        return strip
+
+    monkeypatch.setattr(plde.bounds, "shift_terms", counting_shift)
+    monkeypatch.setattr(plde.bounds, "divide_int_terms", counting_division)
+    monkeypatch.setattr(plde.bounds, "_factors", recording_factors)
+    monkeypatch.setattr(plde.bounds, "strip_rewrite", recording_strip)
+    for s, most_shifts in ((16, 500), (32, 1500)):
+        eq, y, _ = dispersion_family(s)
+        for log in (shifts, divisions, strips):
+            log.clear()
+        prim_maps.clear()
+        combined_bound(eq)
+        assert len(shifts) <= most_shifts, (s, len(shifts))
+        assert not divisions, s
+        assert len(prim_maps) == len(strips) >= 2
+        for prims in prim_maps.values():  # the keys are canonical
+            assert len({frozenset(terms.items()) for terms, _, _ in prims.values()}) == len(prims)
+        assert max(len(strip.Rminus) for strip, _ in strips) > 1
+        for strip, p in strips:
+            assert check_strip_identity(strip, p, y), (s, p)
 
 
 _OPTIMIZED_STRIP = """
@@ -330,9 +379,9 @@ def test_combined_strips_each_input_once(sys1, sys2, monkeypatch):
     calls = []
     original = plde.bounds.strip_rewrite
 
-    def counting(eq, p, s, u):
+    def counting(eq, p, s, u, orbits=None):
         calls.append((tuple(p), s, tuple(u)))
-        return original(eq, p, s, u)
+        return original(eq, p, s, u, orbits)
 
     monkeypatch.setattr(plde.bounds, "strip_rewrite", counting)
     for eq in (sys1, sys2):
@@ -456,8 +505,8 @@ def test_intersection_stops_once_the_gcd_is_one(ex1, ex2, nrm, skew, sys1, sys2,
 
 
 def test_one_shift_orbit_per_prim_and_call(ex1, ex2, nrm, skew, sys1, sys2, monkeypatch):
-    # the dispersions of one combined_bound share one orbit registry, and
-    # no pair is decided by shift_equiv on the bound path
+    # the dispersions and strips of one combined_bound share one orbit
+    # registry, and no pair is decided by shift_equiv on the bound path
     orbits = Counter()
     shift_orbit = plde.bounds.shift_orbit
 
@@ -478,8 +527,10 @@ def test_one_shift_orbit_per_prim_and_call(ex1, ex2, nrm, skew, sys1, sys2, monk
         assert set(orbits.values()) <= {1}, name
         made[name] = len(orbits)
     # the base faces of ex1 and nrm have no W-part, so their top faces need
-    # no orbit either, and skew has constant coefficients
-    assert made == {"ex1": 0, "ex2": 4, "nrm": 0, "skew": 0, "sys1": 4, "sys2": 4}
+    # no orbit either, and skew has constant coefficients; strips that
+    # substitute key their prims by orbit, which adds the other four
+    # coefficient factors of sys1 and sys2 (the dispersions alone made 4 and 4)
+    assert made == {"ex1": 0, "ex2": 4, "nrm": 0, "skew": 0, "sys1": 8, "sys2": 8}
 
 
 def test_lattices_only_of_coefficient_factors(ex1, ex2, nrm, skew, sys1, sys2, monkeypatch):

@@ -3,8 +3,9 @@
 The stored text of each report is ``json.dumps(report.to_json(),
 sort_keys=True)``, so witness covectors, pair choices, dispersions and
 factor order are all pinned.  The inputs are the bundled equations and
-seeded ``random_instance`` equations (tests/support.py), whose JSON is stored alongside so
-that the cases do not depend on the generator.
+seeded ``random_instance`` equations (tests/support.py), and the dispersion
+family at strip widths the bench does not reach; the JSON of the generated
+equations is stored alongside so that the cases do not depend on the generator.
 
 To rewrite the files after an intended change of the reports:
 
@@ -60,10 +61,13 @@ GENERATED = (tuple(("r2", seed) for seed in range(1, 11))
              + tuple(("r3", seed) for seed in range(1, 11))
              + tuple(("r1", seed) for seed in range(1, 6))
              + tuple(("r4", seed) for seed in (1, 5, 6, 7, 10)))
+# dispersions s of the family q = (n+k+1)(n+k+1+s)(3n+2k+1), wider than the bench's s <= 6
+WIDE = (12, 16)
 
 
 def _case_names():
-    return list(BUNDLED) + ["%s-%d" % case for case in GENERATED]
+    return (list(BUNDLED) + ["%s-%d" % case for case in GENERATED]
+            + ["dispersion-%d" % s for s in WIDE])
 
 
 def _equation(name):
@@ -98,7 +102,7 @@ def test_golden_set_has_non_axis_witnesses():
 
 
 def write_golden():
-    from support import random_instance
+    from support import dispersion_family, random_instance
 
     GOLDEN.mkdir(exist_ok=True)
     profiles = _profiles()
@@ -106,6 +110,8 @@ def write_golden():
     for profile, seed in GENERATED:
         eq, _, _ = random_instance(seed, profiles[profile])
         generated["%s-%d" % (profile, seed)] = eq.to_json()
+    for s in WIDE:
+        generated["dispersion-%d" % s] = dispersion_family(s)[0].to_json()
     (GOLDEN / "equations.json").write_text(json.dumps(generated, indent=1, sort_keys=True) + "\n")
     for name in _case_names():
         (GOLDEN / ("%s.json" % name)).write_text(_report_text(_equation(name)))
