@@ -365,6 +365,7 @@ def strip_rewrite(eq: PLDE, p, s, u, orbits=None) -> StripResult:
     terms = {q: _Frac(-unit / a_p.unit, _factors(factors[q], prims, zero), {zero: 1}, base, prims)
              for q, unit in others.items()}
     rhs_content, rhs = eq.rhs.content, eq.rhs.terms
+    constant_rhs = rhs == {zero: 1}  # its shifts are itself, and a product by it is a copy
     b = _Frac(rhs_content / a_p.unit, {}, rhs, base, prims)
     substituted = []
     pool = base  # the product of the shifted corner coefficients
@@ -389,7 +390,7 @@ def strip_rewrite(eq: PLDE, p, s, u, orbits=None) -> StripResult:
                            coeff.num, den, prims)
             terms[target] = terms[target].add(addend, prims) if target in terms else addend
         if rhs:
-            num = mul_terms(coeff.num, shift_terms(rhs, d))
+            num = coeff.num if constant_rhs else mul_terms(coeff.num, shift_terms(rhs, d))
             b = b.add(_Frac(content * rhs_content, coeff.F, num, den, prims), prims)
     rminus = tuple(sorted([p] + substituted))
     live = {i: fr for i, fr in terms.items() if not fr.is_zero()}

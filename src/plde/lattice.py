@@ -115,11 +115,14 @@ def _split(rows, images):
 class IntLattice:
     """Submodule of Z^dim with canonical HNF basis rows."""
 
-    __slots__ = ("dim", "basis")
+    __slots__ = ("dim", "basis", "_pivots")
 
     def __init__(self, dim: int, rows=()):
         self.dim = int(dim)
         self.basis = _hnf_rows(rows, self.dim)
+        # (column, entry, row) of each row's first nonzero entry, the one reduce clears
+        self._pivots = tuple(next((i, x, row) for i, x in enumerate(row) if x)
+                             for row in self.basis)
 
     @classmethod
     def zero(cls, dim: int) -> "IntLattice":
@@ -144,9 +147,8 @@ class IntLattice:
         v = [int(x) for x in v]
         if len(v) != self.dim:
             raise ValueError("vector length %d, expected %d" % (len(v), self.dim))
-        for row in self.basis:
-            col = next(i for i, x in enumerate(row) if x)
-            q = v[col] // row[col]
+        for col, pivot, row in self._pivots:
+            q = v[col] // pivot
             if q:
                 v = [a - q * b for a, b in zip(v, row)]
         return tuple(v)
@@ -226,10 +228,6 @@ class UnimodularMatrix:
         if IntLattice(n, self.rows) != IntLattice.full(n):
             raise ValueError("the rows do not span Z^%d: determinant is not +-1" % n)
         self._inv = None
-
-    @classmethod
-    def identity(cls, n: int) -> "UnimodularMatrix":
-        return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
     @property
     def dim(self) -> int:

@@ -172,14 +172,6 @@ class Poly:
             return -1
         return max(e[i] for e in self.terms)
 
-    def leading_exponent(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return max(self.terms, key=_grlex)
-
-    def leading_coefficient(self) -> Fraction:
-        return self.content * self.terms[self.leading_exponent()]
-
     # ------------------------------------------------------------------
     # ring operations
 
@@ -923,6 +915,14 @@ def parse_rational(text: str, vars) -> RationalFunction:
             split = i
     if split is None:
         return RationalFunction.from_poly(parse_poly(text, vars))
+    # "a/(b)+1" would read as a/(b+1): a sum beside the '/' must be parenthesized
+    for side, offset in ((text[:split], 0), (text[split + 1:], split + 1)):
+        depth = 0
+        for i, (kind, _, pos) in enumerate(_tokenize(side)):
+            depth += (kind == "(") - (kind == ")")
+            if kind in "+-" and depth == 0 and i:
+                raise ParseError("a sum next to the top-level '/' is ambiguous; "
+                                 "write (num)/(den)", offset + pos)
     num = parse_poly(text[:split], vars)
     den = parse_poly(text[split + 1:], vars)
     return RationalFunction(num, den)

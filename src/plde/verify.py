@@ -1,27 +1,36 @@
 """Independent checks: solution substitution and bound coverage.
 
-Everything here works on fully expanded polynomials, deliberately avoiding
-the factored fast paths, so that it can serve as a differential oracle for
-the bounding machinery.
+Everything here works on expanded polynomials, apart from the exact
+cancellation below, and never calls the bounding machinery, so that it can
+serve as a differential oracle for it.
 
 Substituting y = N/D into sum_i A_i y(n + s_i) = f over the m support
-points gives the residual total/common with
+points gives the residual sum_i A_i N_i / D_i - f, where N_i and D_i are N
+and D shifted by s_i.  ``check_solution`` first cancels, at each point,
+the declared factors of A_i against D_i: it divides D_i by each prim of
+A_i as often as that prim's multiplicity allows, stopping at the first
+division that fails, and keeps the quotient D_i' and the product A_i' of
+the prims left.  As in Abramov's univariate bound, the factors of D(n+s_i)
+are normally among those of A_i, so D_i' is usually small.  The cancel is
+exact whatever the factors are: A_i N_i / D_i = (A_i / g) N_i / (D_i / g)
+for any g that divides both, and a division that fails changes nothing.
+The residual is then total/common with
 
-    common = prod_j D_j,    total = sum_i A_i N_i prod_{j != i} D_j - f * common,
+    common = prod_j D_j',    total = sum_i A_i' N_i prod_{j != i} D_j' - f * common,
 
-where N_i and D_i are N and D shifted by s_i.  ``check_solution`` builds
-both in one pass, with three products involving the growing T and C per
+built in one pass, with three products involving the growing T and C per
 point,
 
-    T <- T * D_i + A_i * N_i * C,    C <- C * D_i,
+    T <- T * D_i' + A_i' * N_i * C,    C <- C * D_i',
 
 starting from T = 0 and C = 1: after point i, C is the product of the
-first i denominators and T is the sum over those points of A_j N_j times
+first i denominators and T is the sum over those points of A_j' N_j times
 the other denominators among them, so at the end T + (-f) * C is total.
 The products run on the primitive integer term maps of ``polyring.Poly``:
 an integer shift is an invertible map of Z[n] that keeps content, so all
-D_i share the content of D, and each point's rational scalar (content of
-A_i times content of N) becomes one integer k_i once all of them, and the
+D_i share the content of D, and by Gauss's lemma so do the quotients D_i'
+of D_i by primitive prims.  Each point's rational scalar (the unit of A_i
+times the content of N) becomes one integer k_i once all of them, and the
 one of f, are put over a common denominator L.  The exact content goes
 back on once, at the end.
 
@@ -29,20 +38,21 @@ The accumulation runs on packed monomials (``polyring.pack_terms``): an
 exponent vector e is the int key sum_j e_j * 2^(w*j), so that a monomial
 product is one integer addition.  That is exact while no field reaches
 2^w, since then no field carries into the next, and the width w is fixed
-before the loop from degree bounds.  A shift keeps the degree in each
-variable x_j, so every D_i has degree deg_j D and every N_i degree
-deg_j N; hence after any number of points
+before the loop from degree bounds.  With E_j = sum_i deg_j D_i', the
+product of the cancelled denominators, every intermediate stays within
 
-    deg_j C <= m * deg_j D,
-    deg_j T <= max_i (deg_j A_i + deg_j N) + (m - 1) * deg_j D,
-    deg_j (f * C) <= deg_j f + m * deg_j D,
+    deg_j C <= E_j,
+    deg_j T <= max_i (deg_j A_i' + deg_j N + E_j - deg_j D_i'),
+    deg_j (f * C) <= deg_j f + E_j,
 
-and the intermediate products A_i N_i, A_i N_i C, T D_i and C D_i stay
-within the same bounds.  The width is the bit length of the largest of
-these bounds over all j.  Each exponent of a product is the sum of the
-exponents of two monomials that occur, so cancellation does not matter.
-A zero total is decided on the packed keys; a nonzero residual is
-unpacked once.
+since a shift keeps the degree in each variable x_j, so N_i has degree
+deg_j N, and each term of T, or of the products A_i' N_i C and T D_i', is
+A_i' N_i times cancelled denominators of other points.  The width is the
+bit length of the largest of these bounds over all j.  Each exponent of a
+product is the sum of the exponents of two monomials that occur, so
+cancellation does not matter.  A zero total is decided on the packed
+keys; a nonzero residual is unpacked once and reduced to lowest terms by
+``polyring.RationalFunction``, whose form does not depend on the cancel.
 """
 
 from __future__ import annotations
@@ -54,8 +64,8 @@ from .bounds import BoundReport
 from .equation import PLDE
 from .factored import FactoredPoly
 from .geometry import CLASS_OPPOSITE_ONLY, CLASS_USEFUL, SupportGeometry
-from .polyring import (Poly, RationalFunction, add_terms, divide_exact, mul_packed, pack_terms,
-                       shift_terms, unpack_terms)
+from .polyring import (Poly, RationalFunction, add_terms, divide_exact, divide_int_terms,
+                       mul_packed, mul_terms, pack_terms, pow_terms, shift_terms, unpack_terms)
 from .spread import invariance_lattice, shift_orbit
 
 
@@ -74,15 +84,17 @@ def check_solution(eq: PLDE, y: RationalFunction) -> SolutionCheck:
 
 
 def _residual(eq: PLDE, y: RationalFunction):
-    """The unreduced residual (total, common) of y; common is None when total is 0.
+    """The residual (total, common) of y after the cancel; common is None when total is 0.
 
-    With D = cd * d, N = cn * n and A_i = ca_i * a_i split into content and
-    primitive integer part, total = cd^(m-1) / L * (T + k_f * f' * C) and
+    With D = cd * d, N = cn * n and A_i = ca_i * a_i split into unit and
+    primitive integer part, and a_i', d_i' what `_cancel` leaves of a_i and
+    d shifted by s_i, total = cd^(m-1) / L * (T + k_f * f' * C) and
     common = cd^m * C, where T and C are the accumulation of the module
-    docstring on d, n and a_i with integer scalars k_i = L * ca_i * cn,
-    k_f = -L * cf * cd, f = cf * f', and L is the least common multiple of
-    the denominators of those scalars.  Every step is exact over Z, on
-    monomials packed with the width of the module docstring.
+    docstring on the d_i', n and a_i' with integer scalars
+    k_i = L * ca_i * cn, k_f = -L * cf * cd, f = cf * f', and L is the
+    least common multiple of the denominators of those scalars.  Every
+    step is exact over Z, on monomials packed with the width of the module
+    docstring.
     """
     vars = eq.variables
     r = len(vars)
@@ -91,18 +103,21 @@ def _residual(eq: PLDE, y: RationalFunction):
     cn, num = y.num.content, y.num.terms
     cd, den = y.den.content, y.den.terms
     cf, rhs = eq.rhs.content, eq.rhs.terms
-    coeffs = [(a.content, a.terms) for a in (eq.terms[s].expand() for s in support)]
-    scalars = [ca * cn for ca, _ in coeffs] + [-cf * cd]
+    points = [_cancel(eq.terms[s], shift_terms(den, s)) for s in support]
+    scalars = [eq.terms[s].unit * cn for s in support] + [-cf * cd]
     scale = lcm(*(c.denominator for c in scalars))
     ks = [c.numerator * (scale // c.denominator) for c in scalars]
-    da = map(max, zip(*(_degrees(a, r) for _, a in coeffs)))
-    width = max(max(a + n + (m - 1) * d, f + m * d)
-                for a, n, d, f in zip(da, _degrees(num, r), _degrees(den, r),
-                                      _degrees(rhs, r))).bit_length()
+    dd = [_degrees(d, r) for _, d in points]
+    dn = _degrees(num, r)
+    E = [sum(col) for col in zip(*dd)]
+    bounds = [f + e for f, e in zip(_degrees(rhs, r), E)]
+    for (a, _), di in zip(points, dd):
+        bounds.extend(x + n + e - d for x, n, e, d in zip(_degrees(a, r), dn, E, di))
+    width = max(bounds).bit_length()
     total = {}
     common = {0: 1}
-    for s, (_, a), k in zip(support, coeffs, ks):
-        d = pack_terms(shift_terms(den, s), width)
+    for s, (a, d), k in zip(support, points, ks):
+        d = pack_terms(d, width)
         an = mul_packed(pack_terms({e: k * v for e, v in a.items()}, width),
                         pack_terms(shift_terms(num, s), width))
         total = add_terms(mul_packed(total, d), mul_packed(an, common))
@@ -113,6 +128,25 @@ def _residual(eq: PLDE, y: RationalFunction):
         return Poly.zero(vars), None
     return (Poly.from_ints(vars, unpack_terms(total, width, r), cd ** (m - 1) / scale),
             Poly.from_ints(vars, unpack_terms(common, width, r), cd ** m))
+
+
+def _cancel(coeff: FactoredPoly, d: dict):
+    """(a', d'): the product of the prims of coeff that are left, and what is left of d.
+
+    Each prim is divided out of the primitive term map d at most as often
+    as its multiplicity, stopping at the first division that fails.
+    """
+    a = {(0,) * len(coeff.vars): 1}
+    for f, mult in coeff.factors:
+        while mult:
+            quotient = divide_int_terms(d, f.terms)
+            if quotient is None:
+                break
+            d = quotient
+            mult -= 1
+        if mult:
+            a = mul_terms(a, pow_terms(f.terms, mult))
+    return a, d
 
 
 def _degrees(terms: dict, r: int) -> list:

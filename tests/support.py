@@ -81,6 +81,20 @@ def random_shift(rng, r=2, radius=3):
     return tuple(rng.randint(-radius, radius) for _ in range(r))
 
 
+def identity_matrix(n: int) -> UnimodularMatrix:
+    return UnimodularMatrix([[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+
+def leading_exponent(p: Poly) -> tuple:
+    """The largest exponent vector of a nonzero p in graded lexicographic order."""
+    return max(p.terms, key=lambda e: (sum(e), e))
+
+
+def leading_coefficient(p: Poly) -> Fraction:
+    """The coefficient of p's leading monomial in graded lexicographic order."""
+    return p.content * p.terms[leading_exponent(p)]
+
+
 def random_unimodular(rng, n=2, steps=6):
     """Product of random elementary row operations; determinant stays +-1."""
     rows = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
@@ -320,7 +334,7 @@ def reference_shift_equiv(p: Poly, q: Poly) -> ShiftCoset:
     d = q.total_degree()
     if p.total_degree() != d:
         return ShiftCoset.empty(r)
-    c = Fraction(q.leading_coefficient(), p.leading_coefficient())
+    c = Fraction(leading_coefficient(q), leading_coefficient(p))
     if _layer(q, d) != _layer(p, d) * c:
         return ShiftCoset.empty(r)
     target = p * c
@@ -399,7 +413,7 @@ def divide_over_q(p: Poly, q: Poly):
     Cancels leading terms under graded lex with Fraction coefficients and
     fails when the leading monomial of q stops dividing the remainder's.
     """
-    eq = q.leading_exponent()
+    eq = leading_exponent(q)
     quotient = {}
     rem = coefficients(p)
     q = coefficients(q)

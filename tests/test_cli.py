@@ -163,6 +163,22 @@ def test_check_json_residual_text(capsys, eqdir):
                     "/(n^3+6*n^2*k+12*n*k^2+8*k^3+6*n^2+24*n*k+24*k^2+11*n+22*k+6)"}
 
 
+@pytest.mark.parametrize("text, position", [
+    ("(n^2+2*k^2)/(k+n+1)+1", 19),   # once read as (n^2+2*k^2)/(k+n+2)
+    ("(k+n)/((n*k+3))-n", 15),
+    ("1+n/(k+1)", 1),
+    ("n - 1/(k+1)", 2),
+])
+def test_check_refuses_a_sum_beside_the_slash(capsys, eqdir, text, position):
+    code, out, err = run(capsys, "check", str(eqdir / "ex1.json"), "--solution", text)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err == ("error: a sum next to the top-level '/' is ambiguous; write (num)/(den) "
+                   "(at position %d)\n" % position)
+    # a leading sign is no sum, and parenthesized sides are read as before
+    for ok in ("-(n^2+2*k^2)/(k+n+1)", "(-n-1)/(-k-1)", "+n/k"):
+        assert run(capsys, "check", str(eqdir / "ex1.json"), "--solution", ok)[0] == 0
+
+
 def test_check_residuals_with_rational_contents(capsys, eqdir):
     # residual texts with fractional coefficients, pinned byte for byte from
     # the layout that stored every coefficient as a Fraction

@@ -7,7 +7,7 @@ import pytest
 from plde.lattice import (IntLattice, ShiftCoset, UnimodularMatrix, integer_kernel,
                           is_sublattice, orthogonal_complement_lattice, parse_module,
                           reduce_by_span, saturation)
-from support import complement_within, solve_integer
+from support import complement_within, identity_matrix, solve_integer
 
 N_CASES = 200
 
@@ -224,7 +224,7 @@ def test_unimodular_matrix_inverse():
         M = random_unimodular(rng, 3)
         inv = M.inverse().rows
         I = [[sum(a * inv[t][j] for t, a in enumerate(row)) for j in range(3)] for row in M.rows]
-        assert UnimodularMatrix(I) == UnimodularMatrix.identity(3)
+        assert UnimodularMatrix(I) == identity_matrix(3)
         assert M.inverse().inverse() is M
     # determinant 0, +-2, and ragged rows
     for rows in ([[0, 0], [0, 0]], [[1, 2], [2, 4]], [[2, 0], [0, 1]], [[1, 1], [1, -1]],

@@ -4,10 +4,10 @@ from fractions import Fraction
 import pytest
 
 from plde.bounds import combined_bound
-from plde.equation import PLDE
+from plde.equation import PLDE, load_equation
 from plde.factored import FactoredPoly
 from plde.polyring import Poly, RationalFunction, divide_exact, parse_poly, parse_rational
-from plde.verify import _residual, check_bound_covers, check_solution
+from plde.verify import _cancel, _residual, check_bound_covers, check_solution
 from support import (VARS2, InstanceProfile, homogeneous_instance, random_instance,
                      reference_check_solution, reference_residual)
 
@@ -113,8 +113,17 @@ GEOMETRY_R4 = InstanceProfile(
     coefficient_pool=("1", "-2", "n", "l+3"))
 
 
+def _same_residual(eq, cand):
+    """Whether _residual agrees with the reference: the same zero test, and equal
+    fractions by cross-multiplication, which is exact and needs no gcd."""
+    total, common = _residual(eq, cand)
+    ref_total, ref_common = reference_residual(eq, cand)
+    if common is None:
+        return ref_total.is_zero()
+    return not ref_total.is_zero() and total * ref_common == ref_total * common
+
+
 def test_check_solution_matches_reference_on_geometry_shapes():
-    # y + 1 is compared unreduced: reducing its residual waits on gcd_poly
     shapes = set()
     for seed in range(1, 19):
         profile = GEOMETRY_R3 if seed % 2 else GEOMETRY_R4
@@ -125,12 +134,95 @@ def test_check_solution_matches_reference_on_geometry_shapes():
         residual, ok = reference_check_solution(eq, y)
         assert got.ok and ok and got.residual == residual, seed
         wrong = y + RationalFunction.from_poly(Poly.one(eq.variables))
-        total, common = _residual(eq, wrong)
-        assert common is not None, seed
-        assert (total, common) == reference_residual(eq, wrong), seed
+        assert _residual(eq, wrong)[1] is not None, seed
+        assert _same_residual(eq, wrong), seed
+        # the cancelled residual is small enough to reduce to lowest terms
+        assert not check_solution(eq, wrong).ok, seed
         shapes.add((len(eq.variables), len(eq.support)))
     assert {m for r, m in shapes if r == 3} >= {10, 12}
     assert {m for r, m in shapes if r == 4} >= {6, 8}
+
+
+BUNDLED_SOLUTIONS = {
+    "ex1": "(n^2+2*k^2)/(k+n+1)",
+    "ex2": "(n^2+2*k^2)/(k+n+1)",
+    "nrm": "(3*k^2-4*n*k+2*n^2)/(n+1)",
+    "skew": "1/(n+k+1)",
+    "sys1": "1/((n+k+1)*(n+k+2)*(n+k+3)*(3*n+2*k+1)*(n^2+n+1)*(n^2+3*n+3))",
+    "sys2": "1/((n+k+1)*(n+k+2)*(n+k+3)*(3*n+2*k+1)*(n^2+n+1)*(n^2+3*n+3))",
+}
+
+
+def test_cancelled_residual_matches_reference_differentially(eqdir):
+    # y, y + 1 and y * (n + 2) on seeded instances with r = 2, 3 and 4 and on
+    # the bundled files: the same verdict and the same residual as the
+    # reference, which clears denominators over all m shifted copies of D
+    instances = []
+    for seed in range(1, 9):
+        for profile in (InstanceProfile(), R3, GEOMETRY_R3, GEOMETRY_R4):
+            eq, y, _ = random_instance(seed, profile)
+            instances.append((eq, y))
+    for name, text in BUNDLED_SOLUTIONS.items():
+        eq = load_equation(eqdir / ("%s.json" % name))
+        instances.append((eq, parse_rational(text, eq.variables)))
+    solved = 0
+    for eq, y in instances:
+        vars = eq.variables
+        assert check_solution(eq, y).ok, str(eq)
+        for cand in (y, y + RationalFunction.from_poly(Poly.one(vars)),
+                     y * (Poly.variable(vars, vars[0]) + Poly.const(vars, 2))):
+            assert _same_residual(eq, cand), (str(eq), str(cand))
+            ok = check_solution(eq, cand).ok
+            assert ok == reference_residual(eq, cand)[0].is_zero(), (str(eq), str(cand))
+            solved += ok
+    assert len(instances) == 38 and solved >= 38
+
+
+def _pair_equation(a0, a1, rhs):
+    """a0 * y(n, k) + a1 * y(n + 1, k) = rhs over (n, k), coefficients as (unit, [(text, mult)])."""
+    terms = {s: FactoredPoly(VARS2, unit, [(P(t), m) for t, m in factors])
+             for s, (unit, factors) in (((0, 0), a0), ((1, 0), a1))}
+    return PLDE(VARS2, terms, P(rhs))
+
+
+def test_cancel_stops_at_the_coefficients_multiplicity():
+    # D(n) = (n+k+1)^2 but A_(0,0) holds n+k+1 once: one factor is left on each side
+    a = FactoredPoly(VARS2, 3, [(P("n+k+1"), 1), (P("n+2"), 1)])
+    left, d = _cancel(a, P("(n+k+1)^2").terms)
+    assert left == P("n+2").terms and d == P("n+k+1").terms
+    # y = 1/(n+k+1)^2 leaves 3*(n+2)/(n+k+1) + 1, so no candidate here solves the equation
+    eq = _pair_equation((3, [("n+k+1", 1), ("n+2", 1)]), (1, [("n+k+2", 2)]), "1")
+    y = parse_rational("1/((n+k+1)^2)", VARS2)
+    for cand in (y, y * P("n+k+1"), y + parse_rational("1", VARS2)):
+        got = check_solution(eq, cand)
+        residual, ok = reference_check_solution(eq, cand)
+        assert not ok and not got.ok and got.residual == residual, str(cand)
+        assert str(got.residual) == str(residual)
+        assert _same_residual(eq, cand)
+    # y = 1/(k+1)^2 does not move under n -> n+1, so (k+1) * (y(n) - y(n+1)) = 0
+    # although each coefficient holds k+1 only once
+    solved = _pair_equation((1, [("k+1", 1)]), (-1, [("k+1", 1)]), "0")
+    y = parse_rational("1/((k+1)^2)", VARS2)
+    assert _residual(solved, y)[0].is_zero()
+    assert check_solution(solved, y).ok and _same_residual(solved, y)
+    assert not check_solution(solved, y * P("n")).ok and _same_residual(solved, y * P("n"))
+
+
+def test_cancel_by_a_declared_reducible_factor():
+    # n^2-1 is declared as a prim; it divides D(n) = (n+1)*(n-1) but not D(n) = n+1
+    a = FactoredPoly(VARS2, 1, [(P("n^2-1"), 1)])
+    assert _cancel(a, P("n+1").terms) == (P("n^2-1").terms, P("n+1").terms)
+    assert _cancel(a, P("n^2-1").terms) == ({(0, 0): 1}, {(0, 0): 1})
+    # (n^2-1) * y(n) - (n+2) * y(n+1) = n - 2 for y = 1/(n+1)
+    eq = _pair_equation((1, [("n^2-1", 1)]), (-1, [("n+2", 1)]), "n-2")
+    for text, solves in (("1/(n+1)", True), ("1/((n+1)*(n-1))", False), ("n/(n^2-1)", False),
+                         ("(n+1)/(n+k+1)", False)):
+        cand = parse_rational(text, VARS2)
+        got = check_solution(eq, cand)
+        residual, ok = reference_check_solution(eq, cand)
+        assert got.ok == ok == solves and got.residual == residual, text
+        assert str(got.residual) == str(residual), text
+        assert _same_residual(eq, cand), text
 
 
 # ----------------------------------------------------------------------
