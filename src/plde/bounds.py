@@ -26,7 +26,7 @@ face-parallel modules that no certificate can cover.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
@@ -37,7 +37,7 @@ from .geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, Suppo
 from .lattice import IntLattice, primitive_vector, saturation
 from .polyring import (InvariantError, Poly, UnsupportedInputError, add_terms, divide_int_terms,
                        format_poly, mul_terms, shift_terms)
-from .spread import NEG_INFINITY, invariance_lattice, shift_orbit
+from .spread import NEG_INFINITY, ShiftOrbits
 from .transform import witness_levels
 
 MAX_STRIP_POINTS = 1000  # support points a strip rewriting may reach
@@ -95,6 +95,7 @@ class BoundReport:
     per_module: dict
     uncovered: tuple
     warnings: tuple
+    orbits: ShiftOrbits = field(default_factory=ShiftOrbits, compare=False, repr=False)
 
     def to_json(self):
         modules = []
@@ -225,11 +226,11 @@ def _min(a: dict, b: dict) -> dict:
     return {key: min(m, b[key]) for key, m in a.items() if key in b}
 
 
-def _orbit_rows(factors, orbit, ids: dict) -> list:
-    """(f, m, id of key, offset, G) for each factor (f, m), (key, offset, G) = orbit(f)."""
+def _orbit_rows(factors, orbits: ShiftOrbits, ids: dict) -> list:
+    """(f, m, id of key, offset, G) for each factor (f, m), (key, offset, G) = orbits[f]."""
     rows = []
     for f, m in factors:
-        key, offset, G = orbit(f)
+        key, offset, G = orbits[f]
         rows.append((f, m, ids.setdefault(key, len(ids)), offset, G))
     return rows
 
@@ -275,7 +276,8 @@ def dispersion_bound(eq: PLDE, W: IntLattice, u, orbits=None):
     pairs, NEG_INFINITY if none.  u must be a primitive covector
     orthogonal to the saturated module W, and no two points of one face
     may differ by an element of W, otherwise a ValueError or a
-    DegenerateFaceError is raised.  ``orbits`` maps prims to their orbits.
+    DegenerateFaceError is raised.  ``orbits`` is the `spread.ShiftOrbits`
+    registry of the call, a fresh one if None.
     """
     u = tuple(int(x) for x in u)
     if len(u) != len(eq.variables):
@@ -294,14 +296,12 @@ def dispersion_bound(eq: PLDE, W: IntLattice, u, orbits=None):
         for a, b in itertools.combinations(face, 2):
             if W.contains([x - y for x, y in zip(a, b)]):
                 raise DegenerateFaceError(a, b, name)
-    orbits = {} if orbits is None else orbits
+    orbits = ShiftOrbits() if orbits is None else orbits
 
     def parts(face):  # orbit key -> the levels u . (offset + s) of the face's W-part prims
         by_key = {}
         for s in face:
-            for g, _ in eq.terms[s].w_part(W).factors:
-                if g not in orbits:
-                    orbits[g] = shift_orbit(g)
+            for g, _ in eq.terms[s].w_part(W, orbits).factors:
                 key, offset, _ = orbits[g]
                 level = levels[s] + sum(a * b for a, b in zip(u, offset))
                 by_key.setdefault(key, []).append(level)
@@ -323,9 +323,9 @@ def strip_rewrite(eq: PLDE, p, s, u, orbits=None) -> StripResult:
     level.  The reduced common denominator divides the product of the
     shifted copies of the corner coefficient collected along the way.
 
-    A strip that substitutes keys the shifted coefficient factors by their
-    `spread.shift_orbit`, read from and added to ``orbits``, the registry of
-    `dispersion_bound`; one that reaches only p keys each factor by itself.
+    The shifted coefficient factors are keyed by their `spread.shift_orbit`,
+    read from ``orbits``, the registry of `dispersion_bound` (a fresh one if
+    None).
     """
     p = tuple(int(x) for x in p)
     if p not in eq.terms:
@@ -347,19 +347,10 @@ def strip_rewrite(eq: PLDE, p, s, u, orbits=None) -> StripResult:
         if len(reach) > MAX_STRIP_POINTS:
             raise UnsupportedInputError("unsupported: the strip of dispersion %d reaches more "
                                         "than %d points" % (s, MAX_STRIP_POINTS))
-    orbits = {} if orbits is None else orbits
-    fixed = (zero, IntLattice.zero(len(p)))
-
-    def orbit(f):  # a strip that reaches only p shifts nothing: each factor is its own orbit
-        if len(reach) == 1:
-            return (f,) + fixed
-        if f not in orbits:
-            orbits[f] = shift_orbit(f)
-        return orbits[f]
-
+    orbits = ShiftOrbits() if orbits is None else orbits
     a_p = eq.terms[p]
     prims, ids = {}, {}  # ids numbers the orbit keys, so that prim keys compare as ints
-    factors = {q: _orbit_rows(a_q.factors, orbit, ids) for q, a_q in eq.terms.items()}
+    factors = {q: _orbit_rows(a_q.factors, orbits, ids) for q, a_q in eq.terms.items()}
     base = _factors(factors[p], prims, zero)
     others = {q: a_q.unit for q, a_q in eq.terms.items() if q != p}
     terms = {q: _Frac(-unit / a_p.unit, _factors(factors[q], prims, zero), {zero: 1}, base, prims)
@@ -401,12 +392,10 @@ def strip_rewrite(eq: PLDE, p, s, u, orbits=None) -> StripResult:
         D = _max(D, fr.den)
     poly = {key: Poly.from_ints(eq.variables, prims[key][0]) for key in D}
     origins = {poly[key]: prims[key][1] for key in D}
+    if _minus(D, pool):  # D does not divide the pool
+        raise InvariantError("common denominator escaped the substitution cascade")
     D_actual = FactoredPoly._from_canonical(eq.variables, Fraction(1),
                                             [(poly[key], m) for key, m in D.items()])
-    D_pool = FactoredPoly._from_canonical(eq.variables, Fraction(1),  # D | pool iff D | D_pool
-                                          [(poly[key], m) for key, m in _min(pool, D).items()])
-    if not D_actual.divides(D_pool):
-        raise InvariantError("common denominator escaped the substitution cascade")
 
     def numerator(fr):  # the numerator of fr over the common denominator D
         return Poly.from_ints(eq.variables, _expand(_minus(_plus(fr.F, D), fr.den), prims, fr.num),
@@ -418,7 +407,7 @@ def strip_rewrite(eq: PLDE, p, s, u, orbits=None) -> StripResult:
 # ----------------------------------------------------------------------
 
 
-def _bound_for_cert(eq: PLDE, W: IntLattice, cert: WitnessCertificate, orbits: dict):
+def _bound_for_cert(eq: PLDE, W: IntLattice, cert: WitnessCertificate, orbits: ShiftOrbits):
     u = primitive_vector(cert.u)
     s_val = dispersion_bound(eq, W, u, orbits)
     if s_val == NEG_INFINITY:
@@ -428,11 +417,11 @@ def _bound_for_cert(eq: PLDE, W: IntLattice, cert: WitnessCertificate, orbits: d
     # a shift has the spread of what it shifts; only the prims kept are shifted back
     down = tuple(-x for x in cert.p)
     kept = [(f.shift(down), m) for f, m in strip.D_actual.factors
-            if in_w_part(invariance_lattice(strip.origins[f]), W)]
+            if in_w_part(orbits[strip.origins[f]][2], W)]
     return FactoredPoly._from_canonical(eq.variables, Fraction(1), kept), s_val
 
 
-def _intersect(eq: PLDE, W: IntLattice, certs, orbits: dict):
+def _intersect(eq: PLDE, W: IntLattice, certs, orbits: ShiftOrbits):
     """gcd of the bounds of the certificates certs for W, and the dispersion of the first.
 
     (None, None) when certs yields nothing.  No certificate is drawn once
@@ -463,13 +452,13 @@ def module_bound(eq: PLDE, geometry: SupportGeometry, W: IntLattice, orbits=None
     orbit registry of `dispersion_bound`.
     """
     W = saturation(W)
-    d, s = _intersect(eq, W, geometry.useful_pairs(W), {} if orbits is None else orbits)
+    d, s = _intersect(eq, W, geometry.useful_pairs(W), ShiftOrbits() if orbits is None else orbits)
     if d is None:
         raise ValueError("no useful pair exists for this module")
     return d, s
 
 
-def _aperiodic_bound(eq: PLDE, geometry: SupportGeometry, orbits: dict):
+def _aperiodic_bound(eq: PLDE, geometry: SupportGeometry, orbits: ShiftOrbits):
     """Bound on the aperiodic part: gcd over the corners, each by its first witness pair.
 
     A corner's witnesses are searched only while the gcd needs them.
@@ -477,7 +466,7 @@ def _aperiodic_bound(eq: PLDE, geometry: SupportGeometry, orbits: dict):
     support = eq.support
     zero = IntLattice.zero(len(eq.variables))
     if len(support) == 1:
-        return eq.terms[support[0]].w_part(zero).shift(tuple(-x for x in support[0]))
+        return eq.terms[support[0]].w_part(zero, orbits).shift(tuple(-x for x in support[0]))
     corners = geometry.corners
     # the first witness of each corner in corner order, None for a corner without one
     firsts = (next(filter(None, (geometry.witness(p, p2, zero) for p2 in corners if p2 != p)),
@@ -508,13 +497,13 @@ def combined_bound(eq: PLDE) -> BoundReport:
     per_module = {}
     zero = IntLattice.zero(r)
     geometry = SupportGeometry(support)
-    orbits = {}  # prim -> shift_orbit(prim), for every dispersion of this call
+    orbits = ShiftOrbits()  # every orbit of this call, and of the check of its report
     d = _aperiodic_bound(eq, geometry, orbits)
     per_module[zero] = ModuleEntry(CLASS_USEFUL, None, None, d)
     residual = []
     for q in geometry.corners:
         for prim, _mult in eq.terms[q].factors:
-            Wu = invariance_lattice(prim)
+            Wu = orbits[prim][2]
             if Wu.is_zero():
                 continue  # aperiodic factors are covered by the preprocessing pass
             if Wu not in per_module:
@@ -547,5 +536,6 @@ def combined_bound(eq: PLDE) -> BoundReport:
         per_module=per_module,
         uncovered=tuple(sorted(uncovered, key=lambda L: L.key())),
         warnings=tuple(warnings),
+        orbits=orbits,
     )
 

@@ -12,7 +12,6 @@ from fractions import Fraction
 
 from .lattice import is_sublattice
 from .polyring import Poly, format_poly, normalize_primitive, parse_poly
-from .spread import invariance_lattice
 
 
 def in_w_part(G, W) -> bool:
@@ -73,15 +72,6 @@ class FactoredPoly:
     def one(cls, vars) -> "FactoredPoly":
         return cls(vars)
 
-    @classmethod
-    def from_poly(cls, p: Poly) -> "FactoredPoly":
-        """Wrap a single (assumed irreducible) polynomial."""
-        if p.is_zero():
-            raise ValueError("zero polynomial has no factored form")
-        if p.is_constant():
-            return cls(p.vars, p.constant_value())
-        return cls(p.vars, 1, [(p, 1)])
-
     def is_one(self) -> bool:
         return self.unit == 1 and not self.factors
 
@@ -130,12 +120,6 @@ class FactoredPoly:
     # ------------------------------------------------------------------
     # multiplicative structure
 
-    def mul(self, other: "FactoredPoly") -> "FactoredPoly":
-        if self.vars != other.vars:
-            raise ValueError("mismatched variable lists")
-        return FactoredPoly._from_canonical(self.vars, self.unit * other.unit,
-                                            self.factors + other.factors)
-
     def gcd(self, other: "FactoredPoly") -> "FactoredPoly":
         if self.vars != other.vars:
             raise ValueError("mismatched variable lists")
@@ -150,11 +134,6 @@ class FactoredPoly:
         for p, m in other.factors:
             mult[p] = max(mult.get(p, 0), m)
         return FactoredPoly._from_canonical(self.vars, Fraction(1), mult.items())
-
-    def divides(self, other: "FactoredPoly") -> bool:
-        """Multiset containment of factors (units ignored)."""
-        theirs = dict(other.factors)
-        return all(theirs.get(p, 0) >= m for p, m in self.factors)
 
     def shift(self, s) -> "FactoredPoly":
         """Shift every factor.
@@ -174,9 +153,12 @@ class FactoredPoly:
     # ------------------------------------------------------------------
     # spread filters
 
-    def w_part(self, W) -> "FactoredPoly":
-        """The factors that `in_w_part` keeps for W; unit reset to 1."""
-        kept = [(p, m) for p, m in self.factors if in_w_part(invariance_lattice(p), W)]
+    def w_part(self, W, orbits) -> "FactoredPoly":
+        """The factors that `in_w_part` keeps for W, unit 1; p has the lattice orbits[p][2].
+
+        ``orbits`` is a `spread.ShiftOrbits` registry, the one of the call.
+        """
+        kept = [(p, m) for p, m in self.factors if in_w_part(orbits[p][2], W)]
         return FactoredPoly._from_canonical(self.vars, Fraction(1), kept)
 
     # ------------------------------------------------------------------

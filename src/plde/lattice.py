@@ -279,11 +279,6 @@ class ShiftCoset:
     def is_empty(self) -> bool:
         return self.base is None
 
-    def contains(self, v) -> bool:
-        if self.is_empty:
-            return False
-        return self.lattice.reduce(v) == self.base
-
     def __str__(self):
         if self.is_empty:
             return "empty"

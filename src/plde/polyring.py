@@ -915,14 +915,14 @@ def parse_rational(text: str, vars) -> RationalFunction:
             split = i
     if split is None:
         return RationalFunction.from_poly(parse_poly(text, vars))
+    # each side keeps its place in text, so that every position counts from the start of text
+    sides = (text[:split], " " * (split + 1) + text[split + 1:])
     # "a/(b)+1" would read as a/(b+1): a sum beside the '/' must be parenthesized
-    for side, offset in ((text[:split], 0), (text[split + 1:], split + 1)):
+    for side in sides:
         depth = 0
         for i, (kind, _, pos) in enumerate(_tokenize(side)):
             depth += (kind == "(") - (kind == ")")
             if kind in "+-" and depth == 0 and i:
                 raise ParseError("a sum next to the top-level '/' is ambiguous; "
-                                 "write (num)/(den)", offset + pos)
-    num = parse_poly(text[:split], vars)
-    den = parse_poly(text[split + 1:], vars)
-    return RationalFunction(num, den)
+                                 "write (num)/(den)", pos)
+    return RationalFunction(*(parse_poly(side, vars) for side in sides))

@@ -7,6 +7,7 @@ top degree, and stop when every derivative along the directions left
 vanishes.  Those directions span the invariance lattice G = {g : p(n+g) =
 p(n)}, which is Spread(p) for irreducible p: v fixes p exactly when the
 derivative of p along v vanishes, since t |-> p(n+tv) is a polynomial.
+`ShiftOrbits` memoizes the normal forms for one bound and its check, and
 `invariance_lattice` reads G off the normal form.  `spread_box_oracle`,
 a brute force, is kept for cross-checks.
 """
@@ -86,6 +87,21 @@ def shift_orbit(p: Poly):
                 for row in ker]
     G = IntLattice(r, dirs)
     return Poly.from_ints(p.vars, q), G.reduce(s0), G
+
+
+class ShiftOrbits(dict):
+    """A registry prim -> `shift_orbit(prim)`, each orbit computed the first time it is read.
+
+    `bounds.combined_bound` makes one per call and hands it to the check
+    through `BoundReport.orbits`, so no orbit is computed twice and none
+    outlives the report.
+    """
+
+    __slots__ = ()
+
+    def __missing__(self, p):
+        self[p] = orbit = shift_orbit(p)
+        return orbit
 
 
 def shift_equiv(p: Poly, q: Poly) -> ShiftCoset:

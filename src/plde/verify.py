@@ -66,7 +66,6 @@ from .factored import FactoredPoly
 from .geometry import CLASS_OPPOSITE_ONLY, CLASS_USEFUL, SupportGeometry
 from .polyring import (Poly, RationalFunction, add_terms, divide_exact, divide_int_terms,
                        mul_packed, mul_terms, pack_terms, pow_terms, shift_terms, unpack_terms)
-from .spread import invariance_lattice, shift_orbit
 
 
 @dataclass(frozen=True)
@@ -163,6 +162,8 @@ def check_bound_covers(eq: PLDE, y: RationalFunction, den_factors: FactoredPoly,
        full multiplicity; 2. the module is opposite-only and a shifted copy
        of the factor occurs in P, that is, a prim of P has its shift orbit
        key (`spread.shift_orbit`); 3. the module is uncovered.
+    Spread modules and orbit keys are read from the registry
+    ``report.orbits``, which the bound filled with those of P.
     """
     if not check_solution(eq, y).ok:
         raise ValueError("the supplied rational function does not solve the equation")
@@ -170,15 +171,10 @@ def check_bound_covers(eq: PLDE, y: RationalFunction, den_factors: FactoredPoly,
     if divide_exact(y.den, expanded) is None or divide_exact(expanded, y.den) is None:
         raise ValueError("denominator factorization does not match the solution")
     geometry = SupportGeometry(eq.support)
-    keys = {}  # prim -> its shift orbit key, computed at most once per call
-
-    def key_of(p):
-        if p not in keys:
-            keys[p] = shift_orbit(p)[0]
-        return keys[p]
+    orbits = report.orbits
     verdicts = {}
     for prim, mult in den_factors.factors:
-        W = invariance_lattice(prim)
+        key, _, W = orbits[prim]
         cls = geometry.classify(W)
         if cls.kind == CLASS_USEFUL:
             case = 1
@@ -186,8 +182,7 @@ def check_bound_covers(eq: PLDE, y: RationalFunction, den_factors: FactoredPoly,
             detail = "multiplicity %d of %d in d" % (report.d.multiplicity(prim), mult)
         elif cls.kind == CLASS_OPPOSITE_ONLY:
             case = 2
-            key = key_of(prim)  # a shifted copy has the invariance lattice W too
-            ok = any(key_of(p) == key for p in report.P if invariance_lattice(p) == W)
+            ok = any(orbits[p][0] == key for p in report.P)  # equal keys, equal lattices
             detail = "shifted copy in P" if ok else "no shifted copy in P"
         else:
             case = 3

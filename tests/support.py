@@ -16,6 +16,7 @@ from plde.lattice import (IntLattice, ShiftCoset, UnimodularMatrix, _split, clea
 from plde.polyring import (MAX_COEFF_BITS, MAX_DEGREE, MAX_TERMS, InvariantError, ParseError,
                            Poly, RationalFunction, UnsupportedInputError, divide_exact,
                            normalize_primitive, parse_poly)
+from plde.spread import ShiftOrbits
 from plde.verify import check_solution
 
 VARS2 = ("n", "k")
@@ -93,6 +94,33 @@ def leading_exponent(p: Poly) -> tuple:
 def leading_coefficient(p: Poly) -> Fraction:
     """The coefficient of p's leading monomial in graded lexicographic order."""
     return p.content * p.terms[leading_exponent(p)]
+
+
+def factored_mul(a: FactoredPoly, b: FactoredPoly) -> FactoredPoly:
+    """The product of two factored polynomials: units multiplied, multiplicities added."""
+    if a.vars != b.vars:
+        raise ValueError("mismatched variable lists")
+    return FactoredPoly._from_canonical(a.vars, a.unit * b.unit, a.factors + b.factors)
+
+
+def factored_divides(a: FactoredPoly, b: FactoredPoly) -> bool:
+    """Whether the factors of a are a sub-multiset of those of b (units ignored)."""
+    theirs = dict(b.factors)
+    return all(theirs.get(p, 0) >= m for p, m in a.factors)
+
+
+def factored_from_poly(p: Poly) -> FactoredPoly:
+    """A single (assumed irreducible) polynomial as a factored polynomial."""
+    if p.is_zero():
+        raise ValueError("zero polynomial has no factored form")
+    if p.is_constant():
+        return FactoredPoly(p.vars, p.constant_value())
+    return FactoredPoly(p.vars, 1, [(p, 1)])
+
+
+def coset_contains(c: ShiftCoset, v) -> bool:
+    """Whether v lies in the coset c; never for the empty coset."""
+    return not c.is_empty and c.lattice.reduce(v) == c.base
 
 
 def random_unimodular(rng, n=2, steps=6):
@@ -234,7 +262,7 @@ def reference_module_bound(eq: PLDE, geometry, W: IntLattice):
     certs = list(geometry.useful_pairs(W))
     if not certs:
         raise ValueError("no useful pair exists for this module")
-    orbits = {}
+    orbits = ShiftOrbits()
     d, s = bounds._bound_for_cert(eq, W, certs[0], orbits)
     for c in certs[1:]:
         d = d.gcd(bounds._bound_for_cert(eq, W, c, orbits)[0])
@@ -246,10 +274,10 @@ def reference_aperiodic_bound(eq: PLDE, geometry):
     zero = IntLattice.zero(len(eq.variables))
     if len(eq.support) == 1:
         p = eq.support[0]
-        return eq.terms[p].shift(tuple(-x for x in p)).w_part(zero)
+        return eq.terms[p].shift(tuple(-x for x in p)).w_part(zero, ShiftOrbits())
     corners = geometry.corners
     result = None
-    orbits = {}
+    orbits = ShiftOrbits()
     for p in corners:
         cert = None
         for p2 in corners:
@@ -735,8 +763,7 @@ def random_instance(seed, profile: InstanceProfile = InstanceProfile()):
         while c.is_zero():
             c = parse_poly(rng.choice(profile.coefficient_pool), vars)
         shifted_q = q.shift(s)
-        coeff = FactoredPoly.from_poly(c).mul(shifted_q) if not c.is_constant() \
-            else FactoredPoly(vars, c.constant_value()).mul(shifted_q)
+        coeff = factored_mul(factored_from_poly(c), shifted_q)
         terms[tuple(s)] = coeff
         rhs = rhs + c * p.shift(s)
     eq = PLDE(tuple(vars), terms, rhs)
@@ -744,6 +771,25 @@ def random_instance(seed, profile: InstanceProfile = InstanceProfile()):
     if not check_solution(eq, y).ok:
         raise InvariantError("generated instance does not certify its own solution")
     return eq, y, q
+
+
+# known solutions of the bundled equations, as in the paper: numerator, denominator factors
+_SYS_DEN = ("n+k+1", "n+k+2", "n+k+3", "n^2+n+1", "n^2+3*n+3", "3*n+2*k+1")
+BUNDLED_SOLUTIONS = {
+    "ex1": ("n^2+2*k^2", ("k+n+1",)),
+    "ex2": ("n^2+2*k^2", ("k+n+1",)),
+    "nrm": ("3*k^2-4*n*k+2*n^2", ("n+1",)),
+    "skew": ("1", ("n+k+1",)),
+    "sys1": ("1", _SYS_DEN),
+    "sys2": ("1", _SYS_DEN),
+}
+
+
+def bundled_solution(eq: PLDE, name: str):
+    """(y, q): the known solution y of the bundled equation ``name`` and its factored denominator."""
+    num, factors = BUNDLED_SOLUTIONS[name]
+    q = FactoredPoly(eq.variables, 1, [(parse_poly(f, eq.variables), 1) for f in factors])
+    return RationalFunction(parse_poly(num, eq.variables), q.expand()), q
 
 
 def dispersion_family(s):
@@ -757,7 +803,7 @@ def dispersion_family(s):
     q = FactoredPoly(vars, 1, [(parse_poly(t, vars), 1)
                                for t in ("n+k+1", "n+k+%d" % (1 + s), "3*n+2*k+1")])
     signs = zip(((0, 0), (0, 1), (1, 0), (1, 1)), (1, 1, -1, 1))
-    eq = PLDE(vars, {p: FactoredPoly(vars, c).mul(q.shift(p)) for p, c in signs},
+    eq = PLDE(vars, {p: factored_mul(FactoredPoly(vars, c), q.shift(p)) for p, c in signs},
               Poly.const(vars, 2))
     y = RationalFunction(Poly.one(vars), q.expand())
     if not check_solution(eq, y).ok:
@@ -777,8 +823,8 @@ def homogeneous_instance(seed, profile: InstanceProfile = InstanceProfile()):
     terms = {}
     for i in range(npairs):
         c = rng.randint(1, 3)
-        terms[tuple(pts[2 * i])] = FactoredPoly(vars, c).mul(q.shift(pts[2 * i]))
-        terms[tuple(pts[2 * i + 1])] = FactoredPoly(vars, -c).mul(q.shift(pts[2 * i + 1]))
+        terms[tuple(pts[2 * i])] = factored_mul(FactoredPoly(vars, c), q.shift(pts[2 * i]))
+        terms[tuple(pts[2 * i + 1])] = factored_mul(FactoredPoly(vars, -c), q.shift(pts[2 * i + 1]))
     eq = PLDE(tuple(vars), terms, Poly.zero(vars))
     y = RationalFunction(Poly.one(vars), q.expand())
     if not check_solution(eq, y).ok:

@@ -24,10 +24,11 @@ from plde.geometry import CLASS_USEFUL, SupportGeometry
 from plde.lattice import IntLattice, saturation
 from plde.polyring import (InvariantError, Poly, RationalFunction, divide_exact, divide_int_terms,
                            parse_poly)
-from plde.spread import NEG_INFINITY, invariance_lattice, shift_orbit
+from plde.spread import NEG_INFINITY, ShiftOrbits, invariance_lattice
 from plde.transform import transform_equation, witness_levels
-from plde.verify import check_solution
-from support import (VARS2, InstanceProfile, check_strip_identity, dispersion_family, int_terms,
+from plde.verify import check_bound_covers, check_solution
+from support import (VARS2, InstanceProfile, bundled_solution, check_strip_identity,
+                     dispersion_family, factored_divides, factored_mul, int_terms,
                      random_instance, random_poly, random_shift, random_unimodular,
                      reduce_by_trial_division, reference_aperiodic_bound, reference_module_bound)
 
@@ -102,14 +103,14 @@ def test_strip_zero_width(sys1):
 def test_strip_square_diagonal_cascade(sys1):
     strip = strip_rewrite(sys1, (0, 0), 2, (1, 1))
     assert len(strip.Rminus) == 6
-    wpart = strip.D_actual.w_part(L((1, -1)))
+    wpart = strip.D_actual.w_part(L((1, -1)), ShiftOrbits())
     assert factor_set(wpart) == {P("n+k+1"): 1, P("n+k+2"): 1, P("n+k+3"): 1}
 
 
 def test_strip_sys2_substitutions(sys2):
     strip = strip_rewrite(sys2, (0, 1), 1, (1, 0))
     assert set(strip.Rminus) == {(0, 1), (1, 0), (1, 2)}
-    wpart = strip.D_actual.shift((0, -1)).w_part(L((0, 1)))
+    wpart = strip.D_actual.shift((0, -1)).w_part(L((0, 1)), ShiftOrbits())
     assert factor_set(wpart) == {P("n^2+n+1"): 1, P("n^2+3*n+3"): 1}
 
 
@@ -135,10 +136,10 @@ def test_frac_reduction_matches_trial_division():
     # coefficient denominator of the rational numerator
     rng = random.Random(709)
     pool = ["k+n+1", "2*k+3*n+1", "n*k+1", "n+1", "4*k-2*n+1", "n^2+n+1", "n^2+k^2+1"]
-    prims, ids = {}, {}
+    prims, ids, orbits = {}, {}, ShiftOrbits()
 
     def counter(fp):  # keyed as in a strip: shifts of one pool prim share an orbit id
-        return _factors(_orbit_rows(fp.factors, shift_orbit, ids), prims, (0, 0))
+        return _factors(_orbit_rows(fp.factors, orbits, ids), prims, (0, 0))
 
     for case in range(N_CASES):
         texts = rng.sample(pool, rng.randint(1, 3))
@@ -169,7 +170,7 @@ def test_combined_cancels_corner_factors_by_multiplicity(sys1, monkeypatch):
     terms = {}
     rhs = Poly.zero(VARS2)
     for pt, c in zip([(0, 0), (0, 1), (1, 0), (1, 1)], [1, -1, 1, 1]):
-        terms[pt] = FactoredPoly(VARS2, c).mul(q.shift(pt))
+        terms[pt] = factored_mul(FactoredPoly(VARS2, c), q.shift(pt))
         rhs = rhs + Poly.const(VARS2, c)
     eq = PLDE(VARS2, terms, rhs)
     assert check_solution(eq, RationalFunction(Poly.one(VARS2), q.expand())).ok
@@ -242,11 +243,12 @@ def test_wide_strips_shift_each_prim_once(monkeypatch):
 
 _OPTIMIZED_STRIP = """
 import sys
-from plde import FactoredPoly, InvariantError, load_equation, strip_rewrite
+import plde.bounds
+from plde import InvariantError, load_equation, strip_rewrite
 
 if not sys.flags.optimize:
     sys.exit("not running under python -O")
-FactoredPoly.divides = lambda self, other: False
+plde.bounds._minus = lambda a, b: a  # nothing cancels, so D outgrows the pool
 try:
     strip_rewrite(load_equation(sys.argv[1]), (0, 0), 2, (1, 1))
 except InvariantError as exc:
@@ -256,7 +258,7 @@ except InvariantError as exc:
 
 def test_strip_invariant_check_survives_optimize(sys1, eqdir, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(FactoredPoly, "divides", lambda self, other: False)
+        m.setattr(plde.bounds, "_minus", lambda a, b: a)
         with pytest.raises(InvariantError, match="escaped the substitution cascade"):
             strip_rewrite(sys1, (0, 0), 2, (1, 1))
     src = str(Path(plde.bounds.__file__).resolve().parents[1])
@@ -437,7 +439,7 @@ def test_combined_is_deterministic(sys1):
 
 def test_aperiodic_bound_trivial_cases(sys1, ex1):
     for eq in (sys1, ex1):
-        assert _aperiodic_bound(eq, SupportGeometry(eq.support), {}).is_one()
+        assert _aperiodic_bound(eq, SupportGeometry(eq.support), ShiftOrbits()).is_one()
 
 
 def test_aperiodic_bound_needs_a_witness_for_some_corner(sys1, monkeypatch):
@@ -455,7 +457,7 @@ def test_aperiodic_bound_needs_a_witness_for_some_corner(sys1, monkeypatch):
                 assert any(geometry.witness(p, q, zero) for q in geometry.corners if q != p)
     monkeypatch.setattr(SupportGeometry, "witness", lambda self, p, p_prime, W: None)
     with pytest.raises(InvariantError, match="witness pair"):
-        _aperiodic_bound(sys1, SupportGeometry(sys1.support), {})
+        _aperiodic_bound(sys1, SupportGeometry(sys1.support), ShiftOrbits())
 
 
 def test_aperiodic_bound_catches_constructed_factor():
@@ -467,11 +469,11 @@ def test_aperiodic_bound_catches_constructed_factor():
     rhs = Poly.zero(VARS2)
     for s in support:
         c = Poly.const(VARS2, rng.choice([1, 2, -1]))
-        terms[s] = FactoredPoly(VARS2, c.constant_value()).mul(q.shift(s))
+        terms[s] = factored_mul(FactoredPoly(VARS2, c.constant_value()), q.shift(s))
         rhs = rhs + c
     eq = PLDE(VARS2, terms, rhs)
     assert check_solution(eq, RationalFunction(Poly.one(VARS2), q.expand())).ok
-    ap = _aperiodic_bound(eq, SupportGeometry(eq.support), {})
+    ap = _aperiodic_bound(eq, SupportGeometry(eq.support), ShiftOrbits())
     assert ap.multiplicity(P("n*k+1")) >= 1
     assert all(invariance_lattice(prim).rank == 0 for prim, _ in ap.factors)
 
@@ -515,55 +517,43 @@ def test_intersection_stops_once_the_gcd_is_one(ex1, ex2, nrm, skew, sys1, sys2,
 
 
 def test_one_shift_orbit_per_prim_and_call(ex1, ex2, nrm, skew, sys1, sys2, monkeypatch):
-    # the dispersions and strips of one combined_bound share one orbit
-    # registry, and no pair is decided by shift_equiv on the bound path
-    orbits = Counter()
-    shift_orbit = plde.bounds.shift_orbit
+    # a bound and the check of its report share the registry report.orbits:
+    # each prim's orbit is computed once, only for coefficient factors, the
+    # solution's denominator factors and prims of P; a strip prim has the
+    # spread of the coefficient factor it shifts, so no shifted copy gets an
+    # orbit; no pair is decided by shift_equiv, and the process-wide
+    # invariance_lattice cache is never read
+    runs = Counter()
+    shift_orbit = plde.spread.shift_orbit
 
     def counting(p):
-        orbits[p] += 1
+        runs[p] += 1
         return shift_orbit(p)
 
-    def no_pair_solve(p, q):
-        raise AssertionError("shift_equiv called on the bound path")
+    def forbidden(*args):
+        raise AssertionError("called on the bound or check path")
 
-    monkeypatch.setattr(plde.bounds, "shift_orbit", counting)
-    monkeypatch.setattr(plde.spread, "shift_equiv", no_pair_solve)
+    for module in (plde.spread, plde.factored, plde.bounds, plde.verify):
+        for name, patch in (("shift_orbit", counting), ("shift_equiv", forbidden),
+                            ("invariance_lattice", forbidden)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, patch)
     made = {}
     for name, eq in (("ex1", ex1), ("ex2", ex2), ("nrm", nrm), ("skew", skew), ("sys1", sys1),
                      ("sys2", sys2)):
-        orbits.clear()
-        combined_bound(eq)
-        assert set(orbits.values()) <= {1}, name
-        made[name] = len(orbits)
-    # the base faces of ex1 and nrm have no W-part, so their top faces need
-    # no orbit either, and skew has constant coefficients; strips that
-    # substitute key their prims by orbit, which adds the other four
-    # coefficient factors of sys1 and sys2 (the dispersions alone made 4 and 4)
-    assert made == {"ex1": 0, "ex2": 4, "nrm": 0, "skew": 0, "sys1": 8, "sys2": 8}
-
-
-def test_lattices_only_of_coefficient_factors(ex1, ex2, nrm, skew, sys1, sys2, monkeypatch):
-    # a strip prim has the spread of the coefficient factor it shifts, so the
-    # bound looks up no lattice of a shifted copy
-    seen = []
-    lattice = plde.spread.invariance_lattice
-
-    def recording(p):
-        seen.append(p)
-        return lattice(p)
-
-    monkeypatch.setattr(plde.bounds, "invariance_lattice", recording)
-    monkeypatch.setattr(plde.factored, "invariance_lattice", recording)
-    made = {}
-    for name, eq in (("ex1", ex1), ("ex2", ex2), ("nrm", nrm), ("skew", skew), ("sys1", sys1),
-                     ("sys2", sys2)):
-        seen.clear()
-        combined_bound(eq)
-        factors = {f for a in eq.terms.values() for f, _ in a.factors}
-        assert set(seen) <= factors, (name, set(seen) - factors)
-        made[name] = len(set(seen))
-    assert made == {"ex1": 4, "ex2": 4, "nrm": 4, "skew": 0, "sys1": 8, "sys2": 8}
+        runs.clear()
+        y, den = bundled_solution(eq, name)
+        report = combined_bound(eq)
+        check_bound_covers(eq, y, den, report)
+        assert set(runs.values()) <= {1} and set(runs) == set(report.orbits), name
+        allowed = {f for a in eq.terms.values() for f, _ in a.factors}
+        allowed.update(report.P, (f for f, _ in den.factors))
+        assert set(runs) <= allowed, (name, set(runs) - allowed)
+        made[name] = len(runs)
+    # every support point here is a corner, so the corner loop reads each
+    # coefficient factor's spread (skew has none); the check adds the
+    # denominator factors that are not coefficient factors
+    assert made == {"ex1": 4, "ex2": 5, "nrm": 4, "skew": 1, "sys1": 11, "sys2": 12}
 
 
 # ----------------------------------------------------------------------
@@ -602,8 +592,8 @@ def test_strip_runs_satisfy_identity_and_divisibility():
         assert all(level > s for level in witness_levels(strip.Rplus, u, p).values())
         pool = FactoredPoly.one(VARS2)
         for i in strip.Rminus:
-            pool = pool.mul(eq.terms[p].shift(tuple(a - b for a, b in zip(i, p))))
-        assert strip.D_actual.divides(pool)
+            pool = factored_mul(pool, eq.terms[p].shift(tuple(a - b for a, b in zip(i, p))))
+        assert factored_divides(strip.D_actual, pool)
         if done % 20 == 0:
             # expanded cross-check of the factored divisibility
             prims = FactoredPoly(pool.vars, 1, pool.factors)  # the unit dropped
@@ -655,7 +645,7 @@ def test_lcm_of_two_module_bounds_covers_products():
         rhs = Poly.zero(VARS2)
         for s in support:
             c = Poly.const(VARS2, rng.choice([1, -1, 2]))
-            terms[s] = FactoredPoly(VARS2, c.constant_value()).mul(q.shift(s))
+            terms[s] = factored_mul(FactoredPoly(VARS2, c.constant_value()), q.shift(s))
             rhs = rhs + c * top.shift(s)
         eq = PLDE(VARS2, terms, rhs)
         y = RationalFunction(top, q.expand())
@@ -723,7 +713,7 @@ def test_lazy_intersection_matches_the_eager_gcd(monkeypatch):
                     W = saturation(invariance_lattice(prim))
                     if not W.is_zero() and W not in modules:
                         modules.append(W)
-            cases = [(lambda eq, geometry: _aperiodic_bound(eq, geometry, {}),
+            cases = [(lambda eq, geometry: _aperiodic_bound(eq, geometry, ShiftOrbits()),
                       reference_aperiodic_bound, ())]
             cases += [(module_bound, reference_module_bound, (W,)) for W in modules
                       if SupportGeometry(eq.support).classify(W).kind == CLASS_USEFUL]

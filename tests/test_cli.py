@@ -179,6 +179,15 @@ def test_check_refuses_a_sum_beside_the_slash(capsys, eqdir, text, position):
         assert run(capsys, "check", str(eqdir / "ex1.json"), "--solution", ok)[0] == 0
 
 
+@pytest.mark.parametrize("text, position", [("1/(q)", 3), ("1/(n+)", 5), ("1/", 2),
+                                            ("(q)/1", 1)])
+def test_check_counts_positions_from_the_start_of_the_solution(capsys, eqdir, text, position):
+    # the denominator is parsed on its own, but its positions count from the start
+    code, out, err = run(capsys, "check", str(eqdir / "ex1.json"), "--solution", text)
+    assert code == 1 and out == "" and "Traceback" not in err
+    assert err.startswith("error: ") and err.endswith("(at position %d)\n" % position)
+
+
 def test_check_residuals_with_rational_contents(capsys, eqdir):
     # residual texts with fractional coefficients, pinned byte for byte from
     # the layout that stored every coefficient as a Fraction

@@ -91,6 +91,37 @@ def test_golden_reports_are_byte_identical():
         assert _report_text(_equation(name)) == expected, name
 
 
+def _known_solution(name):
+    """(eq, y, q): the equation of a case, a known solution y and its factored denominator q."""
+    from support import bundled_solution, dispersion_family, random_instance
+
+    if name in BUNDLED:
+        eq = _equation(name)
+        return (eq,) + bundled_solution(eq, name)
+    kind, number = name.rsplit("-", 1)
+    if kind == "dispersion":
+        return dispersion_family(int(number))
+    return random_instance(int(number), _profiles()[kind])
+
+
+def test_check_reads_the_orbits_it_would_compute():
+    # check_bound_covers reads spread modules and orbit keys from the registry
+    # report.orbits that the bound filled; each entry, those the check added
+    # included, is what shift_orbit computes afresh
+    from plde.bounds import combined_bound
+    from plde.spread import shift_orbit
+    from plde.verify import check_bound_covers
+
+    for name in _case_names():
+        eq, y, q = _known_solution(name)
+        assert eq.to_json() == _equation(name).to_json(), name
+        report = combined_bound(eq)
+        assert all(v["ok"] for v in check_bound_covers(eq, y, q, report).values()), name
+        assert all(f in report.orbits for f, _ in q.factors), name
+        for p, orbit in report.orbits.items():
+            assert orbit == shift_orbit(p), (name, p)
+
+
 def test_golden_set_has_non_axis_witnesses():
     # the stored covectors must exercise the LP point rule, not only unit vectors
     witnesses = set()

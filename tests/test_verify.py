@@ -8,7 +8,7 @@ from plde.equation import PLDE, load_equation
 from plde.factored import FactoredPoly
 from plde.polyring import Poly, RationalFunction, divide_exact, parse_poly, parse_rational
 from plde.verify import _cancel, _residual, check_bound_covers, check_solution
-from support import (VARS2, InstanceProfile, homogeneous_instance, random_instance,
+from support import (VARS2, InstanceProfile, factored_mul, homogeneous_instance, random_instance,
                      reference_check_solution, reference_residual)
 
 N_CASES = 200
@@ -58,7 +58,7 @@ R3 = InstanceProfile(
 def _scaled(eq, c):
     """eq with every coefficient and the right-hand side multiplied by c; same solutions."""
     unit = FactoredPoly(eq.variables, c)
-    return PLDE(eq.variables, {s: a.mul(unit) for s, a in eq.terms.items()}, eq.rhs * c)
+    return PLDE(eq.variables, {s: factored_mul(a, unit) for s, a in eq.terms.items()}, eq.rhs * c)
 
 
 def _candidates(y, q):
