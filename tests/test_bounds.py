@@ -556,6 +556,36 @@ def test_one_shift_orbit_per_prim_and_call(ex1, ex2, nrm, skew, sys1, sys2, monk
     assert made == {"ex1": 4, "ex2": 5, "nrm": 4, "skew": 1, "sys1": 11, "sys2": 12}
 
 
+def test_lattices_only_of_coefficient_factors(ex1, ex2, nrm, skew, sys1, sys2, monkeypatch):
+    # a strip prim has the spread of the coefficient factor it shifts, so the
+    # bound alone looks up no spread of a shifted copy, and reads none from
+    # the invariance_lattice cache
+    seen = []
+    shift_orbit = plde.spread.shift_orbit
+
+    def recording(p):
+        seen.append(p)
+        return shift_orbit(p)
+
+    def forbidden(*args):
+        raise AssertionError("invariance_lattice called on the bound path")
+
+    monkeypatch.setattr(plde.spread, "shift_orbit", recording)
+    for module in (plde.spread, plde.factored, plde.bounds):
+        if hasattr(module, "invariance_lattice"):
+            monkeypatch.setattr(module, "invariance_lattice", forbidden)
+    made = {}
+    for name, eq in (("ex1", ex1), ("ex2", ex2), ("nrm", nrm), ("skew", skew), ("sys1", sys1),
+                     ("sys2", sys2)):
+        seen.clear()
+        report = combined_bound(eq)
+        factors = {f for a in eq.terms.values() for f, _ in a.factors}
+        assert set(seen) <= factors, (name, set(seen) - factors)
+        assert set(seen) == set(report.orbits), name
+        made[name] = len(set(seen))
+    assert made == {"ex1": 4, "ex2": 4, "nrm": 4, "skew": 0, "sys1": 8, "sys2": 8}
+
+
 # ----------------------------------------------------------------------
 # property suites
 
