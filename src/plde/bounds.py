@@ -96,6 +96,7 @@ class BoundReport:
     uncovered: tuple
     warnings: tuple
     orbits: ShiftOrbits = field(default_factory=ShiftOrbits, compare=False, repr=False)
+    geometry: SupportGeometry | None = field(default=None, compare=False, repr=False)
 
     def to_json(self):
         modules = []
@@ -496,7 +497,7 @@ def combined_bound(eq: PLDE) -> BoundReport:
                                 % (format_poly(prim), tuple(s)))
     per_module = {}
     zero = IntLattice.zero(r)
-    geometry = SupportGeometry(support)
+    geometry = SupportGeometry(support)  # kept with the orbits for the check of the report
     orbits = ShiftOrbits()  # every orbit of this call, and of the check of its report
     d = _aperiodic_bound(eq, geometry, orbits)
     per_module[zero] = ModuleEntry(CLASS_USEFUL, None, None, d)
@@ -537,5 +538,6 @@ def combined_bound(eq: PLDE) -> BoundReport:
         uncovered=tuple(sorted(uncovered, key=lambda L: L.key())),
         warnings=tuple(warnings),
         orbits=orbits,
+        geometry=geometry,
     )
 

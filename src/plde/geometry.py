@@ -333,7 +333,7 @@ class _ModuleSetup:
     congruence class modulo W, and ``point_coeffs`` to the coefficients of
     its level s . u, so that by linearity the row of s - p is a difference
     of two of them; ``pairs`` holds the verdict of every ordered corner
-    pair decided so far.
+    pair decided so far, and ``cls`` the `ModuleClass` of W once decided.
     """
 
     def __init__(self, points, W: IntLattice):
@@ -350,6 +350,7 @@ class _ModuleSetup:
             classes.setdefault(self.point_coeffs[s], []).append(s)
         self.cls_of = {s: classes[self.point_coeffs[s]] for s in points}
         self.pairs = {}
+        self.cls = None
 
     def row(self, s, p):
         """The coefficients in z of the level (s - p) . u of s above p."""
@@ -367,9 +368,10 @@ class SupportGeometry:
 
     The face enumeration (`_Faces`), and for every module W its covector
     basis, its rank and its congruence classes modulo the saturation of W,
-    are built on first use and kept by this object only; a caller that
-    bounds one equation makes one and drops it.  Every pair certificate for
-    a module is decided at most once.
+    are built on first use and kept by this object only; `combined_bound`
+    makes one per equation and keeps it in its report for the check of that
+    report.  Every pair certificate and every class of a module is decided
+    at most once.
     """
 
     def __init__(self, points):
@@ -467,16 +469,17 @@ class SupportGeometry:
         return None
 
     def classify(self, W: IntLattice) -> ModuleClass:
-        """Classify W as useful, opposite-only, or uncovered for the support."""
-        cert = next(self.useful_pairs(W), None)
-        if cert is not None:
-            return ModuleClass(CLASS_USEFUL, cert)
+        """Classify W as useful, opposite-only, or uncovered for the support, once per W."""
         setup = self._setup(W)
-        for p in self.corners:
-            weak = self._weak(setup, p)
-            if weak is not None:
-                return ModuleClass(CLASS_OPPOSITE_ONLY, weak)
-        return ModuleClass(CLASS_UNCOVERED)
+        if setup.cls is None:
+            cert = next(self.useful_pairs(W), None)
+            if cert is not None:
+                setup.cls = ModuleClass(CLASS_USEFUL, cert)
+            else:
+                weak = next(filter(None, (self._weak(setup, p) for p in self.corners)), None)
+                setup.cls = ModuleClass(CLASS_UNCOVERED if weak is None else CLASS_OPPOSITE_ONLY,
+                                        weak)
+        return setup.cls
 
     def face_parallel_modules(self):
         """Rank-1 modules along hull edges, plus rank-2 facet modules for r = 3.

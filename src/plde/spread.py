@@ -93,8 +93,9 @@ class ShiftOrbits(dict):
     """A registry prim -> `shift_orbit(prim)`, each orbit computed the first time it is read.
 
     `bounds.combined_bound` makes one per call and hands it to the check
-    through `BoundReport.orbits`, so no orbit is computed twice and none
-    outlives the report.
+    through `BoundReport.orbits`, next to the call's `SupportGeometry` in
+    `BoundReport.geometry`, so no orbit or module class is computed twice
+    and none outlives the report.
     """
 
     __slots__ = ()

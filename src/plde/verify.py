@@ -1,8 +1,11 @@
 """Independent checks: solution substitution and bound coverage.
 
-Everything here works on expanded polynomials, apart from the exact
+The solution check works on expanded polynomials, apart from the exact
 cancellation below, and never calls the bounding machinery, so that it can
-serve as a differential oracle for it.
+serve as a differential oracle for it.  The coverage check reads what the
+bound decided about the support from its report: each factor's spread
+module from ``report.orbits`` and the module's class from
+``report.geometry``, so no orbit, facet or pair program runs twice.
 
 Substituting y = N/D into sum_i A_i y(n + s_i) = f over the m support
 points gives the residual sum_i A_i N_i / D_i - f, where N_i and D_i are N
@@ -63,9 +66,9 @@ from math import lcm
 from .bounds import BoundReport
 from .equation import PLDE
 from .factored import FactoredPoly
-from .geometry import CLASS_OPPOSITE_ONLY, CLASS_USEFUL, SupportGeometry
-from .polyring import (Poly, RationalFunction, add_terms, divide_exact, divide_int_terms,
-                       mul_packed, mul_terms, pack_terms, pow_terms, shift_terms, unpack_terms)
+from .geometry import CLASS_OPPOSITE_ONLY, CLASS_USEFUL
+from .polyring import (Poly, RationalFunction, add_terms, divide_int_terms, mul_packed,
+                       mul_terms, pack_terms, pow_terms, shift_terms, unpack_terms)
 
 
 @dataclass(frozen=True)
@@ -163,14 +166,19 @@ def check_bound_covers(eq: PLDE, y: RationalFunction, den_factors: FactoredPoly,
        of the factor occurs in P, that is, a prim of P has its shift orbit
        key (`spread.shift_orbit`); 3. the module is uncovered.
     Spread modules and orbit keys are read from the registry
-    ``report.orbits``, which the bound filled with those of P.
+    ``report.orbits``, which the bound filled with those of P, and each
+    module's class from ``report.geometry``, the support geometry of the
+    bound, which has classified every module of ``report.per_module``.  A
+    report without the geometry of eq's support raises a ValueError.
     """
+    geometry = report.geometry
+    if geometry is None or geometry.points != eq.support:
+        raise ValueError("the report does not carry the support geometry of this equation")
     if not check_solution(eq, y).ok:
         raise ValueError("the supplied rational function does not solve the equation")
-    expanded = den_factors.expand()
-    if divide_exact(y.den, expanded) is None or divide_exact(expanded, y.den) is None:
+    # nonzero polynomials are associates exactly when their primitive term maps agree
+    if den_factors.expand().terms != y.den.terms:
         raise ValueError("denominator factorization does not match the solution")
-    geometry = SupportGeometry(eq.support)
     orbits = report.orbits
     verdicts = {}
     for prim, mult in den_factors.factors:

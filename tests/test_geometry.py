@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -255,6 +256,32 @@ def test_classify_zero_module_is_useful():
 
 def test_classify_full_module_is_uncovered():
     assert SupportGeometry(SYS1_S).classify(IntLattice.full(2)).kind == CLASS_UNCOVERED
+
+
+def test_classify_decides_each_module_once(monkeypatch):
+    # the class of a module is kept with its setup: a second classify of the
+    # same W returns the same object and runs no LP, the one-sided (weak)
+    # programs of an opposite-only module included
+    calls = [0]
+
+    def counting(constraints, nvars):
+        calls[0] += 1
+        return lp_feasible(constraints, nvars)
+
+    monkeypatch.setattr(geometry, "lp_feasible", counting)
+    first_lps = Counter()
+    for pts, W in ((EX1_S, IntLattice.zero(2)), (EX1_S, L((1, -1))), (EX2_S, L((1, -1))),
+                   (SYS1_S, L((1, -1))), (SYS1_S, L((1, 0))), (SYS2_S, L((1, 1))),
+                   (SYS1_S, IntLattice.full(2))):
+        geo = SupportGeometry(pts)
+        calls[0] = 0
+        first = geo.classify(W)
+        first_lps[first.kind] += calls[0]
+        calls[0] = 0
+        assert geo.classify(W) is first and calls[0] == 0, (pts, W)
+    # the uncovered modules here are decided by congruence classes alone
+    assert set(first_lps) == {CLASS_USEFUL, CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED}
+    assert first_lps[CLASS_USEFUL] and first_lps[CLASS_OPPOSITE_ONLY]
 
 
 def test_useful_implies_singleton_faces_in_rank_one():

@@ -15,6 +15,7 @@ To rewrite the files after an intended change of the reports:
 import itertools
 import json
 import sys
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -120,6 +121,53 @@ def test_check_reads_the_orbits_it_would_compute():
         assert all(f in report.orbits for f, _ in q.factors), name
         for p, orbit in report.orbits.items():
             assert orbit == shift_orbit(p), (name, p)
+
+
+def test_check_reads_the_classes_it_would_compute(monkeypatch):
+    # check_bound_covers reads each module's class from report.geometry, the
+    # SupportGeometry of the bound: when every factor's module was classified
+    # by the bound, the check runs no LP and builds no geometry of its own;
+    # each class it reads is what a fresh SupportGeometry computes, and the
+    # report's per_module entries agree with the geometry's classes
+    import plde.geometry
+    from plde.bounds import combined_bound
+    from plde.geometry import SupportGeometry
+    from plde.verify import check_bound_covers
+    from support import homogeneous_instance, random_instance
+
+    counts = Counter()
+    lp_feasible = plde.geometry.lp_feasible
+    init = SupportGeometry.__init__
+
+    def counting_lp(constraints, nvars):
+        counts["lp"] += 1
+        return lp_feasible(constraints, nvars)
+
+    def counting_init(self, points):
+        counts["geometry"] += 1
+        init(self, points)
+
+    monkeypatch.setattr(plde.geometry, "lp_feasible", counting_lp)
+    monkeypatch.setattr(SupportGeometry, "__init__", counting_init)
+    cases = [(name,) + _known_solution(name) for name in _case_names()]
+    cases += [("random-%d" % seed,) + random_instance(seed) for seed in range(1, 31)]
+    cases += [("homogeneous-%d" % seed,) + homogeneous_instance(seed) for seed in range(1, 31)]
+    free = 0
+    for name, eq, y, q in cases:
+        report = combined_bound(eq)
+        modules = {report.orbits[f][2] for f, _ in q.factors}
+        counts.clear()
+        assert all(v["ok"] for v in check_bound_covers(eq, y, q, report).values()), name
+        if modules <= report.per_module.keys():
+            assert not counts, (name, counts)
+            free += 1
+        for W in modules:
+            assert SupportGeometry(eq.support).classify(W) == report.geometry.classify(W), (name, W)
+        for W, entry in report.per_module.items():
+            cls = report.geometry.classify(W)
+            assert cls.kind == entry.kind, (name, W)
+            assert W.is_zero() or cls.certificate == entry.certificate, (name, W)
+    assert free == len(cases)
 
 
 def test_golden_set_has_non_axis_witnesses():

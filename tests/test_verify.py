@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 from fractions import Fraction
 
@@ -238,10 +239,9 @@ def test_cover_cases_on_golden_examples(sys1, sys2, ex1, ex2):
     rep1 = combined_bound(sys1)
     rep2 = combined_bound(sys2)
     joined = rep1.d.lcm(rep2.d)
-    merged1 = type(rep1)(rep1.variables, joined, rep1.P, rep1.per_module,
-                         rep1.uncovered, rep1.warnings)
-    merged2 = type(rep2)(rep2.variables, joined, rep2.P, rep2.per_module,
-                         rep2.uncovered, rep2.warnings)
+    # replace keeps each report's registry and support geometry for its check
+    merged1 = dataclasses.replace(rep1, d=joined)
+    merged2 = dataclasses.replace(rep2, d=joined)
     # each equation covers its own useful modules; the other's factors fall
     # into its uncovered directions, which is exactly why the lcm is needed
     v1 = check_bound_covers(sys1, y, den, merged1)
@@ -264,6 +264,34 @@ def test_cover_cases_on_golden_examples(sys1, sys2, ex1, ex2):
 
     v2 = check_bound_covers(ex2, y1, den1, combined_bound(ex2))
     assert v2[P("k+n+1")]["case"] == 3 and v2[P("k+n+1")]["ok"]
+
+
+def test_cover_rejects_a_report_of_another_support(ex1, ex2):
+    # the module classes come from the report's geometry, so a report of
+    # another equation, or one without a geometry, must not be read
+    y = parse_rational("(n^2+2*k^2)/(k+n+1)", VARS2)
+    den = FactoredPoly(VARS2, 1, [(P("k+n+1"), 1)])
+    rep1 = combined_bound(ex1)
+    with pytest.raises(ValueError, match="support geometry"):
+        check_bound_covers(ex2, y, den, rep1)
+    with pytest.raises(ValueError, match="support geometry"):
+        check_bound_covers(ex1, y, den, dataclasses.replace(rep1, geometry=None))
+    bare = type(rep1)(rep1.variables, rep1.d, rep1.P, rep1.per_module, rep1.uncovered,
+                      rep1.warnings)
+    with pytest.raises(ValueError, match="support geometry"):
+        check_bound_covers(ex1, y, den, bare)
+    assert check_bound_covers(ex1, y, den, rep1)[P("k+n+1")]["ok"]
+
+
+def test_cover_accepts_factorizations_up_to_a_constant(ex1):
+    y = parse_rational("(n^2+2*k^2)/(k+n+1)", VARS2)
+    rep = combined_bound(ex1)
+    for unit in (1, -1, 3, Fraction(-2, 5)):
+        den = FactoredPoly(VARS2, unit, [(P("k+n+1"), 1)])
+        assert check_bound_covers(ex1, y, den, rep)[P("k+n+1")]["ok"], unit
+    for factors in ([(P("k+n+1"), 2)], [(P("k+n+1"), 1), (P("n+1"), 1)], []):
+        with pytest.raises(ValueError, match="denominator factorization does not match"):
+            check_bound_covers(ex1, y, FactoredPoly(VARS2, 1, factors), rep)
 
 
 def test_cover_rejects_non_solutions(ex1):
