@@ -97,6 +97,7 @@ class BoundReport:
     warnings: tuple
     orbits: ShiftOrbits = field(default_factory=ShiftOrbits, compare=False, repr=False)
     geometry: SupportGeometry | None = field(default=None, compare=False, repr=False)
+    equation: PLDE | None = field(default=None, compare=False, repr=False)
 
     def to_json(self):
         modules = []
@@ -539,5 +540,6 @@ def combined_bound(eq: PLDE) -> BoundReport:
         warnings=tuple(warnings),
         orbits=orbits,
         geometry=geometry,
+        equation=eq,
     )
 

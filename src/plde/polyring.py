@@ -15,10 +15,8 @@ with a positive leading coefficient, so `mul_terms`, `pow_terms` and
 a scalar factor touch only the content.  The strip rewriting of `bounds`
 calls the same kernels on ints and divides by primitive integer
 polynomials with `divide_int_terms`, which by Gauss's lemma needs exact
-int division only.  The solution check of `verify` multiplies large int
-term maps with `mul_packed`, on keys that `pack_terms` makes from the
-exponent vectors: one int with a fixed-width field per variable.
-`mul_terms` stays on tuples, which `shift_terms` reads.
+int division only.  The solution check of `verify` runs on the same
+kernels, with one product per distinct cancelled denominator.
 Polynomial text has only unsigned integer literals, so the parser works
 on int term maps throughout (`parse_terms`).  Leading terms and printing
 use graded lexicographic order on the exponent vectors.
@@ -350,36 +348,6 @@ def mul_terms(a: dict, b: dict) -> dict:
     for e1, c1 in a.items():
         for e2, c2 in b.items():
             e = tuple(map(_add, e1, e2))
-            v = get(e)
-            terms[e] = c1 * c2 if v is None else v + c1 * c2
-    return {e: c for e, c in terms.items() if c}
-
-
-def pack_terms(a: dict, width: int) -> dict:
-    """a with each exponent vector e as the int key sum_j e_j * 2^(width * j).
-
-    Every exponent must be below 2^width.  A product of packed monomials is
-    then one integer addition, exact as long as the exponents of the
-    product stay below 2^width too, so that no field carries into the next.
-    """
-    offsets = [width * j for j in range(len(next(iter(a), ())))]
-    return {sum(x << o for x, o in zip(e, offsets)): c for e, c in a.items()}
-
-
-def unpack_terms(a: dict, width: int, r: int) -> dict:
-    """The term map over r variables whose pack_terms(., width) is a."""
-    mask = (1 << width) - 1
-    offsets = [width * j for j in range(r)]
-    return {tuple(key >> o & mask for o in offsets): c for key, c in a.items()}
-
-
-def mul_packed(a: dict, b: dict) -> dict:
-    """mul_terms on packed term maps (pack_terms) whose product fits the width."""
-    terms = {}
-    get = terms.get
-    for e1, c1 in a.items():
-        for e2, c2 in b.items():
-            e = e1 + e2
             v = get(e)
             terms[e] = c1 * c2 if v is None else v + c1 * c2
     return {e: c for e, c in terms.items() if c}

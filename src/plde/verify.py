@@ -17,45 +17,35 @@ the prims left.  As in Abramov's univariate bound, the factors of D(n+s_i)
 are normally among those of A_i, so D_i' is usually small.  The cancel is
 exact whatever the factors are: A_i N_i / D_i = (A_i / g) N_i / (D_i / g)
 for any g that divides both, and a division that fails changes nothing.
-The residual is then total/common with
+Points that are left with the same denominator are summed first: with
+d_1, ..., d_q the distinct D_i' and S_g the sum of A_i' N_i over the
+points with D_i' = d_g, the residual is sum_g S_g / d_g - f, and it is
+total/common with
 
-    common = prod_j D_j',    total = sum_i A_i' N_i prod_{j != i} D_j' - f * common,
+    common = prod_g d_g,    total = sum_g S_g prod_{h != g} d_h - f * common,
 
 built in one pass, with three products involving the growing T and C per
-point,
+distinct denominator,
 
-    T <- T * D_i' + A_i' * N_i * C,    C <- C * D_i',
+    T <- T * d_g + S_g * C,    C <- C * d_g,
 
-starting from T = 0 and C = 1: after point i, C is the product of the
-first i denominators and T is the sum over those points of A_j' N_j times
-the other denominators among them, so at the end T + (-f) * C is total.
+starting from T = 0 and C = 1: after group g, C is the product of the
+first g denominators and T is the sum over those groups of S_h times the
+other denominators among them, so at the end T + (-f) * C is total.  For
+the known solution of most equations the cancel leaves the same constant
+at every point, and then the loop runs once, on C = 1.
 The products run on the primitive integer term maps of ``polyring.Poly``:
 an integer shift is an invertible map of Z[n] that keeps content, so all
 D_i share the content of D, and by Gauss's lemma so do the quotients D_i'
-of D_i by primitive prims.  Each point's rational scalar (the unit of A_i
-times the content of N) becomes one integer k_i once all of them, and the
-one of f, are put over a common denominator L.  The exact content goes
-back on once, at the end.
-
-The accumulation runs on packed monomials (``polyring.pack_terms``): an
-exponent vector e is the int key sum_j e_j * 2^(w*j), so that a monomial
-product is one integer addition.  That is exact while no field reaches
-2^w, since then no field carries into the next, and the width w is fixed
-before the loop from degree bounds.  With E_j = sum_i deg_j D_i', the
-product of the cancelled denominators, every intermediate stays within
-
-    deg_j C <= E_j,
-    deg_j T <= max_i (deg_j A_i' + deg_j N + E_j - deg_j D_i'),
-    deg_j (f * C) <= deg_j f + E_j,
-
-since a shift keeps the degree in each variable x_j, so N_i has degree
-deg_j N, and each term of T, or of the products A_i' N_i C and T D_i', is
-A_i' N_i times cancelled denominators of other points.  The width is the
-bit length of the largest of these bounds over all j.  Each exponent of a
-product is the sum of the exponents of two monomials that occur, so
-cancellation does not matter.  A zero total is decided on the packed
-keys; a nonzero residual is unpacked once and reduced to lowest terms by
-``polyring.RationalFunction``, whose form does not depend on the cancel.
+of D_i by primitive prims.  So equal D_i' have equal primitive term maps,
+positive leading coefficient included, and the grouping reads those maps
+(``frozenset(d.items())``); no two points with equal denominators are put
+in different groups.  Each point's rational scalar (the unit of A_i times
+the content of N) becomes one integer k_i once all of them, and the one
+of f, are put over a common denominator L.  The exact content goes back
+on once, at the end.  A nonzero residual is reduced to lowest terms by
+``polyring.RationalFunction``, whose form depends neither on the cancel
+nor on the grouping.
 """
 
 from __future__ import annotations
@@ -67,8 +57,8 @@ from .bounds import BoundReport
 from .equation import PLDE
 from .factored import FactoredPoly
 from .geometry import CLASS_OPPOSITE_ONLY, CLASS_USEFUL
-from .polyring import (Poly, RationalFunction, add_terms, divide_int_terms, mul_packed,
-                       mul_terms, pack_terms, pow_terms, shift_terms, unpack_terms)
+from .polyring import (Poly, RationalFunction, add_terms, divide_int_terms, mul_terms, pow_terms,
+                       shift_terms)
 
 
 @dataclass(frozen=True)
@@ -90,46 +80,36 @@ def _residual(eq: PLDE, y: RationalFunction):
 
     With D = cd * d, N = cn * n and A_i = ca_i * a_i split into unit and
     primitive integer part, and a_i', d_i' what `_cancel` leaves of a_i and
-    d shifted by s_i, total = cd^(m-1) / L * (T + k_f * f' * C) and
-    common = cd^m * C, where T and C are the accumulation of the module
-    docstring on the d_i', n and a_i' with integer scalars
-    k_i = L * ca_i * cn, k_f = -L * cf * cd, f = cf * f', and L is the
-    least common multiple of the denominators of those scalars.  Every
-    step is exact over Z, on monomials packed with the width of the module
-    docstring.
+    d shifted by s_i, total = (T + k_f * f' * C) / (L * cd) and common = C,
+    where T and C are the accumulation of the module docstring over the
+    distinct d_i', S_g is the sum of k_i * a_i' * n_i over the points with
+    d_i' = d_g, the integer scalars are k_i = L * ca_i * cn and
+    k_f = -L * cf * cd, f = cf * f', and L is the least common multiple of
+    the denominators of those scalars.  Every step is exact over Z.
     """
     vars = eq.variables
-    r = len(vars)
     support = eq.support
-    m = len(support)
     cn, num = y.num.content, y.num.terms
     cd, den = y.den.content, y.den.terms
     cf, rhs = eq.rhs.content, eq.rhs.terms
-    points = [_cancel(eq.terms[s], shift_terms(den, s)) for s in support]
     scalars = [eq.terms[s].unit * cn for s in support] + [-cf * cd]
     scale = lcm(*(c.denominator for c in scalars))
     ks = [c.numerator * (scale // c.denominator) for c in scalars]
-    dd = [_degrees(d, r) for _, d in points]
-    dn = _degrees(num, r)
-    E = [sum(col) for col in zip(*dd)]
-    bounds = [f + e for f, e in zip(_degrees(rhs, r), E)]
-    for (a, _), di in zip(points, dd):
-        bounds.extend(x + n + e - d for x, n, e, d in zip(_degrees(a, r), dn, E, di))
-    width = max(bounds).bit_length()
+    groups = {}  # the term map of d_g -> [d_g, S_g]
+    for s, k in zip(support, ks):
+        a, d = _cancel(eq.terms[s], shift_terms(den, s))
+        an = mul_terms({e: k * v for e, v in a.items()}, shift_terms(num, s))
+        group = groups.setdefault(frozenset(d.items()), [d, {}])
+        group[1] = add_terms(group[1], an)
     total = {}
-    common = {0: 1}
-    for s, (a, d), k in zip(support, points, ks):
-        d = pack_terms(d, width)
-        an = mul_packed(pack_terms({e: k * v for e, v in a.items()}, width),
-                        pack_terms(shift_terms(num, s), width))
-        total = add_terms(mul_packed(total, d), mul_packed(an, common))
-        common = mul_packed(common, d)
-    rhs = pack_terms({e: ks[-1] * v for e, v in rhs.items()}, width)
-    total = add_terms(total, mul_packed(rhs, common))
+    common = {(0,) * len(vars): 1}
+    for d, S in groups.values():
+        total = add_terms(mul_terms(total, d), mul_terms(S, common))
+        common = mul_terms(common, d)
+    total = add_terms(total, mul_terms({e: ks[-1] * v for e, v in rhs.items()}, common))
     if not total:
         return Poly.zero(vars), None
-    return (Poly.from_ints(vars, unpack_terms(total, width, r), cd ** (m - 1) / scale),
-            Poly.from_ints(vars, unpack_terms(common, width, r), cd ** m))
+    return Poly.from_ints(vars, total, 1 / (scale * cd)), Poly.from_ints(vars, common)
 
 
 def _cancel(coeff: FactoredPoly, d: dict):
@@ -151,11 +131,6 @@ def _cancel(coeff: FactoredPoly, d: dict):
     return a, d
 
 
-def _degrees(terms: dict, r: int) -> list:
-    """The degree of a term map in each of its r variables; 0 for the zero map."""
-    return [max(col) for col in zip(*terms)] or [0] * r
-
-
 def check_bound_covers(eq: PLDE, y: RationalFunction, den_factors: FactoredPoly,
                        report: BoundReport) -> dict:
     """Classify every denominator factor of a known solution against a report.
@@ -169,11 +144,12 @@ def check_bound_covers(eq: PLDE, y: RationalFunction, den_factors: FactoredPoly,
     ``report.orbits``, which the bound filled with those of P, and each
     module's class from ``report.geometry``, the support geometry of the
     bound, which has classified every module of ``report.per_module``.  A
-    report without the geometry of eq's support raises a ValueError.
+    report that is not ``combined_bound`` of eq, or of an equal equation,
+    with the support geometry it used, raises a ValueError.
     """
     geometry = report.geometry
-    if geometry is None or geometry.points != eq.support:
-        raise ValueError("the report does not carry the support geometry of this equation")
+    if geometry is None or not (report.equation is eq or report.equation == eq):
+        raise ValueError("the report is not the bound of this equation with its support geometry")
     if not check_solution(eq, y).ok:
         raise ValueError("the supplied rational function does not solve the equation")
     # nonzero polynomials are associates exactly when their primitive term maps agree

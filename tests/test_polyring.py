@@ -5,9 +5,9 @@ from fractions import Fraction
 import pytest
 
 from plde.polyring import (ParseError, Poly, RationalFunction, UnsupportedInputError, add_terms,
-                           divide_exact, divide_int_terms, format_poly, gcd_poly, mul_packed,
-                           mul_terms, normalize_primitive, pack_terms, parse_poly, parse_rational,
-                           parse_terms, shift_terms, unpack_terms)
+                           divide_exact, divide_int_terms, format_poly, gcd_poly, mul_terms,
+                           normalize_primitive, parse_poly, parse_rational, parse_terms,
+                           shift_terms)
 from support import (VARS2, coefficients, divide_over_q, evaluate_terms, int_terms, is_canonical,
                      random_malformed_text, random_poly, random_poly_text, random_shift,
                      reference_parse_poly)
@@ -211,55 +211,6 @@ def test_int_kernels_match_poly():
             got = divide_exact(Poly(VARS2, p) * scale, Poly(VARS2, b) * (1 / scale))
             assert got == (None if want is None else want * scale * scale)
     assert min(outcomes.values()) >= 100, outcomes
-
-
-def _random_int_terms(rng, r, max_degree, max_terms, bits):
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        e = tuple(rng.randint(0, max_degree) for _ in range(r))
-        terms[e] = rng.choice([-1, 1]) * rng.randint(1, 2 ** bits)
-    return terms
-
-
-def _packed_product(a, b, width):
-    r = len(next(iter(a)))
-    return unpack_terms(mul_packed(pack_terms(a, width), pack_terms(b, width)), width, r)
-
-
-def test_packed_product_matches_mul_terms():
-    # r = 1 to 4, zero exponents, coefficients of more than 64 bits, and the
-    # narrowest width that holds the product's degrees, so that the top
-    # field is often filled to its last bit
-    rng = random.Random(1307)
-    full = 0
-    for i in range(N_CASES):
-        r = 1 + i % 4
-        bits = rng.choice([3, 90])
-        a = _random_int_terms(rng, r, rng.randint(0, 4), 6, bits)
-        b = _random_int_terms(rng, r, rng.randint(0, 4), 6, bits)
-        top = max(max(col) for col in zip(*a)) + max(max(col) for col in zip(*b))
-        width = max(top.bit_length(), 1)
-        full += top == 2 ** width - 1
-        assert unpack_terms(pack_terms(a, width), width, r) == a
-        assert _packed_product(a, b, width) == mul_terms(a, b), (a, b, width)
-        product = mul_packed(pack_terms(a, width), pack_terms(b, width))
-        assert add_terms(product, {e: -c for e, c in product.items()}) == {}
-        assert mul_packed(pack_terms(a, width), {}) == {}
-    assert full >= 20, full
-
-
-def test_packed_product_examples():
-    big = 3 ** 50  # 80 bits
-    one = {(0, 0, 0): 1}
-    # the field of n is filled exactly: 3 + 4 = 7 = 2^3 - 1, and the
-    # constant and the unused variable m keep exponent 0
-    a = {(3, 1, 0): big, (0, 0, 0): -1}
-    b = {(4, 0, 0): big, (0, 2, 0): 5}
-    assert _packed_product(a, b, 3) == {(7, 1, 0): big * big, (3, 3, 0): 5 * big,
-                                        (4, 0, 0): -big, (0, 2, 0): -5}
-    assert _packed_product(a, one, 3) == a
-    # (n+1)*(n-1): the terms in n cancel inside the product
-    assert _packed_product({(1,): 1, (0,): 1}, {(1,): 1, (0,): -1}, 2) == {(2,): 1, (0,): -1}
 
 
 def test_normalize_primitive_examples():

@@ -179,6 +179,21 @@ def test_cancelled_residual_matches_reference_differentially(eqdir):
     assert len(instances) == 38 and solved >= 38
 
 
+def test_residual_has_one_denominator_per_distinct_cancelled_denominator(sys1, sys2):
+    # y + 1 for the known solution y of sys1 and sys2: the cancel leaves two
+    # distinct denominators at the four support points, each twice, so the
+    # common denominator is the product of the two, of degree 12 and 10, not
+    # the product over all points (24 and 20); the reduced residual is a
+    # polynomial
+    y = parse_rational(BUNDLED_SOLUTIONS["sys1"], VARS2)
+    cand = y + RationalFunction.from_poly(Poly.one(VARS2))
+    for eq, degree, residual in ((sys1, 12, "22*n+16*k+33"), (sys2, 10, "34*n+8*k+68")):
+        assert _residual(eq, cand)[1].total_degree() == degree
+        got = check_solution(eq, cand)
+        assert not got.ok and str(got.residual) == residual
+        assert _same_residual(eq, cand)
+
+
 def _pair_equation(a0, a1, rhs):
     """a0 * y(n, k) + a1 * y(n + 1, k) = rhs over (n, k), coefficients as (unit, [(text, mult)])."""
     terms = {s: FactoredPoly(VARS2, unit, [(P(t), m) for t, m in factors])
@@ -281,6 +296,23 @@ def test_cover_rejects_a_report_of_another_support(ex1, ex2):
     with pytest.raises(ValueError, match="support geometry"):
         check_bound_covers(ex1, y, den, bare)
     assert check_bound_covers(ex1, y, den, rep1)[P("k+n+1")]["ok"]
+
+
+def test_cover_rejects_a_report_of_another_equation(eqdir, sys1, ex1):
+    # same supports, other coefficients: the verdicts would be read from the
+    # d and P of an equation that the solution does not solve
+    for seed, other in ((26, sys1), (47, ex1)):
+        eq, y, q = random_instance(seed)
+        assert eq.support == other.support and eq != other
+        with pytest.raises(ValueError, match="support geometry"):
+            check_bound_covers(eq, y, q, combined_bound(other))
+        assert all(v["ok"] for v in check_bound_covers(eq, y, q, combined_bound(eq)).values())
+    # an equal equation, loaded again, is the same equation
+    y = parse_rational("(n^2+2*k^2)/(k+n+1)", VARS2)
+    den = FactoredPoly(VARS2, 1, [(P("k+n+1"), 1)])
+    again = load_equation(eqdir / "ex1.json")
+    assert again is not ex1 and again == ex1
+    assert check_bound_covers(again, y, den, combined_bound(ex1))[P("k+n+1")]["ok"]
 
 
 def test_cover_accepts_factorizations_up_to_a_constant(ex1):
