@@ -463,13 +463,17 @@ def module_bound(eq: PLDE, geometry: SupportGeometry, W: IntLattice, orbits=None
 def _aperiodic_bound(eq: PLDE, geometry: SupportGeometry, orbits: ShiftOrbits):
     """Bound on the aperiodic part: gcd over the corners, each by its first witness pair.
 
-    A corner's witnesses are searched only while the gcd needs them.
+    A corner's witnesses are searched only while the gcd needs them: none when
+    some corner p has no aperiodic factor, since W = 0 gives p a witness pair,
+    on whose base face {p} `dispersion_bound` finds no prim, so its bound is 1.
     """
     support = eq.support
     zero = IntLattice.zero(len(eq.variables))
     if len(support) == 1:
         return eq.terms[support[0]].w_part(zero, orbits).shift(tuple(-x for x in support[0]))
     corners = geometry.corners
+    if any(eq.terms[p].w_part(zero, orbits).is_one() for p in corners):
+        return FactoredPoly.one(eq.variables)
     # the first witness of each corner in corner order, None for a corner without one
     firsts = (next(filter(None, (geometry.witness(p, p2, zero) for p2 in corners if p2 != p)),
                    None) for p in corners)

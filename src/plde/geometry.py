@@ -5,21 +5,23 @@ double description in integers (`_facets`).  It gives the faces of a
 support's convex hull: its facets, as the sets of support points they
 hold, and from their incidences the corners, the hull edges and, for
 r = 3, the facet modules (`_Faces`, whose docstring gives the argument).
-It also decides the separating covectors of the pair certificates
-consumed by the bounding pipeline: `lp_feasible` reads the point it
-returns off the generators of a homogenized cone.  `SupportGeometry`
-computes the faces of a support, and the covector setup of each module,
-once for all the searches of one caller.
+It also decides the separating covectors of the certificates consumed
+by the bounding pipeline, read off the generators of a homogenized cone
+(`_read_point`): `lp_feasible` builds the cone of a constraint list, and
+the pair programs of a module build one cone per corner p, of the rows
+that put p strictly lowest, which each partner p' continues with its
+rows (`_ModuleSetup.pair_point`).  `SupportGeometry` computes the faces
+of a support, and the setup and cones of each module, once per caller.
 
 A module W is *useful* for a support S when some ordered pair of corner
 points (p, p') admits an integer covector u orthogonal to W such that p is
 the unique minimizer of s . u and no two maximizers differ by an element
-of W.  Points congruent modulo W always tie under any admissible u, which
-turns both face conditions into plain linear constraints; a single
-feasibility problem therefore decides usefulness exactly.  W is taken
-modulo its saturation: a covector orthogonal to W is orthogonal to every
-integer vector with a multiple in W, so W and its saturation admit the
-same covectors, and the congruence classes are those of the saturation.
+of W.  Points congruent modulo W always tie under any admissible u, so
+both face conditions are linear constraints, one row per congruence
+class, and one feasibility problem per pair decides usefulness exactly.
+W is taken modulo its saturation, which admits the same covectors and
+has the same classes: a covector orthogonal to W is orthogonal to every
+integer vector with a multiple in W.
 """
 
 from __future__ import annotations
@@ -54,14 +56,9 @@ def lp_feasible(constraints, nvars: int):
     (lo + hi) / 2 when both ends are finite, max(lo, 0) when only lo is,
     min(hi, 0) when only hi is, and 0 when neither is.
 
-    The ranges are read off the generators of the cone
-    {(t, v) : t >= 0, a . v >= b t for every row a . v >= b}, which the
-    double description builds (`_facets`): its rays with t > 0 are the
-    vertices v / t of P, and its rays with t = 0 and its lineality vectors
-    are the recession directions of P, so P is empty exactly when no ray
-    has t > 0.  Once v_j is chosen, the two rows of v_j = value t are added
-    to the generators already built, which leaves those of the next slice.
-    A one-variable system is read straight off its rows.
+    The ranges are read off the generators of the cone {(t, v) : t >= 0,
+    a . v >= b t for every row a . v >= b} (`_facets`, `_read_point`); a
+    one-variable system is read straight off its rows.
     """
     rows = _lp_rows(constraints, nvars)
     if rows is None:
@@ -73,7 +70,17 @@ def lp_feasible(constraints, nvars: int):
             return None
         return [_point_rule(lo, hi)]
     cone = [(1,) + (0,) * nvars] + [(-b, *a) for a, b in rows]
-    lineality, rays = _facets(cone)
+    return _read_point(*_facets(cone), nvars, len(cone))
+
+
+def _read_point(lineality, rays, nvars: int, first: int):
+    """The point of P that `lp_feasible` chooses, read off its cone; None if P is empty.
+
+    ``lineality`` and ``rays`` are what `_facets` gave for its ``first`` rows:
+    its rays with t > 0 are the vertices v / t of P, its other rays and its
+    lineality vectors the recession directions, so P is empty exactly when
+    no ray has t > 0.  The rows v_j = value t of each v_j chosen continue them.
+    """
     if not any(v[0] for v, _ in rays):
         return None
     values = []
@@ -87,8 +94,8 @@ def lp_feasible(constraints, nvars: int):
         if j < nvars:
             fix = [0] * (nvars + 1)
             fix[0], fix[j] = -value.numerator, value.denominator
-            first = len(cone) + 2 * (j - 1)  # the rows already cut
             lineality, rays = _facets([fix, [-x for x in fix]], lineality, rays, first)
+            first += 2
     return values
 
 
@@ -205,7 +212,11 @@ def _onto(v, hv, l, hl):
 
     It lies on the hyperplane h . x = 0, and is v itself when v does.
     """
-    return v if not hv else primitive_vector([hl * x - hv * y for x, y in zip(v, l)])
+    if not hv:
+        return v
+    w = [hl * x - hv * y for x, y in zip(v, l)]
+    g = _int_gcd(*w)
+    return tuple(x // g for x in w)
 
 
 class _Faces:
@@ -324,6 +335,15 @@ class ModuleClass:
     certificate: object = None
 
 
+def _saturated(W: IntLattice) -> bool:
+    """Whether W is its own saturation: W = 0, or the maximal minors of its basis have gcd 1."""
+    def det(m):  # by expansion along the first row
+        return m[0][0] if len(m) == 1 else sum(
+            (-1) ** j * x * det([r[:j] + r[j + 1:] for r in m[1:]]) for j, x in enumerate(m[0]))
+    return W.is_zero() or _int_gcd(*(det([[row[c] for c in cols] for row in W.basis])
+                                     for cols in itertools.combinations(range(W.dim), W.rank))) == 1
+
+
 class _ModuleSetup:
     """What every certificate search for one module W on one support shares.
 
@@ -332,13 +352,15 @@ class _ModuleSetup:
     to W (rank ``t``); ``cls_of`` maps each support point to its
     congruence class modulo W, and ``point_coeffs`` to the coefficients of
     its level s . u, so that by linearity the row of s - p is a difference
-    of two of them; ``pairs`` holds the verdict of every ordered corner
+    of two of them; ``images`` maps those of each class to its row
+    constant, 1 for two or more points and 0 for one; ``lowest`` keeps the
+    cones of `pair_point`, ``pairs`` the verdict of every ordered corner
     pair decided so far, and ``cls`` the `ModuleClass` of W once decided.
     """
 
     def __init__(self, points, W: IntLattice):
         comp = orthogonal_complement_lattice(W)
-        self.W = orthogonal_complement_lattice(comp)  # the saturation of W
+        self.W = W if _saturated(W) else orthogonal_complement_lattice(comp)
         self.t = comp.rank
         self.basis = [list(row) for row in comp.basis]
         # the coefficients in z of s . u, for the covector u = sum_k z_k basis[k]
@@ -349,8 +371,29 @@ class _ModuleSetup:
         for s in points:
             classes.setdefault(self.point_coeffs[s], []).append(s)
         self.cls_of = {s: classes[self.point_coeffs[s]] for s in points}
+        self.images = {c: int(len(members) > 1) for c, members in classes.items()}
+        self.lowest = {}
         self.pairs = {}
         self.cls = None
+
+    def pair_point(self, p, p_prime):
+        """The z that `lp_feasible` gives for the pair (p, p') of singleton classes, or None.
+
+        Every other class lies strictly above p, and below p' (strictly if
+        it has two or more points).  The cone of the rows at p is built once
+        per p, and each p' continues it with its rows, less the implied one
+        for p; no p' has a pair with p when that cone has no ray with t > 0.
+        """
+        cp, cq = self.point_coeffs[p], self.point_coeffs[p_prime]
+        if p not in self.lowest:
+            low = [(1,) + (0,) * self.t] + [(-1, *map(_sub, c, cp)) for c in self.images if c != cp]
+            lineality, rays = _facets(low)
+            self.lowest[p] = (lineality, rays, len(low)) if any(v[0] for v, _ in rays) else None
+        if self.lowest[p] is None:
+            return None
+        lineality, rays, first = self.lowest[p]
+        top = [(-b, *map(_sub, cq, c)) for c, b in self.images.items() if c != cq and c != cp]
+        return _read_point(*_facets(top, lineality, rays, first), self.t, first + len(top))
 
     def row(self, s, p):
         """The coefficients in z of the level (s - p) . u of s above p."""
@@ -422,21 +465,12 @@ class SupportGeometry:
             # a congruent mate of p would tie with it at the bottom, and one of
             # p' would always share the maximal face
             return None
-        cons = []
-        for s in self.points:
-            if s != p:
-                cons.append((setup.row(s, p), ">=", 1))
-            if s != p_prime:
-                # classes of size >= 2 stay strictly below the top value
-                rhs = 1 if len(setup.cls_of[s]) > 1 else 0
-                cons.append((setup.row(p_prime, s), ">=", rhs))
-        z = lp_feasible(cons, setup.t)
+        z = setup.pair_point(p, p_prime)
         if z is None:
             return None
         u = setup.covector(z)
         values = {s: sum(a * b for a, b in zip(s, u)) for s in self.points}
-        vmin = min(values.values())
-        vmax = max(values.values())
+        vmin, vmax = min(values.values()), max(values.values())
         cert = WitnessCertificate(
             p, p_prime, u,
             frozenset(s for s, v in values.items() if v == vmin),
@@ -514,7 +548,9 @@ class SupportGeometry:
         if len(self.points) == 1 and setup.t:
             p = self.points[0]
             yield WitnessCertificate(p, p, tuple(setup.basis[0]), frozenset([p]), frozenset([p]))
-        for p, p2 in itertools.permutations(self.corners, 2):
+        # a corner congruent to another point has no pair
+        alone = [p for p in self.corners if len(setup.cls_of[p]) == 1]
+        for p, p2 in itertools.permutations(alone, 2):
             cert = self._pair(setup, p, p2)
             if cert is not None:
                 yield cert

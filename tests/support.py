@@ -9,7 +9,7 @@ from math import comb, gcd, prod
 from plde import bounds
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
-from plde.geometry import lp_feasible
+from plde.geometry import WitnessCertificate, lp_feasible
 from plde.lattice import (IntLattice, ShiftCoset, UnimodularMatrix, _split, clear_denominators,
                           integer_kernel, orthogonal_complement_lattice, primitive_vector,
                           saturation)
@@ -254,6 +254,38 @@ def face_parallel_modules_all_pairs(points):
     if 0 < affine.rank < r:
         modules.add(affine)
     return sorted(modules, key=lambda L: L.key())
+
+
+def pair_constraints(setup, p, p_prime):
+    """The pair program of the corners (p, p') of a module setup, as one constraint list.
+
+    Every support point other than p lies strictly above p; every point
+    other than p' lies below p', strictly when its class modulo W has two
+    or more points.  Built from scratch, one row per point, for
+    ``lp_feasible``; ``_ModuleSetup.pair_point`` continues a cone per p instead.
+    """
+    cons = []
+    for s in setup.cls_of:
+        if s != p:
+            cons.append((setup.row(s, p), ">=", 1))
+        if s != p_prime:
+            cons.append((setup.row(p_prime, s), ">=", 1 if len(setup.cls_of[s]) > 1 else 0))
+    return cons
+
+
+def reference_witness(geometry, p, p_prime, W: IntLattice):
+    """``SupportGeometry.witness`` by ``lp_feasible`` on ``pair_constraints``."""
+    setup = geometry._setup(W)
+    if setup.t == 0 or len(setup.cls_of[p]) > 1 or len(setup.cls_of[p_prime]) > 1:
+        return None
+    z = lp_feasible(pair_constraints(setup, p, p_prime), setup.t)
+    if z is None:
+        return None
+    u = setup.covector(z)
+    values = {s: sum(a * b for a, b in zip(s, u)) for s in geometry.points}
+    low, high = min(values.values()), max(values.values())
+    return WitnessCertificate(p, p_prime, u, frozenset(s for s, v in values.items() if v == low),
+                              frozenset(s for s, v in values.items() if v == high))
 
 
 def reference_module_bound(eq: PLDE, geometry, W: IntLattice):

@@ -442,26 +442,8 @@ def test_aperiodic_bound_trivial_cases(sys1, ex1):
         assert _aperiodic_bound(eq, SupportGeometry(eq.support), ShiftOrbits()).is_one()
 
 
-def test_aperiodic_bound_needs_a_witness_for_some_corner(sys1, monkeypatch):
-    # for W = 0 every corner of two or more points has a first witness (a
-    # covector exposing it alone has another corner on its top face), so the
-    # pass raises when it finds none
-    rng = random.Random(711)
-    for r in (2, 3):
-        for _ in range(20):
-            points = {random_shift(rng, r, 2) for _ in range(rng.randint(2, 7))}
-            if len(points) == 1:
-                continue
-            geometry, zero = SupportGeometry(points), IntLattice.zero(r)
-            for p in geometry.corners:
-                assert any(geometry.witness(p, q, zero) for q in geometry.corners if q != p)
-    monkeypatch.setattr(SupportGeometry, "witness", lambda self, p, p_prime, W: None)
-    with pytest.raises(InvariantError, match="witness pair"):
-        _aperiodic_bound(sys1, SupportGeometry(sys1.support), ShiftOrbits())
-
-
-def test_aperiodic_bound_catches_constructed_factor():
-    # equation built around the solution 1/(nk+1)
+def _around_nk_plus_one():
+    """(eq, q): an equation with the solution 1/q, q = nk+1, and q shifted at every corner."""
     rng = random.Random(7)
     q = FactoredPoly(VARS2, 1, [(P("n*k+1"), 1)])
     support = [(0, 0), (1, 0), (0, 1)]
@@ -471,7 +453,31 @@ def test_aperiodic_bound_catches_constructed_factor():
         c = Poly.const(VARS2, rng.choice([1, 2, -1]))
         terms[s] = factored_mul(FactoredPoly(VARS2, c.constant_value()), q.shift(s))
         rhs = rhs + c
-    eq = PLDE(VARS2, terms, rhs)
+    return PLDE(VARS2, terms, rhs), q
+
+
+def test_aperiodic_bound_needs_a_witness_for_some_corner(monkeypatch):
+    # for W = 0 every corner of two or more points has a first witness (a
+    # covector exposing it alone has another corner on its top face), so the
+    # pass raises when it finds none; it searches only when every corner has
+    # an aperiodic factor, as nk+1 shifted is at every corner of eq
+    rng = random.Random(711)
+    for r in (2, 3):
+        for _ in range(20):
+            points = {random_shift(rng, r, 2) for _ in range(rng.randint(2, 7))}
+            if len(points) == 1:
+                continue
+            geometry, zero = SupportGeometry(points), IntLattice.zero(r)
+            for p in geometry.corners:
+                assert any(geometry.witness(p, q, zero) for q in geometry.corners if q != p)
+    eq, _ = _around_nk_plus_one()
+    monkeypatch.setattr(SupportGeometry, "witness", lambda self, p, p_prime, W: None)
+    with pytest.raises(InvariantError, match="witness pair"):
+        _aperiodic_bound(eq, SupportGeometry(eq.support), ShiftOrbits())
+
+
+def test_aperiodic_bound_catches_constructed_factor():
+    eq, q = _around_nk_plus_one()
     assert check_solution(eq, RationalFunction(Poly.one(VARS2), q.expand())).ok
     ap = _aperiodic_bound(eq, SupportGeometry(eq.support), ShiftOrbits())
     assert ap.multiplicity(P("n*k+1")) >= 1
@@ -483,6 +489,7 @@ def test_intersection_stops_once_the_gcd_is_one(ex1, ex2, nrm, skew, sys1, sys2,
     counts = {}
     bound_for_cert = plde.bounds._bound_for_cert
     solve_pair = plde.geometry.SupportGeometry._solve_pair
+    pair_point = plde.geometry._ModuleSetup.pair_point
     lp_feasible = plde.geometry.lp_feasible
 
     def counting_bound(eq, W, cert, orbits):
@@ -492,28 +499,35 @@ def test_intersection_stops_once_the_gcd_is_one(ex1, ex2, nrm, skew, sys1, sys2,
         running[W] = running[W].gcd(d) if W in running else d
         return d, s
 
-    def counting_pair(self, setup, p, p_prime):
-        # the pair LPs of a module whose gcd is already 1 are not run
+    def checking_pair(self, setup, p, p_prime):
+        # the pair programs of a module whose gcd is already 1 are not run
         assert setup.W not in running or not running[setup.W].is_one()
         return solve_pair(self, setup, p, p_prime)
 
+    def counting_pair(setup, p, p_prime):
+        counts["programs"] += 1
+        return pair_point(setup, p, p_prime)
+
     def counting_lp(constraints, nvars):
-        counts["lps"] += 1
+        counts["programs"] += 1
         return lp_feasible(constraints, nvars)
 
     monkeypatch.setattr(plde.bounds, "_bound_for_cert", counting_bound)
-    monkeypatch.setattr(plde.geometry.SupportGeometry, "_solve_pair", counting_pair)
+    monkeypatch.setattr(plde.geometry.SupportGeometry, "_solve_pair", checking_pair)
+    monkeypatch.setattr(plde.geometry._ModuleSetup, "pair_point", counting_pair)
     monkeypatch.setattr(plde.geometry, "lp_feasible", counting_lp)
     made = {}
     for name, eq in (("ex1", ex1), ("ex2", ex2), ("nrm", nrm), ("skew", skew), ("sys1", sys1),
                      ("sys2", sys2)):
         running.clear()
-        counts.update(bounds=0, lps=0)
+        counts.update(bounds=0, programs=0)
         combined_bound(eq)
-        made[name] = (counts["bounds"], counts["lps"])
-    # deciding every pair and corner takes (5, 14) on ex1, (8, 22) on sys1 and sys2
-    assert made == {"ex1": (2, 10), "ex2": (2, 5), "nrm": (2, 10), "skew": (1, 1),
-                    "sys1": (5, 17), "sys2": (5, 17)}
+        made[name] = (counts["bounds"], counts["programs"])
+    # deciding every pair and corner takes (5, 14) on ex1, (8, 22) on sys1 and
+    # sys2; only ex2 has an aperiodic factor at every corner, so the aperiodic
+    # pass of the others runs no program and bounds no certificate
+    assert made == {"ex1": (1, 9), "ex2": (2, 5), "nrm": (1, 9), "skew": (0, 0),
+                    "sys1": (4, 14), "sys2": (4, 14)}
 
 
 def test_one_shift_orbit_per_prim_and_call(ex1, ex2, nrm, skew, sys1, sys2, monkeypatch):

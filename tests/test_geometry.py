@@ -11,9 +11,10 @@ from plde.bounds import combined_bound
 from plde.equation import PLDE
 from plde.geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry,
                            lp_feasible)
-from plde.lattice import IntLattice
-from support import (face_parallel_modules_all_pairs, fourier_motzkin, reference_corner_points,
-                     reference_is_edge)
+from plde.lattice import IntLattice, saturation
+from support import (InstanceProfile, face_parallel_modules_all_pairs, fourier_motzkin,
+                     pair_constraints, random_instance, reference_corner_points,
+                     reference_is_edge, reference_witness)
 
 N_CASES = 200
 
@@ -173,22 +174,78 @@ def test_lp_point_ignores_repeated_and_scaled_rows():
 
 
 def test_pipeline_lp_systems_match_fourier_motzkin(ex1, ex2, nrm, skew, sys1, sys2, monkeypatch):
-    # the systems that combined_bound itself builds, on the bundled files and
-    # the golden equations, get the point of the reference
+    # the programs that combined_bound itself runs, on the bundled files and
+    # the golden equations, get the point of the reference: each pair
+    # program on its constraint list, and each one-sided program of
+    # lp_feasible on its own
     systems = []
+    pair_point = geometry._ModuleSetup.pair_point
     solve = geometry.lp_feasible
 
-    def recording(constraints, nvars):
-        systems.append((constraints, nvars))
-        return solve(constraints, nvars)
+    def recording_pair(setup, p, p_prime):
+        z = pair_point(setup, p, p_prime)
+        systems.append(("pair", pair_constraints(setup, p, p_prime), setup.t, z))
+        return z
 
+    def recording(constraints, nvars):
+        z = solve(constraints, nvars)
+        systems.append(("lp", constraints, nvars, z))
+        return z
+
+    monkeypatch.setattr(geometry._ModuleSetup, "pair_point", recording_pair)
     monkeypatch.setattr(geometry, "lp_feasible", recording)
     golden = json.loads((Path(__file__).parent / "golden" / "equations.json").read_text())
     for eq in [ex1, ex2, nrm, skew, sys1, sys2] + [PLDE.from_json(d) for d in golden.values()]:
         combined_bound(eq)
-    for constraints, nvars in systems:
-        assert solve(constraints, nvars) == fourier_motzkin(constraints, nvars), constraints
-    assert len(systems) >= 300 and {nvars for _, nvars in systems} == {1, 2, 3, 4}
+    for _, constraints, nvars, z in systems:
+        assert z == fourier_motzkin(constraints, nvars), constraints
+    pairs = [nvars for kind, _, nvars, _ in systems if kind == "pair"]
+    assert len(pairs) >= 300 and set(pairs) == {1, 2, 3, 4}
+
+
+def test_pair_programs_match_lp_feasible_on_their_constraint_lists(ex1, ex2, nrm, skew, sys1,
+                                                                  sys2):
+    # every ordered corner pair of every module that combined_bound
+    # classifies, on the bundled and golden equations and on seeded supports
+    # of up to 12 points on {0,1,2}^r, gets from the cone continued per
+    # corner the verdict and certificate that lp_feasible gives on the pair's
+    # constraint list built from scratch
+    golden = json.loads((Path(__file__).parent / "golden" / "equations.json").read_text())
+    equations = [ex1, ex2, nrm, skew, sys1, sys2] + [PLDE.from_json(d) for d in golden.values()]
+    for r, variables, most in ((2, ("n", "k"), 9), (3, ("n", "k", "m"), 12),
+                               (4, ("n", "k", "m", "j"), 8)):
+        profile = InstanceProfile(
+            variables=variables, support_points=tuple(itertools.product(range(3), repeat=r)),
+            min_terms=3, max_terms=most, max_den_factors=1,
+            denominator_pool=("+".join(variables) + "+1", "2*n+k+1", "n*k+1", "n^2+k+1"),
+            coefficient_pool=("1", "-1", "n", "k+2"))
+        equations += [random_instance(1000 * r + seed, profile)[0] for seed in range(12)]
+    pairs = found = 0
+    for eq in equations:
+        report = combined_bound(eq)
+        fresh = SupportGeometry(eq.support)
+        corners = fresh.corners
+        for W in report.per_module:
+            for p, p_prime in itertools.permutations(corners, 2):
+                cert = report.geometry.witness(p, p_prime, W)
+                assert cert == reference_witness(fresh, p, p_prime, W), (eq.support, W, p, p_prime)
+                pairs += 1
+                found += cert is not None
+    assert len(equations) == 78 and pairs >= 20000 and found >= 3000, (pairs, found)
+
+
+def test_saturation_test_matches_the_double_complement():
+    # a module setup skips the saturation of a module that the gcd of its
+    # maximal minors shows saturated; the verdict agrees with saturation()
+    rng = random.Random(512)
+    seen = Counter()
+    for _ in range(400):
+        r = rng.randint(1, 4)
+        rows = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(rng.randint(0, r))]
+        W = IntLattice(r, rows)
+        assert geometry._saturated(W) == (saturation(W) == W), W
+        seen[geometry._saturated(W)] += 1
+    assert min(seen[True], seen[False]) >= 50, seen
 
 
 # ----------------------------------------------------------------------
@@ -260,15 +317,21 @@ def test_classify_full_module_is_uncovered():
 
 def test_classify_decides_each_module_once(monkeypatch):
     # the class of a module is kept with its setup: a second classify of the
-    # same W returns the same object and runs no LP, the one-sided (weak)
-    # programs of an opposite-only module included
+    # same W returns the same object and runs no program, neither a pair
+    # program nor a one-sided (weak) program of an opposite-only module
     calls = [0]
+    pair_point = geometry._ModuleSetup.pair_point
 
     def counting(constraints, nvars):
         calls[0] += 1
         return lp_feasible(constraints, nvars)
 
+    def counting_pair(setup, p, p_prime):
+        calls[0] += 1
+        return pair_point(setup, p, p_prime)
+
     monkeypatch.setattr(geometry, "lp_feasible", counting)
+    monkeypatch.setattr(geometry._ModuleSetup, "pair_point", counting_pair)
     first_lps = Counter()
     for pts, W in ((EX1_S, IntLattice.zero(2)), (EX1_S, L((1, -1))), (EX2_S, L((1, -1))),
                    (SYS1_S, L((1, -1))), (SYS1_S, L((1, 0))), (SYS2_S, L((1, 1))),
@@ -281,7 +344,7 @@ def test_classify_decides_each_module_once(monkeypatch):
         assert geo.classify(W) is first and calls[0] == 0, (pts, W)
     # the uncovered modules here are decided by congruence classes alone
     assert set(first_lps) == {CLASS_USEFUL, CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED}
-    assert first_lps[CLASS_USEFUL] and first_lps[CLASS_OPPOSITE_ONLY]
+    assert first_lps == {CLASS_USEFUL: 2, CLASS_OPPOSITE_ONLY: 1, CLASS_UNCOVERED: 0}
 
 
 def test_useful_implies_singleton_faces_in_rank_one():

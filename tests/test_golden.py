@@ -54,14 +54,34 @@ def _profiles():
         denominator_pool=("n+k+m+j+1", "n-j+2", "k+m+1", "2*n+k+1", "n^2+j+1", "n*k+m+1"),
         numerator_pool=("1", "n", "k+j", "m^2+1"),
         coefficient_pool=("1", "-1", "2", "n", "k+1", "j+m+2"))
-    return {"r1": r1, "r2": r2, "r3": r3, "r4": r4}
+    # the shape of the bench's geometry workload: r = 3 with 9-12 points and
+    # r = 4 with 6-8 points on the grid {0,1,2}^r, one denominator factor at most
+    g3 = InstanceProfile(
+        variables=("n", "k", "m"),
+        support_points=tuple(itertools.product(range(3), repeat=3)),
+        min_terms=9, max_terms=12,
+        denominator_pool=("n+k+m+1", "2*n+k+1", "k+m+1", "n^2+m+1", "n*k+m+1"),
+        numerator_pool=("1", "n", "k+m", "m^2+1"),
+        max_den_factors=1,
+        coefficient_pool=("1", "-1", "2", "n", "k+1", "m+n+2"))
+    g4 = InstanceProfile(
+        variables=("n", "k", "m", "j"),
+        support_points=tuple(itertools.product(range(3), repeat=4)),
+        min_terms=6, max_terms=8,
+        denominator_pool=("n+k+m+j+1", "2*n+k+1", "k+m+1", "n^2+j+1", "n*k+m+j^2+1"),
+        numerator_pool=("1", "n", "k+j"),
+        max_den_factors=1,
+        coefficient_pool=("1", "-1", "2", "n", "j+2"))
+    return {"r1": r1, "r2": r2, "r3": r3, "r4": r4, "g3": g3, "g4": g4}
 
 
 # (profile, seed) of the generated cases
 GENERATED = (tuple(("r2", seed) for seed in range(1, 11))
              + tuple(("r3", seed) for seed in range(1, 11))
              + tuple(("r1", seed) for seed in range(1, 6))
-             + tuple(("r4", seed) for seed in (1, 5, 6, 7, 10)))
+             + tuple(("r4", seed) for seed in (1, 5, 6, 7, 10))
+             # g3-17 and g4-9 have an aperiodic factor at every corner
+             + (("g3", 17), ("g3", 18), ("g4", 9), ("g4", 10)))
 # dispersions s of the family q = (n+k+1)(n+k+1+s)(3n+2k+1), wider than the bench's s <= 6
 WIDE = (12, 16)
 
@@ -126,7 +146,8 @@ def test_check_reads_the_orbits_it_would_compute():
 def test_check_reads_the_classes_it_would_compute(monkeypatch):
     # check_bound_covers reads each module's class from report.geometry, the
     # SupportGeometry of the bound: when every factor's module was classified
-    # by the bound, the check runs no LP and builds no geometry of its own;
+    # by the bound, the check runs no program, neither a pair program nor a
+    # one-sided one, and builds no geometry of its own;
     # each class it reads is what a fresh SupportGeometry computes, and the
     # report's per_module entries agree with the geometry's classes
     import plde.geometry
@@ -137,17 +158,23 @@ def test_check_reads_the_classes_it_would_compute(monkeypatch):
 
     counts = Counter()
     lp_feasible = plde.geometry.lp_feasible
+    pair_point = plde.geometry._ModuleSetup.pair_point
     init = SupportGeometry.__init__
 
     def counting_lp(constraints, nvars):
         counts["lp"] += 1
         return lp_feasible(constraints, nvars)
 
+    def counting_pair(setup, p, p_prime):
+        counts["pair"] += 1
+        return pair_point(setup, p, p_prime)
+
     def counting_init(self, points):
         counts["geometry"] += 1
         init(self, points)
 
     monkeypatch.setattr(plde.geometry, "lp_feasible", counting_lp)
+    monkeypatch.setattr(plde.geometry._ModuleSetup, "pair_point", counting_pair)
     monkeypatch.setattr(SupportGeometry, "__init__", counting_init)
     cases = [(name,) + _known_solution(name) for name in _case_names()]
     cases += [("random-%d" % seed,) + random_instance(seed) for seed in range(1, 31)]
