@@ -5,7 +5,7 @@ from .bounds import (BoundReport, StripResult, combined_bound, dispersion_bound,
                      strip_rewrite)
 from .equation import PLDE, load_equation
 from .factored import FactoredPoly
-from .geometry import SupportGeometry, lp_feasible
+from .geometry import SupportGeometry
 from .lattice import (IntLattice, ShiftCoset, UnimodularMatrix, orthogonal_complement_lattice,
                       saturation)
 from .polyring import (InvariantError, Poly, RationalFunction, divide_exact, format_poly,

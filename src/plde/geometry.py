@@ -6,12 +6,15 @@ support's convex hull: its facets, as the sets of support points they
 hold, and from their incidences the corners, the hull edges and, for
 r = 3, the facet modules (`_Faces`, whose docstring gives the argument).
 It also decides the separating covectors of the certificates consumed
-by the bounding pipeline, read off the generators of a homogenized cone
-(`_read_point`): `lp_feasible` builds the cone of a constraint list, and
-the pair programs of a module build one cone per corner p, of the rows
-that put p strictly lowest, which each partner p' continues with its
-rows (`_ModuleSetup.pair_point`).  `SupportGeometry` computes the faces
-of a support, and the setup and cones of each module, once per caller.
+by the bounding pipeline.  Every certificate program of a module asks
+whether a covector orthogonal to W puts a corner p below every other
+congruence class, so each runs on one cone per corner p and kind, built
+once, with one row per class above p: strictly for pair programs, by the
+class's row constant for one-sided ones.  A pair's partner p' continues
+that cone with its rows, a one-sided search with one unit row, and the
+point is read off the generators of the continued cone (`_read_point`;
+`_ModuleSetup.point`).  `SupportGeometry` computes the faces of a
+support, and the setup and cones of each module, once per caller.
 
 A module W is *useful* for a support S when some ordered pair of corner
 points (p, p') admits an integer covector u orthogonal to W such that p is
@@ -19,6 +22,9 @@ the unique minimizer of s . u and no two maximizers differ by an element
 of W.  Points congruent modulo W always tie under any admissible u, so
 both face conditions are linear constraints, one row per congruence
 class, and one feasibility problem per pair decides usefulness exactly.
+A module with no useful pair is opposite-only when some corner p has a
+nonzero such u with p minimal and no two points of the minimal face
+congruent, and uncovered otherwise.
 W is taken modulo its saturation, which admits the same covectors and
 has the same classes: a covector orthogonal to W is orthogonal to every
 integer vector with a multiple in W.
@@ -32,8 +38,8 @@ from fractions import Fraction
 from math import gcd as _int_gcd
 from operator import mul as _mul, sub as _sub
 
-from .lattice import (IntLattice, clear_denominators, integer_kernel,
-                      orthogonal_complement_lattice, primitive_vector, saturation)
+from .lattice import (IntLattice, integer_kernel, orthogonal_complement_lattice, primitive_vector,
+                      saturation)
 from .polyring import InvariantError
 
 CLASS_USEFUL = "U"
@@ -45,41 +51,17 @@ CLASS_UNCOVERED = "uncovered"
 # exact linear feasibility
 
 
-def lp_feasible(constraints, nvars: int):
-    """One rational solution of a system of linear constraints, or None.
-
-    Each constraint is (coefficients, relation, rhs) with relation ">=" or
-    "==", meaning coefficients . v REL rhs.  The solution returned depends
-    only on the solution set P, not on how its rows are written: for
-    j = 0, ..., nvars - 1 in turn, with v_0, ..., v_{j-1} already fixed,
-    let [lo, hi] be the range of v_j over that slice of P; then v_j is
-    (lo + hi) / 2 when both ends are finite, max(lo, 0) when only lo is,
-    min(hi, 0) when only hi is, and 0 when neither is.
-
-    The ranges are read off the generators of the cone {(t, v) : t >= 0,
-    a . v >= b t for every row a . v >= b} (`_facets`, `_read_point`); a
-    one-variable system is read straight off its rows.
-    """
-    rows = _lp_rows(constraints, nvars)
-    if rows is None:
-        return None
-    if nvars == 1:
-        lo = max((Fraction(b, a[0]) for a, b in rows if a[0] > 0), default=None)
-        hi = min((Fraction(b, a[0]) for a, b in rows if a[0] < 0), default=None)
-        if lo is not None and hi is not None and lo > hi:
-            return None
-        return [_point_rule(lo, hi)]
-    cone = [(1,) + (0,) * nvars] + [(-b, *a) for a, b in rows]
-    return _read_point(*_facets(cone), nvars, len(cone))
-
-
 def _read_point(lineality, rays, nvars: int, first: int):
-    """The point of P that `lp_feasible` chooses, read off its cone; None if P is empty.
+    """One point of a polyhedron P read off its cone, or None if P is empty.
 
-    ``lineality`` and ``rays`` are what `_facets` gave for its ``first`` rows:
-    its rays with t > 0 are the vertices v / t of P, its other rays and its
-    lineality vectors the recession directions, so P is empty exactly when
-    no ray has t > 0.  The rows v_j = value t of each v_j chosen continue them.
+    ``lineality`` and ``rays`` are what `_facets` gave for its ``first``
+    rows, the cone {(t, v) : t >= 0, a . v >= b t for every row a . v >= b
+    of P}: its rays with t > 0 are the vertices v / t of P, its other rays
+    and its lineality vectors the recession directions, so P is empty
+    exactly when no ray has t > 0.  The point depends only on P, not on how
+    its rows are written: for j = 0, ..., nvars - 1 in turn, with v_0, ...,
+    v_{j-1} already fixed, v_j is `_point_rule` of the range of v_j over
+    that slice of P, and the rows v_j = value t continue the cone.
     """
     if not any(v[0] for v, _ in rays):
         return None
@@ -100,7 +82,11 @@ def _read_point(lineality, rays, nvars: int, first: int):
 
 
 def _point_rule(lo, hi):
-    """The value that `lp_feasible` chooses in the range [lo, hi]; None for an infinite end."""
+    """The value chosen in the range [lo, hi], None for an infinite end.
+
+    The midpoint when both ends are finite, max(lo, 0) when only lo is,
+    min(hi, 0) when only hi is, and 0 when neither is.
+    """
     if lo is not None and hi is not None:
         return (lo + hi) / 2
     if lo is not None:
@@ -108,42 +94,6 @@ def _point_rule(lo, hi):
     if hi is not None:
         return min(hi, Fraction(0))
     return Fraction(0)
-
-
-def _lp_rows(constraints, nvars: int):
-    """The constraints as integer rows (a, b) meaning a . v >= b; None if a constant one fails.
-
-    Rows whose a are positive multiples of one primitive direction bound
-    the same half-spaces, so only the tightest, with the largest
-    b / gcd(a), is kept: the solution set is unchanged.  Only a row with an
-    entry other than an int, which `SupportGeometry` never makes, is scaled
-    to clear its denominators.
-    """
-    tightest = {}
-    for coeffs, rel, rhs in constraints:
-        a, b = [*coeffs], rhs
-        if len(a) != nvars:
-            raise ValueError("constraint arity %d, expected %d" % (len(a), nvars))
-        if rel not in (">=", "=="):
-            raise ValueError("unsupported relation %r" % rel)
-        try:
-            _int_gcd(*a, b)  # a TypeError unless every entry is an int
-        except TypeError:
-            a = clear_denominators([*a, b])
-            b = a.pop()
-        g = _int_gcd(*a)
-        if not g:
-            if b > 0 or (rel == "==" and b < 0):
-                return None
-            continue
-        halves = [(a, b), ([-x for x in a], -b)] if rel == "==" else [(a, b)]
-        for a, b in halves:
-            key = tuple(x // g for x in a)
-            kept = tightest.get(key)
-            # tighter: b / g > kept_b / kept_g, with both gcds positive
-            if kept is None or b * kept[2] > kept[1] * g:
-                tightest[key] = (a, b, g)
-    return [(a, b) for a, b, _ in tightest.values()]
 
 
 # ----------------------------------------------------------------------
@@ -353,9 +303,10 @@ class _ModuleSetup:
     congruence class modulo W, and ``point_coeffs`` to the coefficients of
     its level s . u, so that by linearity the row of s - p is a difference
     of two of them; ``images`` maps those of each class to its row
-    constant, 1 for two or more points and 0 for one; ``lowest`` keeps the
-    cones of `pair_point`, ``pairs`` the verdict of every ordered corner
-    pair decided so far, and ``cls`` the `ModuleClass` of W once decided.
+    constant, 1 for two or more points and 0 for one; ``cones`` keeps the
+    cones of `point`, one per corner and kind of program, ``pairs`` the
+    verdict of every ordered corner pair decided so far, and ``cls`` the
+    `ModuleClass` of W once decided.
     """
 
     def __init__(self, points, W: IntLattice):
@@ -372,32 +323,32 @@ class _ModuleSetup:
             classes.setdefault(self.point_coeffs[s], []).append(s)
         self.cls_of = {s: classes[self.point_coeffs[s]] for s in points}
         self.images = {c: int(len(members) > 1) for c, members in classes.items()}
-        self.lowest = {}
+        self.cones = {}
         self.pairs = {}
         self.cls = None
 
-    def pair_point(self, p, p_prime):
-        """The z that `lp_feasible` gives for the pair (p, p') of singleton classes, or None.
+    def point(self, p, strict: bool, rows):
+        """The z of one certificate program at the corner p, or None if it has none.
 
-        Every other class lies strictly above p, and below p' (strictly if
-        it has two or more points).  The cone of the rows at p is built once
-        per p, and each p' continues it with its rows, less the implied one
-        for p; no p' has a pair with p when that cone has no ray with t > 0.
+        Every certificate program goes through here.  Its cone is built
+        once per p and kind: one row per other congruence class c puts c
+        above p, by 1 if ``strict`` (pair programs), else by the row
+        constant of c (one-sided programs), that is (c - c_p) . z >= 1 or
+        >= images[c].  ``rows``, each (-b, *a) for a . z >= b, continue it:
+        a partner's rows, or one unit row.  No continuation of a cone with
+        no ray with t > 0 has a point.
         """
-        cp, cq = self.point_coeffs[p], self.point_coeffs[p_prime]
-        if p not in self.lowest:
-            low = [(1,) + (0,) * self.t] + [(-1, *map(_sub, c, cp)) for c in self.images if c != cp]
+        key = (p, strict)
+        if key not in self.cones:
+            cp = self.point_coeffs[p]
+            low = [(1,) + (0,) * self.t] + [(-1 if strict else -b, *map(_sub, c, cp))
+                                            for c, b in self.images.items() if c != cp]
             lineality, rays = _facets(low)
-            self.lowest[p] = (lineality, rays, len(low)) if any(v[0] for v, _ in rays) else None
-        if self.lowest[p] is None:
+            self.cones[key] = (lineality, rays, len(low)) if any(v[0] for v, _ in rays) else None
+        if self.cones[key] is None:
             return None
-        lineality, rays, first = self.lowest[p]
-        top = [(-b, *map(_sub, cq, c)) for c, b in self.images.items() if c != cq and c != cp]
-        return _read_point(*_facets(top, lineality, rays, first), self.t, first + len(top))
-
-    def row(self, s, p):
-        """The coefficients in z of the level (s - p) . u of s above p."""
-        return tuple(map(_sub, self.point_coeffs[s], self.point_coeffs[p]))
+        lineality, rays, first = self.cones[key]
+        return _read_point(*_facets(rows, lineality, rays, first), self.t, first + len(rows))
 
     def covector(self, z):
         """The primitive integer covector with basis coordinates proportional to z."""
@@ -465,7 +416,11 @@ class SupportGeometry:
             # a congruent mate of p would tie with it at the bottom, and one of
             # p' would always share the maximal face
             return None
-        z = setup.pair_point(p, p_prime)
+        # every class other than those of p and p' lies below p', strictly if
+        # it has two or more points; the row for p is implied by its cone
+        cp, cq = setup.point_coeffs[p], setup.point_coeffs[p_prime]
+        top = [(-b, *map(_sub, cq, c)) for c, b in setup.images.items() if c != cq and c != cp]
+        z = setup.point(p, True, top)
         if z is None:
             return None
         u = setup.covector(z)
@@ -482,20 +437,17 @@ class SupportGeometry:
     def _weak(self, setup: _ModuleSetup, p):
         if setup.t == 0 or len(setup.cls_of[p]) > 1:
             return None
-        base_cons = [(setup.row(s, p), ">=",
-                      1 if len(setup.cls_of[s]) > 1 else 0)
-                     for s in self.points if s != p]
-        # exclude u = 0 by forcing some complement coordinate away from zero
+        # exclude u = 0 by forcing some complement coordinate away from zero:
+        # z_i >= 1, then -z_i >= 1, for i = 0, ..., t - 1
         for i in range(setup.t):
             for sign in (1, -1):
-                unit = tuple(sign if j == i else 0 for j in range(setup.t))
-                z = lp_feasible(base_cons + [(unit, ">=", 1)], setup.t)
+                z = setup.point(p, False, [(-1,) + (0,) * i + (sign,) + (0,) * (setup.t - 1 - i)])
                 if z is None:
                     continue
                 u = setup.covector(z)
                 levels = {s: sum(a * (x - y) for a, x, y in zip(u, s, p)) for s in self.points}
                 min_face = frozenset(s for s, v in levels.items() if v == 0)
-                # the base rows give every level >= 0, and >= 1 outside singleton classes
+                # the cone's rows give every level >= 0, and >= 1 outside singleton classes
                 if min(levels.values()) < 0 or any(len(setup.cls_of[s]) > 1 for s in min_face):
                     raise InvariantError("a weak covector does not make p minimal with an "
                                          "injective minimal face")

@@ -5,11 +5,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, prod
+from operator import sub
 
 from plde import bounds
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
-from plde.geometry import WitnessCertificate, lp_feasible
+from plde.geometry import WeakCertificate, WitnessCertificate, _facets, _read_point
 from plde.lattice import (IntLattice, ShiftCoset, UnimodularMatrix, _split, clear_denominators,
                           integer_kernel, orthogonal_complement_lattice, primitive_vector,
                           saturation)
@@ -146,6 +147,58 @@ def random_rational(rng, vars=VARS2):
     return RationalFunction(num, den)
 
 
+def lp_feasible(constraints, nvars: int):
+    """One rational solution of a system of linear constraints, or None.
+
+    Each constraint is (coefficients, relation, rhs) with relation ">=" or
+    "==", meaning coefficients . v REL rhs.  The cone of the whole list,
+    {(t, v) : t >= 0, a . v >= b t for every row a . v >= b}, is built from
+    scratch and its point read off as a certificate program's is
+    (`plde.geometry._read_point`): the constraint-list reference that the
+    programs of ``_ModuleSetup.point`` must agree with.
+    """
+    rows = lp_rows(constraints, nvars)
+    if rows is None:
+        return None
+    cone = [(1,) + (0,) * nvars] + [(-b, *a) for a, b in rows]
+    return _read_point(*_facets(cone), nvars, len(cone))
+
+
+def lp_rows(constraints, nvars: int):
+    """The constraints as integer rows (a, b) meaning a . v >= b; None if a constant one fails.
+
+    Rows whose a are positive multiples of one primitive direction bound
+    the same half-spaces, so only the tightest, with the largest
+    b / gcd(a), is kept: the solution set is unchanged.  A row with an
+    entry other than an int is scaled to clear its denominators.
+    """
+    tightest = {}
+    for coeffs, rel, rhs in constraints:
+        a, b = [*coeffs], rhs
+        if len(a) != nvars:
+            raise ValueError("constraint arity %d, expected %d" % (len(a), nvars))
+        if rel not in (">=", "=="):
+            raise ValueError("unsupported relation %r" % rel)
+        try:
+            gcd(*a, b)  # a TypeError unless every entry is an int
+        except TypeError:
+            a = clear_denominators([*a, b])
+            b = a.pop()
+        g = gcd(*a)
+        if not g:
+            if b > 0 or (rel == "==" and b < 0):
+                return None
+            continue
+        halves = [(a, b), ([-x for x in a], -b)] if rel == "==" else [(a, b)]
+        for a, b in halves:
+            key = tuple(x // g for x in a)
+            kept = tightest.get(key)
+            # tighter: b / g > kept_b / kept_g, with both gcds positive
+            if kept is None or b * kept[2] > kept[1] * g:
+                tightest[key] = (a, b, g)
+    return [(a, b) for a, b, _ in tightest.values()]
+
+
 def fourier_motzkin(constraints, nvars):
     """Reference LP for the differential test of ``lp_feasible``.
 
@@ -153,6 +206,9 @@ def fourier_motzkin(constraints, nvars):
     that sets each v_j to the midpoint of its range given v_0..v_{j-1}, or
     to the finite end nearest 0 clipped at 0, or to 0 when the range is
     the whole line.  Same input format and result as ``lp_feasible``.
+    Each derived row is scaled by the positive 1 / max |coefficient|, which
+    leaves its half-space unchanged, and exact repeats are dropped at every
+    step, so repeats of one half-space do not multiply.
     """
     ineqs = []
     for coeffs, rel, rhs in constraints:
@@ -167,12 +223,14 @@ def fourier_motzkin(constraints, nvars):
         stack.append((j, current))
         pos = [c for c in current if c[0][j] > 0]
         neg = [c for c in current if c[0][j] < 0]
-        new = [c for c in current if c[0][j] == 0]
+        new = {(tuple(row), b): None for row, b in current if row[j] == 0}
         for ap, bp in pos:
             for an, bn in neg:
                 lam, mu = -an[j], ap[j]
-                new.append(([lam * a + mu * b for a, b in zip(ap, an)], lam * bp + mu * bn))
-        current = new
+                row = [lam * a + mu * b for a, b in zip(ap, an)]
+                scale = max(map(abs, row)) or 1
+                new[tuple(x / scale for x in row), (lam * bp + mu * bn) / scale] = None
+        current = [(list(row), b) for row, b in new]
     if any(b > 0 for _, b in current):
         return None
     values = [Fraction(0)] * nvars
@@ -256,21 +314,38 @@ def face_parallel_modules_all_pairs(points):
     return sorted(modules, key=lambda L: L.key())
 
 
+def level_row(setup, s, p):
+    """The coefficients in z of the level (s - p) . u of s above p, for a module setup."""
+    return tuple(map(sub, setup.point_coeffs[s], setup.point_coeffs[p]))
+
+
 def pair_constraints(setup, p, p_prime):
     """The pair program of the corners (p, p') of a module setup, as one constraint list.
 
     Every support point other than p lies strictly above p; every point
     other than p' lies below p', strictly when its class modulo W has two
     or more points.  Built from scratch, one row per point, for
-    ``lp_feasible``; ``_ModuleSetup.pair_point`` continues a cone per p instead.
+    ``lp_feasible``; ``_ModuleSetup.point`` continues a cone per p instead.
     """
     cons = []
     for s in setup.cls_of:
         if s != p:
-            cons.append((setup.row(s, p), ">=", 1))
+            cons.append((level_row(setup, s, p), ">=", 1))
         if s != p_prime:
-            cons.append((setup.row(p_prime, s), ">=", 1 if len(setup.cls_of[s]) > 1 else 0))
+            cons.append((level_row(setup, p_prime, s), ">=", 1 if len(setup.cls_of[s]) > 1 else 0))
     return cons
+
+
+def program_constraints(setup, p, strict, rows):
+    """A program of ``_ModuleSetup.point`` as one constraint list, its cone built from scratch.
+
+    Every support point other than p lies above p, by 1 if ``strict``, else
+    by 1 exactly when its class modulo W has two or more points, one row
+    per point; then each continuing row (-b, *a) as a . z >= b.
+    """
+    cons = [(level_row(setup, s, p), ">=", 1 if strict or len(setup.cls_of[s]) > 1 else 0)
+            for s in setup.cls_of if s != p]
+    return cons + [(tuple(a), ">=", -b) for b, *a in rows]
 
 
 def reference_witness(geometry, p, p_prime, W: IntLattice):
@@ -286,6 +361,29 @@ def reference_witness(geometry, p, p_prime, W: IntLattice):
     low, high = min(values.values()), max(values.values())
     return WitnessCertificate(p, p_prime, u, frozenset(s for s, v in values.items() if v == low),
                               frozenset(s for s, v in values.items() if v == high))
+
+
+def reference_weak(geometry, p, W: IntLattice):
+    """``SupportGeometry._weak`` at the corner p by ``lp_feasible``, with the z it was read from.
+
+    The one-sided program is built from scratch by ``program_constraints``,
+    one row per point, and continued by the unit rows z_i >= 1 and
+    -z_i >= 1, for i = 0, ..., t - 1, in turn.  (None, None) if none has a
+    point.
+    """
+    setup = geometry._setup(W)
+    if setup.t == 0 or len(setup.cls_of[p]) > 1:
+        return None, None
+    base = program_constraints(setup, p, False, [])
+    for i in range(setup.t):
+        for sign in (1, -1):
+            unit = tuple(sign if j == i else 0 for j in range(setup.t))
+            z = lp_feasible(base + [(unit, ">=", 1)], setup.t)
+            if z is not None:
+                u = setup.covector(z)
+                levels = {s: sum(a * (x - y) for a, x, y in zip(u, s, p)) for s in geometry.points}
+                return WeakCertificate(p, u, frozenset(s for s, v in levels.items() if v == 0)), z
+    return None, None
 
 
 def reference_module_bound(eq: PLDE, geometry, W: IntLattice):

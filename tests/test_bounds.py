@@ -489,8 +489,7 @@ def test_intersection_stops_once_the_gcd_is_one(ex1, ex2, nrm, skew, sys1, sys2,
     counts = {}
     bound_for_cert = plde.bounds._bound_for_cert
     solve_pair = plde.geometry.SupportGeometry._solve_pair
-    pair_point = plde.geometry._ModuleSetup.pair_point
-    lp_feasible = plde.geometry.lp_feasible
+    point = plde.geometry._ModuleSetup.point
 
     def counting_bound(eq, W, cert, orbits):
         assert W not in running or not running[W].is_one()
@@ -504,18 +503,14 @@ def test_intersection_stops_once_the_gcd_is_one(ex1, ex2, nrm, skew, sys1, sys2,
         assert setup.W not in running or not running[setup.W].is_one()
         return solve_pair(self, setup, p, p_prime)
 
-    def counting_pair(setup, p, p_prime):
+    def counting(setup, p, strict, rows):
+        # a pair program or a one-sided try, each one program
         counts["programs"] += 1
-        return pair_point(setup, p, p_prime)
-
-    def counting_lp(constraints, nvars):
-        counts["programs"] += 1
-        return lp_feasible(constraints, nvars)
+        return point(setup, p, strict, rows)
 
     monkeypatch.setattr(plde.bounds, "_bound_for_cert", counting_bound)
     monkeypatch.setattr(plde.geometry.SupportGeometry, "_solve_pair", checking_pair)
-    monkeypatch.setattr(plde.geometry._ModuleSetup, "pair_point", counting_pair)
-    monkeypatch.setattr(plde.geometry, "lp_feasible", counting_lp)
+    monkeypatch.setattr(plde.geometry._ModuleSetup, "point", counting)
     made = {}
     for name, eq in (("ex1", ex1), ("ex2", ex2), ("nrm", nrm), ("skew", skew), ("sys1", sys1),
                      ("sys2", sys2)):

@@ -9,12 +9,12 @@ from pathlib import Path
 from plde import geometry
 from plde.bounds import combined_bound
 from plde.equation import PLDE
-from plde.geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry,
-                           lp_feasible)
+from plde.geometry import CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry
 from plde.lattice import IntLattice, saturation
 from support import (InstanceProfile, face_parallel_modules_all_pairs, fourier_motzkin,
-                     pair_constraints, random_instance, reference_corner_points,
-                     reference_is_edge, reference_witness)
+                     lp_feasible, lp_rows, program_constraints, random_instance,
+                     reference_corner_points, reference_is_edge, reference_weak,
+                     reference_witness)
 
 N_CASES = 200
 
@@ -165,9 +165,9 @@ def test_lp_point_ignores_repeated_and_scaled_rows():
         rng.shuffle(padded)
         point = lp_feasible(cons, nvars)
         assert lp_feasible(padded, nvars) == point, cons
-        rows = geometry._lp_rows(padded, nvars)
+        rows = lp_rows(padded, nvars)
         if rows is not None:
-            assert half_spaces(rows) == half_spaces(geometry._lp_rows(cons, nvars))
+            assert half_spaces(rows) == half_spaces(lp_rows(cons, nvars))
             assert len(half_spaces(rows)) == len(set(d for d, _ in half_spaces(rows)))
         feasible += point is not None
     assert feasible >= 100
@@ -175,32 +175,45 @@ def test_lp_point_ignores_repeated_and_scaled_rows():
 
 def test_pipeline_lp_systems_match_fourier_motzkin(ex1, ex2, nrm, skew, sys1, sys2, monkeypatch):
     # the programs that combined_bound itself runs, on the bundled files and
-    # the golden equations, get the point of the reference: each pair
-    # program on its constraint list, and each one-sided program of
-    # lp_feasible on its own
+    # the golden equations, get the point of the reference on their
+    # constraint lists: each pair program and each one-sided try
     systems = []
-    pair_point = geometry._ModuleSetup.pair_point
-    solve = geometry.lp_feasible
+    point = geometry._ModuleSetup.point
 
-    def recording_pair(setup, p, p_prime):
-        z = pair_point(setup, p, p_prime)
-        systems.append(("pair", pair_constraints(setup, p, p_prime), setup.t, z))
+    def recording(setup, p, strict, rows):
+        z = point(setup, p, strict, rows)
+        systems.append((strict, program_constraints(setup, p, strict, rows), setup.t, z))
         return z
 
-    def recording(constraints, nvars):
-        z = solve(constraints, nvars)
-        systems.append(("lp", constraints, nvars, z))
-        return z
-
-    monkeypatch.setattr(geometry._ModuleSetup, "pair_point", recording_pair)
-    monkeypatch.setattr(geometry, "lp_feasible", recording)
+    monkeypatch.setattr(geometry._ModuleSetup, "point", recording)
     golden = json.loads((Path(__file__).parent / "golden" / "equations.json").read_text())
     for eq in [ex1, ex2, nrm, skew, sys1, sys2] + [PLDE.from_json(d) for d in golden.values()]:
         combined_bound(eq)
     for _, constraints, nvars, z in systems:
         assert z == fourier_motzkin(constraints, nvars), constraints
-    pairs = [nvars for kind, _, nvars, _ in systems if kind == "pair"]
+    pairs = [nvars for strict, _, nvars, _ in systems if strict]
     assert len(pairs) >= 300 and set(pairs) == {1, 2, 3, 4}
+    one_sided = [z is not None for strict, _, _, z in systems if not strict]
+    assert len(one_sided) >= 150 and 80 <= sum(one_sided) < len(one_sided), one_sided
+
+
+def _program_equations(bundled, base):
+    """The bundled and golden equations, then 12 seeded ones for each r = 2, 3, 4.
+
+    The seeded supports have up to 9, 12 and 8 points on {0,1,2}^r, from
+    seeds base * r + 0, ..., base * r + 11.
+    """
+    golden = json.loads((Path(__file__).parent / "golden" / "equations.json").read_text())
+    equations = bundled + [PLDE.from_json(d) for d in golden.values()]
+    for r, variables, most in ((2, ("n", "k"), 9), (3, ("n", "k", "m"), 12),
+                               (4, ("n", "k", "m", "j"), 8)):
+        profile = InstanceProfile(
+            variables=variables, support_points=tuple(itertools.product(range(3), repeat=r)),
+            min_terms=3, max_terms=most, max_den_factors=1,
+            denominator_pool=("+".join(variables) + "+1", "2*n+k+1", "n*k+1", "n^2+k+1"),
+            coefficient_pool=("1", "-1", "n", "k+2"))
+        equations += [random_instance(base * r + seed, profile)[0] for seed in range(12)]
+    return equations
 
 
 def test_pair_programs_match_lp_feasible_on_their_constraint_lists(ex1, ex2, nrm, skew, sys1,
@@ -210,16 +223,7 @@ def test_pair_programs_match_lp_feasible_on_their_constraint_lists(ex1, ex2, nrm
     # of up to 12 points on {0,1,2}^r, gets from the cone continued per
     # corner the verdict and certificate that lp_feasible gives on the pair's
     # constraint list built from scratch
-    golden = json.loads((Path(__file__).parent / "golden" / "equations.json").read_text())
-    equations = [ex1, ex2, nrm, skew, sys1, sys2] + [PLDE.from_json(d) for d in golden.values()]
-    for r, variables, most in ((2, ("n", "k"), 9), (3, ("n", "k", "m"), 12),
-                               (4, ("n", "k", "m", "j"), 8)):
-        profile = InstanceProfile(
-            variables=variables, support_points=tuple(itertools.product(range(3), repeat=r)),
-            min_terms=3, max_terms=most, max_den_factors=1,
-            denominator_pool=("+".join(variables) + "+1", "2*n+k+1", "n*k+1", "n^2+k+1"),
-            coefficient_pool=("1", "-1", "n", "k+2"))
-        equations += [random_instance(1000 * r + seed, profile)[0] for seed in range(12)]
+    equations = _program_equations([ex1, ex2, nrm, skew, sys1, sys2], 1000)
     pairs = found = 0
     for eq in equations:
         report = combined_bound(eq)
@@ -232,6 +236,40 @@ def test_pair_programs_match_lp_feasible_on_their_constraint_lists(ex1, ex2, nrm
                 pairs += 1
                 found += cert is not None
     assert len(equations) == 78 and pairs >= 20000 and found >= 3000, (pairs, found)
+
+
+def test_one_sided_programs_match_lp_feasible_on_their_constraint_lists(ex1, ex2, nrm, skew,
+                                                                       sys1, sys2):
+    # every corner of every module that combined_bound classifies, every face
+    # module and six seeded random modules, on the bundled and golden
+    # equations and on seeded supports of up to 12 points on {0,1,2}^r, gets
+    # from the corner's one-sided cone, continued by each unit row in turn,
+    # the certificate that lp_feasible gives on the one-sided constraint
+    # list built from scratch
+    equations = _program_equations([ex1, ex2, nrm, skew, sys1, sys2], 2000)
+    rng = random.Random(513)
+    cases = found = later = 0
+    ranks = set()
+    for eq in equations:
+        r = len(eq.variables)
+        geo, fresh = SupportGeometry(eq.support), SupportGeometry(eq.support)
+        modules = set(combined_bound(eq).per_module) | set(geo.face_parallel_modules())
+        modules |= {IntLattice(r, [[rng.randint(-2, 2) for _ in range(r)]
+                                   for _ in range(rng.randint(0, r - 1))]) for _ in range(6)}
+        for W in modules:
+            setup = geo._setup(W)
+            for p in geo.corners:
+                cert = geo._weak(setup, p)
+                expected, z = reference_weak(fresh, p, W)
+                assert cert == expected, (eq.support, W, p)
+                cases += 1
+                if cert is not None:
+                    found += 1
+                    later += -1 < z[0] < 1
+                    ranks.add(setup.t)
+    assert len(equations) == 78 and cases >= 5000 and found >= 2500, (cases, found)
+    # some certificates come after the first unit direction, and every t occurs
+    assert later >= 30 and ranks == {1, 2, 3, 4}, (later, ranks)
 
 
 def test_saturation_test_matches_the_double_complement():
@@ -320,18 +358,13 @@ def test_classify_decides_each_module_once(monkeypatch):
     # same W returns the same object and runs no program, neither a pair
     # program nor a one-sided (weak) program of an opposite-only module
     calls = [0]
-    pair_point = geometry._ModuleSetup.pair_point
+    point = geometry._ModuleSetup.point
 
-    def counting(constraints, nvars):
+    def counting(setup, p, strict, rows):
         calls[0] += 1
-        return lp_feasible(constraints, nvars)
+        return point(setup, p, strict, rows)
 
-    def counting_pair(setup, p, p_prime):
-        calls[0] += 1
-        return pair_point(setup, p, p_prime)
-
-    monkeypatch.setattr(geometry, "lp_feasible", counting)
-    monkeypatch.setattr(geometry._ModuleSetup, "pair_point", counting_pair)
+    monkeypatch.setattr(geometry._ModuleSetup, "point", counting)
     first_lps = Counter()
     for pts, W in ((EX1_S, IntLattice.zero(2)), (EX1_S, L((1, -1))), (EX2_S, L((1, -1))),
                    (SYS1_S, L((1, -1))), (SYS1_S, L((1, 0))), (SYS2_S, L((1, 1))),
@@ -437,11 +470,11 @@ def test_face_modules_3d():
 
 def test_face_modules_match_the_all_pairs_search(monkeypatch):
     # the face enumeration finds every edge module the all-pairs LP
-    # reference finds, and the facets of r = 3 supports, with no LP at all
+    # reference finds, and the facets of r = 3 supports, with no program at all
     lps = []
-    solve = geometry.lp_feasible
-    monkeypatch.setattr(geometry, "lp_feasible",
-                        lambda *args: lps.append(args) or solve(*args))
+    point = geometry._ModuleSetup.point
+    monkeypatch.setattr(geometry._ModuleSetup, "point",
+                        lambda *args: lps.append(args) or point(*args))
     rng = random.Random(506)
     compared = with_inner_points = 0
     for r, side, most in ((2, 3, 8), (3, 2, 8), (4, 1, 7)):

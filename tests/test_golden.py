@@ -157,24 +157,18 @@ def test_check_reads_the_classes_it_would_compute(monkeypatch):
     from support import homogeneous_instance, random_instance
 
     counts = Counter()
-    lp_feasible = plde.geometry.lp_feasible
-    pair_point = plde.geometry._ModuleSetup.pair_point
+    point = plde.geometry._ModuleSetup.point
     init = SupportGeometry.__init__
 
-    def counting_lp(constraints, nvars):
-        counts["lp"] += 1
-        return lp_feasible(constraints, nvars)
-
-    def counting_pair(setup, p, p_prime):
-        counts["pair"] += 1
-        return pair_point(setup, p, p_prime)
+    def counting_program(setup, p, strict, rows):
+        counts["program"] += 1
+        return point(setup, p, strict, rows)
 
     def counting_init(self, points):
         counts["geometry"] += 1
         init(self, points)
 
-    monkeypatch.setattr(plde.geometry, "lp_feasible", counting_lp)
-    monkeypatch.setattr(plde.geometry._ModuleSetup, "pair_point", counting_pair)
+    monkeypatch.setattr(plde.geometry._ModuleSetup, "point", counting_program)
     monkeypatch.setattr(SupportGeometry, "__init__", counting_init)
     cases = [(name,) + _known_solution(name) for name in _case_names()]
     cases += [("random-%d" % seed,) + random_instance(seed) for seed in range(1, 31)]
