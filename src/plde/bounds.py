@@ -7,8 +7,9 @@ u . (s - p) (`transform.witness_levels`):
 1. bound the dispersion along u between the W-periodic parts of the
    coefficients on the minimal and the maximal level (`dispersion_bound`);
 2. rewrite the equation by repeated substitution until every unknown term
-   sits beyond that dispersion strip, collecting the exact reduced common
-   denominator of the rewriting (`strip_rewrite`);
+   sits beyond that dispersion strip, each coefficient a fraction with one
+   signed valuation map over the shifted coefficient factors (`_Frac`), and
+   take the reduced common denominator of what is left (`strip_rewrite`);
 3. keep the W-periodic part of that denominator, shifted back by p.
 
 The bound for W is the gcd of these over the useful pair certificates, and
@@ -131,29 +132,32 @@ class BoundReport:
 
 
 class _Frac:
-    """content * F * num / den, reduced; F and den are dicts from prim keys to multiplicities.
+    """content * num * prod prim^E, reduced; E maps prim keys to nonzero exponents.
 
     ``num`` is an int term map with coprime coefficients and ``content`` a
-    Fraction, so the strip rewriting runs on ints.  ``F`` is the factored
-    part of the numerator, never expanded while the fraction lives: a
-    substitution puts the shifted coefficient a_q(n+d) there, whose factors
-    come back later as the denominator a_p(n+d), and `add` keeps the gcd of
-    the two factored parts.  The reduction cancels F against den by the
-    smaller multiplicity (Henrici's rule), then trial-divides num by each
-    prim of den, once per unit of multiplicity.  By Gauss's lemma a
-    quotient by a primitive prim is over Z, so the division
-    (`polyring.divide_int_terms`) needs exact int division only.  The
-    trial division of a prim stops at its first failure, which leaves num
-    and den as they were, and is skipped when num has a lower total degree
-    than the prim (the degree rule): a nonconstant prim divides no nonzero
-    polynomial of lower degree, so a skipped division is one that fails.
+    Fraction, so the strip rewriting runs on ints.  E is one signed
+    valuation map: its positive part is the factored part of the numerator,
+    never expanded while the fraction lives, and its negative part the
+    denominator, so a factor of a substituted a_q(n+d) and the same factor
+    of a denominator a_p(n+d) cancel as their exponents add (Henrici's rule).
 
+    The constructor trial-divides num by each prim of ``trial`` that has a
+    negative exponent, once per unit, up to the prim's first failure.  By
+    Gauss's lemma a quotient by a primitive prim is over Z, so the division
+    (`polyring.divide_int_terms`) needs exact int division only, and it is
+    skipped when num has a lower total degree than the prim (the degree
+    rule): a nonconstant prim divides no nonzero polynomial of lower degree.
     Under the contract of `FactoredPoly`, pairwise coprime irreducible
-    prims, a prim divides F * num as often as it occurs in F plus as often
-    as it divides num, so the result is the reduced fraction that trial
-    division of the expanded F * num reaches.  Outside the contract every
-    cancellation is still an exact division: den can only be larger than
-    the reduced denominator, and a bound built from it stays sound.
+    prims, no prim of negative exponent divides a reduced num, so callers
+    name only the prims that can divide: a substitution those of a_p(n+d),
+    `add` those whose negative exponent is equal on both sides.  `add`
+    expands only each side's excess over the pointwise minimum of the two
+    maps, so like terms, equal maps, just add their numerators; a prim whose
+    exponents differ lies in the excess of one side only and cannot divide
+    the sum.  So the result is the reduced fraction that trial division of
+    the expanded sum reaches.  Outside the contract every cancellation is
+    still an exact division and a skipped one only leaves a larger
+    denominator, so a bound built from it stays sound.
 
     ``prims`` maps each prim key to the prim's int terms, the coefficient
     factor that the prim is a shift of and the prim's total degree.  One
@@ -162,70 +166,61 @@ class _Frac:
     and the terms of each are made once.
     """
 
-    __slots__ = ("content", "F", "num", "den")
+    __slots__ = ("content", "E", "num")
 
-    def __init__(self, content: Fraction, F: dict, num: dict, den: dict, prims: dict):
+    def __init__(self, content: Fraction, E: dict, num: dict, prims: dict, trial=()):
         if not num:
-            F, den = {}, {}
+            E = {}
         else:
             g = gcd(*num.values())
             if g != 1:
                 content = content * g
                 num = {e: c // g for e, c in num.items()}
-            if F and den:
-                F, den = _minus(F, den), _minus(den, F)
-            if den:
-                degree = max(map(sum, num))
-                left = {}
-                for prim, m in den.items():
-                    terms, _, prim_degree = prims[prim]
-                    while m and prim_degree <= degree:
-                        q = divide_int_terms(num, terms)
-                        if q is None:
-                            break
-                        num, m, degree = q, m - 1, degree - prim_degree
-                    if m:
-                        left[prim] = m
-                den = left
+            degree = max(map(sum, num))
+            for prim in trial:
+                terms, _, prim_degree = prims[prim]
+                m = n = E.get(prim, 0)
+                while n < 0 and prim_degree <= degree:
+                    q = divide_int_terms(num, terms)
+                    if q is None:
+                        break
+                    num, n, degree = q, n + 1, degree - prim_degree
+                if n != m:
+                    E = _plus(E, {prim: n - m})
         self.content = content
-        self.F = F
+        self.E = E
         self.num = num
-        self.den = den
 
     def is_zero(self) -> bool:
         return not self.num
 
     def add(self, other: "_Frac", prims: dict) -> "_Frac":
-        common = _max(self.den, other.den)
-        a1 = _minus(_plus(self.F, common), self.den)
-        a2 = _minus(_plus(other.F, common), other.den)
-        g = _min(a1, a2)
+        E1, E2 = self.E, other.E
         c1, c2 = self.content, other.content
         bottom = lcm(c1.denominator, c2.denominator)
         k1 = c1.numerator * (bottom // c1.denominator)
         k2 = c2.numerator * (bottom // c2.denominator)
-        a = _expand(_minus(a1, g), prims, {e: k1 * c for e, c in self.num.items()})
-        b = _expand(_minus(a2, g), prims, {e: k2 * c for e, c in other.num.items()})
-        return _Frac(Fraction(1, bottom), g, add_terms(a, b), common, prims)
+        g = E1 if E1 == E2 else _min(E1, E2)
+        a = _expand(_plus(E1, g, -1), prims, {e: k1 * c for e, c in self.num.items()})
+        b = _expand(_plus(E2, g, -1), prims, {e: k2 * c for e, c in other.num.items()})
+        trial = [key for key, m in E1.items() if m < 0 and E2.get(key) == m]
+        return _Frac(Fraction(1, bottom), g, add_terms(a, b), prims, trial)
 
 
-# multiplicity dicts, never changed once made: sum, positive part of the difference, max, min
+# signed valuation maps, never changed once made, without zero entries (an absent key has
+# exponent 0): a + sign * b, and the pointwise minimum
 
 
-def _plus(a: dict, b: dict) -> dict:
-    return {**a, **{key: a.get(key, 0) + m for key, m in b.items()}} if b else a
-
-
-def _minus(a: dict, b: dict) -> dict:
-    return {key: m - n for key, m in a.items() if (n := b.get(key, 0)) < m} if b else a
-
-
-def _max(a: dict, b: dict) -> dict:
-    return {**a, **{key: m for key, m in b.items() if m > a.get(key, 0)}}
+def _plus(a: dict, b: dict, sign: int = 1) -> dict:
+    out = dict(a)
+    for key, m in b.items():
+        if m := out.pop(key, 0) + sign * m:
+            out[key] = m
+    return out
 
 
 def _min(a: dict, b: dict) -> dict:
-    return {key: min(m, b[key]) for key, m in a.items() if key in b}
+    return {key: m for key in {**a, **b} if (m := min(a.get(key, 0), b.get(key, 0)))}
 
 
 def _orbit_rows(factors, orbits: ShiftOrbits, ids: dict) -> list:
@@ -323,7 +318,10 @@ def strip_rewrite(eq: PLDE, p, s, u, orbits=None) -> StripResult:
     to strictly higher levels, so the process stops with all remaining
     terms beyond the strip.  p must be the only support point of minimal
     level.  The reduced common denominator divides the product of the
-    shifted copies of the corner coefficient collected along the way.
+    shifted copies of the corner coefficient collected along the way.  A
+    substitution trial-divides what it makes only by the prims of the new
+    corner factor a_p(n + d), and a product by a nonconstant right-hand side
+    by every prim of its denominator: by `_Frac`, nothing else can cancel.
 
     The shifted coefficient factors are keyed by their `spread.shift_orbit`,
     read from ``orbits``, the registry of `dispersion_bound` (a fresh one if
@@ -355,11 +353,11 @@ def strip_rewrite(eq: PLDE, p, s, u, orbits=None) -> StripResult:
     factors = {q: _orbit_rows(a_q.factors, orbits, ids) for q, a_q in eq.terms.items()}
     base = _factors(factors[p], prims, zero)
     others = {q: a_q.unit for q, a_q in eq.terms.items() if q != p}
-    terms = {q: _Frac(-unit / a_p.unit, _factors(factors[q], prims, zero), {zero: 1}, base, prims)
-             for q, unit in others.items()}
+    terms = {q: _Frac(-unit / a_p.unit, _plus(_factors(factors[q], prims, zero), base, -1),
+                      {zero: 1}, prims) for q, unit in others.items()}
     rhs_content, rhs = eq.rhs.content, eq.rhs.terms
     constant_rhs = rhs == {zero: 1}  # its shifts are itself, and a product by it is a copy
-    b = _Frac(rhs_content / a_p.unit, {}, rhs, base, prims)
+    b = _Frac(rhs_content / a_p.unit, _plus({}, base, -1), rhs, prims, base)
     substituted = []
     pool = base  # the product of the shifted corner coefficients
     while True:
@@ -374,33 +372,34 @@ def strip_rewrite(eq: PLDE, p, s, u, orbits=None) -> StripResult:
         ap_d = _factors(factors[p], prims, d)
         pool = _plus(pool, ap_d)
         substituted.append(i)
-        den = _plus(coeff.den, ap_d)
+        E = _plus(coeff.E, ap_d, -1)
         content = coeff.content / a_p.unit
         for q, unit in others.items():
             target = tuple(a + b_ for a, b_ in zip(q, d))
             level[target] = level[q] + level[i]
-            addend = _Frac(-content * unit, _plus(coeff.F, _factors(factors[q], prims, d)),
-                           coeff.num, den, prims)
+            addend = _Frac(-content * unit, _plus(E, _factors(factors[q], prims, d)), coeff.num,
+                           prims, ap_d)
             terms[target] = terms[target].add(addend, prims) if target in terms else addend
         if rhs:
             num = coeff.num if constant_rhs else mul_terms(coeff.num, shift_terms(rhs, d))
-            b = b.add(_Frac(content * rhs_content, coeff.F, num, den, prims), prims)
+            b = b.add(_Frac(content * rhs_content, E, num, prims, ap_d if constant_rhs else E),
+                      prims)
     rminus = tuple(sorted([p] + substituted))
     live = {i: fr for i, fr in terms.items() if not fr.is_zero()}
     if any(level[i] <= s for i in live):
         raise InvariantError("a reachable term survived inside the strip")
-    D = b.den
-    for fr in live.values():
-        D = _max(D, fr.den)
-    poly = {key: Poly.from_ints(eq.variables, prims[key][0]) for key in D}
-    origins = {poly[key]: prims[key][1] for key in D}
-    if _minus(D, pool):  # D does not divide the pool
+    low = {}  # the minimum of 0 and the maps: the common denominator D, its exponents negated
+    for fr in (b, *live.values()):
+        low = _min(low, fr.E)
+    if any(pool.get(key, 0) < -m for key, m in low.items()):  # D does not divide the pool
         raise InvariantError("common denominator escaped the substitution cascade")
+    poly = {key: Poly.from_ints(eq.variables, prims[key][0]) for key in low}
+    origins = {poly[key]: prims[key][1] for key in low}
     D_actual = FactoredPoly._from_canonical(eq.variables, Fraction(1),
-                                            [(poly[key], m) for key, m in D.items()])
+                                            [(poly[key], -m) for key, m in low.items()])
 
     def numerator(fr):  # the numerator of fr over the common denominator D
-        return Poly.from_ints(eq.variables, _expand(_minus(_plus(fr.F, D), fr.den), prims, fr.num),
+        return Poly.from_ints(eq.variables, _expand(_plus(fr.E, low, -1), prims, fr.num),
                               fr.content)
 
     return StripResult(rminus, tuple(sorted(live)), D_actual, origins, numerator, live, b)

@@ -922,19 +922,19 @@ def bundled_solution(eq: PLDE, name: str):
     return RationalFunction(parse_poly(num, eq.variables), q.expand()), q
 
 
-def dispersion_family(s):
+def dispersion_family(s, signs=(1, 1, -1, 1)):
     """The dispersion family on the unit square, with its solution 1/q and q.
 
-    q = (n+k+1)(n+k+1+s)(3n+2k+1) and a_p = c_p * q(n + p) with signs 1, 1,
-    -1, 1 at (0, 0), (0, 1), (1, 0), (1, 1), so the rhs is 2; the module
-    (1, -1) has dispersion s.
+    q = (n+k+1)(n+k+1+s)(3n+2k+1) and a_p = c_p * q(n + p) with the signs
+    c_p at (0, 0), (0, 1), (1, 0), (1, 1), so the rhs is their sum, 2 for
+    the default ones; the module (1, -1) has dispersion s.
     """
     vars = ("n", "k")
     q = FactoredPoly(vars, 1, [(parse_poly(t, vars), 1)
                                for t in ("n+k+1", "n+k+%d" % (1 + s), "3*n+2*k+1")])
-    signs = zip(((0, 0), (0, 1), (1, 0), (1, 1)), (1, 1, -1, 1))
-    eq = PLDE(vars, {p: factored_mul(FactoredPoly(vars, c), q.shift(p)) for p, c in signs},
-              Poly.const(vars, 2))
+    points = zip(((0, 0), (0, 1), (1, 0), (1, 1)), signs)
+    eq = PLDE(vars, {p: factored_mul(FactoredPoly(vars, c), q.shift(p)) for p, c in points},
+              Poly.const(vars, sum(signs)))
     y = RationalFunction(Poly.one(vars), q.expand())
     if not check_solution(eq, y).ok:
         raise InvariantError("the dispersion family does not certify its own solution")

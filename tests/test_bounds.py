@@ -16,14 +16,14 @@ import plde.factored
 import plde.geometry
 import plde.spread
 from plde.bounds import (DegenerateFaceError, StripPreconditionError, _expand, _factors,
-                         _Frac, _aperiodic_bound, _orbit_rows, combined_bound, dispersion_bound,
-                         module_bound, strip_rewrite)
+                         _Frac, _aperiodic_bound, _min, _orbit_rows, _plus, combined_bound,
+                         dispersion_bound, module_bound, strip_rewrite)
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
 from plde.geometry import CLASS_USEFUL, SupportGeometry
 from plde.lattice import IntLattice, saturation
-from plde.polyring import (InvariantError, Poly, RationalFunction, divide_exact, divide_int_terms,
-                           parse_poly)
+from plde.polyring import (InvariantError, Poly, RationalFunction, UnsupportedInputError,
+                           divide_exact, divide_int_terms, parse_poly)
 from plde.spread import NEG_INFINITY, ShiftOrbits, invariance_lattice
 from plde.transform import transform_equation, witness_levels
 from plde.verify import check_bound_covers, check_solution
@@ -129,20 +129,37 @@ def test_strip_requires_unique_base_point():
         strip_rewrite(eq, (0, 0), 1, (1, 0))
 
 
-def test_frac_reduction_matches_trial_division():
-    # the factored part cancels against den by multiplicity, and num is
-    # trial-divided by what is left, so the reduction equals plain trial
-    # division over Q of the expanded product, also when 2^61-1 divides a
-    # coefficient denominator of the rational numerator
-    rng = random.Random(709)
-    pool = ["k+n+1", "2*k+3*n+1", "n*k+1", "n+1", "4*k-2*n+1", "n^2+n+1", "n^2+k^2+1"]
+_FRAC_POOL = ["k+n+1", "2*k+3*n+1", "n*k+1", "n+1", "4*k-2*n+1", "n^2+n+1", "n^2+k^2+1"]
+
+
+def _frac_keys():
+    """(prims, counter): a strip's prim table and the valuation map of a FactoredPoly in it."""
     prims, ids, orbits = {}, {}, ShiftOrbits()
 
     def counter(fp):  # keyed as in a strip: shifts of one pool prim share an orbit id
         return _factors(_orbit_rows(fp.factors, orbits, ids), prims, (0, 0))
 
+    return prims, counter
+
+
+def _frac_value(fr, prims):
+    """(numerator, factored denominator) of a _Frac, the numerator expanded."""
+    num = Poly.from_ints(VARS2, _expand({k: m for k, m in fr.E.items() if m > 0}, prims, fr.num),
+                         fr.content)
+    den = FactoredPoly(VARS2, 1, [(Poly.from_ints(VARS2, prims[key][0]), -m)
+                                  for key, m in fr.E.items() if m < 0])
+    return num, den
+
+
+def test_frac_reduction_matches_trial_division():
+    # the factored part cancels against den in the signed map, and num is
+    # trial-divided by what is left, so the reduction equals plain trial
+    # division over Q of the expanded product, also when 2^61-1 divides a
+    # coefficient denominator of the rational numerator
+    rng = random.Random(709)
+    prims, counter = _frac_keys()
     for case in range(N_CASES):
-        texts = rng.sample(pool, rng.randint(1, 3))
+        texts = rng.sample(_FRAC_POOL, rng.randint(1, 3))
         factors = [(P(t).shift(random_shift(rng, 2, 2)), rng.randint(1, 3)) for t in texts]
         den = FactoredPoly(VARS2, rng.choice([1, -2, Fraction(3, 5)]), factors)
         num = random_poly(rng, max_degree=2, max_terms=3, integer=case % 2 == 0, nonzero=True)
@@ -152,15 +169,85 @@ def test_frac_reduction_matches_trial_division():
             num = num * Fraction(1, 2**61 - 1)
         # the factored part: pool prims, shifted, some of them also in den
         own = [f for f, _ in rng.sample(factors, rng.randint(0, len(factors)))]
-        own += [P(t).shift(random_shift(rng, 2, 2)) for t in rng.sample(pool, rng.randint(0, 2))]
+        own += [P(t).shift(random_shift(rng, 2, 2)) for t in rng.sample(_FRAC_POOL,
+                                                                         rng.randint(0, 2))]
         part = FactoredPoly(VARS2, 1, [(f, m) for f in own if (m := rng.randint(0, 3))])
         content, terms = int_terms(num)
-        got = _Frac(content * part.unit / den.unit, counter(part), terms, counter(den), prims)
-        got_num = Poly.from_ints(VARS2, _expand(got.F, prims, got.num), got.content)
-        got_den = FactoredPoly(VARS2, 1, [(Poly.from_ints(VARS2, prims[key][0]), m)
-                                          for key, m in got.den.items()])
-        assert (got_num, got_den) == reduce_by_trial_division(num * part.expand(), den), \
+        E = _plus(counter(part), counter(den), -1)
+        got = _Frac(content * part.unit / den.unit, E, terms, prims, counter(den))
+        assert _frac_value(got, prims) == reduce_by_trial_division(num * part.expand(), den), \
             (num, part, den)
+
+
+def test_frac_sums_divide_only_by_equal_valuations(monkeypatch):
+    # a sum of reduced fractions over one prim pool is the reference reduction
+    # of the expanded sum, and add trial-divides only by the prims whose
+    # negative exponent is the same on both sides: like terms (equal maps),
+    # unequal exponents, disjoint prims and sums that vanish
+    rng = random.Random(710)
+    prims, counter = _frac_keys()
+    keys = list(counter(FactoredPoly(VARS2, 1, [(P(t).shift(random_shift(rng, 2, 2)), 1)
+                                                for t in _FRAC_POOL])))
+    key_of = {frozenset(terms.items()): key for key, (terms, _, _) in prims.items()}
+    seen = Counter()
+
+    def random_map(among):
+        return {key: rng.choice([-3, -2, -1, -1, 1, 2]) for key in rng.sample(among, 3)}
+
+    def reduced(E, num):  # a reduced _Frac of content * num * prod prim^E
+        content, terms = int_terms(num)
+        return _Frac(content, E, terms, prims, E)
+
+    divisors = []
+
+    def recording(num, prim):
+        divisors.append(key_of[frozenset(prim.items())])
+        return divide_int_terms(num, prim)
+
+    for case in range(N_CASES):
+        kind = ("equal", "unequal", "disjoint", "vanish")[case % 4]
+        E1 = random_map(keys[:4] if kind == "disjoint" else keys)
+        num1 = random_poly(rng, max_degree=2, max_terms=3, integer=case % 8 < 4, nonzero=True)
+        first = reduced(E1, num1)
+        if kind == "equal":  # num1 + num2 is divisible by some prims of the denominator
+            lower = [key for key, m in first.E.items() if m < 0]
+            cancel = Poly.from_ints(VARS2, _expand(
+                {key: 1 for key in rng.sample(lower, rng.randint(0, len(lower)))}, prims,
+                {(0, 0): 1}))
+            num2 = (cancel * random_poly(rng, max_degree=1, max_terms=2, nonzero=True)
+                    - Poly.from_ints(VARS2, first.num, first.content))
+            second = reduced(dict(first.E), num2)
+        elif kind == "unequal":
+            E2 = dict(E1)
+            for key in rng.sample(keys, 2):
+                E2[key] = E2.get(key, 0) + rng.choice([-2, -1, 1]) or -1
+            second = reduced(E2, random_poly(rng, max_degree=2, max_terms=3, nonzero=True))
+        elif kind == "disjoint":
+            second = reduced(random_map(keys[4:]), random_poly(rng, max_degree=2, max_terms=3,
+                                                               nonzero=True))
+        else:
+            second = _Frac(-first.content, first.E, first.num, prims)
+        if first.E == second.E:
+            seen["equal maps"] += 1
+        elif first.E.keys() & second.E.keys():
+            seen["shared prims"] += 1
+        else:
+            seen["disjoint prims"] += 1
+        n1, d1 = _frac_value(first, prims)
+        n2, d2 = _frac_value(second, prims)
+        common = d1.lcm(d2)
+        expanded = (n1 * divide_exact(common.expand(), d1.expand())
+                    + n2 * divide_exact(common.expand(), d2.expand()))
+        divisors.clear()
+        with monkeypatch.context() as m:
+            m.setattr(plde.bounds, "divide_int_terms", recording)
+            got = first.add(second, prims)
+        assert _frac_value(got, prims) == reduce_by_trial_division(expanded, common), case
+        for key in divisors:
+            assert first.E.get(key, 0) == second.E.get(key, 0) < 0, (case, key)
+        seen["vanished"] += got.is_zero()
+        seen["divided"] += not got.is_zero() and got.E != _min(first.E, second.E)
+    assert min(seen.values()) >= 10 and len(seen) == 5, seen
 
 
 def test_combined_cancels_corner_factors_by_multiplicity(sys1, monkeypatch):
@@ -241,6 +328,51 @@ def test_wide_strips_shift_each_prim_once(monkeypatch):
             assert check_strip_identity(strip, p, y), (s, p)
 
 
+def test_strip_sums_divide_only_where_they_can_cancel(monkeypatch):
+    # the family with all four signs +1 and rhs 4, the shape of the bench's
+    # dispersion-s4-4 and dispersion-s6-0: the 120 and 320 trial divisions
+    # that succeed all stay, and of the 176 and 434 that failed when a sum
+    # tried every prim of its denominator, 12 and 20 are left, all where a
+    # substitution tries the prims of the new corner factor a_p(n + d)
+    outcomes = Counter()
+    strips = []
+    original = plde.bounds.strip_rewrite
+
+    def counting_division(num, prim):
+        quotient = divide_int_terms(num, prim)
+        outcomes[quotient is not None] += 1
+        return quotient
+
+    def recording_strip(eq, p, s, u, orbits=None):
+        strip = original(eq, p, s, u, orbits)
+        strips.append((strip, p))
+        return strip
+
+    monkeypatch.setattr(plde.bounds, "divide_int_terms", counting_division)
+    monkeypatch.setattr(plde.bounds, "strip_rewrite", recording_strip)
+    for s, succeeded, failed in ((4, 120, 12), (6, 320, 20)):
+        eq, y, _ = dispersion_family(s, signs=(1, 1, 1, 1))
+        assert eq.rhs == Poly.const(VARS2, 4)
+        outcomes.clear()
+        strips.clear()
+        combined_bound(eq)
+        assert (outcomes[True], outcomes[False]) == (succeeded, failed), (s, outcomes)
+        assert strips
+        for strip, p in strips:
+            assert check_strip_identity(strip, p, y), (s, p)
+
+
+def test_strip_size_limit():
+    # the strip of the dispersion family reaches 990 points at s = 43, under
+    # MAX_STRIP_POINTS, and 1,035 at s = 44, which is refused as unsupported
+    eq, _, q = dispersion_family(43)
+    assert combined_bound(eq).d == q
+    eq, _, _ = dispersion_family(44)
+    with pytest.raises(UnsupportedInputError) as exc:
+        combined_bound(eq)
+    assert str(exc.value).startswith("unsupported") and "44" in str(exc.value)
+
+
 _OPTIMIZED_STRIP = """
 import sys
 import plde.bounds
@@ -248,7 +380,7 @@ from plde import InvariantError, load_equation, strip_rewrite
 
 if not sys.flags.optimize:
     sys.exit("not running under python -O")
-plde.bounds._minus = lambda a, b: a  # nothing cancels, so D outgrows the pool
+plde.bounds._min = plde.bounds._plus  # sums keep both denominators, so D outgrows the pool
 try:
     strip_rewrite(load_equation(sys.argv[1]), (0, 0), 2, (1, 1))
 except InvariantError as exc:
@@ -258,7 +390,7 @@ except InvariantError as exc:
 
 def test_strip_invariant_check_survives_optimize(sys1, eqdir, monkeypatch):
     with monkeypatch.context() as m:
-        m.setattr(plde.bounds, "_minus", lambda a, b: a)
+        m.setattr(plde.bounds, "_min", plde.bounds._plus)
         with pytest.raises(InvariantError, match="escaped the substitution cascade"):
             strip_rewrite(sys1, (0, 0), 2, (1, 1))
     src = str(Path(plde.bounds.__file__).resolve().parents[1])
