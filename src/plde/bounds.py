@@ -8,7 +8,8 @@ u . (s - p) (`transform.witness_levels`):
    coefficients on the minimal and the maximal level (`dispersion_bound`);
 2. rewrite the equation by repeated substitution until every unknown term
    sits beyond that dispersion strip, each coefficient a fraction with one
-   signed valuation map over the shifted coefficient factors (`_Frac`), and
+   signed valuation map over the shifted coefficient factors (`_Frac`),
+   summed once from all its addends when it is complete (`_sum`), and
    take the reduced common denominator of what is left (`strip_rewrite`);
 3. keep the W-periodic part of that denominator, shifted back by p.
 
@@ -26,11 +27,13 @@ face-parallel modules that no certificate can cover.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import add, sub
 from .equation import PLDE
 from .factored import FactoredPoly, in_w_part
 from .geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry,
@@ -140,6 +143,7 @@ class _Frac:
     never expanded while the fraction lives, and its negative part the
     denominator, so a factor of a substituted a_q(n+d) and the same factor
     of a denominator a_p(n+d) cancel as their exponents add (Henrici's rule).
+    Reduced means that num is prime to every prim of negative exponent.
 
     The constructor trial-divides num by each prim of ``trial`` that has a
     negative exponent, once per unit, up to the prim's first failure.  By
@@ -149,15 +153,15 @@ class _Frac:
     rule): a nonconstant prim divides no nonzero polynomial of lower degree.
     Under the contract of `FactoredPoly`, pairwise coprime irreducible
     prims, no prim of negative exponent divides a reduced num, so callers
-    name only the prims that can divide: a substitution those of a_p(n+d),
-    `add` those whose negative exponent is equal on both sides.  `add`
-    expands only each side's excess over the pointwise minimum of the two
-    maps, so like terms, equal maps, just add their numerators; a prim whose
-    exponents differ lies in the excess of one side only and cannot divide
-    the sum.  So the result is the reduced fraction that trial division of
-    the expanded sum reaches.  Outside the contract every cancellation is
-    still an exact division and a skipped one only leaves a larger
-    denominator, so a bound built from it stays sound.
+    name only the prims that can divide: a quotient by a_p(n+d) those of
+    a_p(n+d), a product by a nonconstant right-hand side every prim of its
+    denominator, and `_sum` those whose least exponent two addends share.
+    A product of a reduced fraction by a constant and by prims needs no
+    division at all (`scaled`): num stays prime to the prims that keep a
+    negative exponent.  So every fraction is the reduced one that trial
+    division of the expanded value reaches.  Outside the contract every
+    cancellation is still an exact division and a skipped one only leaves a
+    larger denominator, so a bound built from it stays sound.
 
     ``prims`` maps each prim key to the prim's int terms, the coefficient
     factor that the prim is a shift of and the prim's total degree.  One
@@ -194,17 +198,39 @@ class _Frac:
     def is_zero(self) -> bool:
         return not self.num
 
-    def add(self, other: "_Frac", prims: dict) -> "_Frac":
-        E1, E2 = self.E, other.E
-        c1, c2 = self.content, other.content
-        bottom = lcm(c1.denominator, c2.denominator)
-        k1 = c1.numerator * (bottom // c1.denominator)
-        k2 = c2.numerator * (bottom // c2.denominator)
-        g = E1 if E1 == E2 else _min(E1, E2)
-        a = _expand(_plus(E1, g, -1), prims, {e: k1 * c for e, c in self.num.items()})
-        b = _expand(_plus(E2, g, -1), prims, {e: k2 * c for e, c in other.num.items()})
-        trial = [key for key, m in E1.items() if m < 0 and E2.get(key) == m]
-        return _Frac(Fraction(1, bottom), g, add_terms(a, b), prims, trial)
+    def scaled(self, content: Fraction, mults: dict) -> "_Frac":
+        """self times content and prod prim^m over mults, reduced without a division."""
+        fr = object.__new__(_Frac)
+        fr.content, fr.E, fr.num = self.content * content, _plus(self.E, mults), self.num
+        return fr
+
+
+def _sum(addends: list, prims: dict) -> _Frac:
+    """The reduced sum of reduced fractions over one prim table, in one step.
+
+    Every addend is written over the pointwise minimum g of their valuation
+    maps: only its excess over g is expanded, so like terms (equal maps) just
+    add their numerators.  The sum is then trial-divided only by the prims
+    whose negative exponent in g two or more addends attain.  A prim whose
+    least exponent one addend alone attains lies in the excess of every
+    other addend, so it divides every other term of the sum, but not the
+    numerator of that addend, which is reduced; so it cannot divide the sum.
+    """
+    if len(addends) == 1:
+        return addends[0]
+    g = addends[0].E
+    for fr in addends[1:]:
+        if fr.E != g:
+            g = _min(g, fr.E)
+    bottom = lcm(*(fr.content.denominator for fr in addends))
+    total = {}
+    for fr in addends:
+        k = fr.content.numerator * (bottom // fr.content.denominator)
+        num = {e: k * c for e, c in fr.num.items()}
+        total = add_terms(total, num if fr.E == g else _expand(_plus(fr.E, g, -1), prims, num))
+    trial = [key for key, m in g.items()
+             if m < 0 and sum(fr.E.get(key, 0) == m for fr in addends) > 1]
+    return _Frac(Fraction(1, bottom), g, total, prims, trial)
 
 
 # signed valuation maps, never changed once made, without zero entries (an absent key has
@@ -232,21 +258,26 @@ def _orbit_rows(factors, orbits: ShiftOrbits, ids: dict) -> list:
     return rows
 
 
-def _factors(rows, prims: dict, d: tuple) -> dict:
+def _factors(rows, prims: dict, keys: dict, d: tuple) -> dict:
     """A coefficient's factors (`_orbit_rows`) shifted by d, as a dict from prim keys to multiplicities.
 
-    The key of f(n + d) is (orbit id, G.reduce(offset - d)).  Its terms are
-    made the first time it is seen, as those of f(n + offset - reduced),
-    which is f(n + d): offset - reduced - d lies in G, the shifts fixing f.
+    The key of f(n + d) is (orbit id, G.reduce(offset - d)), memoized in
+    ``keys`` by (orbit id, offset - d), so a strip reduces each distinct
+    shift once.  Its terms are made the first time it is seen, as those of
+    f(n + offset - reduced), which is f(n + d): offset - reduced - d lies in
+    G, the shifts fixing f.
     """
     out = {}
     for f, m, orbit_id, offset, G in rows:
-        reduced = G.reduce([a - b for a, b in zip(offset, d)])
-        key = (orbit_id, reduced)
-        if key not in prims:
-            shift = tuple(a - b for a, b in zip(offset, reduced))
-            prims[key] = (shift_terms(f.terms, shift) if any(shift) else f.terms, f,
-                          f.total_degree())
+        diff = tuple(map(sub, offset, d))
+        key = keys.get((orbit_id, diff))
+        if key is None:
+            reduced = G.reduce(diff)
+            key = keys[orbit_id, diff] = (orbit_id, reduced)
+            if key not in prims:
+                shift = tuple(a - b for a, b in zip(offset, reduced))
+                prims[key] = (shift_terms(f.terms, shift) if any(shift) else f.terms, f,
+                              f.total_degree())
         out[key] = m
     return out
 
@@ -318,10 +349,17 @@ def strip_rewrite(eq: PLDE, p, s, u, orbits=None) -> StripResult:
     to strictly higher levels, so the process stops with all remaining
     terms beyond the strip.  p must be the only support point of minimal
     level.  The reduced common denominator divides the product of the
-    shifted copies of the corner coefficient collected along the way.  A
-    substitution trial-divides what it makes only by the prims of the new
-    corner factor a_p(n + d), and a product by a nonconstant right-hand side
-    by every prim of its denominator: by `_Frac`, nothing else can cancel.
+    shifted copies of the corner coefficient collected along the way.
+
+    A point's addends are collected and summed once (`_sum`), when the point
+    is substituted or, after the cascade, when it stays live; points are
+    substituted from a heap of (level, point).  A substitution divides the
+    coefficient by a_p(n + d) once, trial-dividing only by the prims of
+    a_p(n + d), and its addends are that quotient times a constant and the
+    prims of a_q(n + d), which needs no division (`_Frac`).  The running sum
+    of the right-hand side is a sum of two addends; a product by a
+    nonconstant right-hand side is trial-divided by every prim of its
+    denominator.
 
     The shifted coefficient factors are keyed by their `spread.shift_orbit`,
     read from ``orbits``, the registry of `dispersion_bound` (a fresh one if
@@ -349,43 +387,47 @@ def strip_rewrite(eq: PLDE, p, s, u, orbits=None) -> StripResult:
                                         "than %d points" % (s, MAX_STRIP_POINTS))
     orbits = ShiftOrbits() if orbits is None else orbits
     a_p = eq.terms[p]
-    prims, ids = {}, {}  # ids numbers the orbit keys, so that prim keys compare as ints
+    prims, ids, keys = {}, {}, {}  # ids numbers the orbit keys, so that prim keys compare as ints
     factors = {q: _orbit_rows(a_q.factors, orbits, ids) for q, a_q in eq.terms.items()}
-    base = _factors(factors[p], prims, zero)
-    others = {q: a_q.unit for q, a_q in eq.terms.items() if q != p}
-    terms = {q: _Frac(-unit / a_p.unit, _plus(_factors(factors[q], prims, zero), base, -1),
-                      {zero: 1}, prims) for q, unit in others.items()}
-    rhs_content, rhs = eq.rhs.content, eq.rhs.terms
+    base = _factors(factors[p], prims, keys, zero)
+    ratio = {q: -a_q.unit / a_p.unit for q, a_q in eq.terms.items() if q != p}
+    terms = {q: [_Frac(c, _plus(_factors(factors[q], prims, keys, zero), base, -1), {zero: 1},
+                       prims)] for q, c in ratio.items()}  # point -> its addends
+    rhs_content, rhs = eq.rhs.content / a_p.unit, eq.rhs.terms
     constant_rhs = rhs == {zero: 1}  # its shifts are itself, and a product by it is a copy
-    b = _Frac(rhs_content / a_p.unit, _plus({}, base, -1), rhs, prims, base)
+    b = _Frac(rhs_content, _plus({}, base, -1), rhs, prims, base)
+    ready = [(level[q], q) for q in terms if level[q] <= s]  # a heap of the points to substitute
+    heapq.heapify(ready)
     substituted = []
     pool = base  # the product of the shifted corner coefficients
-    while True:
-        ready = [(level[i], i) for i in terms if level[i] <= s]
-        if not ready:
-            break
-        _, i = min(ready)
-        coeff = terms.pop(i)
+    while ready:
+        _, i = heapq.heappop(ready)
+        coeff = _sum(terms.pop(i), prims)  # complete: every addend comes from a lower level
         if coeff.is_zero():
             continue
-        d = tuple(a - b_ for a, b_ in zip(i, p))
-        ap_d = _factors(factors[p], prims, d)
+        d = tuple(map(sub, i, p))
+        ap_d = _factors(factors[p], prims, keys, d)
         pool = _plus(pool, ap_d)
         substituted.append(i)
-        E = _plus(coeff.E, ap_d, -1)
-        content = coeff.content / a_p.unit
-        for q, unit in others.items():
-            target = tuple(a + b_ for a, b_ in zip(q, d))
-            level[target] = level[q] + level[i]
-            addend = _Frac(-content * unit, _plus(E, _factors(factors[q], prims, d)), coeff.num,
-                           prims, ap_d)
-            terms[target] = terms[target].add(addend, prims) if target in terms else addend
+        quotient = _Frac(coeff.content, _plus(coeff.E, ap_d, -1), coeff.num, prims, ap_d)
+        for q, c in ratio.items():
+            target = tuple(map(add, q, d))
+            addend = quotient.scaled(c, _factors(factors[q], prims, keys, d))
+            if target in terms:
+                terms[target].append(addend)
+            else:
+                terms[target] = [addend]
+                level[target] = level[q] + level[i]
+                if level[target] <= s:
+                    heapq.heappush(ready, (level[target], target))
         if rhs:
-            num = coeff.num if constant_rhs else mul_terms(coeff.num, shift_terms(rhs, d))
-            b = b.add(_Frac(content * rhs_content, E, num, prims, ap_d if constant_rhs else E),
-                      prims)
+            b = _sum([b, quotient.scaled(rhs_content, {}) if constant_rhs else
+                      _Frac(quotient.content * rhs_content, quotient.E,
+                            mul_terms(quotient.num, shift_terms(rhs, d)), prims, quotient.E)],
+                     prims)
     rminus = tuple(sorted([p] + substituted))
-    live = {i: fr for i, fr in terms.items() if not fr.is_zero()}
+    live = {i: _sum(addends, prims) for i, addends in terms.items()}
+    live = {i: fr for i, fr in live.items() if not fr.is_zero()}
     if any(level[i] <= s for i in live):
         raise InvariantError("a reachable term survived inside the strip")
     low = {}  # the minimum of 0 and the maps: the common denominator D, its exponents negated

@@ -849,12 +849,22 @@ def check_strip_identity(strip, p, y: RationalFunction) -> bool:
     """Exact identity behind a strip rewriting, evaluated on a known solution:
 
         y(n + p) * D = b + sum_i terms[i] * y(n + i)
+
+    A product whose numerator the shifted denominator of y divides is made a
+    polynomial by one exact division, so the sum needs no gcd; in the usual
+    case every product is one, as terms[i] carries the denominator of y(n + i).
     """
-    lhs = y.shift(p) * RationalFunction.from_poly(strip.D_actual.expand())
+    def times(num, i):  # num * y(n + i)
+        product, den = num * y.num.shift(i), y.den.shift(i)
+        quotient = divide_exact(product, den)
+        if quotient is None:
+            return RationalFunction(product, den)
+        return RationalFunction.from_poly(quotient)
+
     rhs = RationalFunction.from_poly(strip.b)
     for i, num in strip.terms.items():
-        rhs = rhs + RationalFunction.from_poly(num) * y.shift(i)
-    return (lhs - rhs).is_zero()
+        rhs = rhs + times(num, i)
+    return (times(strip.D_actual.expand(), p) - rhs).is_zero()
 
 
 @dataclass(frozen=True)
@@ -938,6 +948,32 @@ def dispersion_family(s, signs=(1, 1, -1, 1)):
     y = RationalFunction(Poly.one(vars), q.expand())
     if not check_solution(eq, y).ok:
         raise InvariantError("the dispersion family does not certify its own solution")
+    return eq, y, q
+
+
+def wide_case(draws):
+    """The wide known-solution case on r = 3, with its solution y = (n+1)/q and q.
+
+    The points are the distinct ones among ``draws`` draws from {0,...,4}^3,
+    then c_s in {1, -1, 2} and b_s in 1..6 are drawn point by point in sorted
+    order, all from random.Random(1).  q = (n+k+m+1)(2n+k+3), a_s = c_s *
+    (n+k+m+b_s) * q(n + s) and the rhs is the sum of c_s (n+k+m+b_s)(n+1+s_1).
+    """
+    vars = ("n", "k", "m")
+    rng = random.Random(1)
+    points = sorted({tuple(rng.randint(0, 4) for _ in range(3)) for _ in range(draws)})
+    q = FactoredPoly(vars, 1, [(parse_poly(t, vars), 1) for t in ("n+k+m+1", "2*n+k+3")])
+    terms = {}
+    rhs = Poly.zero(vars)
+    for s in points:
+        c = rng.choice([1, -1, 2])
+        extra = parse_poly("n+k+m+%d" % rng.randint(1, 6), vars)
+        terms[s] = factored_mul(FactoredPoly(vars, c, [(extra, 1)]), q.shift(s))
+        rhs = rhs + Poly.const(vars, c) * extra * parse_poly("n+%d" % (1 + s[0]), vars)
+    eq = PLDE(vars, terms, rhs)
+    y = RationalFunction(parse_poly("n+1", vars), q.expand())
+    if not check_solution(eq, y).ok:
+        raise InvariantError("the wide case does not certify its own solution")
     return eq, y, q
 
 

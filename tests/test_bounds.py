@@ -16,7 +16,7 @@ import plde.factored
 import plde.geometry
 import plde.spread
 from plde.bounds import (DegenerateFaceError, StripPreconditionError, _expand, _factors,
-                         _Frac, _aperiodic_bound, _min, _orbit_rows, _plus, combined_bound,
+                         _Frac, _aperiodic_bound, _min, _orbit_rows, _plus, _sum, combined_bound,
                          dispersion_bound, module_bound, strip_rewrite)
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
@@ -30,7 +30,8 @@ from plde.verify import check_bound_covers, check_solution
 from support import (VARS2, InstanceProfile, bundled_solution, check_strip_identity,
                      dispersion_family, factored_divides, factored_mul, int_terms,
                      random_instance, random_poly, random_shift, random_unimodular,
-                     reduce_by_trial_division, reference_aperiodic_bound, reference_module_bound)
+                     reduce_by_trial_division, reference_aperiodic_bound, reference_module_bound,
+                     wide_case)
 
 N_CASES = 200
 
@@ -134,10 +135,10 @@ _FRAC_POOL = ["k+n+1", "2*k+3*n+1", "n*k+1", "n+1", "4*k-2*n+1", "n^2+n+1", "n^2
 
 def _frac_keys():
     """(prims, counter): a strip's prim table and the valuation map of a FactoredPoly in it."""
-    prims, ids, orbits = {}, {}, ShiftOrbits()
+    prims, ids, keys, orbits = {}, {}, {}, ShiftOrbits()
 
     def counter(fp):  # keyed as in a strip: shifts of one pool prim share an orbit id
-        return _factors(_orbit_rows(fp.factors, orbits, ids), prims, (0, 0))
+        return _factors(_orbit_rows(fp.factors, orbits, ids), prims, keys, (0, 0))
 
     return prims, counter
 
@@ -180,10 +181,12 @@ def test_frac_reduction_matches_trial_division():
 
 
 def test_frac_sums_divide_only_by_equal_valuations(monkeypatch):
-    # a sum of reduced fractions over one prim pool is the reference reduction
-    # of the expanded sum, and add trial-divides only by the prims whose
-    # negative exponent is the same on both sides: like terms (equal maps),
-    # unequal exponents, disjoint prims and sums that vanish
+    # a sum of two to four reduced fractions over one prim pool is the
+    # reference reduction of the expanded sum, and _sum trial-divides only by
+    # the prims whose least negative exponent two or more addends attain:
+    # like terms (equal maps), unequal exponents, disjoint prims and sums
+    # that vanish; and a product by a constant and by prims (scaled) stays
+    # reduced without a division
     rng = random.Random(710)
     prims, counter = _frac_keys()
     keys = list(counter(FactoredPoly(VARS2, 1, [(P(t).shift(random_shift(rng, 2, 2)), 1)
@@ -198,6 +201,12 @@ def test_frac_sums_divide_only_by_equal_valuations(monkeypatch):
         content, terms = int_terms(num)
         return _Frac(content, E, terms, prims, E)
 
+    def random_num():
+        return random_poly(rng, max_degree=2, max_terms=3, nonzero=True)
+
+    def negated(fr):
+        return _Frac(-fr.content, fr.E, fr.num, prims)
+
     divisors = []
 
     def recording(num, prim):
@@ -206,48 +215,69 @@ def test_frac_sums_divide_only_by_equal_valuations(monkeypatch):
 
     for case in range(N_CASES):
         kind = ("equal", "unequal", "disjoint", "vanish")[case % 4]
+        count = 2 + case // 4 % 3
         E1 = random_map(keys[:4] if kind == "disjoint" else keys)
         num1 = random_poly(rng, max_degree=2, max_terms=3, integer=case % 8 < 4, nonzero=True)
-        first = reduced(E1, num1)
-        if kind == "equal":  # num1 + num2 is divisible by some prims of the denominator
-            lower = [key for key, m in first.E.items() if m < 0]
+        addends = [reduced(E1, num1)]
+        if kind == "equal":  # the numerators add up to a multiple of some denominator prims
+            for _ in range(count - 2):
+                addends.append(reduced(dict(E1), random_num()))
+            lower = [key for key, m in addends[0].E.items() if m < 0]
             cancel = Poly.from_ints(VARS2, _expand(
                 {key: 1 for key in rng.sample(lower, rng.randint(0, len(lower)))}, prims,
                 {(0, 0): 1}))
-            num2 = (cancel * random_poly(rng, max_degree=1, max_terms=2, nonzero=True)
-                    - Poly.from_ints(VARS2, first.num, first.content))
-            second = reduced(dict(first.E), num2)
+            last = cancel * random_poly(rng, max_degree=1, max_terms=2, nonzero=True)
+            for fr in addends:
+                last = last - Poly.from_ints(VARS2, fr.num, fr.content)
+            addends.append(reduced(dict(addends[0].E), last))
         elif kind == "unequal":
-            E2 = dict(E1)
-            for key in rng.sample(keys, 2):
-                E2[key] = E2.get(key, 0) + rng.choice([-2, -1, 1]) or -1
-            second = reduced(E2, random_poly(rng, max_degree=2, max_terms=3, nonzero=True))
+            for _ in range(count - 1):
+                E2 = dict(E1)
+                for key in rng.sample(keys, 2):
+                    E2[key] = E2.get(key, 0) + rng.choice([-2, -1, 1]) or -1
+                addends.append(reduced(E2, random_num()))
         elif kind == "disjoint":
-            second = reduced(random_map(keys[4:]), random_poly(rng, max_degree=2, max_terms=3,
-                                                               nonzero=True))
+            addends += [reduced(random_map(keys[4:]), random_num()) for _ in range(count - 1)]
         else:
-            second = _Frac(-first.content, first.E, first.num, prims)
-        if first.E == second.E:
+            addends += [reduced(random_map(keys), random_num()) for _ in range(count - 2)]
+            addends.append(negated(_sum(addends, prims)))
+        if case % 5 == 0:  # scaled is the product, reduced with no division
+            (key, m), = {rng.choice(keys): rng.choice([-1, 1, 2])}.items()
+            n0, d0 = _frac_value(addends[-1], prims)
+            n1, d1 = _frac_value(addends[-1].scaled(Fraction(-3, 7), {key: m}), prims)
+            prim = Poly.from_ints(VARS2, prims[key][0]) ** abs(m)
+            left, right = n1 * d0.expand(), n0 * d1.expand() * Fraction(-3, 7)
+            assert (left == right * prim if m > 0 else left * prim == right), case
+            assert reduce_by_trial_division(n1, d1) == (n1, d1), case
+        maps = [fr.E for fr in addends]
+        if all(E == maps[0] for E in maps):
             seen["equal maps"] += 1
-        elif first.E.keys() & second.E.keys():
+        elif any(a.keys() & b.keys() for a, b in itertools.combinations(maps, 2)):
             seen["shared prims"] += 1
         else:
             seen["disjoint prims"] += 1
-        n1, d1 = _frac_value(first, prims)
-        n2, d2 = _frac_value(second, prims)
-        common = d1.lcm(d2)
-        expanded = (n1 * divide_exact(common.expand(), d1.expand())
-                    + n2 * divide_exact(common.expand(), d2.expand()))
+        values = [_frac_value(fr, prims) for fr in addends]
+        common = FactoredPoly.one(VARS2)
+        for _, den in values:
+            common = common.lcm(den)
+        expanded = Poly.zero(VARS2)
+        for num, den in values:
+            expanded = expanded + num * divide_exact(common.expand(), den.expand())
         divisors.clear()
         with monkeypatch.context() as m:
             m.setattr(plde.bounds, "divide_int_terms", recording)
-            got = first.add(second, prims)
+            got = _sum(addends, prims)
         assert _frac_value(got, prims) == reduce_by_trial_division(expanded, common), case
+        g = maps[0]
+        for E in maps[1:]:
+            g = _min(g, E)
         for key in divisors:
-            assert first.E.get(key, 0) == second.E.get(key, 0) < 0, (case, key)
+            assert g.get(key, 0) < 0 and sum(E.get(key, 0) == g[key] for E in maps) > 1, \
+                (case, key)
         seen["vanished"] += got.is_zero()
-        seen["divided"] += not got.is_zero() and got.E != _min(first.E, second.E)
-    assert min(seen.values()) >= 10 and len(seen) == 5, seen
+        seen["divided"] += not got.is_zero() and got.E != g
+        seen["%d addends" % count] += 1
+    assert min(seen.values()) >= 10 and len(seen) == 8, seen
 
 
 def test_combined_cancels_corner_factors_by_multiplicity(sys1, monkeypatch):
@@ -299,9 +329,9 @@ def test_wide_strips_shift_each_prim_once(monkeypatch):
         divisions.append(prim)
         return divide_int_terms(num, prim)
 
-    def recording_factors(rows, prims, d):
+    def recording_factors(rows, prims, keys, d):
         prim_maps[id(prims)] = prims
-        return factors(rows, prims, d)
+        return factors(rows, prims, keys, d)
 
     def recording_strip(eq, p, s, u, orbits=None):
         strip = original(eq, p, s, u, orbits)
@@ -330,10 +360,12 @@ def test_wide_strips_shift_each_prim_once(monkeypatch):
 
 def test_strip_sums_divide_only_where_they_can_cancel(monkeypatch):
     # the family with all four signs +1 and rhs 4, the shape of the bench's
-    # dispersion-s4-4 and dispersion-s6-0: the 120 and 320 trial divisions
-    # that succeed all stay, and of the 176 and 434 that failed when a sum
-    # tried every prim of its denominator, 12 and 20 are left, all where a
-    # substitution tries the prims of the new corner factor a_p(n + d)
+    # dispersion-s4-4 and dispersion-s6-0: no trial division is left.  The
+    # 120 and 320 that succeeded when a point's addends were added two at a
+    # time divided pairwise partial sums whose numerators cancel only once the
+    # third addend arrives; a point's addends are now summed in one step.
+    # The 12 and 20 that failed, and the 176 and 434 when a sum tried every
+    # prim of its denominator, are gone with them
     outcomes = Counter()
     strips = []
     original = plde.bounds.strip_rewrite
@@ -350,7 +382,7 @@ def test_strip_sums_divide_only_where_they_can_cancel(monkeypatch):
 
     monkeypatch.setattr(plde.bounds, "divide_int_terms", counting_division)
     monkeypatch.setattr(plde.bounds, "strip_rewrite", recording_strip)
-    for s, succeeded, failed in ((4, 120, 12), (6, 320, 20)):
+    for s, succeeded, failed in ((4, 0, 0), (6, 0, 0)):
         eq, y, _ = dispersion_family(s, signs=(1, 1, 1, 1))
         assert eq.rhs == Poly.const(VARS2, 4)
         outcomes.clear()
@@ -360,6 +392,79 @@ def test_strip_sums_divide_only_where_they_can_cancel(monkeypatch):
         assert strips
         for strip, p in strips:
             assert check_strip_identity(strip, p, y), (s, p)
+
+
+def test_strips_reduce_each_shift_once(ex1, ex2, nrm, skew, sys1, sys2, monkeypatch):
+    # a strip keys f(n + d) by (orbit, G.reduce(offset - d)) and memoizes the
+    # key by (orbit, offset - d), so it reduces each distinct input once,
+    # though every substitution shifts the factors of every coefficient (on
+    # dispersion seed 1 of the bench, 3,648 reductions for 1,501 inputs before)
+    reductions = []
+    reduce = IntLattice.reduce
+    original = plde.bounds.strip_rewrite
+    totals = Counter()
+
+    def counting(self, v):
+        reductions.append(v)
+        return reduce(self, v)
+
+    def recording_strip(eq, p, s, u, orbits):
+        factors = [f for a in eq.terms.values() for f, _ in a.factors]
+        for f in factors:  # the orbits are read before the count starts
+            orbits[f]
+        reductions.clear()
+        strip = original(eq, p, s, u, orbits)
+        inputs = {(orbits[f][0], tuple(o - a + b for o, a, b in zip(orbits[f][1], i, p)))
+                  for f in factors for i in strip.Rminus}
+        assert len(reductions) == len(inputs), (p, s, u)
+        totals["reductions"] += len(reductions)
+        totals["shifts"] += len(factors) * len(strip.Rminus)
+        return strip
+
+    monkeypatch.setattr(IntLattice, "reduce", counting)
+    monkeypatch.setattr(plde.bounds, "strip_rewrite", recording_strip)
+    for eq in (ex1, ex2, nrm, skew, sys1, sys2, dispersion_family(6)[0], wide_case(8)[0]):
+        combined_bound(eq)
+    # 1,701 shifted factors, 967 of them distinct
+    assert totals["shifts"] > totals["reductions"] > 0, totals
+
+
+def test_wide_known_solution_case(monkeypatch):
+    # the wide case at 8 and 12 draws (8 and 12 points): the bound is the
+    # same as before the strips summed each point once, covers the solution,
+    # and every strip satisfies its identity; the trial divisions are pinned
+    # (619 and 593 before, of which 618 and 591 failed)
+    outcomes = Counter()
+    strips = []
+    original = plde.bounds.strip_rewrite
+
+    def counting_division(num, prim):
+        quotient = divide_int_terms(num, prim)
+        outcomes[quotient is not None] += 1
+        return quotient
+
+    def recording_strip(eq, p, s, u, orbits=None):
+        strip = original(eq, p, s, u, orbits)
+        strips.append((strip, p))
+        return strip
+
+    monkeypatch.setattr(plde.bounds, "divide_int_terms", counting_division)
+    monkeypatch.setattr(plde.bounds, "strip_rewrite", recording_strip)
+    vars3 = ("n", "k", "m")
+    for draws, d, succeeded, failed in ((8, ("n+k+m+1",), 1, 506),
+                                        (12, ("n+k+m+1", "2*n+k+3"), 2, 436)):
+        eq, y, q = wide_case(draws)
+        assert len(eq.support) == draws
+        assert check_solution(eq, y).ok
+        outcomes.clear()
+        strips.clear()
+        report = combined_bound(eq)
+        assert report.d == FactoredPoly(vars3, 1, [(parse_poly(f, vars3), 1) for f in d]), draws
+        assert all(v["ok"] for v in check_bound_covers(eq, y, q, report).values()), draws
+        assert (outcomes[True], outcomes[False]) == (succeeded, failed), (draws, outcomes)
+        assert strips
+        for strip, p in strips:
+            assert check_strip_identity(strip, p, y), (draws, p)
 
 
 def test_strip_size_limit():

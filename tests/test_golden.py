@@ -7,6 +7,11 @@ seeded ``random_instance`` equations (tests/support.py), and the dispersion
 family at strip widths the bench does not reach; the JSON of the generated
 equations is stored alongside so that the cases do not depend on the generator.
 
+``strips.json`` pins every strip that those reports run: the corner p, the
+dispersion s, the covector u and the whole `bounds.StripResult` (Rminus,
+Rplus, D_actual, origins, terms and b) of each strip, in the order the
+bound runs them.
+
 To rewrite the files after an intended change of the reports:
 
     PYTHONPATH=src python tests/test_golden.py
@@ -112,6 +117,49 @@ def test_golden_reports_are_byte_identical():
         assert _report_text(_equation(name)) == expected, name
 
 
+def _strip_records(name):
+    """Every strip that combined_bound runs on the case name, as JSON records."""
+    import plde.bounds
+    from plde.polyring import format_poly
+
+    records = []
+    original = plde.bounds.strip_rewrite
+
+    def recording(eq, p, s, u, orbits=None):
+        strip = original(eq, p, s, u, orbits)
+        records.append({
+            "p": list(p), "s": s, "u": list(u),
+            "Rminus": [list(i) for i in strip.Rminus],
+            "Rplus": [list(i) for i in strip.Rplus],
+            "D_actual": strip.D_actual.to_json(),
+            "origins": [[format_poly(f), format_poly(strip.origins[f])]
+                        for f, _ in strip.D_actual.factors],
+            "terms": [[list(i), format_poly(strip.terms[i])] for i in sorted(strip.terms)],
+            "b": format_poly(strip.b)})
+        return strip
+
+    plde.bounds.strip_rewrite = recording
+    try:
+        plde.bounds.combined_bound(_equation(name))
+    finally:
+        plde.bounds.strip_rewrite = original
+    return records
+
+
+def _strips_text():
+    return json.dumps({name: _strip_records(name) for name in _case_names()},
+                      sort_keys=True) + "\n"
+
+
+def test_golden_strips_are_identical():
+    # every StripResult of the golden and bundled equations, not only the
+    # part of it that reaches a report
+    expected = json.loads((GOLDEN / "strips.json").read_text())
+    assert sum(map(len, expected.values())) == 77
+    for name in _case_names():
+        assert _strip_records(name) == expected[name], name
+
+
 def _known_solution(name):
     """(eq, y, q): the equation of a case, a known solution y and its factored denominator q."""
     from support import bundled_solution, dispersion_family, random_instance
@@ -215,6 +263,7 @@ def write_golden():
     (GOLDEN / "equations.json").write_text(json.dumps(generated, indent=1, sort_keys=True) + "\n")
     for name in _case_names():
         (GOLDEN / ("%s.json" % name)).write_text(_report_text(_equation(name)))
+    (GOLDEN / "strips.json").write_text(_strips_text())
 
 
 if __name__ == "__main__":
