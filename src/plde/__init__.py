@@ -9,9 +9,8 @@ from .geometry import SupportGeometry
 from .lattice import (IntLattice, ShiftCoset, UnimodularMatrix, orthogonal_complement_lattice,
                       saturation)
 from .polyring import (InvariantError, Poly, RationalFunction, divide_exact, format_poly,
-                       gcd_poly, normalize_primitive, parse_poly, parse_rational)
-from .spread import (NEG_INFINITY, ShiftOrbits, invariance_lattice, shift_equiv, shift_orbit,
-                     spread_box_oracle)
+                       normalize_primitive, parse_poly, parse_rational)
+from .spread import NEG_INFINITY, ShiftOrbits, invariance_lattice, shift_equiv, shift_orbit
 from .transform import transform_equation
 from .verify import check_bound_covers, check_solution
 

@@ -2,7 +2,7 @@
 
 Subcommands:
     bound FILE       denominator bound report for an equation file
-    spread POLY      spread lattice of a polynomial (or pair coset, box scan)
+    spread POLY      spread lattice of a polynomial (or pair coset)
     classify FILE    classify a module against an equation's support
     transform FILE   apply a unimodular change of variables
     check FILE       verify a rational solution
@@ -21,7 +21,7 @@ from .equation import EquationFormatError, load_equation, variable_names
 from .geometry import SupportGeometry
 from .lattice import UnimodularMatrix, parse_module
 from .polyring import ParseError, UnsupportedInputError, format_poly, parse_poly, parse_rational
-from .spread import NEG_INFINITY, invariance_lattice, shift_equiv, spread_box_oracle
+from .spread import NEG_INFINITY, invariance_lattice, shift_equiv
 from .transform import transform_equation
 from .verify import check_solution
 
@@ -80,17 +80,12 @@ def cmd_spread(args) -> int:
     q = p if args.pair is None else parse_poly(args.pair, vars)
     if p.is_constant() or q.is_constant():
         raise _InputError("the spread of a constant polynomial is not defined")
-    if args.box is not None and args.box < 0:
-        raise _InputError("--box must be nonnegative, not %d" % args.box)
-    hits = None if args.box is None else sorted(spread_box_oracle(p, q, args.box))
     if args.pair is None:
         L = invariance_lattice(p)
         print("lattice: (%s)" % L if not L.is_zero() else "lattice: 0")
     else:
         coset = shift_equiv(p, q)
         print("empty" if coset.is_empty else "coset: %s" % coset)
-    if hits is not None:
-        print("box: %s" % (" ".join("(%s)" % ",".join(map(str, h)) for h in hits) or "(none)"))
     return 0
 
 
@@ -146,7 +141,7 @@ def _values_kept(argv) -> list:
     for arg in args:
         if arg == "--":
             positional.extend(args)
-        elif arg in ("--vars", "--pair", "--box", "--module", "--matrix", "--solution"):
+        elif arg in ("--vars", "--pair", "--module", "--matrix", "--solution"):
             value = next(args, None)
             out.append(arg if value is None else "%s=%s" % (arg, value))
         elif arg.startswith("-") and not arg.startswith("--") and arg not in ("-", "-h"):
@@ -171,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("poly")
     s.add_argument("--vars", required=True, help="comma-separated variable names")
     s.add_argument("--pair", help="second polynomial: compute the pair coset")
-    s.add_argument("--box", type=int, help="also run the exhaustive box oracle")
     s.set_defaults(func=cmd_spread)
 
     c = sub.add_parser("classify", help="classify a module against an equation")

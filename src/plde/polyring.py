@@ -16,7 +16,10 @@ a scalar factor touch only the content.  The strip rewriting of `bounds`
 calls the same kernels on ints and divides by primitive integer
 polynomials with `divide_int_terms`, which by Gauss's lemma needs exact
 int division only.  The solution check of `verify` runs on the same
-kernels, with one product per distinct cancelled denominator.
+kernels, with one product per distinct cancelled denominator.  There is
+no polynomial gcd: every cancellation divides by a declared prim, a
+primitive integer factor with a positive leading coefficient, and a
+`RationalFunction` carries the prims of its denominator for that.
 Polynomial text has only unsigned integer literals, so the parser works
 on int term maps throughout (`parse_terms`).  Leading terms and printing
 use graded lexicographic order on the exponent vectors.
@@ -421,96 +424,6 @@ def normalize_primitive(p: Poly):
     return p.content, p if p.content == 1 else Poly._make(p.vars, _ONE, p.terms)
 
 
-def _content_and_primitive(p: Poly, x: int):
-    """Content (gcd of coefficients wrt variable x) and primitive part."""
-    coeffs = {}
-    for e, c in p.terms.items():
-        coeffs.setdefault(e[x], {})[e[:x] + (0,) + e[x + 1:]] = c
-    polys = [Poly.from_ints(p.vars, t, p.content) for t in coeffs.values()]
-    cont = Poly.zero(p.vars)
-    for q in polys:
-        cont = gcd_poly(cont, q)
-        if cont.is_constant() and not cont.is_zero():
-            cont = Poly.one(p.vars)
-            break
-    pp = divide_exact(p, cont)
-    if pp is None:
-        raise InvariantError("the content of a polynomial does not divide it")
-    return cont, pp
-
-
-def _pseudo_rem(a: Poly, b: Poly, x: int) -> Poly:
-    """Pseudo-remainder of a by b with respect to variable x."""
-    db = b.degree_in(x)
-    lc_b = _coeff_in(b, x, db)
-    r = a
-    while not r.is_zero() and r.degree_in(x) >= db:
-        dr = r.degree_in(x)
-        lc_r = _coeff_in(r, x, dr)
-        mono = [0] * len(a.vars)
-        mono[x] = dr - db
-        shift_term = Poly._make(a.vars, _ONE, {tuple(mono): 1})
-        r = r * lc_b - b * (lc_r * shift_term)
-    return r
-
-
-def _coeff_in(p: Poly, x: int, d: int) -> Poly:
-    return Poly.from_ints(p.vars, {e[:x] + (0,) + e[x + 1:]: c for e, c in p.terms.items()
-                                   if e[x] == d}, p.content)
-
-
-def gcd_poly(p: Poly, q: Poly) -> Poly:
-    """Normalized gcd via primitive-part Euclidean recursion.
-
-    The main variable at each level is the one with the smallest maximal
-    degree among variables shared by both inputs; contents are extracted
-    recursively.  Adequate for small degrees in a handful of variables.
-    """
-    if p.is_zero() and q.is_zero():
-        return Poly.zero(p.vars)
-    if p.is_zero():
-        return normalize_primitive(q)[1]
-    if q.is_zero():
-        return normalize_primitive(p)[1]
-    p._check_same_ring(q)
-    g = _gcd_recursive(normalize_primitive(p)[1], normalize_primitive(q)[1])
-    return normalize_primitive(g)[1]
-
-
-def _gcd_recursive(p: Poly, q: Poly) -> Poly:
-    if p.is_zero():
-        return q
-    if q.is_zero():
-        return p
-    if p.is_constant() or q.is_constant():
-        return Poly.one(p.vars)
-    r = len(p.vars)
-    shared = [i for i in range(r) if p.degree_in(i) > 0 and q.degree_in(i) > 0]
-    if not shared:
-        return Poly.one(p.vars)
-    x = min(shared, key=lambda i: max(p.degree_in(i), q.degree_in(i)))
-    cp, pp = _content_and_primitive(p, x)
-    cq, qq = _content_and_primitive(q, x)
-    cont = _gcd_recursive(cp, cq)
-    a, b = pp, qq
-    if a.degree_in(x) < b.degree_in(x):
-        a, b = b, a
-    while True:
-        rem = _pseudo_rem(a, b, x)
-        if rem.is_zero():
-            g = b
-            break
-        if rem.degree_in(x) == 0:
-            g = Poly.one(p.vars)
-            break
-        # a nonzero constant is a unit over Q: dropping the integer content keeps
-        # the remainders from growing
-        a, b = b, normalize_primitive(_content_and_primitive(rem, x)[1])[1]
-    if not g.is_constant():
-        g = _content_and_primitive(g, x)[1]
-    return cont * g
-
-
 # ----------------------------------------------------------------------
 # parsing and printing
 #
@@ -539,10 +452,6 @@ def _gcd_recursive(p: Poly, q: Poly) -> Poly:
 MAX_DEGREE = 100
 MAX_TERMS = 1000
 MAX_COEFF_BITS = 4096
-
-# spread.spread_box_oracle runs one gcd per point of its box, about a
-# millisecond each for small polynomials; no box has more points than this.
-MAX_BOX_POINTS = 10 ** 4
 
 
 def is_name(text: str) -> bool:
@@ -673,6 +582,43 @@ class _Parser:
         raise ParseError("expected a number, variable or parenthesis, found %r"
                          % (tok[1] or "end of input"), tok[2])
 
+    def parse_factors(self) -> list:
+        """The text, ['+'|'-'] term, as a list of (term map, multiplicity).
+
+        A parenthesized product counts as its factors, a power multiplies
+        the multiplicities of its base's factors, and a '-' in front is the
+        factor -1.  The text must have passed `parse_terms`.
+        """
+        opens, sums = [], set()  # sums: the '(' whose contents have a '+' or '-' inside
+        for i, (kind, _, _) in enumerate(self.tokens):
+            if kind == "(":
+                opens.append(i)
+            elif kind == ")":
+                opens.pop()
+            elif kind in "+-" and opens and i > opens[-1] + 1:
+                sums.add(opens[-1])
+        return [(f, mult) for f, mult in self._product(sums) if mult]
+
+    def _product(self, sums) -> list:
+        factors = []
+        if self.peek()[0] in "+-" and self.advance()[0] == "-":
+            factors.append(({self.zero: -1}, 1))
+        while True:
+            if self.peek()[0] == "(" and self.pos not in sums:
+                self.advance()
+                base = self._product(sums)
+                self.expect(")")
+            else:
+                base = [(self.parse_atom(), 1)]
+            while self.peek()[0] == "^":
+                self.advance()
+                e = _exponent(self.expect("int"))
+                base = [(f, mult * e) for f, mult in base]
+            factors += base
+            if self.peek()[0] != "*":
+                return factors
+            self.advance()
+
     def charge(self, bound: int, position: int):
         """Charge a bound on the terms of one product or power against the text's budget."""
         self.budget -= bound
@@ -796,71 +742,47 @@ def format_poly(p: Poly) -> str:
 
 
 class RationalFunction:
-    """Quotient num/den in reduced form.
+    """num / den, with den the product of the declared prims ``factors``.
 
-    The denominator is normalized to be integer-primitive with positive
-    leading coefficient; gcd(num, den) = 1 after construction.
+    ``factors`` has the form of ``FactoredPoly.factors``.  The constructor
+    takes any nonzero factors, moves their units into num and merges equal
+    prims; then num is divided by each prim as often as it goes, up to its
+    multiplicity.  So num / den is in lowest terms when the declared prims
+    are irreducible, and den is 1 when num is 0, which every prim divides.
     """
 
-    __slots__ = ("num", "den")
+    __slots__ = ("num", "den", "factors")
 
-    def __init__(self, num: Poly, den: Poly):
-        num._check_same_ring(den)
-        if den.is_zero():
-            raise ZeroDivisionError("zero denominator")
-        if num.is_zero():
-            self.num = num
-            self.den = Poly.one(num.vars)
-            return
-        g = gcd_poly(num, den)
-        if not g.is_constant():
-            num = divide_exact(num, g)
-            den = divide_exact(den, g)
-        unit, prim = normalize_primitive(den)
-        self.num = num * (1 / unit)
-        self.den = prim
-
-    @classmethod
-    def from_poly(cls, p: Poly) -> "RationalFunction":
-        return cls(p, Poly.one(p.vars))
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __add__(self, other):
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(self.num * other.den + other.num * self.den,
-                                self.den * other.den)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        r = RationalFunction.__new__(RationalFunction)
-        r.num = -self.num
-        r.den = self.den
-        return r
-
-    def __mul__(self, other):
-        if isinstance(other, Poly):
-            other = RationalFunction.from_poly(other)
-        if not isinstance(other, RationalFunction):
-            return NotImplemented
-        return RationalFunction(self.num * other.num, self.den * other.den)
-
-    def __eq__(self, other):
-        return (isinstance(other, RationalFunction)
-                and self.num * other.den == other.num * self.den)
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def shift(self, s) -> "RationalFunction":
-        return RationalFunction(self.num.shift(s), self.den.shift(s))
+    def __init__(self, num: Poly, factors=()):
+        merged = {}
+        for p, mult in factors:
+            num._check_same_ring(p)
+            if p.is_zero():
+                raise ZeroDivisionError("zero denominator")
+            unit, prim = normalize_primitive(p)
+            num = num * (1 / unit ** mult)
+            if not prim.is_constant():
+                merged[prim] = merged.get(prim, 0) + mult
+        terms = num.terms
+        den = {(0,) * len(num.vars): 1}
+        kept = []
+        for prim in sorted(merged, key=Poly.sort_key):
+            mult = merged[prim]
+            while mult:
+                quotient = divide_int_terms(terms, prim.terms)
+                if quotient is None:
+                    break
+                terms = quotient
+                mult -= 1
+            if mult:
+                kept.append((prim, mult))
+                den = mul_terms(den, pow_terms(prim.terms, mult))
+        self.num = Poly._make(num.vars, num.content, terms)
+        self.den = Poly._make(num.vars, _ONE, den)
+        self.factors = tuple(kept)
 
     def __str__(self):
-        if self.den == Poly.one(self.num.vars):
+        if not self.factors:
             return format_poly(self.num)
         return "(%s)/(%s)" % (format_poly(self.num), format_poly(self.den))
 
@@ -869,7 +791,12 @@ class RationalFunction:
 
 
 def parse_rational(text: str, vars) -> RationalFunction:
-    """Parse "num" or "num/den" where both sides follow the polynomial grammar."""
+    """Parse "num" or "num/den", where both sides follow the polynomial grammar.
+
+    den is read as a product of declared factors (`_Parser.parse_factors`),
+    after `parse_terms` has held the expanded den to the limits of any
+    polynomial text.
+    """
     depth = 0
     split = None
     for i, ch in enumerate(text):
@@ -882,7 +809,7 @@ def parse_rational(text: str, vars) -> RationalFunction:
                 raise ParseError("more than one top-level '/'", i)
             split = i
     if split is None:
-        return RationalFunction.from_poly(parse_poly(text, vars))
+        return RationalFunction(parse_poly(text, vars))
     # each side keeps its place in text, so that every position counts from the start of text
     sides = (text[:split], " " * (split + 1) + text[split + 1:])
     # "a/(b)+1" would read as a/(b+1): a sum beside the '/' must be parenthesized
@@ -893,4 +820,8 @@ def parse_rational(text: str, vars) -> RationalFunction:
             if kind in "+-" and depth == 0 and i:
                 raise ParseError("a sum next to the top-level '/' is ambiguous; "
                                  "write (num)/(den)", pos)
-    return RationalFunction(*(parse_poly(side, vars) for side in sides))
+    num = parse_poly(sides[0], vars)
+    parse_terms(sides[1], vars)
+    vars = tuple(vars)
+    return RationalFunction(num, [(Poly.from_ints(vars, f), mult)
+                                  for f, mult in _Parser(sides[1], vars).parse_factors()])

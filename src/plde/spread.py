@@ -8,17 +8,15 @@ vanishes.  Those directions span the invariance lattice G = {g : p(n+g) =
 p(n)}, which is Spread(p) for irreducible p: v fixes p exactly when the
 derivative of p along v vanishes, since t |-> p(n+tv) is a polynomial.
 `ShiftOrbits` memoizes the normal forms for one bound and its check, and
-`invariance_lattice` reads G off the normal form.  `spread_box_oracle`,
-a brute force, is kept for cross-checks.
+`invariance_lattice` reads G off the normal form.
 """
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 
 from .lattice import IntLattice, ShiftCoset, reduce_by_span
-from .polyring import MAX_BOX_POINTS, Poly, UnsupportedInputError, gcd_poly, shift_terms
+from .polyring import Poly, shift_terms
 
 NEG_INFINITY = float("-inf")
 
@@ -120,19 +118,3 @@ def shift_equiv(p: Poly, q: Poly) -> ShiftCoset:
     if key_p != key_q:
         return ShiftCoset.empty(len(p.vars))
     return ShiftCoset.of([a - b for a, b in zip(off_q, off_p)], G)
-
-
-def spread_box_oracle(p: Poly, q: Poly, radius: int):
-    """Brute force: all s in the box with gcd(p, N^s q) nonconstant."""
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    r = len(p.vars)
-    if (2 * radius + 1) ** r > MAX_BOX_POINTS:
-        raise UnsupportedInputError("unsupported box: radius %d in %d variables is more than %d points"
-                                    % (radius, r, MAX_BOX_POINTS))
-    hits = set()
-    for s in itertools.product(range(-radius, radius + 1), repeat=r):
-        g = gcd_poly(p, q.shift(s))
-        if not g.is_constant():
-            hits.add(s)
-    return hits

@@ -43,9 +43,14 @@ positive leading coefficient included, and the grouping reads those maps
 in different groups.  Each point's rational scalar (the unit of A_i times
 the content of N) becomes one integer k_i once all of them, and the one
 of f, are put over a common denominator L.  The exact content goes back
-on once, at the end.  A nonzero residual is reduced to lowest terms by
-``polyring.RationalFunction``, whose form depends neither on the cancel
-nor on the grouping.
+on once, at the end.  A nonzero residual is reduced by trial division:
+total and common are divided by each distinct shifted prim f(n + s_i) of
+y, f a declared prim of D, as often as it divides both, and f is tried on
+total only while it still divides common.  When the declared prims of y
+are irreducible, every d_g is a product of shifted prims, since it
+divides a shifted D, so this leaves the residual in lowest terms, and its
+form depends neither on the cancel nor on the grouping.  A reducible
+declared prim keeps the verdict exact but may leave a common factor.
 """
 
 from __future__ import annotations
@@ -57,8 +62,8 @@ from .bounds import BoundReport
 from .equation import PLDE
 from .factored import FactoredPoly
 from .geometry import CLASS_OPPOSITE_ONLY, CLASS_USEFUL
-from .polyring import (Poly, RationalFunction, add_terms, divide_int_terms, mul_terms, pow_terms,
-                       shift_terms)
+from .polyring import (Poly, RationalFunction, add_terms, divide_exact, divide_int_terms, mul_terms,
+                       pow_terms, shift_terms)
 
 
 @dataclass(frozen=True)
@@ -68,11 +73,16 @@ class SolutionCheck:
 
 
 def check_solution(eq: PLDE, y: RationalFunction) -> SolutionCheck:
-    """Substitute y into the equation and reduce the residual exactly."""
+    """Substitute y into the equation and reduce the residual by the shifted prims of y."""
     total, common = _residual(eq, y)
     if common is None:
-        return SolutionCheck(RationalFunction.from_poly(total), True)
-    return SolutionCheck(RationalFunction(total, common), False)
+        return SolutionCheck(RationalFunction(total), True)
+    # a dict keeps a fixed order, on which a reducible prim's result may depend
+    for f in dict.fromkeys(prim.shift(s) for prim, _ in y.factors for s in eq.support):
+        while ((c := divide_exact(common, f)) is not None
+               and (t := divide_exact(total, f)) is not None):
+            total, common = t, c
+    return SolutionCheck(RationalFunction(total, [(common, 1)]), False)
 
 
 def _residual(eq: PLDE, y: RationalFunction):

@@ -16,7 +16,7 @@ from plde.lattice import (IntLattice, ShiftCoset, UnimodularMatrix, _split, clea
                           saturation)
 from plde.polyring import (MAX_COEFF_BITS, MAX_DEGREE, MAX_TERMS, InvariantError, ParseError,
                            Poly, RationalFunction, UnsupportedInputError, divide_exact,
-                           normalize_primitive, parse_poly)
+                           format_poly, normalize_primitive, parse_poly)
 from plde.spread import ShiftOrbits
 from plde.verify import check_solution
 
@@ -143,8 +143,7 @@ def random_unimodular(rng, n=2, steps=6):
 
 def random_rational(rng, vars=VARS2):
     num = random_poly(rng, vars, max_degree=2, max_terms=3, nonzero=True)
-    den = random_factor(rng, vars)
-    return RationalFunction(num, den)
+    return RationalFunction(num, [(random_factor(rng, vars), 1)])
 
 
 def lp_feasible(constraints, nvars: int):
@@ -590,13 +589,181 @@ def divide_over_q(p: Poly, q: Poly):
     return Poly(p.vars, quotient)
 
 
+def gcd_poly(p: Poly, q: Poly) -> Poly:
+    """Reference gcd: normalized gcd via primitive-part Euclidean recursion (PRS).
+
+    The library never takes a polynomial gcd; its cancellations divide by
+    declared prims.  This is what residuals, parsed solutions and spread
+    cosets are compared against.  The main variable at each level is the
+    one with the smallest maximal degree among variables shared by both
+    inputs; contents are extracted recursively.  Adequate for small
+    degrees in a handful of variables.
+    """
+    if p.is_zero() and q.is_zero():
+        return Poly.zero(p.vars)
+    if p.is_zero():
+        return normalize_primitive(q)[1]
+    if q.is_zero():
+        return normalize_primitive(p)[1]
+    if p.vars != q.vars:
+        raise ValueError("mismatched variable lists")
+    g = _gcd_recursive(normalize_primitive(p)[1], normalize_primitive(q)[1])
+    return normalize_primitive(g)[1]
+
+
+def _gcd_recursive(p: Poly, q: Poly) -> Poly:
+    if p.is_zero():
+        return q
+    if q.is_zero():
+        return p
+    if p.is_constant() or q.is_constant():
+        return Poly.one(p.vars)
+    r = len(p.vars)
+    shared = [i for i in range(r) if p.degree_in(i) > 0 and q.degree_in(i) > 0]
+    if not shared:
+        return Poly.one(p.vars)
+    x = min(shared, key=lambda i: max(p.degree_in(i), q.degree_in(i)))
+    cp, pp = _content_and_primitive(p, x)
+    cq, qq = _content_and_primitive(q, x)
+    cont = _gcd_recursive(cp, cq)
+    a, b = pp, qq
+    if a.degree_in(x) < b.degree_in(x):
+        a, b = b, a
+    while True:
+        rem = _pseudo_rem(a, b, x)
+        if rem.is_zero():
+            g = b
+            break
+        if rem.degree_in(x) == 0:
+            g = Poly.one(p.vars)
+            break
+        # a nonzero constant is a unit over Q: dropping the integer content keeps
+        # the remainders from growing
+        a, b = b, normalize_primitive(_content_and_primitive(rem, x)[1])[1]
+    if not g.is_constant():
+        g = _content_and_primitive(g, x)[1]
+    return cont * g
+
+
+def _content_and_primitive(p: Poly, x: int):
+    """Content (gcd of coefficients wrt variable x) and primitive part."""
+    coeffs = {}
+    for e, c in p.terms.items():
+        coeffs.setdefault(e[x], {})[e[:x] + (0,) + e[x + 1:]] = c
+    polys = [Poly.from_ints(p.vars, t, p.content) for t in coeffs.values()]
+    cont = Poly.zero(p.vars)
+    for q in polys:
+        cont = gcd_poly(cont, q)
+        if cont.is_constant() and not cont.is_zero():
+            cont = Poly.one(p.vars)
+            break
+    pp = divide_exact(p, cont)
+    if pp is None:
+        raise InvariantError("the content of a polynomial does not divide it")
+    return cont, pp
+
+
+def _pseudo_rem(a: Poly, b: Poly, x: int) -> Poly:
+    """Pseudo-remainder of a by b with respect to variable x."""
+    db = b.degree_in(x)
+    lc_b = _coeff_in(b, x, db)
+    r = a
+    while not r.is_zero() and r.degree_in(x) >= db:
+        dr = r.degree_in(x)
+        lc_r = _coeff_in(r, x, dr)
+        mono = [0] * len(a.vars)
+        mono[x] = dr - db
+        shift_term = Poly.from_ints(a.vars, {tuple(mono): 1})
+        r = r * lc_b - b * (lc_r * shift_term)
+    return r
+
+
+def _coeff_in(p: Poly, x: int, d: int) -> Poly:
+    return Poly.from_ints(p.vars, {e[:x] + (0,) + e[x + 1:]: c for e, c in p.terms.items()
+                                   if e[x] == d}, p.content)
+
+
+class ReducedRational:
+    """Reference rational function: num / den in lowest terms by `gcd_poly`.
+
+    The denominator is integer-primitive with a positive leading
+    coefficient, as ``RationalFunction`` prints it, and equality and the
+    arithmetic are those of the field of fractions.  The library's
+    ``RationalFunction`` has no arithmetic: it cancels only by its
+    declared prims, and residuals and parsed solutions are compared with
+    this reduction.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Poly, den: Poly = None):
+        den = Poly.one(num.vars) if den is None else den
+        if den.is_zero():
+            raise ZeroDivisionError("zero denominator")
+        if num.is_zero():
+            self.num, self.den = num, Poly.one(num.vars)
+            return
+        g = gcd_poly(num, den)
+        if not g.is_constant():
+            num, den = divide_exact(num, g), divide_exact(den, g)
+        unit, self.den = normalize_primitive(den)
+        self.num = num * (1 / unit)
+
+    @classmethod
+    def of(cls, y) -> "ReducedRational":
+        """y = num / den reduced, for anything with Poly attributes num and den."""
+        return cls(y.num, y.den)
+
+    def is_zero(self) -> bool:
+        return self.num.is_zero()
+
+    def __add__(self, other):
+        return ReducedRational(self.num * other.den + other.num * self.den, self.den * other.den)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return ReducedRational(-self.num, self.den)
+
+    def __mul__(self, other):
+        if isinstance(other, Poly):
+            other = ReducedRational(other)
+        return ReducedRational(self.num * other.num, self.den * other.den)
+
+    def __eq__(self, other):
+        return isinstance(other, ReducedRational) and same_rational(self, other)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def shift(self, s) -> "ReducedRational":
+        return ReducedRational(self.num.shift(s), self.den.shift(s))
+
+    def __str__(self):
+        if self.den.is_constant():
+            return format_poly(self.num)
+        return "(%s)/(%s)" % (format_poly(self.num), format_poly(self.den))
+
+    def __repr__(self):
+        return "ReducedRational(%r)" % str(self)
+
+
+def spread_box_oracle(p: Poly, q: Poly, radius: int):
+    """Brute force reference for ``spread.shift_equiv``: all s in the box with gcd(p, N^s q)
+    nonconstant."""
+    hits = set()
+    for s in itertools.product(range(-radius, radius + 1), repeat=len(p.vars)):
+        if not gcd_poly(p, q.shift(s)).is_constant():
+            hits.add(s)
+    return hits
+
+
 def reference_check_solution(eq: PLDE, y: RationalFunction):
-    """Reference for ``verify.check_solution``: (residual, ok) by quadratic products over Q."""
+    """Reference for ``verify.check_solution``: (residual, ok) by quadratic products over Q,
+    the residual a `ReducedRational`, in lowest terms by the PRS gcd."""
     total, common = reference_residual(eq, y)
-    if total.is_zero():
-        residual = RationalFunction.from_poly(total)
-    else:
-        residual = RationalFunction(total, common)
+    residual = ReducedRational(total, common)
     return residual, residual.is_zero()
 
 
@@ -842,7 +1009,33 @@ def act_on_rational(A: UnimodularMatrix, y: RationalFunction) -> RationalFunctio
     ``transform_equation(eq, M)``.
     """
     images = Poly.linear_forms(y.num.vars, A.rows)
-    return RationalFunction(y.num.compose(images), y.den.compose(images))
+    return RationalFunction(y.num.compose(images), [(f.compose(images), mult)
+                                                    for f, mult in y.factors])
+
+
+def over(num: Poly, q: FactoredPoly) -> RationalFunction:
+    """num / q, with the prims of the factored q declared."""
+    return RationalFunction(num * (1 / q.unit), q.factors)
+
+
+def shift_rational(y: RationalFunction, s) -> RationalFunction:
+    """y(n + s), with the shifted prims of y declared."""
+    return RationalFunction(y.num.shift(s), [(f.shift(s), mult) for f, mult in y.factors])
+
+
+def add_poly(y: RationalFunction, p: Poly) -> RationalFunction:
+    """y + p, with the prims of y declared."""
+    return RationalFunction(y.num + p * y.den, y.factors)
+
+
+def mul_poly(y: RationalFunction, c) -> RationalFunction:
+    """y * c for a polynomial or a rational c, with the prims of y declared."""
+    return RationalFunction(y.num * c, y.factors)
+
+
+def same_rational(a, b) -> bool:
+    """Whether two rational functions are equal, by cross-multiplication: exact, and no gcd."""
+    return a.num * b.den == b.num * a.den
 
 
 def check_strip_identity(strip, p, y: RationalFunction) -> bool:
@@ -858,10 +1051,10 @@ def check_strip_identity(strip, p, y: RationalFunction) -> bool:
         product, den = num * y.num.shift(i), y.den.shift(i)
         quotient = divide_exact(product, den)
         if quotient is None:
-            return RationalFunction(product, den)
-        return RationalFunction.from_poly(quotient)
+            return ReducedRational(product, den)
+        return ReducedRational(quotient)
 
-    rhs = RationalFunction.from_poly(strip.b)
+    rhs = ReducedRational(strip.b)
     for i, num in strip.terms.items():
         rhs = rhs + times(num, i)
     return (times(strip.D_actual.expand(), p) - rhs).is_zero()
@@ -907,7 +1100,7 @@ def random_instance(seed, profile: InstanceProfile = InstanceProfile()):
         terms[tuple(s)] = coeff
         rhs = rhs + c * p.shift(s)
     eq = PLDE(tuple(vars), terms, rhs)
-    y = RationalFunction(p, q.expand())
+    y = over(p, q)
     if not check_solution(eq, y).ok:
         raise InvariantError("generated instance does not certify its own solution")
     return eq, y, q
@@ -929,7 +1122,7 @@ def bundled_solution(eq: PLDE, name: str):
     """(y, q): the known solution y of the bundled equation ``name`` and its factored denominator."""
     num, factors = BUNDLED_SOLUTIONS[name]
     q = FactoredPoly(eq.variables, 1, [(parse_poly(f, eq.variables), 1) for f in factors])
-    return RationalFunction(parse_poly(num, eq.variables), q.expand()), q
+    return over(parse_poly(num, eq.variables), q), q
 
 
 def dispersion_family(s, signs=(1, 1, -1, 1)):
@@ -945,7 +1138,7 @@ def dispersion_family(s, signs=(1, 1, -1, 1)):
     points = zip(((0, 0), (0, 1), (1, 0), (1, 1)), signs)
     eq = PLDE(vars, {p: factored_mul(FactoredPoly(vars, c), q.shift(p)) for p, c in points},
               Poly.const(vars, sum(signs)))
-    y = RationalFunction(Poly.one(vars), q.expand())
+    y = over(Poly.one(vars), q)
     if not check_solution(eq, y).ok:
         raise InvariantError("the dispersion family does not certify its own solution")
     return eq, y, q
@@ -971,7 +1164,7 @@ def wide_case(draws):
         terms[s] = factored_mul(FactoredPoly(vars, c, [(extra, 1)]), q.shift(s))
         rhs = rhs + Poly.const(vars, c) * extra * parse_poly("n+%d" % (1 + s[0]), vars)
     eq = PLDE(vars, terms, rhs)
-    y = RationalFunction(parse_poly("n+1", vars), q.expand())
+    y = over(parse_poly("n+1", vars), q)
     if not check_solution(eq, y).ok:
         raise InvariantError("the wide case does not certify its own solution")
     return eq, y, q
@@ -992,7 +1185,7 @@ def homogeneous_instance(seed, profile: InstanceProfile = InstanceProfile()):
         terms[tuple(pts[2 * i])] = factored_mul(FactoredPoly(vars, c), q.shift(pts[2 * i]))
         terms[tuple(pts[2 * i + 1])] = factored_mul(FactoredPoly(vars, -c), q.shift(pts[2 * i + 1]))
     eq = PLDE(tuple(vars), terms, Poly.zero(vars))
-    y = RationalFunction(Poly.one(vars), q.expand())
+    y = over(Poly.one(vars), q)
     if not check_solution(eq, y).ok:
         raise InvariantError("generated instance does not certify its own solution")
     return eq, y, q

@@ -22,13 +22,13 @@ from plde.equation import PLDE
 from plde.factored import FactoredPoly
 from plde.geometry import CLASS_USEFUL, SupportGeometry
 from plde.lattice import IntLattice, saturation
-from plde.polyring import (InvariantError, Poly, RationalFunction, UnsupportedInputError,
-                           divide_exact, divide_int_terms, parse_poly)
+from plde.polyring import (InvariantError, Poly, UnsupportedInputError, divide_exact,
+                           divide_int_terms, parse_poly, parse_rational)
 from plde.spread import NEG_INFINITY, ShiftOrbits, invariance_lattice
 from plde.transform import transform_equation, witness_levels
 from plde.verify import check_bound_covers, check_solution
 from support import (VARS2, InstanceProfile, bundled_solution, check_strip_identity,
-                     dispersion_family, factored_divides, factored_mul, int_terms,
+                     dispersion_family, factored_divides, factored_mul, int_terms, over,
                      random_instance, random_poly, random_shift, random_unimodular,
                      reduce_by_trial_division, reference_aperiodic_bound, reference_module_bound,
                      wide_case)
@@ -118,7 +118,7 @@ def test_strip_sys2_substitutions(sys2):
 def test_strip_identity_on_golden_case(sys1):
     strip = strip_rewrite(sys1, (0, 0), 2, (1, 1))
     big = "(n+k+1)*(n+k+2)*(n+k+3)*(n^2+n+1)*(n^2+3*n+3)*(3*n+2*k+1)"
-    y = RationalFunction(Poly.one(VARS2), P(big))
+    y = parse_rational("1/(%s)" % big, VARS2)
     assert check_solution(sys1, y).ok
     assert check_strip_identity(strip, (0, 0), y)
 
@@ -290,7 +290,7 @@ def test_combined_cancels_corner_factors_by_multiplicity(sys1, monkeypatch):
         terms[pt] = factored_mul(FactoredPoly(VARS2, c), q.shift(pt))
         rhs = rhs + Poly.const(VARS2, c)
     eq = PLDE(VARS2, terms, rhs)
-    assert check_solution(eq, RationalFunction(Poly.one(VARS2), q.expand())).ok
+    assert check_solution(eq, over(Poly.one(VARS2), q)).ok
     combined_bound(sys1)
     succeeded = []
 
@@ -715,7 +715,7 @@ def test_aperiodic_bound_needs_a_witness_for_some_corner(monkeypatch):
 
 def test_aperiodic_bound_catches_constructed_factor():
     eq, q = _around_nk_plus_one()
-    assert check_solution(eq, RationalFunction(Poly.one(VARS2), q.expand())).ok
+    assert check_solution(eq, over(Poly.one(VARS2), q)).ok
     ap = _aperiodic_bound(eq, SupportGeometry(eq.support), ShiftOrbits())
     assert ap.multiplicity(P("n*k+1")) >= 1
     assert all(invariance_lattice(prim).rank == 0 for prim, _ in ap.factors)
@@ -924,7 +924,7 @@ def test_lcm_of_two_module_bounds_covers_products():
             terms[s] = factored_mul(FactoredPoly(VARS2, c.constant_value()), q.shift(s))
             rhs = rhs + c * top.shift(s)
         eq = PLDE(VARS2, terms, rhs)
-        y = RationalFunction(top, q.expand())
+        y = over(top, q)
         assert check_solution(eq, y).ok
         geometry = SupportGeometry(eq.support)
         d1, _ = module_bound(eq, geometry, W1)

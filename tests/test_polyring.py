@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from plde.polyring import (ParseError, Poly, RationalFunction, UnsupportedInputError, add_terms,
-                           divide_exact, divide_int_terms, format_poly, gcd_poly, mul_terms,
+                           divide_exact, divide_int_terms, format_poly, mul_terms,
                            normalize_primitive, parse_poly, parse_rational, parse_terms,
                            shift_terms)
-from support import (VARS2, coefficients, divide_over_q, evaluate_terms, int_terms, is_canonical,
-                     random_malformed_text, random_poly, random_poly_text, random_shift,
-                     reference_parse_poly)
+from support import (VARS2, ReducedRational, coefficients, divide_over_q, evaluate_terms, gcd_poly,
+                     int_terms, is_canonical, random_malformed_text, random_poly, random_poly_text,
+                     random_shift, reference_parse_poly)
 
 N_CASES = 200
 
@@ -149,7 +149,7 @@ def test_shift_negative_entries():
 
 
 # ----------------------------------------------------------------------
-# gcd / divide
+# gcd (the reference in support) / divide
 
 
 def test_gcd_with_zero():
@@ -283,28 +283,86 @@ def test_normalize_primitive_idempotent():
 
 
 def test_rational_function_reduces():
-    y = RationalFunction(P("(n+1)*(n+k)"), P("(n+1)*(n+k+1)"))
-    assert y.num == P("n+k") and y.den == P("n+k+1")
+    # num is divided by each declared prim as often as it goes, up to its multiplicity
+    y = RationalFunction(P("(n+1)*(n+k)"), [(P("n+1"), 1), (P("n+k+1"), 1)])
+    assert y.num == P("n+k") and y.den == P("n+k+1") and y.factors == ((P("n+k+1"), 1),)
+    y = RationalFunction(P("(n+1)^3"), [(P("n+1"), 2)])
+    assert y.num == P("n+1") and y.den == Poly.one(VARS2) and y.factors == ()
+    y = RationalFunction(P("n+1"), [(P("n+1"), 1), (P("n+1"), 2)])
+    assert y.den == P("(n+1)^2") and y.factors == ((P("n+1"), 2),)
+    y = RationalFunction(Poly.zero(VARS2), [(P("n+1"), 1)])
+    assert y.num.is_zero() and y.den == Poly.one(VARS2) and str(y) == "0"
+    with pytest.raises(ZeroDivisionError):
+        RationalFunction(P("n"), [(Poly.zero(VARS2), 1)])
+    # a reducible declared factor cancels only as a whole
+    y = RationalFunction(P("n+1"), [(P("n^2-1"), 1)])
+    assert y.num == P("n+1") and y.den == P("n^2-1")
+    assert ReducedRational.of(y).den == P("n-1")
 
 
 def test_rational_function_den_normalized():
-    y = RationalFunction(P("n"), P("-2*k-2*n"))
-    assert y.den == P("k+n")
-    assert y == RationalFunction(P("-1") * P("n") * Poly.const(VARS2, "1/2"), P("k+n"))
+    y = RationalFunction(P("n"), [(P("-2*k-2*n"), 1)])
+    assert y.den == P("k+n") and y.factors == ((P("k+n"), 1),)
+    assert y.num == P("-1") * P("n") * Poly.const(VARS2, "1/2")
+    y = RationalFunction(P("n"), [(P("-2"), 3), (P("2*n+2*k"), 1)])
+    assert y.den == P("k+n") and y.num == P("-n") * Poly.const(VARS2, "1/16")
 
 
 def test_parse_rational():
     y = parse_rational("(n^2+2*k^2)/(k+n+1)", VARS2)
     assert y.num == P("n^2+2*k^2") and y.den == P("k+n+1")
     assert parse_rational("n+1", VARS2).den == Poly.one(VARS2)
+    # the denominator is a product of declared factors: parenthesized products
+    # flatten, a power multiplies the multiplicities inside, constants and
+    # signs go to num, and equal prims merge
+    y = parse_rational("(n+1)/(-((n+1)*(2*k+2))^2*(k+1)*3)", VARS2)
+    assert y.factors == ((P("k+1"), 3), (P("n+1"), 1))
+    assert y.num == Poly.const(VARS2, Fraction(-1, 12)) and y.den == P("(k+1)^3*(n+1)")
+    assert parse_rational("1/(n+k)^0*(n)^2", VARS2).factors == ((P("n"), 2),)
+    assert parse_rational("1/(n*k)", VARS2).factors == ((P("k"), 1), (P("n"), 1))
+    assert parse_rational("1/(n^2-1)", VARS2).factors == ((P("n^2-1"), 1),)
+    with pytest.raises(ZeroDivisionError):
+        parse_rational("n/(n+1)*(k-k)", VARS2)
+
+
+@pytest.mark.parametrize("vars", [("n",), VARS2, ("n", "k", "m")])
+def test_parse_rational_matches_the_gcd_reference(vars):
+    # num/((f1)^e1*(f2)...) with irreducible fi, some of them in num: the
+    # trial division over the declared factors leaves what the PRS gcd leaves
+    r = len(vars)
+    pool = {1: ["n+1", "2*n-3", "n^2+n+1", "n^2+2"],
+            2: ["k+n+1", "2*k+3*n+1", "4*k-2*n+1", "n^2+n+1", "n*k+1", "n^2+k^2+1"],
+            3: ["n+k+m+1", "2*n+k+1", "n^2+m+1", "n*k+m+2", "k-m"]}[r]
+    rng = random.Random(110 + r)
+    top = 2 if r < 3 else 1  # the largest exponent, so that r = 3 stays in the term budget
+    cancelled = 0
+    for _ in range(40):
+        shifted = [format_poly(parse_poly(rng.choice(pool), vars).shift(random_shift(rng, r, 2)))
+                   for _ in range(rng.randint(1, 3))]
+        exps = [rng.randint(1, top) for _ in shifted]
+        parts = ["(%s)^%d" % (f, e) if e > 1 else "(%s)" % f for f, e in zip(shifted, exps)]
+        if len(parts) > 1 and rng.random() < 0.5:
+            parts = ["(%s*%s)^%d" % (parts[0], parts[1], rng.randint(1, top))] + parts[2:]
+        den_text = "*".join(parts + [rng.choice(["1", "2", "(-3)"])])
+        num_text = "*".join(["(%s)" % random_poly(rng, vars, max_degree=2, max_terms=3, nonzero=True)]
+                            + ["(%s)^%d" % (f, rng.randint(1, top)) for f in shifted
+                               if rng.random() < 0.6])
+        text = "%s/(%s)" % (num_text, den_text)
+        got = parse_rational(text, vars)
+        ref = ReducedRational(parse_poly(num_text, vars), parse_poly(den_text, vars))
+        assert (got.num, got.den) == (ref.num, ref.den), text
+        assert str(got) == str(ref), text
+        cancelled += got.den != normalize_primitive(parse_poly(den_text, vars))[1]
+    assert cancelled >= 20
 
 
 def test_rational_arithmetic():
-    a = parse_rational("1/(n+1)", VARS2)
-    b = parse_rational("1/(n+2)", VARS2)
-    s = a - b
-    assert s == parse_rational("1/((n+1)*(n+2))", VARS2)
-    assert (a - a).is_zero()
+    # the reference arithmetic of the tests, on fractions reduced by the PRS gcd
+    a = ReducedRational.of(parse_rational("1/(n+1)", VARS2))
+    b = ReducedRational.of(parse_rational("1/(n+2)", VARS2))
+    assert a - b == ReducedRational.of(parse_rational("1/((n+1)*(n+2))", VARS2))
+    assert (a - a).is_zero() and a * P("n+1") == ReducedRational(Poly.one(VARS2))
+    assert (a - b).shift((1, 0)) == b - ReducedRational(Poly.one(VARS2), P("n+3"))
 
 
 def test_cancellation_leaves_no_zero_coefficient():

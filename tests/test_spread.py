@@ -10,11 +10,10 @@ from plde.bounds import dispersion_bound
 from plde.equation import PLDE
 from plde.lattice import IntLattice, is_sublattice
 from plde.polyring import Poly, normalize_primitive, parse_poly
-from plde.spread import (NEG_INFINITY, invariance_lattice, shift_equiv, shift_orbit,
-                         spread_box_oracle)
+from plde.spread import NEG_INFINITY, invariance_lattice, shift_equiv, shift_orbit
 from support import (VARS2, coset_contains, factored_from_poly, leading_coefficient, random_factor,
                      random_poly, random_shift, reference_invariance_lattice,
-                     reference_shift_equiv)
+                     reference_shift_equiv, spread_box_oracle)
 
 N_CASES = 200
 

@@ -5,7 +5,7 @@ from plde.polyring import parse_poly, parse_rational
 from plde.transform import transform_equation, witness_levels
 from plde.verify import check_solution
 from support import (VARS2, act_on_rational, identity_matrix, random_instance, random_rational,
-                     random_unimodular)
+                     random_unimodular, same_rational, shift_rational)
 
 N_CASES = 200
 
@@ -16,18 +16,18 @@ def P(text):
 
 def test_act_identity():
     y = parse_rational("(n^2+2*k^2)/(k+n+1)", VARS2)
-    assert act_on_rational(identity_matrix(2), y) == y
+    assert same_rational(act_on_rational(identity_matrix(2), y), y)
 
 
 def test_act_reproduces_transformed_solution():
     A = UnimodularMatrix([[0, 1], [1, -1]])
     y = parse_rational("(n^2+2*k^2)/(k+n+1)", VARS2)
-    assert act_on_rational(A, y) == parse_rational("(3*k^2-4*n*k+2*n^2)/(n+1)", VARS2)
+    assert same_rational(act_on_rational(A, y), parse_rational("(3*k^2-4*n*k+2*n^2)/(n+1)", VARS2))
 
 
 def test_act_on_constant():
     c = parse_rational("7", VARS2)
-    assert act_on_rational(UnimodularMatrix([[0, 1], [1, -1]]), c) == c
+    assert same_rational(act_on_rational(UnimodularMatrix([[0, 1], [1, -1]]), c), c)
 
 
 def test_transform_identity_and_round_trip(ex1):
@@ -54,9 +54,9 @@ def test_shift_conjugation_identity():
         A = random_unimodular(rng, 2)
         y = random_rational(rng)
         s = (rng.randint(-2, 2), rng.randint(-2, 2))
-        lhs = act_on_rational(A, y.shift(s))
-        rhs = act_on_rational(A, y).shift(A.inverse().apply(s))
-        assert lhs == rhs
+        lhs = act_on_rational(A, shift_rational(y, s))
+        rhs = shift_rational(act_on_rational(A, y), A.inverse().apply(s))
+        assert same_rational(lhs, rhs)
 
 
 def test_transform_round_trip_random():

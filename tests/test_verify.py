@@ -9,8 +9,9 @@ from plde.equation import PLDE, load_equation
 from plde.factored import FactoredPoly
 from plde.polyring import Poly, RationalFunction, divide_exact, parse_poly, parse_rational
 from plde.verify import _cancel, _residual, check_bound_covers, check_solution
-from support import (VARS2, InstanceProfile, factored_mul, homogeneous_instance, random_instance,
-                     reference_check_solution, reference_residual)
+from support import (VARS2, InstanceProfile, ReducedRational, add_poly, factored_mul,
+                     homogeneous_instance, mul_poly, random_instance, reference_check_solution,
+                     reference_residual, same_rational)
 
 N_CASES = 200
 
@@ -37,14 +38,15 @@ def test_check_solution_rejects_constant(ex1):
     total = Poly.zero(VARS2)
     for s in ex1.support:
         total = total + ex1.terms[s].expand()
-    assert result.residual == RationalFunction.from_poly(total)
+    assert result.residual.num == total and result.residual.den == Poly.one(VARS2)
 
 
 def test_check_solution_system(sys1, sys2):
+    # the verdict is exact whether the denominator is declared factor by factor or as one product
     big = "(n+k+1)*(n+k+2)*(n+k+3)*(n^2+n+1)*(n^2+3*n+3)*(3*n+2*k+1)"
-    y = RationalFunction(Poly.one(VARS2), P(big))
-    assert check_solution(sys1, y).ok
-    assert check_solution(sys2, y).ok
+    for y in (parse_rational("1/(%s)" % big, VARS2), RationalFunction(Poly.one(VARS2), [(P(big), 1)])):
+        assert check_solution(sys1, y).ok
+        assert check_solution(sys2, y).ok
 
 
 R3 = InstanceProfile(
@@ -63,21 +65,33 @@ def _scaled(eq, c):
 
 
 def _candidates(y, q):
-    """y, three non-solutions near it, 0 and y + 3/2 with an unreduced denominator."""
+    """y, three non-solutions near it, 0 and y + 3/2 with an unreduced denominator.
+
+    Every candidate declares irreducible factors, so its residual is in lowest terms.
+    """
     vars = y.num.vars
-    one = RationalFunction.from_poly(Poly.one(vars))
+    one = Poly.one(vars)
     yield y
-    yield y + one
-    yield y * Poly.const(vars, Fraction(3, 7)) + one
+    yield add_poly(y, one)
+    yield add_poly(mul_poly(y, Fraction(3, 7)), one)
     if q.factors:
         f = q.factors[0][0]
         moved = f.shift((1,) + (0,) * (len(vars) - 1))
-        yield RationalFunction(y.num, divide_exact(y.den, f) * moved)
-    yield RationalFunction.from_poly(Poly.zero(vars))
+        factors = dict(y.factors)
+        factors[f] -= 1
+        yield RationalFunction(y.num, [(moved, 1)] + [(g, m) for g, m in factors.items() if m])
+    yield RationalFunction(Poly.zero(vars))
     # the constructor makes denominators primitive; this one has content 2/3
     raw = object.__new__(RationalFunction)
     raw.num, raw.den = y.num * Fraction(2, 3) + y.den, y.den * Fraction(2, 3)
+    raw.factors = y.factors
     yield raw
+
+
+def _same_reduced(got, residual):
+    """Whether a residual of check_solution is the reference's, in lowest terms and printed alike."""
+    return ((got.num, got.den) == (residual.num, residual.den)
+            and str(got) == str(residual))
 
 
 def test_check_solution_matches_quadratic_reference():
@@ -91,8 +105,7 @@ def test_check_solution_matches_quadratic_reference():
                 got = check_solution(eq, cand)
                 residual, ok = reference_check_solution(eq, cand)
                 assert got.ok == ok, (seed, str(cand))
-                assert got.residual == residual, (seed, str(cand))
-                assert str(got.residual) == str(residual), (seed, str(cand))
+                assert _same_reduced(got.residual, residual), (seed, str(cand))
                 checked += 1
                 solved += ok
     assert solved >= 48 and checked - solved >= 120
@@ -133,12 +146,13 @@ def test_check_solution_matches_reference_on_geometry_shapes():
             continue
         got = check_solution(eq, y)
         residual, ok = reference_check_solution(eq, y)
-        assert got.ok and ok and got.residual == residual, seed
-        wrong = y + RationalFunction.from_poly(Poly.one(eq.variables))
+        assert got.ok and ok and _same_reduced(got.residual, residual), seed
+        wrong = add_poly(y, Poly.one(eq.variables))
         assert _residual(eq, wrong)[1] is not None, seed
         assert _same_residual(eq, wrong), seed
-        # the cancelled residual is small enough to reduce to lowest terms
-        assert not check_solution(eq, wrong).ok, seed
+        # the PRS gcd reduces the cancelled residual to what the shifted prims leave
+        got = check_solution(eq, wrong)
+        assert not got.ok and _same_reduced(got.residual, ReducedRational(*_residual(eq, wrong))), seed
         shapes.add((len(eq.variables), len(eq.support)))
     assert {m for r, m in shapes if r == 3} >= {10, 12}
     assert {m for r, m in shapes if r == 4} >= {6, 8}
@@ -170,8 +184,8 @@ def test_cancelled_residual_matches_reference_differentially(eqdir):
     for eq, y in instances:
         vars = eq.variables
         assert check_solution(eq, y).ok, str(eq)
-        for cand in (y, y + RationalFunction.from_poly(Poly.one(vars)),
-                     y * (Poly.variable(vars, vars[0]) + Poly.const(vars, 2))):
+        for cand in (y, add_poly(y, Poly.one(vars)),
+                     mul_poly(y, Poly.variable(vars, vars[0]) + Poly.const(vars, 2))):
             assert _same_residual(eq, cand), (str(eq), str(cand))
             ok = check_solution(eq, cand).ok
             assert ok == reference_residual(eq, cand)[0].is_zero(), (str(eq), str(cand))
@@ -186,7 +200,7 @@ def test_residual_has_one_denominator_per_distinct_cancelled_denominator(sys1, s
     # the product over all points (24 and 20); the reduced residual is a
     # polynomial
     y = parse_rational(BUNDLED_SOLUTIONS["sys1"], VARS2)
-    cand = y + RationalFunction.from_poly(Poly.one(VARS2))
+    cand = add_poly(y, Poly.one(VARS2))
     for eq, degree, residual in ((sys1, 12, "22*n+16*k+33"), (sys2, 10, "34*n+8*k+68")):
         assert _residual(eq, cand)[1].total_degree() == degree
         got = check_solution(eq, cand)
@@ -209,11 +223,10 @@ def test_cancel_stops_at_the_coefficients_multiplicity():
     # y = 1/(n+k+1)^2 leaves 3*(n+2)/(n+k+1) + 1, so no candidate here solves the equation
     eq = _pair_equation((3, [("n+k+1", 1), ("n+2", 1)]), (1, [("n+k+2", 2)]), "1")
     y = parse_rational("1/((n+k+1)^2)", VARS2)
-    for cand in (y, y * P("n+k+1"), y + parse_rational("1", VARS2)):
+    for cand in (y, mul_poly(y, P("n+k+1")), add_poly(y, Poly.one(VARS2))):
         got = check_solution(eq, cand)
         residual, ok = reference_check_solution(eq, cand)
-        assert not ok and not got.ok and got.residual == residual, str(cand)
-        assert str(got.residual) == str(residual)
+        assert not ok and not got.ok and _same_reduced(got.residual, residual), str(cand)
         assert _same_residual(eq, cand)
     # y = 1/(k+1)^2 does not move under n -> n+1, so (k+1) * (y(n) - y(n+1)) = 0
     # although each coefficient holds k+1 only once
@@ -221,7 +234,8 @@ def test_cancel_stops_at_the_coefficients_multiplicity():
     y = parse_rational("1/((k+1)^2)", VARS2)
     assert _residual(solved, y)[0].is_zero()
     assert check_solution(solved, y).ok and _same_residual(solved, y)
-    assert not check_solution(solved, y * P("n")).ok and _same_residual(solved, y * P("n"))
+    assert not check_solution(solved, mul_poly(y, P("n"))).ok
+    assert _same_residual(solved, mul_poly(y, P("n")))
 
 
 def test_cancel_by_a_declared_reducible_factor():
@@ -231,13 +245,16 @@ def test_cancel_by_a_declared_reducible_factor():
     assert _cancel(a, P("n^2-1").terms) == ({(0, 0): 1}, {(0, 0): 1})
     # (n^2-1) * y(n) - (n+2) * y(n+1) = n - 2 for y = 1/(n+1)
     eq = _pair_equation((1, [("n^2-1", 1)]), (-1, [("n+2", 1)]), "n-2")
-    for text, solves in (("1/(n+1)", True), ("1/((n+1)*(n-1))", False), ("n/(n^2-1)", False),
-                         ("(n+1)/(n+k+1)", False)):
+    # n/(n^2-1) declares n^2-1 as one factor: its residual is the reference's
+    # value, but only irreducible declared factors promise lowest terms
+    for text, solves, irreducible in (("1/(n+1)", True, True), ("1/((n+1)*(n-1))", False, True),
+                                      ("n/(n^2-1)", False, False),
+                                      ("(n+1)/(n+k+1)", False, True)):
         cand = parse_rational(text, VARS2)
         got = check_solution(eq, cand)
         residual, ok = reference_check_solution(eq, cand)
-        assert got.ok == ok == solves and got.residual == residual, text
-        assert str(got.residual) == str(residual), text
+        assert got.ok == ok == solves and same_rational(got.residual, residual), text
+        assert not irreducible or _same_reduced(got.residual, residual), text
         assert _same_residual(eq, cand), text
 
 
@@ -247,7 +264,7 @@ def test_cancel_by_a_declared_reducible_factor():
 
 def test_cover_cases_on_golden_examples(sys1, sys2, ex1, ex2):
     y = RationalFunction(Poly.one(VARS2),
-                         P("(n+k+1)*(n+k+2)*(n+k+3)*(n^2+n+1)*(n^2+3*n+3)*(3*n+2*k+1)"))
+                         [(P("(n+k+1)*(n+k+2)*(n+k+3)*(n^2+n+1)*(n^2+3*n+3)*(3*n+2*k+1)"), 1)])
     den = FactoredPoly(VARS2, 1, [(P("n+k+1"), 1), (P("n+k+2"), 1), (P("n+k+3"), 1),
                                   (P("n^2+n+1"), 1), (P("n^2+3*n+3"), 1),
                                   (P("3*n+2*k+1"), 1)])
