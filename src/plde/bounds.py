@@ -38,7 +38,7 @@ from .equation import PLDE
 from .factored import FactoredPoly, in_w_part
 from .geometry import (CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, SupportGeometry,
                        WeakCertificate, WitnessCertificate)
-from .lattice import IntLattice, primitive_vector, saturation
+from .lattice import IntLattice, primitive_vector
 from .polyring import (InvariantError, Poly, UnsupportedInputError, add_terms, divide_int_terms,
                        format_poly, mul_terms, shift_terms)
 from .spread import NEG_INFINITY, ShiftOrbits
@@ -70,17 +70,17 @@ class StripResult:
     """
 
     def __init__(self, Rminus: tuple, Rplus: tuple, D_actual: FactoredPoly, origins: dict,
-                 numerator, live: dict, b):
+                 numerator):
         self.Rminus, self.Rplus, self.D_actual, self.origins = Rminus, Rplus, D_actual, origins
-        self._numerator, self._live, self._b = numerator, live, b
+        self._numerator = numerator
 
     @cached_property
     def terms(self) -> dict:
-        return {i: self._numerator(fr) for i, fr in self._live.items()}
+        return {i: self._numerator(i) for i in self.Rplus}
 
     @cached_property
     def b(self) -> Poly:
-        return self._numerator(self._b)
+        return self._numerator(None)
 
 
 @dataclass(frozen=True)
@@ -135,15 +135,16 @@ class BoundReport:
 
 
 class _Frac:
-    """content * num * prod prim^E, reduced; E maps prim keys to nonzero exponents.
+    """content * num * prod prim^E, reduced; E maps prim slots to nonzero exponents.
 
-    ``num`` is an int term map with coprime coefficients and ``content`` a
-    Fraction, so the strip rewriting runs on ints.  E is one signed
-    valuation map: its positive part is the factored part of the numerator,
-    never expanded while the fraction lives, and its negative part the
-    denominator, so a factor of a substituted a_q(n+d) and the same factor
-    of a denominator a_p(n+d) cancel as their exponents add (Henrici's rule).
-    Reduced means that num is prime to every prim of negative exponent.
+    ``num`` is an int term map with coprime coefficients and ``content`` an
+    int: `strip_rewrite` scales its values so that no fraction of ints is
+    needed.  E is one signed valuation map: its positive part is the
+    factored part of the numerator, never expanded while the fraction
+    lives, and its negative part the denominator, so a factor of a
+    substituted a_q(n+d) and the same factor of a denominator a_p(n+d)
+    cancel as their exponents add (Henrici's rule).  Reduced means that num
+    is prime to every prim of negative exponent.
 
     The constructor trial-divides num by each prim of ``trial`` that has a
     negative exponent, once per unit, up to the prim's first failure.  By
@@ -154,43 +155,41 @@ class _Frac:
     Under the contract of `FactoredPoly`, pairwise coprime irreducible
     prims, no prim of negative exponent divides a reduced num, so callers
     name only the prims that can divide: a quotient by a_p(n+d) those of
-    a_p(n+d), a product by a nonconstant right-hand side every prim of its
-    denominator, and `_sum` those whose least exponent two addends share.
-    A product of a reduced fraction by a constant and by prims needs no
-    division at all (`scaled`): num stays prime to the prims that keep a
-    negative exponent.  So every fraction is the reduced one that trial
-    division of the expanded value reaches.  Outside the contract every
-    cancellation is still an exact division and a skipped one only leaves a
-    larger denominator, so a bound built from it stays sound.
+    a_p(n+d), a nonconstant right-hand side rhs(n+d) those of the
+    denominator it is multiplied by, and `_sum` those whose least exponent
+    two addends share.  A product of a reduced fraction by a constant, by
+    prims and by a primitive int term map prime to its denominator needs no
+    division at all (`scaled`).  So every fraction is the reduced one that
+    trial division of the expanded value reaches.  Outside the contract
+    every cancellation is still an exact division and a skipped one only
+    leaves a larger denominator, so a bound built from it stays sound.
 
-    ``prims`` maps each prim key to the prim's int terms, the coefficient
-    factor that the prim is a shift of and the prim's total degree.  One
-    strip rewriting shares it and keys a shift f(n + d) of a coefficient
-    factor f by its shift orbit (`_factors`), so equal prims have one key
-    and the terms of each are made once.
+    ``prims`` is the `_Prims` table of one strip rewriting, which numbers
+    the shifted coefficient factors by int slots and makes a prim's term
+    map only when a division or an expansion reads it.
     """
 
     __slots__ = ("content", "E", "num")
 
-    def __init__(self, content: Fraction, E: dict, num: dict, prims: dict, trial=()):
+    def __init__(self, content: int, E: dict, num: dict, prims: "_Prims", trial=()):
         if not num:
             E = {}
         else:
             g = gcd(*num.values())
             if g != 1:
-                content = content * g
+                content *= g
                 num = {e: c // g for e, c in num.items()}
             degree = max(map(sum, num))
-            for prim in trial:
-                terms, _, prim_degree = prims[prim]
-                m = n = E.get(prim, 0)
+            for slot in trial:
+                prim_degree = prims.degree[slot]
+                m = n = E.get(slot, 0)
                 while n < 0 and prim_degree <= degree:
-                    q = divide_int_terms(num, terms)
+                    q = divide_int_terms(num, prims.terms(slot))
                     if q is None:
                         break
                     num, n, degree = q, n + 1, degree - prim_degree
                 if n != m:
-                    E = _plus(E, {prim: n - m})
+                    E = _plus(E, {slot: n - m})
         self.content = content
         self.E = E
         self.num = num
@@ -198,14 +197,20 @@ class _Frac:
     def is_zero(self) -> bool:
         return not self.num
 
-    def scaled(self, content: Fraction, mults: dict) -> "_Frac":
-        """self times content and prod prim^m over mults, reduced without a division."""
+    def scaled(self, content: int, mults: dict, num=None) -> "_Frac":
+        """self times content, prod prim^m over mults and the int terms num, without a division.
+
+        num must be primitive and prime to the prims of negative exponent
+        left, so that the product stays reduced.
+        """
         fr = object.__new__(_Frac)
-        fr.content, fr.E, fr.num = self.content * content, _plus(self.E, mults), self.num
+        fr.content = self.content * content
+        fr.E = _plus(self.E, mults) if mults else self.E
+        fr.num = self.num if num is None else mul_terms(self.num, num)
         return fr
 
 
-def _sum(addends: list, prims: dict) -> _Frac:
+def _sum(addends: list, prims: "_Prims") -> _Frac:
     """The reduced sum of reduced fractions over one prim table, in one step.
 
     Every addend is written over the pointwise minimum g of their valuation
@@ -219,74 +224,112 @@ def _sum(addends: list, prims: dict) -> _Frac:
     if len(addends) == 1:
         return addends[0]
     g = addends[0].E
+    like = True
     for fr in addends[1:]:
         if fr.E != g:
-            g = _min(g, fr.E)
-    bottom = lcm(*(fr.content.denominator for fr in addends))
+            g, like = _min(g, fr.E), False
     total = {}
     for fr in addends:
-        k = fr.content.numerator * (bottom // fr.content.denominator)
+        k = fr.content
         num = {e: k * c for e, c in fr.num.items()}
-        total = add_terms(total, num if fr.E == g else _expand(_plus(fr.E, g, -1), prims, num))
-    trial = [key for key, m in g.items()
-             if m < 0 and sum(fr.E.get(key, 0) == m for fr in addends) > 1]
-    return _Frac(Fraction(1, bottom), g, total, prims, trial)
+        total = add_terms(total, num if like or fr.E == g else
+                          _expand(_plus(fr.E, g, -1), prims, num))
+    trial = [slot for slot, m in g.items()
+             if m < 0 and (like or sum(fr.E.get(slot, 0) == m for fr in addends) > 1)]
+    return _Frac(1, g, total, prims, trial)
 
 
-# signed valuation maps, never changed once made, without zero entries (an absent key has
+# signed valuation maps, never changed once made, without zero entries (an absent slot has
 # exponent 0): a + sign * b, and the pointwise minimum
 
 
 def _plus(a: dict, b: dict, sign: int = 1) -> dict:
     out = dict(a)
-    for key, m in b.items():
-        if m := out.pop(key, 0) + sign * m:
-            out[key] = m
+    for slot, m in b.items():
+        if m := out.pop(slot, 0) + sign * m:
+            out[slot] = m
     return out
 
 
 def _min(a: dict, b: dict) -> dict:
-    return {key: m for key in {**a, **b} if (m := min(a.get(key, 0), b.get(key, 0)))}
+    return {slot: m for slot in {**a, **b} if (m := min(a.get(slot, 0), b.get(slot, 0)))}
+
+
+class _Prims:
+    """The prims of one strip rewriting, numbered by small int slots.
+
+    A shift f(n + d) of a coefficient factor f is named by its shift orbit
+    (`_factors`), so equal prims share one slot.  ``origin``, ``shift`` and
+    ``degree`` list each slot's coefficient factor f, the shift t with
+    f(n + t) the prim, and the prim's total degree, all that a strip reads
+    of most prims.  A prim's int term map is made the first time `terms`
+    reads it: by a trial division that the degree rule lets run, by
+    `_expand`, or for the strip's D_actual.  ``memo`` maps (orbit id,
+    offset - d) to the slot of f(n + d).
+    """
+
+    __slots__ = ("origin", "shift", "degree", "_terms", "_slots", "memo")
+
+    def __init__(self):
+        self.origin, self.shift, self.degree, self._terms = [], [], [], []
+        self._slots, self.memo = {}, {}
+
+    def slot(self, orbit_id: int, reduced: tuple, f: Poly, shift: tuple, degree: int) -> int:
+        """The slot of the prim f(n + shift), of orbit key (orbit_id, reduced) and that degree."""
+        slot = self._slots.setdefault((orbit_id, reduced), len(self.origin))
+        if slot == len(self.origin):
+            self.origin.append(f)
+            self.shift.append(shift)
+            self.degree.append(degree)
+            self._terms.append(None)
+        return slot
+
+    def terms(self, slot: int) -> dict:
+        terms = self._terms[slot]
+        if terms is None:
+            f, shift = self.origin[slot], self.shift[slot]
+            terms = self._terms[slot] = shift_terms(f.terms, shift) if any(shift) else f.terms
+        return terms
 
 
 def _orbit_rows(factors, orbits: ShiftOrbits, ids: dict) -> list:
-    """(f, m, id of key, offset, G) for each factor (f, m), (key, offset, G) = orbits[f]."""
+    """(f, m, id of key, offset, G, degree of f) for each factor (f, m) of a coefficient.
+
+    (key, offset, G) = orbits[f], and ids numbers the orbit keys.
+    """
     rows = []
     for f, m in factors:
         key, offset, G = orbits[f]
-        rows.append((f, m, ids.setdefault(key, len(ids)), offset, G))
+        rows.append((f, m, ids.setdefault(key, len(ids)), offset, G, f.total_degree()))
     return rows
 
 
-def _factors(rows, prims: dict, keys: dict, d: tuple) -> dict:
-    """A coefficient's factors (`_orbit_rows`) shifted by d, as a dict from prim keys to multiplicities.
+def _factors(rows, prims: _Prims, d: tuple) -> dict:
+    """A coefficient's factors (`_orbit_rows`) shifted by d: prim slot -> multiplicity.
 
-    The key of f(n + d) is (orbit id, G.reduce(offset - d)), memoized in
-    ``keys`` by (orbit id, offset - d), so a strip reduces each distinct
-    shift once.  Its terms are made the first time it is seen, as those of
-    f(n + offset - reduced), which is f(n + d): offset - reduced - d lies in
-    G, the shifts fixing f.
+    f(n + d) is named by (orbit id, G.reduce(offset - d)), and its slot is
+    memoized in ``prims.memo`` by (orbit id, offset - d), so a strip reduces
+    each distinct shift once.  The prim is f(n + offset - reduced), which
+    is f(n + d): offset - reduced - d lies in G, the shifts fixing f.
     """
     out = {}
-    for f, m, orbit_id, offset, G in rows:
+    memo = prims.memo
+    for f, m, orbit_id, offset, G, degree in rows:
         diff = tuple(map(sub, offset, d))
-        key = keys.get((orbit_id, diff))
-        if key is None:
+        slot = memo.get((orbit_id, diff))
+        if slot is None:
             reduced = G.reduce(diff)
-            key = keys[orbit_id, diff] = (orbit_id, reduced)
-            if key not in prims:
-                shift = tuple(a - b for a, b in zip(offset, reduced))
-                prims[key] = (shift_terms(f.terms, shift) if any(shift) else f.terms, f,
-                              f.total_degree())
-        out[key] = m
+            slot = memo[orbit_id, diff] = prims.slot(orbit_id, reduced, f,
+                                                     tuple(map(sub, offset, reduced)), degree)
+        out[slot] = m
     return out
 
 
-def _expand(mults: dict, prims: dict, terms: dict) -> dict:
+def _expand(mults: dict, prims: _Prims, terms: dict) -> dict:
     """terms times the product of prim^m over mults, as an int term map."""
-    for prim, m in mults.items():
+    for slot, m in mults.items():
         for _ in range(m):
-            terms = mul_terms(terms, prims[prim][0])
+            terms = mul_terms(terms, prims.terms(slot))
     return terms
 
 
@@ -357,13 +400,25 @@ def strip_rewrite(eq: PLDE, p, s, u, orbits=None) -> StripResult:
     coefficient by a_p(n + d) once, trial-dividing only by the prims of
     a_p(n + d), and its addends are that quotient times a constant and the
     prims of a_q(n + d), which needs no division (`_Frac`).  The running sum
-    of the right-hand side is a sum of two addends; a product by a
-    nonconstant right-hand side is trial-divided by every prim of its
-    denominator.
+    of the right-hand side is a sum of two addends; a nonconstant
+    right-hand side rhs(n + d) is trial-divided by the prims of the
+    quotient's denominator before it multiplies the quotient's numerator,
+    since under the contract of `FactoredPoly` only its own factors can
+    cancel.
 
-    The shifted coefficient factors are keyed by their `spread.shift_orbit`,
-    read from ``orbits``, the registry of `dispersion_bound` (a fresh one if
-    None).
+    Every value is exact and every content an int.  With lam the least
+    common denominator of the ratios -a_q.unit / a_p.unit and mu the
+    denominator of rhs.content / a_p.unit, the cascade keeps the
+    coefficient of N^i y times lam^level(i) and b times mu * lam^s: a step
+    to q then multiplies by the int -a_q.unit / a_p.unit * lam^level(q),
+    since level(q) >= 1, and a substitution at level l adds to b the
+    quotient times the int mu * rhs.content / a_p.unit * lam^(s - l).  The
+    scale is divided out only when ``terms`` or ``b`` is read.
+
+    The shifted coefficient factors are numbered by int slots of a `_Prims`
+    table, keyed by their `spread.shift_orbit` read from ``orbits``, the
+    registry of `dispersion_bound` (a fresh one if None), and a prim's term
+    map is made only when a division, an expansion or D_actual reads it.
     """
     p = tuple(int(x) for x in p)
     if p not in eq.terms:
@@ -387,44 +442,52 @@ def strip_rewrite(eq: PLDE, p, s, u, orbits=None) -> StripResult:
                                         "than %d points" % (s, MAX_STRIP_POINTS))
     orbits = ShiftOrbits() if orbits is None else orbits
     a_p = eq.terms[p]
-    prims, ids, keys = {}, {}, {}  # ids numbers the orbit keys, so that prim keys compare as ints
+    prims, ids = _Prims(), {}  # ids numbers the orbit keys
     factors = {q: _orbit_rows(a_q.factors, orbits, ids) for q, a_q in eq.terms.items()}
-    base = _factors(factors[p], prims, keys, zero)
+    base = _factors(factors[p], prims, zero)
     ratio = {q: -a_q.unit / a_p.unit for q, a_q in eq.terms.items() if q != p}
-    terms = {q: [_Frac(c, _plus(_factors(factors[q], prims, keys, zero), base, -1), {zero: 1},
-                       prims)] for q, c in ratio.items()}  # point -> its addends
-    rhs_content, rhs = eq.rhs.content / a_p.unit, eq.rhs.terms
+    lam = lcm(*(c.denominator for c in ratio.values()))
+    ratio = {q: c.numerator * (lam // c.denominator) * lam ** (level[q] - 1)
+             for q, c in ratio.items()}
+    rhs_content = eq.rhs.content / a_p.unit
+    rhs_num, mu = rhs_content.numerator, rhs_content.denominator
+    rhs = eq.rhs.terms
     constant_rhs = rhs == {zero: 1}  # its shifts are itself, and a product by it is a copy
-    b = _Frac(rhs_content, _plus({}, base, -1), rhs, prims, base)
+    terms = {q: [_Frac(c, _plus(_factors(factors[q], prims, zero), base, -1), {zero: 1},
+                       prims)] for q, c in ratio.items()}  # point -> its addends
+    b = _Frac(rhs_num * lam ** s, _plus({}, base, -1), rhs, prims, base)
     ready = [(level[q], q) for q in terms if level[q] <= s]  # a heap of the points to substitute
     heapq.heapify(ready)
     substituted = []
     pool = base  # the product of the shifted corner coefficients
     while ready:
-        _, i = heapq.heappop(ready)
+        li, i = heapq.heappop(ready)
         coeff = _sum(terms.pop(i), prims)  # complete: every addend comes from a lower level
         if coeff.is_zero():
             continue
         d = tuple(map(sub, i, p))
-        ap_d = _factors(factors[p], prims, keys, d)
+        ap_d = _factors(factors[p], prims, d)
         pool = _plus(pool, ap_d)
         substituted.append(i)
         quotient = _Frac(coeff.content, _plus(coeff.E, ap_d, -1), coeff.num, prims, ap_d)
         for q, c in ratio.items():
             target = tuple(map(add, q, d))
-            addend = quotient.scaled(c, _factors(factors[q], prims, keys, d))
+            addend = quotient.scaled(c, _factors(factors[q], prims, d))
             if target in terms:
                 terms[target].append(addend)
             else:
                 terms[target] = [addend]
-                level[target] = level[q] + level[i]
+                level[target] = level[q] + li
                 if level[target] <= s:
                     heapq.heappush(ready, (level[target], target))
         if rhs:
-            b = _sum([b, quotient.scaled(rhs_content, {}) if constant_rhs else
-                      _Frac(quotient.content * rhs_content, quotient.E,
-                            mul_terms(quotient.num, shift_terms(rhs, d)), prims, quotient.E)],
-                     prims)
+            k = rhs_num * lam ** (s - li)
+            if constant_rhs:
+                addend = quotient.scaled(k, {})
+            else:
+                addend = _Frac(k, quotient.E, shift_terms(rhs, d), prims,
+                               quotient.E).scaled(quotient.content, {}, quotient.num)
+            b = _sum([b, addend], prims)
     rminus = tuple(sorted([p] + substituted))
     live = {i: _sum(addends, prims) for i, addends in terms.items()}
     live = {i: fr for i, fr in live.items() if not fr.is_zero()}
@@ -433,18 +496,19 @@ def strip_rewrite(eq: PLDE, p, s, u, orbits=None) -> StripResult:
     low = {}  # the minimum of 0 and the maps: the common denominator D, its exponents negated
     for fr in (b, *live.values()):
         low = _min(low, fr.E)
-    if any(pool.get(key, 0) < -m for key, m in low.items()):  # D does not divide the pool
+    if any(pool.get(slot, 0) < -m for slot, m in low.items()):  # D does not divide the pool
         raise InvariantError("common denominator escaped the substitution cascade")
-    poly = {key: Poly.from_ints(eq.variables, prims[key][0]) for key in low}
-    origins = {poly[key]: prims[key][1] for key in low}
+    poly = {slot: Poly.from_ints(eq.variables, prims.terms(slot)) for slot in low}
+    origins = {poly[slot]: prims.origin[slot] for slot in low}
     D_actual = FactoredPoly._from_canonical(eq.variables, Fraction(1),
-                                            [(poly[key], -m) for key, m in low.items()])
+                                            [(poly[slot], -m) for slot, m in low.items()])
 
-    def numerator(fr):  # the numerator of fr over the common denominator D
+    def numerator(i):  # the numerator over D of the coefficient of N^i y, or of b for None
+        fr, scale = (b, mu * lam ** s) if i is None else (live[i], lam ** level[i])
         return Poly.from_ints(eq.variables, _expand(_plus(fr.E, low, -1), prims, fr.num),
-                              fr.content)
+                              Fraction(fr.content, scale))
 
-    return StripResult(rminus, tuple(sorted(live)), D_actual, origins, numerator, live, b)
+    return StripResult(rminus, tuple(sorted(live)), D_actual, origins, numerator)
 
 
 # ----------------------------------------------------------------------
@@ -491,11 +555,12 @@ def module_bound(eq: PLDE, geometry: SupportGeometry, W: IntLattice, orbits=None
     gcd over the witness certificates of ``geometry.useful_pairs(W)``,
     which decides them on demand, and `_intersect` stops drawing once the
     gcd is 1.  s is the dispersion of the first certificate, which is the
-    one that ``geometry.classify(W)`` returns.  ``orbits`` is the shift
-    orbit registry of `dispersion_bound`.
+    one that ``geometry.classify(W)`` returns.  The bound is taken for the
+    saturation of W, which the geometry's setup of W already holds.
+    ``orbits`` is the shift orbit registry of `dispersion_bound`.
     """
-    W = saturation(W)
-    d, s = _intersect(eq, W, geometry.useful_pairs(W), ShiftOrbits() if orbits is None else orbits)
+    d, s = _intersect(eq, geometry.saturation(W), geometry.useful_pairs(W),
+                      ShiftOrbits() if orbits is None else orbits)
     if d is None:
         raise ValueError("no useful pair exists for this module")
     return d, s

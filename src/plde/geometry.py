@@ -391,6 +391,10 @@ class SupportGeometry:
             setup = self._modules[W] = _ModuleSetup(self.points, W)
         return setup
 
+    def saturation(self, W: IntLattice) -> IntLattice:
+        """The saturation of W, as the module's setup holds it."""
+        return self._setup(W).W
+
     def witness(self, p, p_prime, W: IntLattice):
         """Certificate for the ordered corner pair (p, p'), or None.
 

@@ -61,7 +61,10 @@ def shift_orbit(p: Poly):
     have no degree-D part, so D drops.  L and c + L do not depend on s0 or
     on the directions chosen, since derivatives along G vanish and a shift
     leaves the degree-D part of a derivative unchanged; so the copies kept
-    depend only on the orbit, and so does the key.
+    depend only on the orbit, and so does the key.  A round with D = 0 is
+    the last: the derivatives along the directions it keeps have no part of
+    degree 0 and no higher one, so they vanish, and a further round could
+    only find that out.  A linear p takes one round.
     """
     if p.is_constant():
         raise ValueError("the shift orbit of a constant polynomial is not defined here")
@@ -83,6 +86,8 @@ def shift_orbit(p: Poly):
             s0 = tuple(map(sum, zip(s0, step)))
         dirs = [tuple(sum(k * d[j] for k, d in zip(row, dirs)) for j in range(r))
                 for row in ker]
+        if D == 0:
+            break  # the directions kept fix q
     G = IntLattice(r, dirs)
     return Poly.from_ints(p.vars, q), G.reduce(s0), G
 

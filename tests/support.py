@@ -13,11 +13,11 @@ from plde.factored import FactoredPoly
 from plde.geometry import WeakCertificate, WitnessCertificate, _facets, _read_point
 from plde.lattice import (IntLattice, ShiftCoset, UnimodularMatrix, _split, clear_denominators,
                           integer_kernel, orthogonal_complement_lattice, primitive_vector,
-                          saturation)
+                          reduce_by_span, saturation)
 from plde.polyring import (MAX_COEFF_BITS, MAX_DEGREE, MAX_TERMS, InvariantError, ParseError,
                            Poly, RationalFunction, UnsupportedInputError, divide_exact,
-                           format_poly, normalize_primitive, parse_poly)
-from plde.spread import ShiftOrbits
+                           format_poly, normalize_primitive, parse_poly, shift_terms)
+from plde.spread import ShiftOrbits, _derivative
 from plde.verify import check_solution
 
 VARS2 = ("n", "k")
@@ -474,6 +474,33 @@ def reference_invariance_lattice(p: Poly) -> IntLattice:
     if any(p.shift(g) != p for g in K.basis):
         raise InvariantError("a kernel vector of the partials does not fix the polynomial")
     return K
+
+
+def reference_shift_orbit(p: Poly):
+    """`spread.shift_orbit` with its rounds run until the derivatives along the directions vanish.
+
+    The library stops after a round of degree D = 0 instead, whose kept
+    directions have vanishing derivatives already; the two agree exactly.
+    """
+    r = len(p.vars)
+    q = p.terms
+    s0 = (0,) * r
+    dirs = [tuple(int(i == j) for j in range(r)) for i in range(r)]
+    while True:
+        derivs = [_derivative(q, d) for d in dirs]
+        D = max((sum(e) for dv in derivs for e in dv), default=-1)
+        if D < 0:
+            break
+        monomials = sorted(e for e in set(q).union(*derivs) if sum(e) == D)
+        cols = [[dv.get(e, 0) for e in monomials] for dv in derivs]
+        tau, ker = reduce_by_span(cols, [q.get(e, 0) for e in monomials])
+        step = tuple(sum(t * d[j] for t, d in zip(tau, dirs)) for j in range(r))
+        q = shift_terms(q, step)
+        s0 = tuple(map(sum, zip(s0, step)))
+        dirs = [tuple(sum(k * d[j] for k, d in zip(row, dirs)) for j in range(r))
+                for row in ker]
+    G = IntLattice(r, dirs)
+    return Poly.from_ints(p.vars, q), G.reduce(s0), G
 
 
 def reference_shift_equiv(p: Poly, q: Poly) -> ShiftCoset:
@@ -1125,20 +1152,24 @@ def bundled_solution(eq: PLDE, name: str):
     return over(parse_poly(num, eq.variables), q), q
 
 
-def dispersion_family(s, signs=(1, 1, -1, 1)):
-    """The dispersion family on the unit square, with its solution 1/q and q.
+def dispersion_family(s, signs=(1, 1, -1, 1), numerator="1"):
+    """The dispersion family on the unit square, with its solution g/q and q.
 
-    q = (n+k+1)(n+k+1+s)(3n+2k+1) and a_p = c_p * q(n + p) with the signs
-    c_p at (0, 0), (0, 1), (1, 0), (1, 1), so the rhs is their sum, 2 for
-    the default ones; the module (1, -1) has dispersion s.
+    q = (n+k+1)(n+k+1+s)(3n+2k+1), g = ``numerator`` and a_p = c_p * q(n + p)
+    with the units c_p at (0, 0), (0, 1), (1, 0), (1, 1), so the rhs is the
+    sum of c_p * g(n + p), 2 for the default ones; the module (1, -1) has
+    dispersion s.
     """
     vars = ("n", "k")
     q = FactoredPoly(vars, 1, [(parse_poly(t, vars), 1)
                                for t in ("n+k+1", "n+k+%d" % (1 + s), "3*n+2*k+1")])
-    points = zip(((0, 0), (0, 1), (1, 0), (1, 1)), signs)
-    eq = PLDE(vars, {p: factored_mul(FactoredPoly(vars, c), q.shift(p)) for p, c in points},
-              Poly.const(vars, sum(signs)))
-    y = over(Poly.one(vars), q)
+    g = parse_poly(numerator, vars)
+    points = list(zip(((0, 0), (0, 1), (1, 0), (1, 1)), signs))
+    rhs = Poly.zero(vars)
+    for p, c in points:
+        rhs = rhs + g.shift(p) * c
+    eq = PLDE(vars, {p: factored_mul(FactoredPoly(vars, c), q.shift(p)) for p, c in points}, rhs)
+    y = over(g, q)
     if not check_solution(eq, y).ok:
         raise InvariantError("the dispersion family does not certify its own solution")
     return eq, y, q

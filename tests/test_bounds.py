@@ -16,8 +16,8 @@ import plde.factored
 import plde.geometry
 import plde.spread
 from plde.bounds import (DegenerateFaceError, StripPreconditionError, _expand, _factors,
-                         _Frac, _aperiodic_bound, _min, _orbit_rows, _plus, _sum, combined_bound,
-                         dispersion_bound, module_bound, strip_rewrite)
+                         _Frac, _Prims, _aperiodic_bound, _min, _orbit_rows, _plus, _sum,
+                         combined_bound, dispersion_bound, module_bound, strip_rewrite)
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
 from plde.geometry import CLASS_USEFUL, SupportGeometry
@@ -135,28 +135,29 @@ _FRAC_POOL = ["k+n+1", "2*k+3*n+1", "n*k+1", "n+1", "4*k-2*n+1", "n^2+n+1", "n^2
 
 def _frac_keys():
     """(prims, counter): a strip's prim table and the valuation map of a FactoredPoly in it."""
-    prims, ids, keys, orbits = {}, {}, {}, ShiftOrbits()
+    prims, ids, orbits = _Prims(), {}, ShiftOrbits()
 
-    def counter(fp):  # keyed as in a strip: shifts of one pool prim share an orbit id
-        return _factors(_orbit_rows(fp.factors, orbits, ids), prims, keys, (0, 0))
+    def counter(fp):  # slotted as in a strip: shifts of one pool prim share an orbit id
+        return _factors(_orbit_rows(fp.factors, orbits, ids), prims, (0, 0))
 
     return prims, counter
 
 
-def _frac_value(fr, prims):
-    """(numerator, factored denominator) of a _Frac, the numerator expanded."""
+def _frac_value(fr, prims, scale=1):
+    """(numerator, factored denominator) of a _Frac divided by scale, the numerator expanded."""
     num = Poly.from_ints(VARS2, _expand({k: m for k, m in fr.E.items() if m > 0}, prims, fr.num),
-                         fr.content)
-    den = FactoredPoly(VARS2, 1, [(Poly.from_ints(VARS2, prims[key][0]), -m)
-                                  for key, m in fr.E.items() if m < 0])
+                         Fraction(fr.content, scale))
+    den = FactoredPoly(VARS2, 1, [(Poly.from_ints(VARS2, prims.terms(slot)), -m)
+                                  for slot, m in fr.E.items() if m < 0])
     return num, den
 
 
 def test_frac_reduction_matches_trial_division():
     # the factored part cancels against den in the signed map, and num is
     # trial-divided by what is left, so the reduction equals plain trial
-    # division over Q of the expanded product, also when 2^61-1 divides a
-    # coefficient denominator of the rational numerator
+    # division over Q of the expanded product; the content is an int, so a
+    # rational value is the fraction of its numerator, divided by the
+    # denominator afterwards, also when 2^61-1 divides that denominator
     rng = random.Random(709)
     prims, counter = _frac_keys()
     for case in range(N_CASES):
@@ -175,9 +176,11 @@ def test_frac_reduction_matches_trial_division():
         part = FactoredPoly(VARS2, 1, [(f, m) for f in own if (m := rng.randint(0, 3))])
         content, terms = int_terms(num)
         E = _plus(counter(part), counter(den), -1)
-        got = _Frac(content * part.unit / den.unit, E, terms, prims, counter(den))
-        assert _frac_value(got, prims) == reduce_by_trial_division(num * part.expand(), den), \
-            (num, part, den)
+        content = content * part.unit / den.unit
+        got = _Frac(content.numerator, E, terms, prims, counter(den))
+        assert isinstance(got.content, int)
+        assert (_frac_value(got, prims, content.denominator)
+                == reduce_by_trial_division(num * part.expand(), den)), (num, part, den)
 
 
 def test_frac_sums_divide_only_by_equal_valuations(monkeypatch):
@@ -185,21 +188,23 @@ def test_frac_sums_divide_only_by_equal_valuations(monkeypatch):
     # reference reduction of the expanded sum, and _sum trial-divides only by
     # the prims whose least negative exponent two or more addends attain:
     # like terms (equal maps), unequal exponents, disjoint prims and sums
-    # that vanish; and a product by a constant and by prims (scaled) stays
-    # reduced without a division
+    # that vanish; and a product by an int, by prims and by a primitive term
+    # map prime to the denominator (scaled) stays reduced without a division
     rng = random.Random(710)
     prims, counter = _frac_keys()
     keys = list(counter(FactoredPoly(VARS2, 1, [(P(t).shift(random_shift(rng, 2, 2)), 1)
                                                 for t in _FRAC_POOL])))
-    key_of = {frozenset(terms.items()): key for key, (terms, _, _) in prims.items()}
+    key_of = {frozenset(prims.terms(slot).items()): slot for slot in keys}
+    # primitive and prime to every shift of a pool prim: the directions differ, or k is linear
+    coprime = [P("n-3*k+5").terms, P("n^2-k+2").terms]
     seen = Counter()
 
     def random_map(among):
         return {key: rng.choice([-3, -2, -1, -1, 1, 2]) for key in rng.sample(among, 3)}
 
-    def reduced(E, num):  # a reduced _Frac of content * num * prod prim^E
+    def reduced(E, num):  # a reduced _Frac of content * num * prod prim^E, num over Z
         content, terms = int_terms(num)
-        return _Frac(content, E, terms, prims, E)
+        return _Frac(int(content), E, terms, prims, E)
 
     def random_num():
         return random_poly(rng, max_degree=2, max_terms=3, nonzero=True)
@@ -217,7 +222,7 @@ def test_frac_sums_divide_only_by_equal_valuations(monkeypatch):
         kind = ("equal", "unequal", "disjoint", "vanish")[case % 4]
         count = 2 + case // 4 % 3
         E1 = random_map(keys[:4] if kind == "disjoint" else keys)
-        num1 = random_poly(rng, max_degree=2, max_terms=3, integer=case % 8 < 4, nonzero=True)
+        num1 = random_poly(rng, max_degree=2, max_terms=3, nonzero=True)
         addends = [reduced(E1, num1)]
         if kind == "equal":  # the numerators add up to a multiple of some denominator prims
             for _ in range(count - 2):
@@ -243,10 +248,13 @@ def test_frac_sums_divide_only_by_equal_valuations(monkeypatch):
             addends.append(negated(_sum(addends, prims)))
         if case % 5 == 0:  # scaled is the product, reduced with no division
             (key, m), = {rng.choice(keys): rng.choice([-1, 1, 2])}.items()
+            extra = coprime[case % 2] if case % 10 == 0 else None
             n0, d0 = _frac_value(addends[-1], prims)
-            n1, d1 = _frac_value(addends[-1].scaled(Fraction(-3, 7), {key: m}), prims)
-            prim = Poly.from_ints(VARS2, prims[key][0]) ** abs(m)
-            left, right = n1 * d0.expand(), n0 * d1.expand() * Fraction(-3, 7)
+            n1, d1 = _frac_value(addends[-1].scaled(-3, {key: m}, extra), prims)
+            prim = Poly.from_ints(VARS2, prims.terms(key)) ** abs(m)
+            left, right = n1 * d0.expand(), n0 * d1.expand() * -3
+            if extra is not None:
+                right = right * Poly.from_ints(VARS2, extra)
             assert (left == right * prim if m > 0 else left * prim == right), case
             assert reduce_by_trial_division(n1, d1) == (n1, d1), case
         maps = [fr.E for fr in addends]
@@ -307,18 +315,36 @@ def test_combined_cancels_corner_factors_by_multiplicity(sys1, monkeypatch):
     assert len(succeeded) <= 32, len(succeeded)
 
 
+def _record_prim_tables(monkeypatch):
+    """The list to which every `_Prims` table that a strip makes is appended."""
+    tables = []
+
+    class RecordingPrims(_Prims):
+        __slots__ = ()
+
+        def __init__(self):
+            super().__init__()
+            tables.append(self)
+
+    monkeypatch.setattr(plde.bounds, "_Prims", RecordingPrims)
+    return tables
+
+
 def test_wide_strips_shift_each_prim_once(monkeypatch):
-    # on the dispersion family at s = 16 and 32, the strips key shifted prims
-    # by shift orbit, so a prim's terms are made once per strip (3,952 and
-    # 14,560 shift_terms calls when each substitution shifted every factor),
+    # on the dispersion family at s = 16 and 32, the strips name shifted prims
+    # by int slots of their shift orbit, so equal prims share a slot, and make
+    # a prim's term map only when it is read: D_actual holds unshifted corner
+    # factors and no division runs, so no term map is shifted at all (3,952
+    # and 14,560 shift_terms calls when each substitution shifted every
+    # factor, 156 and 316 when each prim was shifted once when first seen);
     # the constant right-hand side is never shifted (460 and 1,436 calls when
     # it was), and the degree rule skips every trial division (5,972 and
     # 22,636 before)
     shifts = []
     divisions = []
-    prim_maps = {}
+    tables = _record_prim_tables(monkeypatch)
     strips = []
-    shift_terms, factors = plde.bounds.shift_terms, plde.bounds._factors
+    shift_terms = plde.bounds.shift_terms
     original = plde.bounds.strip_rewrite
 
     def counting_shift(terms, d):
@@ -329,10 +355,6 @@ def test_wide_strips_shift_each_prim_once(monkeypatch):
         divisions.append(prim)
         return divide_int_terms(num, prim)
 
-    def recording_factors(rows, prims, keys, d):
-        prim_maps[id(prims)] = prims
-        return factors(rows, prims, keys, d)
-
     def recording_strip(eq, p, s, u, orbits=None):
         strip = original(eq, p, s, u, orbits)
         strips.append((strip, p))
@@ -340,19 +362,18 @@ def test_wide_strips_shift_each_prim_once(monkeypatch):
 
     monkeypatch.setattr(plde.bounds, "shift_terms", counting_shift)
     monkeypatch.setattr(plde.bounds, "divide_int_terms", counting_division)
-    monkeypatch.setattr(plde.bounds, "_factors", recording_factors)
     monkeypatch.setattr(plde.bounds, "strip_rewrite", recording_strip)
-    for s, most_shifts in ((16, 156), (32, 316)):
+    for s in (16, 32):
         eq, y, _ = dispersion_family(s)
-        for log in (shifts, divisions, strips):
+        for log in (shifts, divisions, strips, tables):
             log.clear()
-        prim_maps.clear()
         combined_bound(eq)
-        assert len(shifts) <= most_shifts, (s, len(shifts))
+        assert not shifts, (s, len(shifts))
         assert not divisions, s
-        assert len(prim_maps) == len(strips) >= 2
-        for prims in prim_maps.values():  # the keys are canonical
-            assert len({frozenset(terms.items()) for terms, _, _ in prims.values()}) == len(prims)
+        assert len(tables) == len(strips) >= 2
+        for prims in tables:  # the slots are canonical: one per distinct prim
+            slots = range(len(prims.origin))
+            assert len({frozenset(prims.terms(slot).items()) for slot in slots}) == len(slots)
         assert max(len(strip.Rminus) for strip, _ in strips) > 1
         for strip, p in strips:
             assert check_strip_identity(strip, p, y), (s, p)
@@ -395,14 +416,16 @@ def test_strip_sums_divide_only_where_they_can_cancel(monkeypatch):
 
 
 def test_strips_reduce_each_shift_once(ex1, ex2, nrm, skew, sys1, sys2, monkeypatch):
-    # a strip keys f(n + d) by (orbit, G.reduce(offset - d)) and memoizes the
-    # key by (orbit, offset - d), so it reduces each distinct input once,
-    # though every substitution shifts the factors of every coefficient (on
-    # dispersion seed 1 of the bench, 3,648 reductions for 1,501 inputs before)
+    # a strip names f(n + d) by (orbit, G.reduce(offset - d)) and memoizes
+    # its int slot by (orbit, offset - d), so it reduces each distinct input
+    # once, though every substitution shifts the factors of every coefficient
+    # (on dispersion seed 1 of the bench, 3,648 reductions for 1,501 inputs
+    # before); equal reductions share a slot
     reductions = []
     reduce = IntLattice.reduce
     original = plde.bounds.strip_rewrite
     totals = Counter()
+    tables = _record_prim_tables(monkeypatch)
 
     def counting(self, v):
         reductions.append(v)
@@ -413,11 +436,15 @@ def test_strips_reduce_each_shift_once(ex1, ex2, nrm, skew, sys1, sys2, monkeypa
         for f in factors:  # the orbits are read before the count starts
             orbits[f]
         reductions.clear()
+        tables.clear()
         strip = original(eq, p, s, u, orbits)
         inputs = {(orbits[f][0], tuple(o - a + b for o, a, b in zip(orbits[f][1], i, p)))
                   for f in factors for i in strip.Rminus}
         assert len(reductions) == len(inputs), (p, s, u)
+        prims, = tables
+        assert len(prims.memo) == len(reductions) >= len(prims.origin), (p, s, u)
         totals["reductions"] += len(reductions)
+        totals["slots"] += len(prims.origin)
         totals["shifts"] += len(factors) * len(strip.Rminus)
         return strip
 
@@ -426,7 +453,67 @@ def test_strips_reduce_each_shift_once(ex1, ex2, nrm, skew, sys1, sys2, monkeypa
     for eq in (ex1, ex2, nrm, skew, sys1, sys2, dispersion_family(6)[0], wide_case(8)[0]):
         combined_bound(eq)
     # 1,701 shifted factors, 967 of them distinct
-    assert totals["shifts"] > totals["reductions"] > 0, totals
+    assert totals["shifts"] > totals["reductions"] > totals["slots"] > 0, totals
+
+
+def test_strips_make_term_maps_only_for_the_prims_they_read(sys1, sys2, monkeypatch):
+    # a prim's term map is made the first time a strip reads it: by a trial
+    # division that the degree rule lets run, by an expansion (_expand) or
+    # for D_actual, and reading StripResult.terms and .b expands only the
+    # excess of each value over D; on the dispersion family D_actual holds
+    # unshifted corner factors and nothing is divided, so the cascade makes
+    # no term map but D_actual's (328 shifted ones on dispersion seed 1 of
+    # the bench, when each prim's map was made when it was first seen)
+    tables = _record_prim_tables(monkeypatch)
+    reads, strips = [], []  # reads: the ids of the term maps read
+    totals = Counter()
+    divide, expand = plde.bounds.divide_int_terms, plde.bounds._expand
+    original = plde.bounds.strip_rewrite
+
+    def recording_division(num, prim):
+        reads.append(id(prim))
+        return divide(num, prim)
+
+    def recording_expand(mults, prims, terms):
+        reads.extend(id(prims.terms(slot)) for slot in mults)
+        return expand(mults, prims, terms)
+
+    def recording_strip(eq, p, s, u, orbits=None):
+        strip = original(eq, p, s, u, orbits)
+        strips.append((eq, strip, tables[-1]))
+        return strip
+
+    def made_and_read(strip, prims):  # the slots whose map is made, those read, those of D
+        made = {slot: terms for slot, terms in enumerate(prims._terms) if terms is not None}
+        ids = set(reads)
+        read = {slot for slot, terms in made.items() if id(terms) in ids}
+        den = {slot for slot, terms in made.items()
+               if Poly.from_ints(strip.D_actual.vars, terms) in strip.origins}
+        return set(made), read | den, den
+
+    monkeypatch.setattr(plde.bounds, "divide_int_terms", recording_division)
+    monkeypatch.setattr(plde.bounds, "_expand", recording_expand)
+    monkeypatch.setattr(plde.bounds, "strip_rewrite", recording_strip)
+    family = dispersion_family(6)[0]
+    units = dispersion_family(4, signs=(Fraction(-3, 2), 1, Fraction(1, 3), 2),
+                              numerator="6*n+6")[0]
+    for eq in (family, units, sys1, sys2, wide_case(8)[0]):
+        strips.clear()
+        reads.clear()
+        combined_bound(eq)
+        assert strips
+        for _, strip, prims in strips:
+            made, read, den = made_and_read(strip, prims)
+            assert made == read, (eq.support, made - read)
+            if eq is family:
+                assert made == den and not any(map(any, (prims.shift[s] for s in made)))
+            totals["slots"] += len(prims.origin)
+            totals["made"] += len(made)
+            strip.terms, strip.b
+            made, read, _ = made_and_read(strip, prims)
+            assert made == read, (eq.support, made - read)
+            totals["made after reading"] += len(made)
+    assert totals["slots"] > totals["made after reading"] > totals["made"] > 0, totals
 
 
 def test_wide_known_solution_case(monkeypatch):

@@ -235,7 +235,7 @@ def test_pair_programs_match_lp_feasible_on_their_constraint_lists(ex1, ex2, nrm
                 assert cert == reference_witness(fresh, p, p_prime, W), (eq.support, W, p, p_prime)
                 pairs += 1
                 found += cert is not None
-    assert len(equations) == 78 and pairs >= 20000 and found >= 3000, (pairs, found)
+    assert len(equations) == 79 and pairs >= 20000 and found >= 3000, (pairs, found)
 
 
 def test_one_sided_programs_match_lp_feasible_on_their_constraint_lists(ex1, ex2, nrm, skew,
@@ -267,7 +267,7 @@ def test_one_sided_programs_match_lp_feasible_on_their_constraint_lists(ex1, ex2
                     found += 1
                     later += -1 < z[0] < 1
                     ranks.add(setup.t)
-    assert len(equations) == 78 and cases >= 5000 and found >= 2500, (cases, found)
+    assert len(equations) == 79 and cases >= 5000 and found >= 2500, (cases, found)
     # some certificates come after the first unit direction, and every t occurs
     assert later >= 30 and ranks == {1, 2, 3, 4}, (later, ranks)
 

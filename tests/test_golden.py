@@ -4,7 +4,8 @@ The stored text of each report is ``json.dumps(report.to_json(),
 sort_keys=True)``, so witness covectors, pair choices, dispersions and
 factor order are all pinned.  The inputs are the bundled equations and
 seeded ``random_instance`` equations (tests/support.py), and the dispersion
-family at strip widths the bench does not reach; the JSON of the generated
+family at strip widths the bench does not reach, and once with rational
+units and a nonconstant right-hand side; the JSON of the generated
 equations is stored alongside so that the cases do not depend on the generator.
 
 ``strips.json`` pins every strip that those reports run: the corner p, the
@@ -89,11 +90,22 @@ GENERATED = (tuple(("r2", seed) for seed in range(1, 11))
              + (("g3", 17), ("g3", 18), ("g4", 9), ("g4", 10)))
 # dispersions s of the family q = (n+k+1)(n+k+1+s)(3n+2k+1), wider than the bench's s <= 6
 WIDE = (12, 16)
+# dispersions s of the same family with rational units and the solution 6(n+1)/q, so that the
+# strips divide by units other than 1 and multiply by a nonconstant right-hand side
+UNITS = (8,)
+
+
+def _units_family(s):
+    from fractions import Fraction
+
+    from support import dispersion_family
+
+    return dispersion_family(s, signs=(Fraction(-3, 2), 1, Fraction(1, 3), 2), numerator="6*n+6")
 
 
 def _case_names():
     return (list(BUNDLED) + ["%s-%d" % case for case in GENERATED]
-            + ["dispersion-%d" % s for s in WIDE])
+            + ["dispersion-%d" % s for s in WIDE] + ["dispersion-units-%d" % s for s in UNITS])
 
 
 def _equation(name):
@@ -155,7 +167,7 @@ def test_golden_strips_are_identical():
     # every StripResult of the golden and bundled equations, not only the
     # part of it that reaches a report
     expected = json.loads((GOLDEN / "strips.json").read_text())
-    assert sum(map(len, expected.values())) == 77
+    assert sum(map(len, expected.values())) == 81
     for name in _case_names():
         assert _strip_records(name) == expected[name], name
 
@@ -170,6 +182,8 @@ def _known_solution(name):
     kind, number = name.rsplit("-", 1)
     if kind == "dispersion":
         return dispersion_family(int(number))
+    if kind == "dispersion-units":
+        return _units_family(int(number))
     return random_instance(int(number), _profiles()[kind])
 
 
@@ -260,6 +274,8 @@ def write_golden():
         generated["%s-%d" % (profile, seed)] = eq.to_json()
     for s in WIDE:
         generated["dispersion-%d" % s] = dispersion_family(s)[0].to_json()
+    for s in UNITS:
+        generated["dispersion-units-%d" % s] = _units_family(s)[0].to_json()
     (GOLDEN / "equations.json").write_text(json.dumps(generated, indent=1, sort_keys=True) + "\n")
     for name in _case_names():
         (GOLDEN / ("%s.json" % name)).write_text(_report_text(_equation(name)))

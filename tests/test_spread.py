@@ -1,7 +1,10 @@
+import importlib.util
 import itertools
+import json
 import random
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +16,7 @@ from plde.polyring import Poly, normalize_primitive, parse_poly
 from plde.spread import NEG_INFINITY, invariance_lattice, shift_equiv, shift_orbit
 from support import (VARS2, coset_contains, factored_from_poly, leading_coefficient, random_factor,
                      random_poly, random_shift, reference_invariance_lattice,
-                     reference_shift_equiv, spread_box_oracle)
+                     reference_shift_equiv, reference_shift_orbit, spread_box_oracle)
 
 N_CASES = 200
 
@@ -316,6 +319,41 @@ def test_degenerate_top_forms_in_three_variables(monkeypatch):
     # outside G: rank G = 2 takes 1 round (45 cases), rank 1 takes 2 (83),
     # rank 0 takes 2 (25) or 3 (7)
     assert rounds == {1: 45, 2: 108, 3: 7}
+
+
+def _bench_seed_one_equations():
+    """The equations of every workload of bench/workloads.py at seed 1."""
+    root = Path(__file__).resolve().parents[1]
+    spec = importlib.util.spec_from_file_location("workloads", root / "bench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    return [PLDE.from_json(i.equation) for name in workloads.WORKLOADS
+            for i in workloads.generate(name, 1, root)]
+
+
+def test_orbits_end_after_a_round_of_degree_zero(ex1, ex2, nrm, skew, sys1, sys2, monkeypatch):
+    # shift_orbit stops after a round with D = 0, whose kept directions have
+    # vanishing derivatives; every prim of the bundled, golden and bench
+    # seed-1 equations keeps the orbit of the reference, which runs one more
+    # round to find that out, and a linear prim now takes one round: it
+    # differentiates along the r unit directions only
+    golden = json.loads((Path(__file__).parent / "golden" / "equations.json").read_text())
+    equations = [ex1, ex2, nrm, skew, sys1, sys2] + [PLDE.from_json(d) for d in golden.values()]
+    equations += _bench_seed_one_equations()
+    prims = {f for eq in equations for a in eq.terms.values() for f, _ in a.factors}
+    derivatives = []
+    derivative = spread._derivative
+    monkeypatch.setattr(spread, "_derivative", lambda a, d: derivatives.append(d) or
+                        derivative(a, d))
+    degrees = Counter()
+    for f in prims:
+        derivatives.clear()
+        assert shift_orbit(f) == reference_shift_orbit(f), f
+        degrees[f.total_degree()] += 1
+        if f.total_degree() == 1:
+            assert len(derivatives) == len(f.vars), f
+    # 184 equations, with 118 distinct linear prims and 104 quadratic ones
+    assert len(equations) >= 180 and degrees[1] >= 100 and degrees[2] >= 100, degrees
 
 
 def _differential_pair(rng, vars):
