@@ -116,6 +116,12 @@ def _facets(rows, lineality=None, rays=(), first=0):
     the bitmask of the rows it is tight on; modulo the lineality space, the
     rays are the extreme rays.
 
+    The adjacency test is the combinatorial one of Fukuda and Prodon, done
+    by counting: every mask contains the common tight set of its own pair,
+    so the pair is adjacent exactly when no more than two masks of the
+    rays contain it, and the count stops at the third.  Each ray's value
+    on a row is taken once, in the pass that splits the rays by sign.
+
     Given ``lineality`` and ``rays``, the generators that this returned for
     ``first`` earlier rows, it continues from them instead of the whole
     space: the cone is then cut by those rows and ``rows`` together.  Bit i
@@ -127,14 +133,13 @@ def _facets(rows, lineality=None, rays=(), first=0):
         lineality = [(0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d)]
     for t, h in enumerate(rows, first):
         bit = 1 << t
-        vals = [sum(map(_mul, h, v)) for v, _ in rays]
         lvals = [sum(map(_mul, h, v)) for v in lineality]
         i = next((i for i, x in enumerate(lvals) if x), None)
         if i is not None:
             l, hl = lineality[i], lvals[i]
             if hl < 0:
                 l, hl = tuple(-x for x in l), -hl
-            rays = [(_onto(v, hv, l, hl), m | bit) for (v, m), hv in zip(rays, vals)]
+            rays = [(_onto(v, sum(map(_mul, h, v)), l, hl), m | bit) for v, m in rays]
             rays.append((l, bit - 1))
             lineality = [_onto(v, hv, l, hl) for j, (v, hv) in enumerate(zip(lineality, lvals))
                          if j != i]
@@ -142,18 +147,31 @@ def _facets(rows, lineality=None, rays=(), first=0):
         # adjacent rays span a face of dimension 2 modulo the lineality space,
         # so at least len(h) - len(lineality) - 2 rows are tight on both
         tight = len(h) - len(lineality) - 2
+        kept, positive, negative = [], [], []
+        for v, m in rays:
+            hv = sum(map(_mul, h, v))
+            if hv > 0:
+                kept.append((v, m))
+                positive.append((v, m, hv))
+            elif hv:
+                negative.append((v, m, hv))
+            else:
+                kept.append((v, m | bit))
         masks = [m for _, m in rays]
-        negative = [j for j, x in enumerate(vals) if x < 0]
-        new = []
-        for i, (vi, mi) in enumerate(rays):
-            if vals[i] <= 0:
-                continue
-            for j in negative:
-                common = mi & masks[j]
-                if common.bit_count() >= tight and not any(
-                        m & common == common for o, m in enumerate(masks) if o != i and o != j):
-                    new.append((_onto(rays[j][0], vals[j], vi, vals[i]), common | bit))
-        rays = [(v, m | bit if hv == 0 else m) for (v, m), hv in zip(rays, vals) if hv >= 0] + new
+        for vi, mi, hi in positive:
+            for vj, mj, hj in negative:
+                common = mi & mj
+                if common.bit_count() < tight:
+                    continue
+                count = 0
+                for m in masks:
+                    if m & common == common:
+                        count += 1
+                        if count > 2:
+                            break
+                else:
+                    kept.append((_onto(vj, hj, vi, hi), common | bit))
+        rays = kept
     return lineality, rays
 
 
@@ -334,9 +352,16 @@ class _ModuleSetup:
         once per p and kind: one row per other congruence class c puts c
         above p, by 1 if ``strict`` (pair programs), else by the row
         constant of c (one-sided programs), that is (c - c_p) . z >= 1 or
-        >= images[c].  ``rows``, each (-b, *a) for a . z >= b, continue it:
-        a partner's rows, or one unit row.  No continuation of a cone with
-        no ray with t > 0 has a point.
+        >= images[c].  ``rows``, each (-b, *a) for a . z >= b, continue it
+        one at a time: a partner's rows, or one unit row; they are read only
+        if the cone has a ray with t > 0.
+
+        The continuation stops, with no point, at the first row after
+        which no ray has t > 0 (t the first coordinate, as in
+        `_read_point`).  The cone's first row is t >= 0, so every ray has
+        t >= 0 and every lineality vector t = 0, and with no ray with t > 0
+        the whole cone lies in t = 0.  Later rows only cut the cone, so it
+        stays there, and no later row can bring back a ray with t > 0.
         """
         key = (p, strict)
         if key not in self.cones:
@@ -348,7 +373,12 @@ class _ModuleSetup:
         if self.cones[key] is None:
             return None
         lineality, rays, first = self.cones[key]
-        return _read_point(*_facets(rows, lineality, rays, first), self.t, first + len(rows))
+        for row in rows:
+            lineality, rays = _facets([row], lineality, rays, first)
+            first += 1
+            if not any(v[0] for v, _ in rays):
+                return None
+        return _read_point(lineality, rays, self.t, first)
 
     def covector(self, z):
         """The primitive integer covector with basis coordinates proportional to z."""
@@ -421,9 +451,10 @@ class SupportGeometry:
             # p' would always share the maximal face
             return None
         # every class other than those of p and p' lies below p', strictly if
-        # it has two or more points; the row for p is implied by its cone
+        # it has two or more points; the row for p is implied by its cone, and
+        # the rows are built only if that cone is not empty
         cp, cq = setup.point_coeffs[p], setup.point_coeffs[p_prime]
-        top = [(-b, *map(_sub, cq, c)) for c, b in setup.images.items() if c != cq and c != cp]
+        top = ((-b, *map(_sub, cq, c)) for c, b in setup.images.items() if c != cq and c != cp)
         z = setup.point(p, True, top)
         if z is None:
             return None

@@ -5,12 +5,12 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, gcd, prod
-from operator import sub
+from operator import mul, sub
 
 from plde import bounds
 from plde.equation import PLDE
 from plde.factored import FactoredPoly
-from plde.geometry import WeakCertificate, WitnessCertificate, _facets, _read_point
+from plde.geometry import WeakCertificate, WitnessCertificate, _facets, _onto, _read_point
 from plde.lattice import (IntLattice, ShiftCoset, UnimodularMatrix, _split, clear_denominators,
                           integer_kernel, orthogonal_complement_lattice, primitive_vector,
                           reduce_by_span, saturation)
@@ -249,6 +249,47 @@ def fourier_motzkin(constraints, nvars):
         elif hi is not None:
             values[j] = min(hi, Fraction(0))
     return values
+
+
+def reference_facets(rows, lineality=None, rays=(), first=0):
+    """Reference double description for the differential test of ``plde.geometry._facets``.
+
+    Same input and result.  Each row takes the value of every ray and
+    lineality vector up front, and a positive/negative pair of rays is
+    adjacent when no third ray, scanned by index over all the others, is
+    tight on every row that both are tight on.
+    """
+    if lineality is None:
+        d = len(rows[0])
+        lineality = [(0,) * i + (1,) + (0,) * (d - 1 - i) for i in range(d)]
+    for t, h in enumerate(rows, first):
+        bit = 1 << t
+        vals = [sum(map(mul, h, v)) for v, _ in rays]
+        lvals = [sum(map(mul, h, v)) for v in lineality]
+        i = next((i for i, x in enumerate(lvals) if x), None)
+        if i is not None:
+            l, hl = lineality[i], lvals[i]
+            if hl < 0:
+                l, hl = tuple(-x for x in l), -hl
+            rays = [(_onto(v, hv, l, hl), m | bit) for (v, m), hv in zip(rays, vals)]
+            rays.append((l, bit - 1))
+            lineality = [_onto(v, hv, l, hl) for j, (v, hv) in enumerate(zip(lineality, lvals))
+                         if j != i]
+            continue
+        tight = len(h) - len(lineality) - 2
+        masks = [m for _, m in rays]
+        negative = [j for j, x in enumerate(vals) if x < 0]
+        new = []
+        for i, (vi, mi) in enumerate(rays):
+            if vals[i] <= 0:
+                continue
+            for j in negative:
+                common = mi & masks[j]
+                if common.bit_count() >= tight and not any(
+                        m & common == common for o, m in enumerate(masks) if o != i and o != j):
+                    new.append((_onto(rays[j][0], vals[j], vi, vals[i]), common | bit))
+        rays = [(v, m | bit if hv == 0 else m) for (v, m), hv in zip(rays, vals) if hv >= 0] + new
+    return lineality, rays
 
 
 def reference_corner_points(points):

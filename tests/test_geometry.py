@@ -13,8 +13,8 @@ from plde.geometry import CLASS_OPPOSITE_ONLY, CLASS_UNCOVERED, CLASS_USEFUL, Su
 from plde.lattice import IntLattice, saturation
 from support import (InstanceProfile, face_parallel_modules_all_pairs, fourier_motzkin,
                      lp_feasible, lp_rows, program_constraints, random_instance,
-                     reference_corner_points, reference_is_edge, reference_weak,
-                     reference_witness)
+                     reference_corner_points, reference_facets, reference_is_edge,
+                     reference_weak, reference_witness)
 
 N_CASES = 200
 
@@ -176,15 +176,40 @@ def test_lp_point_ignores_repeated_and_scaled_rows():
 def test_pipeline_lp_systems_match_fourier_motzkin(ex1, ex2, nrm, skew, sys1, sys2, monkeypatch):
     # the programs that combined_bound itself runs, on the bundled files and
     # the golden equations, get the point of the reference on their
-    # constraint lists: each pair program and each one-sided try
+    # constraint lists: each pair program and each one-sided try; a program
+    # that has no point although its corner cone has a ray with t > 0
+    # processes its rows up to the first after which the reference kernel
+    # leaves no ray with t > 0, and no further, and the full continuation
+    # has none either
     systems = []
-    point = geometry._ModuleSetup.point
+    stops = []  # per program with no point on a nonempty cone: whether it stopped early
+    continued = []  # the number of rows of each continuing _facets call
+    point, facets = geometry._ModuleSetup.point, geometry._facets
+
+    def counting(rows, lineality=None, rays=(), first=0):
+        if lineality is not None:
+            continued.append(len(rows))
+        return facets(rows, lineality, rays, first)
 
     def recording(setup, p, strict, rows):
+        rows = list(rows)
+        continued.clear()
         z = point(setup, p, strict, rows)
         systems.append((strict, program_constraints(setup, p, strict, rows), setup.t, z))
+        cone = setup.cones[p, strict]
+        if z is None and cone is not None:
+            lineality, rays, first = cone
+            stop = None
+            for k, row in enumerate(rows, 1):
+                lineality, rays = reference_facets([row], lineality, rays, first + k - 1)
+                if stop is None and not any(v[0] for v, _ in rays):
+                    stop = k
+            assert stop is not None and not any(v[0] for v, _ in rays), (rows, cone)
+            assert sum(continued) == stop, (rows, continued, stop)
+            stops.append(stop < len(rows))
         return z
 
+    monkeypatch.setattr(geometry, "_facets", counting)
     monkeypatch.setattr(geometry._ModuleSetup, "point", recording)
     golden = json.loads((Path(__file__).parent / "golden" / "equations.json").read_text())
     for eq in [ex1, ex2, nrm, skew, sys1, sys2] + [PLDE.from_json(d) for d in golden.values()]:
@@ -195,6 +220,59 @@ def test_pipeline_lp_systems_match_fourier_motzkin(ex1, ex2, nrm, skew, sys1, sy
     assert len(pairs) >= 300 and set(pairs) == {1, 2, 3, 4}
     one_sided = [z is not None for strict, _, _, z in systems if not strict]
     assert len(one_sided) >= 150 and 80 <= sum(one_sided) < len(one_sided), one_sided
+    # many programs stop before their last row
+    assert len(stops) >= 250 and sum(stops) >= 150, (len(stops), sum(stops))
+
+
+def _same_cone(got, expected, d):
+    """Whether two results of the double description have one lineality span and one ray set."""
+    (lineality, rays), (ref_lineality, ref_rays) = got, expected
+    return (saturation(IntLattice(d, lineality)) == saturation(IntLattice(d, ref_lineality))
+            and len(rays) == len(set(rays)) and set(rays) == set(ref_rays)
+            and all(math.gcd(*v) == 1 for v, _ in rays))
+
+
+def test_facets_match_the_reference_kernel(ex1, ex2, nrm, skew, sys1, sys2, monkeypatch):
+    # seeded row systems in 2-5 homogeneous dimensions, some continued row by
+    # row from a prefix cone as _ModuleSetup.point continues a corner cone,
+    # and every cone that combined_bound builds on the bundled and golden
+    # equations, get from _facets the lineality span and the set of
+    # (primitive ray, tight mask) of the reference kernel
+    rng = random.Random(517)
+    lined = many = 0
+    for case in range(600):
+        d = 2 + case % 4
+        # every third system leaves the last coordinate free, so the cone
+        # keeps a lineality space
+        free = case % 3 == 0
+        rows = [tuple(0 if free and j == d - 1 else rng.randint(-3, 3) for j in range(d))
+                for _ in range(rng.randint(3, 12))]
+        rows = [h if any(h) else (1,) + h[1:] for h in rows]
+        expected = reference_facets(rows)
+        assert _same_cone(geometry._facets(rows), expected, d), rows
+        if case % 2:
+            cut = rng.randint(1, len(rows) - 1)
+            lineality, rays = reference_facets(rows[:cut])
+            for k, h in enumerate(rows[cut:], cut):
+                lineality, rays = geometry._facets([h], lineality, rays, k)
+            assert _same_cone((lineality, rays), expected, d), (rows, cut)
+        lined += bool(expected[0])
+        many += len(expected[1]) >= 4
+    assert lined >= 150 and many >= 150, (lined, many)
+
+    cones = []
+    facets = geometry._facets
+
+    def checked(rows, lineality=None, rays=(), first=0):
+        got = facets(rows, lineality, rays, first)
+        cones.append(_same_cone(got, reference_facets(rows, lineality, rays, first), len(rows[0])))
+        return got
+
+    monkeypatch.setattr(geometry, "_facets", checked)
+    golden = json.loads((Path(__file__).parent / "golden" / "equations.json").read_text())
+    for eq in [ex1, ex2, nrm, skew, sys1, sys2] + [PLDE.from_json(d) for d in golden.values()]:
+        combined_bound(eq)
+    assert len(cones) >= 1000 and all(cones), (len(cones), cones.count(False))
 
 
 def _program_equations(bundled, base):
